@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import report, units
@@ -67,6 +68,21 @@ def _load(args) -> Registry:
     return load_datasets(args.data_dir)
 
 
+def _chip_config(path: Path) -> ChipConfig:
+    """ChipConfig from a JSON object whose keys are its field names."""
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: chip config must be a JSON object")
+    known = {f.name: f for f in fields(ChipConfig)}
+    for key in doc:
+        if key not in known:
+            raise DatasetError(f"{path}: unknown chip config key {key!r}")
+    for key, f in known.items():
+        if key not in doc and f.default is MISSING:
+            raise DatasetError(f"{path}: missing chip config key {key!r}")
+    return ChipConfig(**doc)
+
+
 def _cmd_devices(args, registry: Registry) -> None:
     print("name,area_nm2,delay_ps,energy_aJ,r_on_Ohm,r_off_Ohm")
     for name in sorted(registry.devices):
@@ -93,8 +109,7 @@ def _cmd_bench(args, registry: Registry) -> None:
         if args.nominal:
             cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
         else:
-            doc = json.loads(args.config.read_text())
-            cfg = ChipConfig(**doc)
+            cfg = _chip_config(args.config)
         bench = report.bench_chip_nominal(tech, registry, cfg)
         print(f"total_synapses: {bench.total_synapses}")
         print(f"area_nm2: {bench.area:.{p}g}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import units
@@ -41,11 +42,11 @@ class ElementBench:
     chip_ic: AdeTriple
     technology: Optional[Technology] = None
 
-    @property
+    @cached_property
     def synapse_total(self) -> AdeTriple:
         return self.synapse + self.core_ic
 
-    @property
+    @cached_property
     def neuron_total(self) -> AdeTriple:
         return self.neuron + self.chip_ic
 

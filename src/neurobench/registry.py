@@ -7,7 +7,8 @@ Every file must carry a `units` header block; loaders convert to the
 canonical units (nm^2, ps, aJ, V, Ohm, F) exactly once at load time.
 
 The returned Registry is immutable after load and safe to share between
-concurrent evaluators.
+concurrent evaluators: its mappings are read-only views, and results that
+the report layer derives from it are memoized on the registry itself.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Callable, Optional, TypeVar
 
 from . import units
 from .ade import AdeTriple
@@ -245,7 +248,7 @@ class ChipRecord:
 class FanInPolicy:
     """Parallel fan-in per neuron family; None means unlimited."""
 
-    limits: dict[str, Optional[int]]
+    limits: Mapping[str, Optional[int]]
 
     def limit(self, fan_in_class: str) -> Optional[int]:
         if fan_in_class not in self.limits:
@@ -253,16 +256,29 @@ class FanInPolicy:
         return self.limits[fan_in_class]
 
 
+T = TypeVar("T")
+
+
 @dataclass(frozen=True)
 class Registry:
     constants: GlobalConstants
-    primitives: dict[str, CircuitPrimitiveTable]
-    devices: dict[str, DeviceRecord]
+    primitives: Mapping[str, CircuitPrimitiveTable]
+    devices: Mapping[str, DeviceRecord]
     technologies: tuple[Technology, ...]
-    chips: dict[str, ChipRecord]
-    workloads: dict[str, WorkloadSpec]
+    chips: Mapping[str, ChipRecord]
+    workloads: Mapping[str, WorkloadSpec]
     fan_in_policy: FanInPolicy
-    topsdown_params: dict[str, float]
+    topsdown_params: Mapping[str, float]
+    # Results derived from this registry. Not an init field, so
+    # dataclasses.replace() yields a registry with an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memoized(self, key, compute: Callable[[], T]) -> T:
+        """compute() once per key for this registry; later calls return the same object."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, compute())
+        return value
 
     def device(self, name: str) -> DeviceRecord:
         try:
@@ -722,13 +738,13 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
 
     return Registry(
         constants=constants,
-        primitives=primitives,
-        devices=devices,
+        primitives=MappingProxyType(primitives),
+        devices=MappingProxyType(devices),
         technologies=technologies,
-        chips=chips,
-        workloads=workloads,
-        fan_in_policy=fan_in,
-        topsdown_params=topsdown_params,
+        chips=MappingProxyType(chips),
+        workloads=MappingProxyType(workloads),
+        fan_in_policy=FanInPolicy(limits=MappingProxyType(fan_in.limits)),
+        topsdown_params=MappingProxyType(topsdown_params),
     )
 
 

@@ -44,7 +44,17 @@ class ScatterPoint:
 
 
 def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
-    """Raw element -> network transform -> interconnect merge for one technology."""
+    """Raw element -> network transform -> interconnect merge for one technology.
+
+    Rows for the nominal chip (`cfg` None) are built once per registry; a row
+    for an explicit `cfg` is built on every call.
+    """
+    if cfg is None:
+        return registry.memoized(tech, lambda: _build_row(tech, registry))
+    return _build_row(tech, registry, cfg)
+
+
+def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
     constants = registry.constants
     raw = build_raw_element(tech, registry)
     net = network_transform(raw, tech, registry)
@@ -77,7 +87,16 @@ def bench_workload(
 ) -> WorkloadBench:
     """Run a named workload on one technology with its natural policies:
     MAC combos go sequential and time-multiplexed, spiking networks get
-    unlimited fan-in, everything else cascades in parallel."""
+    unlimited fan-in, everything else cascades in parallel. The result is
+    built once per registry."""
+    return registry.memoized(
+        (workload_name, tech, schedule), lambda: _run_named_workload(workload_name, tech, registry, schedule)
+    )
+
+
+def _run_named_workload(
+    workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]
+) -> WorkloadBench:
     spec = registry.workload(workload_name)
     elem = bench_technology(tech, registry)
     if tech.mac:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from . import units
@@ -129,6 +130,7 @@ def stage_params(layer: LayerSpec, stage_index: int, network_kind: str) -> Stage
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
+@lru_cache(maxsize=256)
 def cascade(fan_in: Optional[int], s_neu: int) -> tuple[int, int]:
     """Levels and total neurons of the reduction tree combining s_neu inputs.
 
@@ -227,6 +229,15 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
     return WorkloadBench(area=area, delay=delay, energy=energy, schedule=schedule)
 
 
+@lru_cache(maxsize=256)
+def _stages(spec: WorkloadSpec, network_kind: str) -> tuple[tuple[StageParams, str], ...]:
+    """(stage parameters, core topology) of every layer, in order."""
+    return tuple(
+        (stage_params(layer, index, network_kind), "convolution" if layer.kind == "convolution" else "cross_connect")
+        for index, layer in enumerate(spec.layers, start=1)
+    )
+
+
 def run_workload(
     spec: WorkloadSpec,
     elem: "ElementBench",
@@ -239,9 +250,7 @@ def run_workload(
 ) -> WorkloadBench:
     """Evaluate a whole workload on one element bench."""
     benches = []
-    for index, layer in enumerate(spec.layers, start=1):
-        stage = stage_params(layer, index, network_kind)
-        topology = "convolution" if layer.kind == "convolution" else "cross_connect"
+    for stage, topology in _stages(spec, network_kind):
         area = core_area(stage, topology, elem, fan_in, constants)
         delay, energy = stage_time_energy(stage, elem, fan_in, mode)
         benches.append(StageBench(area=area, delay=delay, energy=energy, f_st=stage.f_st))

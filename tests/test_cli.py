@@ -45,6 +45,23 @@ def test_bench_chip_config_file(capsys, tmp_path):
     assert "total_synapses: 6" in out
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "bogus": 1}, "'bogus'"),
+        ({"cores": 4, "synapses_per_neuron": 3}, "'neurons_per_core'"),
+    ],
+)
+def test_bench_chip_config_key_error_is_data_error(capsys, tmp_path, doc, key):
+    cfg = tmp_path / "chip.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bench", "chip", "--config", str(cfg), "--tech", "ANNDCSRAM")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg) in err and key in err
+
+
 def test_bench_workload(capsys):
     code, out, _ = run(capsys, "bench", "workload", "--name", "mnist_mlp", "--tech", "ANNDCSRAM")
     assert code == 0

@@ -1,0 +1,93 @@
+"""Memoized results belong to the Registry that produced them."""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from neurobench import load_datasets, report
+from neurobench.chip import nominal_config
+
+from conftest import rewrite_json
+
+
+def uncached_row(tech, registry):
+    """The nominal row, built afresh: an explicit config bypasses the memo."""
+    cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
+    return report.bench_technology(tech, registry, cfg)
+
+
+def test_second_call_returns_the_identical_row():
+    registry = load_datasets()
+    tech = registry.technology("ANNDCSRAM")
+    row = report.bench_technology(tech, registry)
+    assert report.bench_technology(tech, registry) is row
+    assert row == uncached_row(tech, registry)
+    assert uncached_row(tech, registry) is not row
+
+
+def test_second_workload_call_returns_the_identical_result():
+    registry = load_datasets()
+    tech = registry.technology("SpiMEME")
+    bench = report.bench_workload("mnist_mlp", tech, registry)
+    assert report.bench_workload("mnist_mlp", tech, registry) is bench
+    tmux = report.bench_workload("mnist_mlp", tech, registry, schedule="time_multiplexed")
+    assert tmux.schedule == "time_multiplexed" and bench.schedule == "parallel"
+
+
+def test_replaced_registry_starts_with_an_empty_memo():
+    registry = load_datasets()
+    tech = registry.technology("ANNDCSRAM")
+    row = report.bench_technology(tech, registry)
+    c = registry.constants
+    scaled = replace(registry, constants=replace(c, supply_voltage=1.05 * c.supply_voltage))
+    assert scaled._memo == {}
+    scaled_row = report.bench_technology(tech, scaled)
+    assert scaled_row != row
+    assert scaled_row == uncached_row(tech, scaled)
+    assert report.bench_technology(tech, registry) is row
+
+
+def test_perturbed_dataset_does_not_read_the_default_rows(registry, data_copy):
+    def scale_register_energy(doc):
+        doc["families"]["digital_cmos"]["reg"]["energy"] *= 1.2
+
+    default_rows = report.element_matrix(registry)
+    rewrite_json(data_copy / "circuit_primitives.json", scale_register_energy)
+    perturbed = load_datasets(data_copy)
+    rows = report.element_matrix(perturbed)
+    assert rows[0].technology.label == "ANNDCSRAM" and rows[0] != default_rows[0]
+    for tech, row in zip(perturbed.enumerate_technologies(), rows):
+        assert row == uncached_row(tech, perturbed)
+    tech = perturbed.technology("ANNDCSRAM")
+    assert report.bench_workload("lenet", tech, perturbed) != report.bench_workload("lenet", tech, registry)
+
+
+def test_each_row_is_built_once_per_registry(monkeypatch):
+    registry = load_datasets()
+    built = Counter()
+    original = report.build_raw_element
+
+    def counting(tech, reg):
+        built[tech.label] += 1
+        return original(tech, reg)
+
+    monkeypatch.setattr(report, "build_raw_element", counting)
+    report.element_matrix(registry)
+    for name in registry.workloads:
+        for tech in registry.enumerate_technologies():
+            report.bench_workload(name, tech, registry)
+        report.emit_matrix(registry, "workload", workload=name)
+    assert set(built) == {t.label for t in registry.technologies}
+    assert set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("mapping", ["primitives", "devices", "chips", "workloads", "topsdown_params"])
+def test_registry_mappings_are_read_only(registry, mapping):
+    with pytest.raises(TypeError):
+        getattr(registry, mapping)["new"] = None
+
+
+def test_fan_in_limits_are_read_only(registry):
+    with pytest.raises(TypeError):
+        registry.fan_in_policy.limits["digital_cmos"] = 2
