@@ -15,7 +15,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import report, units
-from .chip import ChipConfig, nominal_config
+from .chip import ChipConfig, chip_bench, nominal_config
 from .registry import DatasetError, Registry, load_datasets
 from .topsdown import backfill_derived, run_workload_on_chip, topsdown_element
 
@@ -64,10 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> Registry:
-    return load_datasets(args.data_dir)
-
-
 def _chip_config(path: Path) -> ChipConfig:
     """ChipConfig from a JSON object whose keys are its field names."""
     doc = json.loads(path.read_text())
@@ -96,10 +92,7 @@ def _cmd_bench(args, registry: Registry) -> None:
     p = args.precision
     if args.bench_command == "element":
         tech = registry.technology(args.tech)
-        bench = report.bench_technology(tech, registry)
-        cols = list(bench.columns())
-        for i in range(4):  # area columns are reported in um^2
-            cols[i] /= report.NM2_PER_UM2
+        cols = report.matrix_columns(report.bench_technology(tech, registry))
         for name, value in zip(report.MATRIX_HEADER[1:], cols):
             print(f"{name}: {value:.{p}g}")
     elif args.bench_command == "network":
@@ -110,7 +103,7 @@ def _cmd_bench(args, registry: Registry) -> None:
             cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
         else:
             cfg = _chip_config(args.config)
-        bench = report.bench_chip_nominal(tech, registry, cfg)
+        bench = chip_bench(cfg, report.bench_technology(tech, registry, cfg), registry.constants)
         print(f"total_synapses: {bench.total_synapses}")
         print(f"area_nm2: {bench.area:.{p}g}")
         print(f"firing_rate_per_s: {bench.firing_rate * units.PS_PER_S:.{p}g}")
@@ -175,7 +168,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        registry = _load(args)
+        registry = load_datasets(args.data_dir)
         if args.command == "devices":
             _cmd_devices(args, registry)
         elif args.command == "bench":

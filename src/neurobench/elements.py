@@ -219,4 +219,4 @@ def element_drive_current(tech: Technology, registry: Registry) -> float:
     if tech.family in ("resistive_digital", "resistive_analog"):
         device = registry.device(tech.synapse_device)
         return c.supply_voltage / device.r_on
-    return c.on_current_per_width * c.digital_transistor_width * units.M_PER_NM
+    return c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * units.M_PER_NM

@@ -4,7 +4,9 @@ Seven JSON files make up a dataset directory: constants.json,
 circuit_primitives.json, devices.json, technologies.json,
 chips_neuromorphic.json, chips_accelerators.json, workloads.json.
 Every file must carry a `units` header block; loaders convert to the
-canonical units (nm^2, ps, aJ, V, Ohm, F) exactly once at load time.
+canonical units (nm^2, ps, aJ, V, Ohm, F) exactly once at load time, and
+every value passes one validator, `_value`, which names `file: record.field`
+in each rejection.
 
 The returned Registry is immutable after load and safe to share between
 concurrent evaluators: its mappings are read-only views, and results that
@@ -14,10 +16,10 @@ the report layer derives from it are memoized on the registry itself.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -26,16 +28,6 @@ from typing import Callable, Optional, TypeVar
 from . import units
 from .ade import AdeTriple
 from .workload import LayerSpec, WorkloadSpec
-
-DATA_FILES = (
-    "constants.json",
-    "circuit_primitives.json",
-    "devices.json",
-    "technologies.json",
-    "chips_neuromorphic.json",
-    "chips_accelerators.json",
-    "workloads.json",
-)
 
 NETWORK_KINDS = ("ANN", "CNN", "SNN", "ONN")
 NETWORK_PREFIX = {"ANN": "ANN", "CNN": "CNN", "SNN": "Spi", "ONN": "Osc"}
@@ -69,6 +61,27 @@ class UnknownNameError(DatasetError, KeyError):
 
 # ---------------------------------------------------------------------------
 # domain types
+#
+# The dataclasses are the dataset schema. A scalar field (float, int, str,
+# bool, Fraction, or Optional of one) is read from the JSON key of the same
+# name, unless `_scaled` names another key and a unit, or `_by_hand` leaves it
+# to the loader. Optional fields may be absent; defaults live here only.
+
+
+class Fraction(float):
+    """Annotation for a number in (0, 1]; the loader stores a plain float."""
+
+
+def _by_hand(**kw):
+    """A field the loader builds itself: a feature-size multiple, a unit-converted
+    constant, a nested block or a computed default."""
+    return field(metadata={"by_hand": True}, **kw)
+
+
+def _scaled(unit: str, key: Optional[str] = None, **kw):
+    """A field read from JSON `key` (default: the field name) and converted by
+    the file's `unit` header entry."""
+    return field(metadata={"unit": unit, "key": key}, **kw)
 
 
 @dataclass(frozen=True)
@@ -100,21 +113,19 @@ class GlobalConstants:
     """Process/architecture constants in canonical units (nm, ps, aJ, V, Ohm, F, A, S)."""
 
     feature_size: float  # nm
-    min_ic_length: float  # nm
+    min_ic_length: float = _by_hand()  # nm
     synapse_bits: int
     synapse_levels: int
-    digital_transistor_width: float  # nm
-    analog_transistor_width: float  # nm
+    digital_transistor_width: float = _by_hand()  # nm
     transistor_cap_per_width: float  # F/m
     supply_voltage: float  # V
-    spintronic_supply_voltage: float  # V
     linear_transconductance: float  # S
     transistor_on_resistance: float  # Ohm
     transistors: dict[str, TransistorParams]
-    ic_cap_per_length: float  # F/m, empirical routing factor folded in
-    ic_res_per_length: float  # Ohm/m
+    ic_cap_per_length: float = _by_hand()  # F/m, empirical routing factor folded in
+    ic_res_per_length: float = _by_hand()  # Ohm/m
     min_ic_resistance: float  # Ohm
-    load_capacitance: float  # F
+    load_capacitance: float = _by_hand()  # F
     sense_voltage: float  # V
     sense_amp_widths: SenseAmpWidths
     vsa_sense_voltage: float  # V
@@ -131,26 +142,14 @@ class GlobalConstants:
     spike_spacing_factor: float
     spikes_to_fire: float
     sync_periods: float
-    synapse_overhead: float
-    neuron_overhead: float
-    core_overhead: float
-    chip_overhead: float
-    nominal_cores: int
-    nominal_neurons_per_core: int
-    nominal_synapses_per_neuron: int
-    wire_pitch: float  # nm
-
-    @property
-    def on_current_per_width(self) -> float:
-        return self.transistors["cmos"].on_current_per_width
-
-    @property
-    def off_current_per_width(self) -> float:
-        return self.transistors["cmos"].off_current_per_width
-
-    @property
-    def saturation_voltage(self) -> float:
-        return self.transistors["cmos"].saturation_voltage
+    synapse_overhead: float = _by_hand()
+    neuron_overhead: float = _by_hand()
+    core_overhead: float = _by_hand()
+    chip_overhead: float = _by_hand()
+    nominal_cores: int = _by_hand()
+    nominal_neurons_per_core: int = _by_hand()
+    nominal_synapses_per_neuron: int = _by_hand()
+    wire_pitch: float = _by_hand()  # nm
 
     @property
     def min_ic_capacitance(self) -> float:
@@ -176,16 +175,14 @@ class CircuitPrimitiveTable:
 
 @dataclass(frozen=True)
 class DeviceRecord:
-    """Intrinsic and interconnect-adjusted figures for one switching/resistive device."""
+    """Intrinsic figures for one switching/resistive device."""
 
     name: str
-    area_int: float  # nm^2
-    delay_int: float  # ps
-    delay_ic: float  # ps
-    energy_int: float  # aJ
-    energy_ic: float  # aJ
-    r_on: Optional[float] = None  # Ohm
-    r_off: Optional[float] = None  # Ohm
+    area_int: float = _scaled("area", "area")  # nm^2
+    delay_int: float = _scaled("delay", "delay")  # ps
+    energy_int: float = _scaled("energy", "energy")  # aJ
+    r_on: Optional[float] = _scaled("resistance", default=None)  # Ohm
+    r_off: Optional[float] = _scaled("resistance", default=None)  # Ohm
 
     @property
     def intrinsic(self) -> AdeTriple:
@@ -196,9 +193,9 @@ class DeviceRecord:
 class Technology:
     """One device/architecture combination for one network kind."""
 
-    label: str
-    network_kind: str
-    combo: str
+    label: str = _by_hand()
+    network_kind: str = _by_hand()
+    combo: str = _by_hand()
     neuron_device: str  # device name or circuit-primitive family
     synapse_device: str
     family: str
@@ -207,8 +204,8 @@ class Technology:
     fan_in_class: str = "digital_cmos"
     mac: bool = False
     ic_voltage: Optional[float] = None  # None = supply voltage
-    osc_class: Optional[str] = None  # ONN only
-    osc_device: Optional[str] = None  # ONN only: device whose intrinsics set rate/power
+    osc_class: Optional[str] = _by_hand(default=None)  # ONN only
+    osc_device: Optional[str] = _by_hand(default=None)  # ONN only: device whose intrinsics set rate/power
     neuron_drive_current: Optional[float] = None  # A, per-technology override
 
 
@@ -217,31 +214,22 @@ class ChipRecord:
     """Published spec of a fabricated chip, canonical units; absent fields stay None."""
 
     name: str
-    kind: str  # neuromorphic | accelerator
+    kind: str = _by_hand()  # neuromorphic | accelerator
     cores: int
     neurons_per_core: int
     synapses_per_neuron: int
-    area: Optional[float] = None  # nm^2
-    power: Optional[float] = None  # W
-    syn_throughput: Optional[float] = None  # events/s
-    energy_per_event: Optional[float] = None  # aJ
-    fire_rate: Optional[float] = None  # 1/s
-    activity: Optional[float] = None
-    clock: Optional[float] = None  # Hz
-    process_node: Optional[float] = None  # nm
-    voltage: Optional[float] = None  # V
-    memory: Optional[str] = None
+    area: Optional[float] = _scaled("area", default=None)  # nm^2
+    power: Optional[float] = _scaled("power", default=None)  # W
+    syn_throughput: Optional[float] = _scaled("syn_throughput", default=None)  # events/s
+    energy_per_event: Optional[float] = _scaled("energy", default=None)  # aJ
+    fire_rate: Optional[float] = _scaled("fire_rate", default=None)  # 1/s
+    activity: Optional[Fraction] = None
+    clock: Optional[float] = _scaled("clock", default=None)  # Hz
     derived_fields: tuple[str, ...] = ()
 
     @property
     def total_synapses(self) -> int:
         return self.cores * self.neurons_per_core * self.synapses_per_neuron
-
-    def require(self, field_name: str) -> float:
-        value = getattr(self, field_name)
-        if value is None:
-            raise UnknownNameError(f"chip {self.name}: field {field_name} required but absent")
-        return value
 
 
 @dataclass(frozen=True)
@@ -257,6 +245,13 @@ class FanInPolicy:
 
 
 T = TypeVar("T")
+
+
+def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
+    try:
+        return mapping[name]
+    except KeyError:
+        raise UnknownNameError(f"unknown {what} {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -281,10 +276,7 @@ class Registry:
         return value
 
     def device(self, name: str) -> DeviceRecord:
-        try:
-            return self.devices[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown device {name!r}") from None
+        return _lookup(self.devices, name, "device")
 
     def technology(self, label: str) -> Technology:
         for tech in self.technologies:
@@ -298,25 +290,13 @@ class Registry:
         return [t for t in self.technologies if network_kind in (None, t.network_kind)]
 
     def chip(self, name: str) -> ChipRecord:
-        try:
-            return self.chips[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown chip {name!r}") from None
+        return _lookup(self.chips, name, "chip")
 
     def workload(self, name: str) -> WorkloadSpec:
-        try:
-            return self.workloads[name]
-        except KeyError:
-            raise UnknownNameError(f"unknown workload {name!r}") from None
+        return _lookup(self.workloads, name, "workload")
 
     def canonical_json(self) -> str:
         """Deterministic serialization of everything loaded (for regression/determinism checks)."""
-
-        def default(o):
-            if hasattr(o, "__dataclass_fields__"):
-                return asdict(o)
-            raise TypeError(type(o).__name__)
-
         payload = {
             "constants": asdict(self.constants),
             "primitives": {k: asdict(v) for k, v in sorted(self.primitives.items())},
@@ -327,11 +307,146 @@ class Registry:
             "fan_in": {k: v for k, v in sorted(self.fan_in_policy.limits.items())},
             "topsdown": dict(sorted(self.topsdown_params.items())),
         }
-        return json.dumps(payload, sort_keys=True, default=default)
+        return json.dumps(payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
-# loading helpers
+# loading
+
+
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
+_NOUNS = {str: "a string", bool: "true or false", dict: "an object"}
+
+
+def _value(doc: dict, key, kind, file: str, record: str = "", default=_REQUIRED):
+    """Return doc[key] checked against `kind`; every dataset value is read here.
+
+    kind is one of
+      float          a finite number > 0
+      int            an integral number >= 1 (2.0 passes, 2.7 does not)
+      Fraction       a finite number in (0, 1]
+      str, bool      a value of exactly that JSON type
+      dict           an object (a record)
+      [kind]         a list whose every element is of `kind`
+      a collection   one of its names (units, families, references)
+    A missing or null key yields `default`, and is an error without one.
+    Every rejection raises ValidationError naming `file: record.key`.
+    """
+    # the common well-formed cases first; _checked does the rest
+    value = doc.get(key)
+    cls = value.__class__
+    if cls is kind:
+        if (kind is not float or 0.0 < value <= _FLOAT_MAX) and (kind is not int or 1 <= value <= _FLOAT_MAX):
+            return value
+    elif value is None:
+        if default is not _REQUIRED:
+            return default
+    elif cls is str and kind.__class__ is not type and value in kind:
+        return value
+    elif cls is int and kind is float and 0 < value <= _FLOAT_MAX:
+        return float(value)
+    return _checked(value, key, kind, file, record, default)
+
+
+def _checked(value, key, kind, file: str, record: str, default):
+    """The rest of `_value`, in its own function because a smaller frame
+    makes the common case measurably cheaper."""
+    cls = value.__class__
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"{file}: missing {'field' if record else 'constant'} {_path(record, key)}")
+        return default
+    if isinstance(kind, list):
+        if cls is list:
+            if kind[0] in (dict, str) and all(item.__class__ is kind[0] for item in value):
+                return value
+            items, path = dict(enumerate(value)), _path(record, key)
+            return [_value(items, i, kind[0], file, path) for i in items]
+        problem = "must be a list"
+    elif not isinstance(kind, type):
+        if cls is str and value in kind:
+            return value
+        problem = f"must be one of {sorted(kind)}"
+    elif kind in _NOUNS:
+        if isinstance(value, kind):
+            return value
+        problem = f"must be {_NOUNS[kind]}"
+    elif cls is int or cls is float:  # not bool
+        if kind is float:
+            if 0.0 < value <= _FLOAT_MAX:
+                return float(value)
+            problem = "must be finite and positive"
+        elif kind is int:
+            if 1 <= value <= _FLOAT_MAX and (cls is int or value.is_integer()):
+                return int(value)
+            problem = "must be an integer >= 1"
+        else:
+            if 0.0 < value <= 1.0:
+                return float(value)
+            problem = "must be in (0, 1]"
+    else:
+        problem = "must be a number"
+    raise ValidationError(f"{file}: {_path(record, key)}: {problem}, got {value!r}")
+
+
+def _path(record: str, key) -> str:
+    return f"{record}.{key}" if record else key
+
+
+_KINDS = {"float": float, "int": int, "str": str, "bool": bool, "Fraction": Fraction}
+
+
+def _walk(cls) -> tuple:
+    """(field, JSON key, kind, unit, default) of every scalar field of `cls`
+    that the loader reads by name. Annotations are strings here."""
+    walked = []
+    for f in fields(cls):
+        optional = f.type.startswith("Optional[")
+        kind = _KINDS.get(f.type[len("Optional[") : -1] if optional else f.type)
+        if kind is None or f.metadata.get("by_hand"):
+            continue
+        default = f.default if f.default is not MISSING else (None if optional else _REQUIRED)
+        walked.append((f.name, f.metadata.get("key") or f.name, kind, f.metadata.get("unit"), default))
+    return tuple(walked)
+
+
+_WALKS = {
+    cls: _walk(cls)
+    for cls in (GlobalConstants, TransistorParams, SenseAmpWidths, OtaWidths, DeviceRecord, Technology, ChipRecord)
+}
+
+
+def _read(cls, doc: dict, file: str, record: str = "", factors=None, defaults=None, kinds=None) -> dict:
+    """Keyword arguments for `cls` from its walked fields in `doc`. `factors`
+    maps header unit keys to conversion factors; `defaults`, when given,
+    replaces the dataclass defaults for every field; `kinds` narrows the kind
+    of some fields to a collection of known names."""
+    kwargs = {}
+    for name, key, kind, unit, default in _WALKS[cls]:
+        if kinds is not None:
+            kind = kinds.get(name, kind)
+        value = _value(doc, key, kind, file, record, default if defaults is None else defaults[name])
+        kwargs[name] = value * factors[unit] if unit and value is not None else value
+    return kwargs
+
+
+_CANONICAL = {key: tuple(n for n, f in table.items() if f == 1.0) for key, table in units.HEADER_UNITS.items()}
+
+
+def _units(doc: dict, file: str, converted=()) -> dict[str, float]:
+    """Conversion factors of the header units that the loader converts; every
+    other unit the header declares must be the canonical one."""
+    header = _value(doc, "units", dict, file)
+    for key in header:
+        if key in _CANONICAL and key not in converted:
+            _value(header, key, _CANONICAL[key], file, "units", None)
+    tables = {key: units.HEADER_UNITS[key] for key in converted}
+    return {key: table[_value(header, key, table, file, "units")] for key, table in tables.items()}
+
+
+def _units_of(cls) -> set[str]:
+    return {unit for _, _, _, unit, _ in _WALKS[cls] if unit}
 
 
 def _read_json(path: Path, name: str) -> dict:
@@ -340,117 +455,58 @@ def _read_json(path: Path, name: str) -> dict:
             doc = json.load(f)
     except FileNotFoundError:
         raise DatasetError(f"{name}: file not found in {path}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DatasetError(f"{name}: parse failure: {e}") from None
     if not isinstance(doc, dict) or "units" not in doc:
         raise DatasetError(f"{name}: missing required 'units' header block")
     return doc
 
 
-def _require(doc: dict, key: str, name: str):
-    if key not in doc or doc[key] is None:
-        raise ValidationError(f"{name}: missing constant {key}")
-    return doc[key]
-
-
-def _positive(value, record: str, field_name: str, strict: bool = True) -> float:
-    v = float(value)
-    if (strict and v <= 0) or (not strict and v < 0) or math.isnan(v):
-        raise ValidationError(f"{record}.{field_name}: must be positive, got {value}")
-    return v
-
-
 def _load_constants(path: Path) -> GlobalConstants:
-    doc = _read_json(path, "constants.json")
     name = "constants.json"
-    feature = _positive(_require(doc, "feature_size", name), name, "feature_size")
-    # min interconnect length defaults to 20 F when not overridden
-    min_ic = doc.get("min_ic_length")
-    min_ic = 20.0 * feature if min_ic is None else _positive(min_ic, name, "min_ic_length")
+    doc = _read_json(path, name)
+    factors = _units(doc, name, ("cap_per_length", "res_per_length"))
+    walked = _read(GlobalConstants, doc, name)
+    feature = walked["feature_size"]
 
-    def widths_f(key, fields):
-        block = _require(doc, key, name)
-        return {f: _positive(block[f], name, f"{key}.{f}") * feature for f in fields}
+    def feature_widths(cls, key):
+        block = _value(doc, key, dict, name)
+        return cls(**{k: v * feature for k, v in _read(cls, block, name, key).items()})
 
+    block = _value(doc, "transistors", dict, name)
     transistors = {}
-    for fam, params in _require(doc, "transistors", name).items():
-        transistors[fam] = TransistorParams(
-            on_current_per_width=_positive(params["on_current_per_width"], name, f"{fam}.on_current"),
-            off_current_per_width=_positive(params["off_current_per_width"], name, f"{fam}.off_current"),
-            saturation_voltage=_positive(params["saturation_voltage"], name, f"{fam}.saturation_voltage"),
-        )
+    for fam in block:
+        params = _value(block, fam, dict, name, "transistors")
+        transistors[fam] = TransistorParams(**_read(TransistorParams, params, name, f"transistors.{fam}"))
     if "cmos" not in transistors:
         raise ValidationError(f"{name}: transistors must include a 'cmos' family")
 
-    cap_per_width = _positive(_require(doc, "transistor_cap_per_width", name), name, "transistor_cap_per_width")
-    w_dt = _positive(_require(doc, "digital_transistor_width_f", name), name, "digital_transistor_width_f") * feature
-    load_cap = doc.get("load_capacitance")
-    # natural load of a receiving gate: one minimum digital transistor input
-    load_cap = cap_per_width * w_dt * units.M_PER_NM if load_cap is None else _positive(load_cap, name, "load_capacitance")
-
-    i_neu = doc.get("neuron_drive_current")
-    i_neu = None if i_neu is None else _positive(i_neu, name, "neuron_drive_current")
-
-    overheads = _require(doc, "overheads", name)
-    nominal = _require(doc, "nominal_chip", name)
-    sa = widths_f("sense_amp_widths_f", ("p", "n", "iso", "enable"))
-    ota = widths_f("ota_widths_f", ("input", "pullup", "output"))
-
-    r_per_len = units.convert(
-        _positive(_require(doc, "ic_res_per_length", name), name, "ic_res_per_length"),
-        doc["units"].get("res_per_length", "Ohm/m"),
-        units.RES_PER_LENGTH_TO_OHM_PER_M,
-        name,
-    )
-    c_per_len = units.convert(
-        _positive(_require(doc, "ic_cap_per_length", name), name, "ic_cap_per_length"),
-        doc["units"].get("cap_per_length", "F/m"),
-        units.CAP_PER_LENGTH_TO_F_PER_M,
-        name,
-    )
-    r_ic = _positive(_require(doc, "min_ic_resistance", name), name, "min_ic_resistance")
-
+    w_dt = _value(doc, "digital_transistor_width_f", float, name) * feature
+    min_ic = _value(doc, "min_ic_length", float, name, default=None)
+    load_cap = _value(doc, "load_capacitance", float, name, default=None)
+    overheads = _value(doc, "overheads", dict, name)
+    nominal = _value(doc, "nominal_chip", dict, name)
     constants = GlobalConstants(
-        feature_size=feature,
-        min_ic_length=min_ic,
-        synapse_bits=int(_positive(_require(doc, "synapse_bits", name), name, "synapse_bits")),
-        synapse_levels=int(_positive(_require(doc, "synapse_levels", name), name, "synapse_levels")),
+        **walked,
+        # min interconnect length defaults to 20 F when not overridden
+        min_ic_length=20.0 * feature if min_ic is None else min_ic,
         digital_transistor_width=w_dt,
-        analog_transistor_width=_positive(_require(doc, "analog_transistor_width_f", name), name, "analog_transistor_width_f") * feature,
-        transistor_cap_per_width=cap_per_width,
-        supply_voltage=_positive(_require(doc, "supply_voltage", name), name, "supply_voltage"),
-        spintronic_supply_voltage=_positive(_require(doc, "spintronic_supply_voltage", name), name, "spintronic_supply_voltage"),
-        linear_transconductance=_positive(_require(doc, "linear_transconductance", name), name, "linear_transconductance"),
-        transistor_on_resistance=_positive(_require(doc, "transistor_on_resistance", name), name, "transistor_on_resistance"),
+        wire_pitch=_value(doc, "wire_pitch_f", float, name) * feature,
         transistors=transistors,
-        ic_cap_per_length=c_per_len,
-        ic_res_per_length=r_per_len,
-        min_ic_resistance=r_ic,
-        load_capacitance=load_cap,
-        sense_voltage=_positive(_require(doc, "sense_voltage", name), name, "sense_voltage"),
-        sense_amp_widths=SenseAmpWidths(**sa),
-        vsa_sense_voltage=_positive(_require(doc, "vsa_sense_voltage", name), name, "vsa_sense_voltage"),
-        vsa_read_voltage=_positive(_require(doc, "vsa_read_voltage", name), name, "vsa_read_voltage"),
-        analog_row_voltage=_positive(_require(doc, "analog_row_voltage", name), name, "analog_row_voltage"),
-        analog_read_pulse=_positive(_require(doc, "analog_read_pulse", name), name, "analog_read_pulse"),
-        ota_widths=OtaWidths(**ota),
-        neuron_drive_current=i_neu,
-        cnn_synapse_factor=_positive(_require(doc, "cnn_synapse_factor", name), name, "cnn_synapse_factor"),
-        cnn_settling_factor=_positive(_require(doc, "cnn_settling_factor", name), name, "cnn_settling_factor"),
-        cnn_max_weight=_positive(_require(doc, "cnn_max_weight", name), name, "cnn_max_weight"),
-        cnn_weight_sum=_positive(_require(doc, "cnn_weight_sum", name), name, "cnn_weight_sum"),
-        spike_duration_factor=_positive(_require(doc, "spike_duration_factor", name), name, "spike_duration_factor"),
-        spike_spacing_factor=_positive(_require(doc, "spike_spacing_factor", name), name, "spike_spacing_factor"),
-        spikes_to_fire=_positive(_require(doc, "spikes_to_fire", name), name, "spikes_to_fire"),
-        sync_periods=_positive(_require(doc, "sync_periods", name), name, "sync_periods"),
-        synapse_overhead=_positive(overheads["synapse"], name, "overheads.synapse"),
-        neuron_overhead=_positive(overheads["neuron"], name, "overheads.neuron"),
-        core_overhead=_positive(overheads["core"], name, "overheads.core"),
-        chip_overhead=_positive(overheads["chip"], name, "overheads.chip"),
-        nominal_cores=int(_positive(nominal["cores"], name, "nominal_chip.cores")),
-        nominal_neurons_per_core=int(_positive(nominal["neurons_per_core"], name, "nominal_chip.neurons_per_core")),
-        nominal_synapses_per_neuron=int(_positive(nominal["synapses_per_neuron"], name, "nominal_chip.synapses_per_neuron")),
-        wire_pitch=_positive(_require(doc, "wire_pitch_f", name), name, "wire_pitch_f") * feature,
+        ic_cap_per_length=_value(doc, "ic_cap_per_length", float, name) * factors["cap_per_length"],
+        ic_res_per_length=_value(doc, "ic_res_per_length", float, name) * factors["res_per_length"],
+        # natural load of a receiving gate: one minimum digital transistor input
+        load_capacitance=walked["transistor_cap_per_width"] * w_dt * units.M_PER_NM if load_cap is None else load_cap,
+        sense_amp_widths=feature_widths(SenseAmpWidths, "sense_amp_widths_f"),
+        ota_widths=feature_widths(OtaWidths, "ota_widths_f"),
+        **{
+            f"{k}_overhead": _value(overheads, k, float, name, "overheads")
+            for k in ("synapse", "neuron", "core", "chip")
+        },
+        **{
+            f"nominal_{k}": _value(nominal, k, int, name, "nominal_chip")
+            for k in ("cores", "neurons_per_core", "synapses_per_neuron")
+        },
     )
 
     # table self-consistency: per-length resistance times minimum length must
@@ -465,29 +521,22 @@ def _load_constants(path: Path) -> GlobalConstants:
 
 
 def _load_primitives(path: Path) -> dict[str, CircuitPrimitiveTable]:
-    doc = _read_json(path, "circuit_primitives.json")
     name = "circuit_primitives.json"
-    u = doc["units"]
-    fa = units.AREA_TO_NM2[u.get("area", "nm^2")]
-    ft = units.TIME_TO_PS[u.get("delay", "ps")]
-    fe = units.ENERGY_TO_AJ[u.get("energy", "aJ")]
+    doc = _read_json(path, name)
+    factors = _units(doc, name, ("area", "delay", "energy"))
 
-    def triple(fam, cell, entry):
-        rec = f"{name}: {fam}.{cell}"
-        return AdeTriple(
-            _positive(entry["area"], rec, "area") * fa,
-            _positive(entry["delay"], rec, "delay") * ft,
-            _positive(entry["energy"], rec, "energy") * fe,
-        )
+    def triple(entry, record):
+        return AdeTriple(*(_value(entry, k, float, name, record) * factors[k] for k in ("area", "delay", "energy")))
 
     tables = {}
-    for fam, cells in _require(doc, "families", name).items():
-        required = ("inv", "inv1", "inv4", "nan", "reg", "se", "add1", "add")
-        for cell in required:
-            if cell not in cells:
-                raise ValidationError(f"{name}: family {fam} missing primitive {cell!r}")
-        parsed = {cell: triple(fam, cell, cells[cell]) for cell in cells}
-        parsed.setdefault("ram", parsed["reg"])  # default: closest declared analog
+    families = _value(doc, "families", dict, name)
+    for fam in families:
+        cells = _value(families, fam, dict, name, "families")
+        parsed = {}
+        for cell in [f.name for f in fields(CircuitPrimitiveTable)][1:]:
+            entry = _value(cells, cell, dict, name, fam, default=None if cell == "ram" else _REQUIRED)
+            # ram defaults to the closest declared analog
+            parsed[cell] = parsed["reg"] if entry is None else triple(entry, f"{fam}.{cell}")
         tables[fam] = CircuitPrimitiveTable(family=fam, **parsed)
     for fam in ("digital_cmos", "digital_tfet"):
         if fam not in tables:
@@ -496,218 +545,114 @@ def _load_primitives(path: Path) -> dict[str, CircuitPrimitiveTable]:
 
 
 def _load_devices(path: Path) -> dict[str, DeviceRecord]:
-    doc = _read_json(path, "devices.json")
     name = "devices.json"
-    u = doc["units"]
-    fa = units.AREA_TO_NM2[u.get("area", "nm^2")]
-    ft = units.TIME_TO_PS[u.get("delay", "ps")]
-    fe = units.ENERGY_TO_AJ[u.get("energy", "aJ")]
-    fr = units.RESISTANCE_TO_OHM[u.get("resistance", "kOhm")]
-
+    doc = _read_json(path, name)
+    factors = _units(doc, name, _units_of(DeviceRecord))
     devices = {}
-    for row in _require(doc, "devices", name):
-        dev = row["name"]
-        r_on = row.get("r_on")
-        r_off = row.get("r_off")
-        if (r_on is None) != (r_off is None):
+    for i, row in enumerate(_value(doc, "devices", [dict], name)):
+        dev = _value(row, "name", str, name, f"devices.{i}")
+        record = DeviceRecord(**_read(DeviceRecord, row, name, dev, factors))
+        if (record.r_on is None) != (record.r_off is None):
             raise ValidationError(f"{name}: {dev}: r_on and r_off must be given together")
-        if r_on is not None:
-            r_on = _positive(r_on, dev, "r_on") * fr
-            r_off = _positive(r_off, dev, "r_off") * fr
-            if r_off < r_on:
-                raise ValidationError(f"{name}: {dev}.r_off: must be >= r_on ({r_off} < {r_on})")
-        devices[dev] = DeviceRecord(
-            name=dev,
-            area_int=_positive(row["area"], dev, "area") * fa,
-            delay_int=_positive(row["delay"], dev, "delay") * ft,
-            delay_ic=_positive(row["delay_ic"], dev, "delay_ic") * ft,
-            energy_int=_positive(row["energy"], dev, "energy") * fe,
-            energy_ic=_positive(row["energy_ic"], dev, "energy_ic") * fe,
-            r_on=r_on,
-            r_off=r_off,
-        )
+        if record.r_on is not None and record.r_off < record.r_on:
+            raise ValidationError(f"{name}: {dev}.r_off: must be >= r_on ({record.r_off} < {record.r_on})")
+        devices[dev] = record
     return devices
 
 
-def _load_technologies(path: Path, devices, primitives) -> tuple[tuple[Technology, ...], FanInPolicy]:
-    doc = _read_json(path, "technologies.json")
+def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tuple[Technology, ...], dict]:
     name = "technologies.json"
+    doc = _read_json(path, name)
+    _units(doc, name)
+    fan_in = _value(doc, "fan_in", dict, name)
+    limits = {c: None if fan_in.get(c) == "unlimited" else _value(fan_in, c, int, name, "fan_in") for c in fan_in}
+    known = {
+        "family": ELEMENT_FAMILIES,
+        "neuron_device": devices.keys() | primitives.keys(),
+        "synapse_device": devices.keys() | primitives.keys(),
+        "primitive_family": primitives.keys(),
+        "transistor_family": constants.transistors.keys(),
+        "fan_in_class": limits.keys(),
+    }
 
-    raw_fan_in = _require(doc, "fan_in", name)
-    limits = {}
-    for cls, v in raw_fan_in.items():
-        if v == "unlimited":
-            limits[cls] = None
-        else:
-            limits[cls] = int(_positive(v, name, f"fan_in.{cls}"))
-    policy = FanInPolicy(limits=limits)
-
-    def resolve(ref: str, record: str):
-        if ref in devices or ref in primitives:
-            return
-        raise ValidationError(f"{name}: {record}: dangling device reference {ref!r}")
-
-    technologies: list[Technology] = []
-    combos = _require(doc, "combos", name)
-    for combo in combos:
-        code = combo["code"]
-        if combo["neuron_code"] + combo["synapse_code"] != code:
+    combos = {}
+    for i, row in enumerate(_value(doc, "combos", [dict], name)):
+        code = _value(row, "code", str, name, f"combos.{i}")
+        if _value(row, "neuron_code", str, name, code) + _value(row, "synapse_code", str, name, code) != code:
             raise ValidationError(f"{name}: {code}: label does not decompose into neuron+synapse codes")
-        if combo["family"] not in ELEMENT_FAMILIES:
-            raise ValidationError(f"{name}: {code}: unknown element family {combo['family']!r}")
-        resolve(combo["neuron_device"], code)
-        resolve(combo["synapse_device"], code)
-        for kind in combo["networks"]:
-            if kind not in ("ANN", "CNN", "SNN"):
-                raise ValidationError(f"{name}: {code}: combo network kind {kind!r} invalid")
+        networks = _value(row, "networks", [NETWORK_KINDS[:3]], name, code)
+        combos[code] = (_read(Technology, row, name, code, kinds=known), networks)
 
     # Table order: all ANN rows, then CNN, then SNN (matching the reference
     # matrix grouping), then the oscillator column.
-    for kind in ("ANN", "CNN", "SNN"):
-        for combo in combos:
-            if kind not in combo["networks"]:
-                continue
-            technologies.append(
-                Technology(
-                    label=NETWORK_PREFIX[kind] + combo["code"],
-                    network_kind=kind,
-                    combo=combo["code"],
-                    neuron_device=combo["neuron_device"],
-                    synapse_device=combo["synapse_device"],
-                    family=combo["family"],
-                    primitive_family=combo.get("primitive_family", "digital_cmos"),
-                    transistor_family=combo.get("transistor_family", "cmos"),
-                    fan_in_class=combo.get("fan_in_class", "digital_cmos"),
-                    mac=combo.get("mac", False),
-                    ic_voltage=combo.get("ic_voltage"),
-                    neuron_drive_current=combo.get("neuron_drive_current"),
-                )
-            )
-
-    combo_by_code = {c["code"]: c for c in combos}
-    for osc in _require(doc, "oscillators", name):
-        label = osc["label"]
-        base = combo_by_code.get(osc.get("base_combo", ""))
-        if base is None:
-            raise ValidationError(f"{name}: {label}: base_combo {osc.get('base_combo')!r} unknown")
-        if osc["osc_class"] not in ("transistor_ring", "spintronic", "piezo"):
-            raise ValidationError(f"{name}: {label}: unknown oscillator class {osc['osc_class']!r}")
-        osc_device = osc.get("osc_device")
-        if osc_device is not None and osc_device not in devices:
-            raise ValidationError(f"{name}: {label}: dangling device reference {osc_device!r}")
-        element_device = osc.get("element_device")
-        if element_device is not None and element_device not in devices:
-            raise ValidationError(f"{name}: {label}: dangling device reference {element_device!r}")
+    technologies = [
+        Technology(label=NETWORK_PREFIX[kind] + code, network_kind=kind, combo=code, **base)
+        for kind in NETWORK_KINDS[:3]
+        for code, (base, networks) in combos.items()
+        if kind in networks
+    ]
+    for i, row in enumerate(_value(doc, "oscillators", [dict], name)):
+        label = _value(row, "label", str, name, f"oscillators.{i}")
+        code = _value(row, "base_combo", combos.keys(), name, label)
+        inherited = _read(Technology, row, name, label, defaults=combos[code][0], kinds=known)
+        element_device = _value(row, "element_device", devices.keys(), name, label, default=None)
+        if element_device is not None:
+            inherited.update(neuron_device=element_device, synapse_device=element_device)
         technologies.append(
             Technology(
                 label=label,
                 network_kind="ONN",
-                combo=base["code"],
-                neuron_device=element_device or base["neuron_device"],
-                synapse_device=element_device or base["synapse_device"],
-                family=base["family"],
-                primitive_family=base.get("primitive_family", "digital_cmos"),
-                transistor_family=base.get("transistor_family", "cmos"),
-                fan_in_class=osc.get("fan_in_class", base.get("fan_in_class", "digital_cmos")),
-                mac=False,
-                ic_voltage=osc.get("ic_voltage", base.get("ic_voltage")),
-                osc_class=osc["osc_class"],
-                osc_device=osc_device,
-                neuron_drive_current=osc.get("neuron_drive_current", base.get("neuron_drive_current")),
+                combo=code,
+                osc_class=_value(row, "osc_class", ("transistor_ring", "spintronic", "piezo"), name, label),
+                osc_device=_value(row, "osc_device", devices.keys(), name, label, default=None),
+                **inherited,
             )
         )
 
     labels = [t.label for t in technologies]
     if len(labels) != len(set(labels)):
         raise ValidationError(f"{name}: duplicate technology labels")
-    return tuple(technologies), policy
+    return tuple(technologies), limits
 
 
-def _quantity(row: dict, field_name: str, default_unit: str, table: dict, record: str) -> Optional[float]:
-    """Read an optional {value, unit} or bare-number field, converting units."""
-    raw = row.get(field_name)
-    if raw is None:
-        return None
-    if isinstance(raw, dict):
-        value, unit = raw["value"], raw.get("unit", default_unit)
-    else:
-        value, unit = raw, default_unit
-    return units.convert(_positive(value, record, field_name, strict=False), unit, table, record)
-
-
-def _load_chips(path: Path, filename: str, kind: str) -> dict[str, ChipRecord]:
-    doc = _read_json(path, filename)
-    u = doc["units"]
+def _load_chips(doc: dict, name: str, kind: str) -> dict[str, ChipRecord]:
+    factors = _units(doc, name, _units_of(ChipRecord))
     chips = {}
-    for row in _require(doc, "chips", filename):
-        cname = row["name"]
-        rec = f"{filename}: {cname}"
-        activity = row.get("activity")
-        if activity is not None:
-            activity = float(activity)
-            if not (0.0 < activity <= 1.0):
-                raise ValidationError(f"{rec}.activity: must be in (0, 1], got {activity}")
-        counts = {}
-        for f in ("cores", "neurons_per_core", "synapses_per_neuron"):
-            counts[f] = int(row[f])
-            if counts[f] < 1:
-                raise ValidationError(f"{rec}.{f}: count must be >= 1")
+    for i, row in enumerate(_value(doc, "chips", [dict], name)):
+        cname = _value(row, "name", str, name, f"chips.{i}")
         chips[cname] = ChipRecord(
-            name=cname,
             kind=kind,
-            cores=counts["cores"],
-            neurons_per_core=counts["neurons_per_core"],
-            synapses_per_neuron=counts["synapses_per_neuron"],
-            area=_quantity(row, "area", u.get("area", "mm^2"), units.AREA_TO_NM2, rec),
-            power=_quantity(row, "power", u.get("power", "mW"), units.POWER_TO_W, rec),
-            syn_throughput=_quantity(row, "syn_throughput", u.get("syn_throughput", "MSOPS"), units.THROUGHPUT_TO_PER_S, rec),
-            energy_per_event=_quantity(row, "energy_per_event", u.get("energy", "pJ"), units.ENERGY_TO_AJ, rec),
-            fire_rate=_quantity(row, "fire_rate", u.get("fire_rate", "1/s"), units.RATE_TO_PER_S, rec),
-            activity=activity,
-            clock=_quantity(row, "clock", u.get("clock", "MHz"), units.RATE_TO_PER_S, rec),
-            process_node=row.get("process_node_nm"),
-            voltage=row.get("voltage_v"),
-            memory=row.get("memory"),
-            derived_fields=tuple(row.get("derived", ())),
+            derived_fields=tuple(_value(row, "derived", [str], name, cname, default=())),
+            **_read(ChipRecord, row, name, cname, factors),
         )
     return chips
 
 
 def _load_workloads(path: Path) -> dict[str, WorkloadSpec]:
-    doc = _read_json(path, "workloads.json")
     name = "workloads.json"
+    doc = _read_json(path, name)
+    _units(doc, name)
+    counts = {
+        "fully_connected": ("inputs", "outputs"),
+        "convolution": ("image_w", "image_h", "in_channels", "kernel", "feature_maps"),
+    }
     specs = {}
-    for row in _require(doc, "workloads", name):
-        wname = row["name"]
+    for i, row in enumerate(_value(doc, "workloads", [dict], name)):
+        wname = _value(row, "name", str, name, f"workloads.{i}")
         layers = []
-        for i, layer in enumerate(row["layers"]):
-            rec = f"{name}: {wname}.layers[{i}]"
-            kind = layer["kind"]
-            if kind == "fully_connected":
-                spec = LayerSpec(
-                    kind=kind,
-                    inputs=int(_positive(layer["inputs"], rec, "inputs")),
-                    outputs=int(_positive(layer["outputs"], rec, "outputs")),
-                )
-            elif kind == "convolution":
-                spec = LayerSpec(
-                    kind=kind,
-                    image_w=int(_positive(layer["image_w"], rec, "image_w")),
-                    image_h=int(_positive(layer["image_h"], rec, "image_h")),
-                    in_channels=int(_positive(layer["in_channels"], rec, "in_channels")),
-                    kernel=int(_positive(layer["kernel"], rec, "kernel")),
-                    feature_maps=int(_positive(layer["feature_maps"], rec, "feature_maps")),
-                    stride=int(_positive(layer.get("stride", 1), rec, "stride")),
-                    padding=layer.get("padding", "valid"),
-                )
-                if spec.padding not in ("valid", "same"):
-                    raise ValidationError(f"{rec}.padding: must be 'valid' or 'same'")
-                if spec.padding == "valid" and (spec.kernel > spec.image_w or spec.kernel > spec.image_h):
-                    raise ValidationError(f"{rec}.kernel: exceeds image dimensions under valid padding")
-            else:
-                raise ValidationError(f"{rec}.kind: unknown layer kind {kind!r}")
-            layers.append(spec)
-        specs[wname] = WorkloadSpec(name=wname, layers=tuple(layers), note=row.get("note", ""))
+        for j, layer in enumerate(_value(row, "layers", [dict], name, wname)):
+            rec = f"{wname}.layers[{j}]"
+            kind = _value(layer, "kind", counts.keys(), name, rec)
+            kw = {k: _value(layer, k, int, name, rec) for k in counts[kind]}
+            if kind == "convolution":
+                kw["stride"] = _value(layer, "stride", int, name, rec, default=LayerSpec.stride)
+                kw["padding"] = _value(layer, "padding", ("valid", "same"), name, rec, default=LayerSpec.padding)
+                if kw["padding"] == "valid" and kw["kernel"] > min(kw["image_w"], kw["image_h"]):
+                    raise ValidationError(f"{name}: {rec}.kernel: exceeds image dimensions under valid padding")
+            layers.append(LayerSpec(kind=kind, **kw))
+        specs[wname] = WorkloadSpec(
+            name=wname, layers=tuple(layers), note=_value(row, "note", str, name, wname, default="")
+        )
     return specs
 
 
@@ -724,33 +669,21 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
     constants = _load_constants(path)
     primitives = _load_primitives(path)
     devices = _load_devices(path)
-    technologies, fan_in = _load_technologies(path, devices, primitives)
-    chips = {}
-    chips.update(_load_chips(path, "chips_neuromorphic.json", "neuromorphic"))
-    chips.update(_load_chips(path, "chips_accelerators.json", "accelerator"))
-    workloads = _load_workloads(path)
-
-    td_doc = _read_json(path, "chips_neuromorphic.json")
+    technologies, limits = _load_technologies(path, constants, primitives, devices)
+    neuromorphic = _read_json(path, "chips_neuromorphic.json")
+    chips = _load_chips(neuromorphic, "chips_neuromorphic.json", "neuromorphic")
+    chips.update(_load_chips(_read_json(path, "chips_accelerators.json"), "chips_accelerators.json", "accelerator"))
     topsdown_params = {
-        "neuron_area_fraction": float(td_doc.get("neuron_area_fraction", 0.05)),
-        "accelerator_compute_fraction": float(td_doc.get("accelerator_compute_fraction", 0.10)),
+        key: _value(neuromorphic, key, Fraction, "chips_neuromorphic.json", default=default)
+        for key, default in (("neuron_area_fraction", 0.05), ("accelerator_compute_fraction", 0.10))
     }
-
     return Registry(
         constants=constants,
         primitives=MappingProxyType(primitives),
         devices=MappingProxyType(devices),
         technologies=technologies,
         chips=MappingProxyType(chips),
-        workloads=MappingProxyType(workloads),
-        fan_in_policy=FanInPolicy(limits=MappingProxyType(fan_in.limits)),
+        workloads=MappingProxyType(_load_workloads(path)),
+        fan_in_policy=FanInPolicy(limits=MappingProxyType(limits)),
         topsdown_params=MappingProxyType(topsdown_params),
     )
-
-
-def lookup_device(registry: Registry, name: str) -> DeviceRecord:
-    return registry.device(name)
-
-
-def enumerate_technologies(registry: Registry, network_kind: Optional[str] = None) -> list[Technology]:
-    return registry.enumerate_technologies(network_kind)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chip import ChipBench, ChipConfig, chip_bench, chip_geometry, nominal_config
+from .chip import ChipConfig, chip_geometry, nominal_config
 from .elements import build_raw_element, element_drive_current, element_r_eff
 from .interconnect import ElementBench, assemble_row
 from .networks import network_transform
@@ -72,13 +72,6 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
     )
 
 
-def bench_chip_nominal(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ChipBench:
-    constants = registry.constants
-    if cfg is None:
-        cfg = nominal_config(constants, spiking=tech.network_kind == "SNN")
-    return chip_bench(cfg, bench_technology(tech, registry, cfg), constants)
-
-
 def bench_workload(
     workload_name: str,
     tech: Technology,
@@ -113,6 +106,14 @@ def _run_named_workload(
         mode=mode,
         schedule=schedule or default_schedule,
     )
+
+
+def matrix_columns(bench: ElementBench) -> list[float]:
+    """The 12 element-matrix columns; areas in um^2, matching the reference matrix."""
+    cols = list(bench.columns())
+    for i in range(4):
+        cols[i] /= NM2_PER_UM2
+    return cols
 
 
 def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> list[ElementBench]:
@@ -156,11 +157,8 @@ def emit_matrix(
         header = MATRIX_HEADER
         rows = []
         for tech in selected(network_kind):
-            bench = bench_technology(tech, registry)
-            cols = list(bench.columns())
-            for i in range(4):  # areas reported in um^2, matching the reference matrix
-                cols[i] /= NM2_PER_UM2
-            rows.append((bench.technology.label, *(_fmt(c, precision) for c in cols)))
+            cols = matrix_columns(bench_technology(tech, registry))
+            rows.append((tech.label, *(_fmt(c, precision) for c in cols)))
     elif scope == "workload":
         if workload is None:
             raise UnknownNameError("workload scope requires a workload name")

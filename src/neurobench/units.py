@@ -5,8 +5,9 @@ Canonical internal units, used everywhere past the loaders:
     resistance Ohm, capacitance F, conductance S.
 
 Derived conventions: power is carried as aJ/ps (1 aJ/ps = 1e-6 W),
-throughput of events as 1/ps. Loaders convert dataset units exactly once;
-no other module multiplies by unit factors except through the helpers here.
+throughput of events as 1/ps. Loaders convert dataset units exactly once,
+by the factors in the tables here; no other module multiplies by unit
+factors except through the helpers here.
 """
 
 from __future__ import annotations
@@ -38,16 +39,16 @@ THROUGHPUT_TO_PER_S = {
 CAP_PER_LENGTH_TO_F_PER_M = {"F/m": 1.0, "pF/m": 1e-12, "nF/m": 1e-9}
 RES_PER_LENGTH_TO_OHM_PER_M = {"Ohm/m": 1.0, "MOhm/m": 1e6, "GOhm/m": 1e9}
 
-
-class UnitError(ValueError):
-    """Unknown unit string in a dataset file."""
-
-
-def convert(value: float, unit: str, table: dict, context: str = "") -> float:
-    try:
-        return value * table[unit]
-    except KeyError:
-        raise UnitError(f"{context}: unknown unit {unit!r}") from None
+# Every key a dataset `units` header may declare, with the unit names it
+# accepts. The name whose factor is 1 is the canonical unit.
+HEADER_UNITS = {
+    "area": AREA_TO_NM2, "length": LENGTH_TO_NM, "time": TIME_TO_PS, "delay": TIME_TO_PS,
+    "energy": ENERGY_TO_AJ, "resistance": RESISTANCE_TO_OHM, "power": POWER_TO_W,
+    "syn_throughput": THROUGHPUT_TO_PER_S, "fire_rate": RATE_TO_PER_S, "clock": RATE_TO_PER_S,
+    "cap_per_length": CAP_PER_LENGTH_TO_F_PER_M, "res_per_length": RES_PER_LENGTH_TO_OHM_PER_M,
+    "voltage": {"V": 1.0}, "current": {"A": 1.0}, "capacitance": {"F": 1.0}, "conductance": {"S": 1.0},
+    "cap_per_width": {"F/m": 1.0}, "current_per_width": {"A/m": 1.0},
+}
 
 
 def rc_to_ps(resistance_ohm: float, capacitance_f: float) -> float:

@@ -265,9 +265,3 @@ def total_synaptic_ops(spec: WorkloadSpec, network_kind: str = "ANN") -> float:
         total += stage.r_a * stage.s_neu * stage.n_out * stage.f_st
     return total
 
-
-def builtin_workloads() -> list[WorkloadSpec]:
-    """The named workload specs shipped with the default dataset."""
-    from .registry import load_datasets  # lazy: registry imports this module
-
-    return list(load_datasets().workloads.values())

@@ -1,10 +1,15 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_json
-from neurobench import load_datasets
+from neurobench import cli, load_datasets, report
+from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
     DatasetError,
     UnknownNameError,
@@ -148,8 +153,6 @@ def test_chip_records_store_missing_fields_as_absent(registry):
     assert dyn.power is None
     assert dyn.syn_throughput is None
     assert dyn.activity is None
-    with pytest.raises(UnknownNameError, match="power"):
-        dyn.require("power")
 
 
 def test_activity_bounds_enforced(data_copy):
@@ -159,3 +162,164 @@ def test_activity_bounds_enforced(data_copy):
     rewrite_json(data_copy / "chips_neuromorphic.json", corrupt)
     with pytest.raises(ValidationError, match="activity"):
         load_datasets(data_copy)
+
+
+# -- one validator: every rejected value names file, record and field ---------
+
+_DELETE = "<delete the key>"  # readable in a falsifying example
+
+
+def _edit(doc, path, value):
+    """Set the leaf at `path`, or remove it for _DELETE; a string step into a
+    list picks the row of that name."""
+    *steps, last = path
+    for step in steps:
+        if isinstance(doc, list) and isinstance(step, str):
+            doc = next(row for row in doc if row["name"] == step)
+        else:
+            doc = doc[step]
+    if value == _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "file, path, value, named, argv",
+    [
+        ("devices.json", ("devices", "CMOSdig", "delay"), _DELETE, ("CMOSdig.delay",), ("devices", "list")),
+        (
+            "circuit_primitives.json", ("units", "area"), "furlong^2", ("units.area", "furlong^2"),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        ("constants.json", ("supply_voltage",), math.inf, ("supply_voltage", "inf"), ("bench", "chip", "--nominal", "--tech", "ANNMEME")),
+        ("constants.json", ("synapse_bits",), 2.7, ("synapse_bits", "2.7"), ("bench", "element", "--tech", "ANNDCSRAM")),
+        (
+            "workloads.json", ("workloads", "lenet", "layers", 0, "stride"), 0.001, ("lenet.layers[0].stride",),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "chips_accelerators.json", ("chips", "Diannao", "syn_throughput"), 0, ("Diannao.syn_throughput",),
+            ("topsdown", "--chip", "Diannao", "--backfill"),
+        ),
+        (
+            "chips_neuromorphic.json", ("neuron_area_fraction",), 1.5, ("neuron_area_fraction", "1.5"),
+            ("topsdown", "--chip", "TrueNorth"),
+        ),
+        ("devices.json", ("devices", "CMOSdig", "name"), 2.5, ("devices.0.name", "2.5"), ("devices", "list")),
+        ("constants.json", ("units", "time"), "ns", ("units.time", "'ns'"), ("devices", "list")),
+    ],
+)
+def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):
+    rewrite_json(data_copy / file, lambda doc: _edit(doc, path, value))
+    with pytest.raises(DatasetError) as exc:
+        load_datasets(data_copy)
+    for part in (f"{file}: ", *named):
+        assert part in str(exc.value)
+
+    assert cli.main(["--data-dir", str(data_copy), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(exc.value) in err
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, key))
+    else:
+        yield path
+
+
+_SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(default_data_dir().glob("*.json"))}
+_LEAVES = [(file, path) for file, doc in _SHIPPED.items() for path in _leaves(doc)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    leaf=st.sampled_from(_LEAVES),
+    value=st.sampled_from([_DELETE, None, "x", True, -1, 0, 2.5, math.inf, math.nan]),
+)
+def test_one_field_mutation_is_rejected_or_gives_sound_figures(leaf, value):
+    """A dataset with one leaf deleted or replaced either fails to load with
+    DatasetError, or every emitted figure is finite and non-negative (a model
+    domain error, a ValueError, also counts as sound)."""
+    file, path = leaf
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in _SHIPPED.items():
+            doc = json.loads(json.dumps(doc))
+            if name == file:
+                _edit(doc, path, value)
+            (Path(tmp) / name).write_text(json.dumps(doc))
+        try:
+            reg = load_datasets(tmp)
+        except DatasetError:
+            return
+    scopes = [("elements", None), ("chips", None), *(("workload", name) for name in reg.workloads)]
+    for scope, workload in scopes:
+        try:
+            rows = report.emit_matrix(reg, scope, workload=workload, precision=17, fmt="json")
+        except ValueError:
+            continue
+        for row in json.loads(rows):
+            for column, cell in row.items():
+                if column in ("technology", "chip", "kind", "schedule") or cell == "":
+                    continue
+                assert math.isfinite(float(cell)) and float(cell) >= 0, (scope, row)
+
+
+_CHIP_FILES = ("chips_neuromorphic.json", "chips_accelerators.json")
+
+
+def _rows(doc):
+    if "families" in doc:
+        return [cell for cells in doc["families"].values() for cell in cells.values()]
+    return doc["chips"] if "chips" in doc else doc["devices"]
+
+
+@pytest.mark.parametrize(
+    "files, unit, old, new, keys, factor",
+    [
+        (_CHIP_FILES, "area", "mm^2", "um^2", ("area",), 1e6),
+        (_CHIP_FILES, "energy", "pJ", "fJ", ("energy_per_event",), 1e3),
+        (("devices.json",), "resistance", "kOhm", "Ohm", ("r_on", "r_off"), 1e3),
+        (("devices.json",), "energy", "aJ", "fJ", ("energy",), 1e-3),
+        (("circuit_primitives.json",), "area", "nm^2", "um^2", ("area",), 1e-6),
+    ],
+)
+def test_rewriting_units_leaves_every_result_unchanged(registry, data_copy, files, unit, old, new, keys, factor):
+    """Values rewritten into other units, header and all, are converted exactly once."""
+
+    def rewrite(doc):
+        assert doc["units"][unit] == old
+        doc["units"][unit] = new
+        for row in _rows(doc):
+            for key in keys:
+                if key in row:
+                    row[key] *= factor
+
+    for file in files:
+        rewrite_json(data_copy / file, rewrite)
+    other = load_datasets(data_copy)
+
+    def close(a, b):
+        return math.isclose(a, b, rel_tol=1e-12)
+
+    for tech in registry.technologies:
+        want = report.bench_technology(tech, registry).columns()
+        assert all(map(close, report.bench_technology(tech, other).columns(), want)), tech.label
+        for name in registry.workloads:
+            a, b = report.bench_workload(name, tech, other), report.bench_workload(name, tech, registry)
+            assert (a.schedule, close(a.area, b.area), close(a.delay, b.delay), close(a.energy, b.energy)) == (
+                b.schedule, True, True, True,
+            ), (name, tech.label)
+    figures = ("synapse_area", "neuron_area", "synapse_delay", "synapse_energy", "neuron_energy")
+    for chip_name, chip in registry.chips.items():
+        try:
+            want = topsdown_element(chip, registry)
+        except IncomputableError:
+            with pytest.raises(IncomputableError):
+                topsdown_element(other.chip(chip_name), other)
+            continue
+        got = topsdown_element(other.chip(chip_name), other)
+        assert all(close(getattr(got, f), getattr(want, f)) for f in figures), chip_name

@@ -240,12 +240,6 @@ def test_builtin_workload_names(registry):
     }
 
 
-def test_builtin_workloads_helper_matches_registry(registry):
-    from neurobench.workload import builtin_workloads
-
-    assert {spec.name for spec in builtin_workloads()} == set(registry.workloads)
-
-
 def test_mnist_total_ops_oracle(registry):
     # independent oracle: sum of layer products
     dims = [784, 256, 128, 10]
