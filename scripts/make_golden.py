@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the golden regression file from the shipped default dataset.
+"""Regenerate the golden regression files from the shipped default dataset.
 
 Run from the repository root after any intentional model or calibration
 change, then review the diff:
 
     python3 scripts/make_golden.py
+
+It writes tests/golden/golden.json (bottom-up element rows, nominal chips and
+workloads) and tests/golden/topsdown.json (the tops-down element of every
+chip, or the reason it is incomputable, and every workload on each
+computable chip).
 """
 
 import json
@@ -12,12 +17,12 @@ from pathlib import Path
 
 from neurobench import load_datasets, report
 from neurobench.chip import nominal_config, chip_bench
+from neurobench.topsdown import IncomputableError, run_workload_on_chip, topsdown_element
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "golden" / "golden.json"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def main():
-    registry = load_datasets()
+def bottoms_up(registry) -> dict:
     payload = {"elements": {}, "nominal_chip": {}, "workloads": {}}
 
     for tech in registry.enumerate_technologies():
@@ -46,10 +51,42 @@ def main():
                 "schedule": wb.schedule,
             }
         payload["workloads"][name] = per_tech
+    return payload
 
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {OUT}")
+
+def tops_down(registry) -> dict:
+    payload = {}
+    for name in sorted(registry.chips):
+        chip = registry.chips[name]
+        try:
+            e = topsdown_element(chip, registry)
+        except IncomputableError as err:
+            payload[name] = {"error": str(err)}
+            continue
+        workloads = {}
+        for wname in sorted(registry.workloads):
+            wb = run_workload_on_chip(chip, registry.workloads[wname], registry)
+            workloads[wname] = {"area": wb.area, "delay": wb.delay, "energy": wb.energy, "schedule": wb.schedule}
+        payload[name] = {
+            "element": {
+                "neuron_area": e.neuron_area,
+                "synapse_area": e.synapse_area,
+                "synapse_delay": e.synapse_delay,
+                "synapse_energy": e.synapse_energy,
+                "neuron_energy": e.neuron_energy,
+            },
+            "workloads": workloads,
+        }
+    return payload
+
+
+def main():
+    registry = load_datasets()
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for filename, payload in (("golden.json", bottoms_up(registry)), ("topsdown.json", tops_down(registry))):
+        out = GOLDEN_DIR / filename
+        out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import units
 from .interconnect import ChipGeometry, ElementBench
-from .registry import GlobalConstants
+from .registry import Fraction, GlobalConstants
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,7 @@ class ChipConfig:
     cores: int
     neurons_per_core: int
     synapses_per_neuron: int
-    activity: float = 1.0
+    activity: Fraction = 1.0
     spiking: bool = False
 
     def __post_init__(self):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import report, units
 from .chip import ChipConfig, chip_bench, nominal_config
-from .registry import DatasetError, Registry, load_datasets
+from .registry import _KINDS, DatasetError, Registry, _value, load_datasets
 from .topsdown import backfill_derived, run_workload_on_chip, topsdown_element
 
 
@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _chip_config(path: Path) -> ChipConfig:
-    """ChipConfig from a JSON object whose keys are its field names."""
+    """ChipConfig from a JSON object whose keys are its field names; each value
+    passes the dataset validator against the field's annotation."""
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: chip config must be a JSON object")
@@ -74,9 +75,9 @@ def _chip_config(path: Path) -> ChipConfig:
         if key not in known:
             raise DatasetError(f"{path}: unknown chip config key {key!r}")
     for key, f in known.items():
-        if key not in doc and f.default is MISSING:
+        if doc.get(key) is None and f.default is MISSING:
             raise DatasetError(f"{path}: missing chip config key {key!r}")
-    return ChipConfig(**doc)
+    return ChipConfig(**{k: _value(doc, k, _KINDS[f.type], str(path), default=f.default) for k, f in known.items()})
 
 
 def _cmd_devices(args, registry: Registry) -> None:

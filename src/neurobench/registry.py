@@ -201,8 +201,7 @@ class Technology:
     family: str
     primitive_family: str = "digital_cmos"
     transistor_family: str = "cmos"
-    fan_in_class: str = "digital_cmos"
-    mac: bool = False
+    fan_in_class: str = "digital_cmos"  # key of the fan-in table; "snn" for every SNN row
     ic_voltage: Optional[float] = None  # None = supply voltage
     osc_class: Optional[str] = _by_hand(default=None)  # ONN only
     osc_device: Optional[str] = _by_hand(default=None)  # ONN only: device whose intrinsics set rate/power
@@ -232,18 +231,6 @@ class ChipRecord:
         return self.cores * self.neurons_per_core * self.synapses_per_neuron
 
 
-@dataclass(frozen=True)
-class FanInPolicy:
-    """Parallel fan-in per neuron family; None means unlimited."""
-
-    limits: Mapping[str, Optional[int]]
-
-    def limit(self, fan_in_class: str) -> Optional[int]:
-        if fan_in_class not in self.limits:
-            raise ValidationError(f"fan-in policy: unknown class {fan_in_class!r}")
-        return self.limits[fan_in_class]
-
-
 T = TypeVar("T")
 
 
@@ -262,7 +249,7 @@ class Registry:
     technologies: tuple[Technology, ...]
     chips: Mapping[str, ChipRecord]
     workloads: Mapping[str, WorkloadSpec]
-    fan_in_policy: FanInPolicy
+    fan_in: Mapping[str, Optional[int]]  # fan-in class -> parallel fan-in; None = unlimited, 1 = sequential
     topsdown_params: Mapping[str, float]
     # Results derived from this registry. Not an init field, so
     # dataclasses.replace() yields a registry with an empty memo.
@@ -304,7 +291,7 @@ class Registry:
             "technologies": [asdict(t) for t in self.technologies],
             "chips": {k: asdict(v) for k, v in sorted(self.chips.items())},
             "workloads": {k: asdict(v) for k, v in sorted(self.workloads.items())},
-            "fan_in": {k: v for k, v in sorted(self.fan_in_policy.limits.items())},
+            "fan_in": dict(sorted(self.fan_in.items())),
             "topsdown": dict(sorted(self.topsdown_params.items())),
         }
         return json.dumps(payload, sort_keys=True)
@@ -449,6 +436,12 @@ def _units_of(cls) -> set[str]:
     return {unit for _, _, _, unit, _ in _WALKS[cls] if unit}
 
 
+def _insert(records: dict, key: str, record, file: str, what: str) -> None:
+    if key in records:
+        raise ValidationError(f"{file}: duplicate {what} {key!r}")
+    records[key] = record
+
+
 def _read_json(path: Path, name: str) -> dict:
     try:
         with open(path / name, "rb") as f:
@@ -556,7 +549,7 @@ def _load_devices(path: Path) -> dict[str, DeviceRecord]:
             raise ValidationError(f"{name}: {dev}: r_on and r_off must be given together")
         if record.r_on is not None and record.r_off < record.r_on:
             raise ValidationError(f"{name}: {dev}.r_off: must be >= r_on ({record.r_off} < {record.r_on})")
-        devices[dev] = record
+        _insert(devices, dev, record, name, "device")
     return devices
 
 
@@ -564,8 +557,9 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tupl
     name = "technologies.json"
     doc = _read_json(path, name)
     _units(doc, name)
-    fan_in = _value(doc, "fan_in", dict, name)
-    limits = {c: None if fan_in.get(c) == "unlimited" else _value(fan_in, c, int, name, "fan_in") for c in fan_in}
+    # required classes: SNN rows and neuromorphic chips run at "snn", accelerators at "sequential"
+    fan_in = {"snn": None, "sequential": None, **_value(doc, "fan_in", dict, name)}
+    limits = {c: None if fan_in[c] == "unlimited" else _value(fan_in, c, int, name, "fan_in") for c in fan_in}
     known = {
         "family": ELEMENT_FAMILIES,
         "neuron_device": devices.keys() | primitives.keys(),
@@ -581,12 +575,17 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tupl
         if _value(row, "neuron_code", str, name, code) + _value(row, "synapse_code", str, name, code) != code:
             raise ValidationError(f"{name}: {code}: label does not decompose into neuron+synapse codes")
         networks = _value(row, "networks", [NETWORK_KINDS[:3]], name, code)
-        combos[code] = (_read(Technology, row, name, code, kinds=known), networks)
+        _insert(combos, code, (_read(Technology, row, name, code, kinds=known), networks), name, "combo")
 
     # Table order: all ANN rows, then CNN, then SNN (matching the reference
     # matrix grouping), then the oscillator column.
     technologies = [
-        Technology(label=NETWORK_PREFIX[kind] + code, network_kind=kind, combo=code, **base)
+        Technology(
+            label=NETWORK_PREFIX[kind] + code,
+            network_kind=kind,
+            combo=code,
+            **(base | {"fan_in_class": "snn"} if kind == "SNN" else base),  # spiking rows take the snn fan-in
+        )
         for kind in NETWORK_KINDS[:3]
         for code, (base, networks) in combos.items()
         if kind in networks
@@ -615,17 +614,17 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tupl
     return tuple(technologies), limits
 
 
-def _load_chips(doc: dict, name: str, kind: str) -> dict[str, ChipRecord]:
+def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -> None:
+    """Add the chips of one file to `chips`, which holds those of the files read before."""
     factors = _units(doc, name, _units_of(ChipRecord))
-    chips = {}
     for i, row in enumerate(_value(doc, "chips", [dict], name)):
         cname = _value(row, "name", str, name, f"chips.{i}")
-        chips[cname] = ChipRecord(
+        record = ChipRecord(
             kind=kind,
             derived_fields=tuple(_value(row, "derived", [str], name, cname, default=())),
             **_read(ChipRecord, row, name, cname, factors),
         )
-    return chips
+        _insert(chips, cname, record, name, "chip")
 
 
 def _load_workloads(path: Path) -> dict[str, WorkloadSpec]:
@@ -650,9 +649,8 @@ def _load_workloads(path: Path) -> dict[str, WorkloadSpec]:
                 if kw["padding"] == "valid" and kw["kernel"] > min(kw["image_w"], kw["image_h"]):
                     raise ValidationError(f"{name}: {rec}.kernel: exceeds image dimensions under valid padding")
             layers.append(LayerSpec(kind=kind, **kw))
-        specs[wname] = WorkloadSpec(
-            name=wname, layers=tuple(layers), note=_value(row, "note", str, name, wname, default="")
-        )
+        spec = WorkloadSpec(name=wname, layers=tuple(layers), note=_value(row, "note", str, name, wname, default=""))
+        _insert(specs, wname, spec, name, "workload")
     return specs
 
 
@@ -671,8 +669,9 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
     devices = _load_devices(path)
     technologies, limits = _load_technologies(path, constants, primitives, devices)
     neuromorphic = _read_json(path, "chips_neuromorphic.json")
-    chips = _load_chips(neuromorphic, "chips_neuromorphic.json", "neuromorphic")
-    chips.update(_load_chips(_read_json(path, "chips_accelerators.json"), "chips_accelerators.json", "accelerator"))
+    chips: dict[str, ChipRecord] = {}
+    _load_chips(neuromorphic, "chips_neuromorphic.json", "neuromorphic", chips)
+    _load_chips(_read_json(path, "chips_accelerators.json"), "chips_accelerators.json", "accelerator", chips)
     topsdown_params = {
         key: _value(neuromorphic, key, Fraction, "chips_neuromorphic.json", default=default)
         for key, default in (("neuron_area_fraction", 0.05), ("accelerator_compute_fraction", 0.10))
@@ -684,6 +683,6 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
         technologies=technologies,
         chips=MappingProxyType(chips),
         workloads=MappingProxyType(_load_workloads(path)),
-        fan_in_policy=FanInPolicy(limits=MappingProxyType(limits)),
+        fan_in=MappingProxyType(limits),
         topsdown_params=MappingProxyType(topsdown_params),
     )

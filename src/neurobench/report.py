@@ -78,33 +78,19 @@ def bench_workload(
     registry: Registry,
     schedule: Optional[str] = None,
 ) -> WorkloadBench:
-    """Run a named workload on one technology with its natural policies:
-    MAC combos go sequential and time-multiplexed, spiking networks get
-    unlimited fan-in, everything else cascades in parallel. The result is
-    built once per registry."""
+    """Run a named workload on one technology at the fan-in of its class
+    (`Registry.fan_in`), which also picks the default schedule. The result
+    is built once per registry."""
     return registry.memoized(
-        (workload_name, tech, schedule), lambda: _run_named_workload(workload_name, tech, registry, schedule)
-    )
-
-
-def _run_named_workload(
-    workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]
-) -> WorkloadBench:
-    spec = registry.workload(workload_name)
-    elem = bench_technology(tech, registry)
-    if tech.mac:
-        mode, default_schedule, fan_in = "sequential", "time_multiplexed", None
-    else:
-        mode, default_schedule = "cascaded", "parallel"
-        fan_in = None if tech.network_kind == "SNN" else registry.fan_in_policy.limit(tech.fan_in_class)
-    return run_workload(
-        spec,
-        elem,
-        registry.constants,
-        network_kind=tech.network_kind,
-        fan_in=fan_in,
-        mode=mode,
-        schedule=schedule or default_schedule,
+        (workload_name, tech, schedule),
+        lambda: run_workload(
+            registry.workload(workload_name),
+            bench_technology(tech, registry),
+            registry.constants,
+            network_kind=tech.network_kind,
+            fan_in=registry.fan_in[tech.fan_in_class],
+            schedule=schedule,
+        ),
     )
 
 

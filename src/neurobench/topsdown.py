@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import units
-from .ade import AdeTriple
+from .ade import ZERO, AdeTriple
 from .interconnect import ElementBench
 from .registry import ChipRecord, Registry, UnknownNameError
 from .workload import WorkloadBench, WorkloadSpec, run_workload
@@ -40,12 +40,11 @@ class TopsDownElement:
     def as_element_bench(self) -> ElementBench:
         """Element bench with empty interconnect triples; published totals
         already include all wiring. The neuron is booked at one event time."""
-        zero = AdeTriple(0.0, 0.0, 0.0)
         return ElementBench(
             synapse=AdeTriple(self.synapse_area, self.synapse_delay, self.synapse_energy),
-            core_ic=zero,
+            core_ic=ZERO,
             neuron=AdeTriple(self.neuron_area, self.synapse_delay, self.neuron_energy),
-            chip_ic=zero,
+            chip_ic=ZERO,
         )
 
 
@@ -65,40 +64,30 @@ def _event_energy(chip: ChipRecord) -> float:
     raise IncomputableError(f"chip {chip.name}: energy_per_event required but absent (and not derivable)")
 
 
-def topsdown_neuromorphic(chip: ChipRecord, neuron_area_fraction: float = 0.05) -> TopsDownElement:
-    if chip.kind != "neuromorphic":
-        raise ValueError(f"chip {chip.name} is not neuromorphic")
-    area = _require(chip, "area")
-    fire_rate = _require(chip, "fire_rate")
-    activity = _require(chip, "activity")
-    per_neuron = chip.cores * chip.neurons_per_core
-    e_syn = _event_energy(chip)
-    # spiking rate inverted: one synaptic event every 1/(f * r_a * s_neu)
-    tau_syn = units.seconds_to_ps(1.0 / (fire_rate * activity * chip.synapses_per_neuron))
-    return TopsDownElement(
-        neuron_area=neuron_area_fraction * area / per_neuron,
-        synapse_area=(1.0 - neuron_area_fraction) * area / (per_neuron * chip.synapses_per_neuron),
-        synapse_delay=tau_syn,
-        synapse_energy=e_syn,
-        neuron_energy=e_syn * activity * chip.synapses_per_neuron,
-        source=chip,
-    )
+def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
+    """Per-synapse and per-neuron figures from a chip's published totals.
 
-
-def topsdown_accelerator(
-    chip: ChipRecord,
-    neuron_area_fraction: float = 0.05,
-    compute_fraction: float = 0.10,
-) -> TopsDownElement:
-    if chip.kind != "accelerator":
-        raise ValueError(f"chip {chip.name} is not an accelerator")
-    clock = _require(chip, "clock")
+    A neuromorphic chip splits its whole area between neurons and synapses
+    and runs one synaptic event every 1/(fire_rate * activity * s_neu); an
+    accelerator splits only its compute fraction of the area, runs one MAC
+    per clock and, unless the record quotes an activity, runs at full
+    activity.
+    """
+    p = registry.topsdown_params
+    if chip.kind == "neuromorphic":
+        budget = _require(chip, "area")
+        fire_rate = _require(chip, "fire_rate")
+        activity = _require(chip, "activity")
+        # spiking rate inverted: one synaptic event every 1/(f * r_a * s_neu)
+        tau_syn = units.seconds_to_ps(1.0 / (fire_rate * activity * chip.synapses_per_neuron))
+    else:
+        clock = _require(chip, "clock")
+        budget = p["accelerator_compute_fraction"] * _require(chip, "area")
+        tau_syn = units.seconds_to_ps(1.0 / clock)  # one MAC per clock
+        activity = chip.activity if chip.activity is not None else 1.0
     e_syn = _event_energy(chip)
-    area = _require(chip, "area")
-    budget = compute_fraction * area
     per_neuron = chip.cores * chip.neurons_per_core
-    tau_syn = units.seconds_to_ps(1.0 / clock)  # one MAC per clock
-    activity = chip.activity if chip.activity is not None else 1.0
+    neuron_area_fraction = p["neuron_area_fraction"]
     return TopsDownElement(
         neuron_area=neuron_area_fraction * budget / per_neuron,
         synapse_area=(1.0 - neuron_area_fraction) * budget / (per_neuron * chip.synapses_per_neuron),
@@ -107,13 +96,6 @@ def topsdown_accelerator(
         neuron_energy=e_syn * activity * chip.synapses_per_neuron,
         source=chip,
     )
-
-
-def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
-    p = registry.topsdown_params
-    if chip.kind == "neuromorphic":
-        return topsdown_neuromorphic(chip, p["neuron_area_fraction"])
-    return topsdown_accelerator(chip, p["neuron_area_fraction"], p["accelerator_compute_fraction"])
 
 
 # -- consistency back-fill ---------------------------------------------------
@@ -193,7 +175,7 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
         if any(f in filled for f in fields):
             continue  # identity was consumed by a solve; residual is zero by construction
         lhs = getattr(current, fields[0])
-        rhs = _solve_throughput(current, fields[0]) if name == THROUGHPUT_IDENTITY else _solve_power(current, fields[0])
+        rhs = solve(current, fields[0])
         residuals[name] = abs(lhs - rhs) / rhs if rhs else 0.0
     return BackfillResult(chip=current, filled=filled, residuals=residuals)
 
@@ -201,17 +183,12 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
 def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:
     """Evaluate a workload with the chip's tops-down element figures.
 
-    Accelerators run sequential and time-multiplexed; neuromorphic chips run
-    with spiking semantics (unlimited fan-in, activity decaying per stage).
+    Accelerators run as ANN at the "sequential" fan-in; neuromorphic chips
+    run with spiking semantics (activity decaying per stage) at the "snn"
+    fan-in.
     """
     elem = topsdown_element(chip, registry).as_element_bench()
-    if chip.kind == "accelerator":
-        # sequential: one neuron per output absorbs inputs one at a time
-        return run_workload(
-            spec, elem, registry.constants,
-            network_kind="ANN", fan_in=None, mode="sequential", schedule="time_multiplexed",
-        )
+    network_kind, fan_in_class = ("ANN", "sequential") if chip.kind == "accelerator" else ("SNN", "snn")
     return run_workload(
-        spec, elem, registry.constants,
-        network_kind="SNN", fan_in=None, mode="cascaded", schedule="parallel",
+        spec, elem, registry.constants, network_kind=network_kind, fan_in=registry.fan_in[fan_in_class]
     )

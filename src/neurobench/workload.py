@@ -3,9 +3,11 @@
 A workload is a list of fully-connected or convolution layers. Each layer
 becomes a stage on one core (replicated per feature map): stage parameters
 fix the core's neuron/synapse counts, limited neuron fan-in forces a
-cascade of intermediate neurons (or sequential operation for fan-in 1),
-core area is the larger of the circuit estimate and the wiring limit, and
-stages aggregate either in parallel or time-multiplexed onto a single core.
+cascade of intermediate neurons (fan-in 1 is sequential operation: one
+neuron absorbs one input per level), core area is the larger of the circuit
+estimate and the wiring limit, and stages aggregate either in parallel or
+time-multiplexed onto a single core. The fan-in is the whole run policy: it
+also picks the default schedule.
 
 Only type-checking imports reference other modules; the registry imports
 the layer/workload types from here.
@@ -135,15 +137,17 @@ def cascade(fan_in: Optional[int], s_neu: int) -> tuple[int, int]:
     """Levels and total neurons of the reduction tree combining s_neu inputs.
 
     fan_in None means unlimited (one neuron absorbs everything). fan_in 1 is
-    the sequential mode, handled elsewhere, and rejected here. Integer
+    the sequential mode: one neuron absorbs one input per level. Integer
     arithmetic throughout; no float logs.
     """
     if s_neu < 1:
         raise ValueError("s_neu must be >= 1")
     if fan_in is None:
         return 1, 1
-    if fan_in < 2:
-        raise ValueError("fan-in below 2 cannot cascade; use sequential mode")
+    if fan_in < 1:
+        raise ValueError(f"fan-in must be >= 1, got {fan_in}")
+    if fan_in == 1:
+        return s_neu, 1
     levels = 1
     capacity = fan_in
     while capacity < s_neu:
@@ -187,23 +191,17 @@ def stage_time_energy(
     stage: StageParams,
     elem: "ElementBench",
     fan_in: Optional[int],
-    mode: str,
 ) -> tuple[float, float]:
     """Delay (ps) and energy (aJ) of one stage.
 
-    Cascaded mode pays one synapse delay per cascade level; sequential mode
-    pays one per synapse. Synapse figures include the core interconnect,
-    neuron figures the chip interconnect.
+    A stage pays one synapse delay per cascade level, so sequential operation
+    (fan-in 1) pays one per synapse. Synapse figures include the core
+    interconnect, neuron figures the chip interconnect.
     """
     syn = elem.synapse_total
     neu = elem.neuron_total
-    if mode == "cascaded":
-        levels, _ = cascade(fan_in, stage.s_neu)
-        delay = levels * syn.delay + neu.delay
-    elif mode == "sequential":
-        delay = stage.s_neu * syn.delay + neu.delay
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    levels, _ = cascade(fan_in, stage.s_neu)
+    delay = levels * syn.delay + neu.delay
     energy = stage.r_a * stage.s_neu * stage.n_out * syn.energy + stage.n_out * neu.energy
     return delay, energy
 
@@ -245,16 +243,19 @@ def run_workload(
     *,
     network_kind: str = "ANN",
     fan_in: Optional[int] = None,
-    mode: str = "cascaded",
-    schedule: str = "parallel",
+    schedule: Optional[str] = None,
 ) -> WorkloadBench:
-    """Evaluate a whole workload on one element bench."""
+    """Evaluate a whole workload on one element bench.
+
+    Without an explicit schedule, sequential operation (fan-in 1) reuses one
+    core time-multiplexed and every other fan-in runs the stages in parallel.
+    """
     benches = []
     for stage, topology in _stages(spec, network_kind):
         area = core_area(stage, topology, elem, fan_in, constants)
-        delay, energy = stage_time_energy(stage, elem, fan_in, mode)
+        delay, energy = stage_time_energy(stage, elem, fan_in)
         benches.append(StageBench(area=area, delay=delay, energy=energy, f_st=stage.f_st))
-    return aggregate(benches, schedule)
+    return aggregate(benches, schedule or ("time_multiplexed" if fan_in == 1 else "parallel"))
 
 
 def total_synaptic_ops(spec: WorkloadSpec, network_kind: str = "ANN") -> float:

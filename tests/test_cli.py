@@ -50,6 +50,11 @@ def test_bench_chip_config_file(capsys, tmp_path):
     [
         ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "bogus": 1}, "'bogus'"),
         ({"cores": 4, "synapses_per_neuron": 3}, "'neurons_per_core'"),
+        ({"cores": "x", "neurons_per_core": 2, "synapses_per_neuron": 3}, "cores"),
+        ({"cores": 2.5, "neurons_per_core": 2, "synapses_per_neuron": 3}, "cores"),
+        ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "spiking": "yes"}, "spiking"),
+        ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "activity": True}, "activity"),
+        ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "activity": 1.5}, "activity"),
     ],
 )
 def test_bench_chip_config_key_error_is_data_error(capsys, tmp_path, doc, key):

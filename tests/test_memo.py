@@ -90,4 +90,4 @@ def test_registry_mappings_are_read_only(registry, mapping):
 
 def test_fan_in_limits_are_read_only(registry):
     with pytest.raises(TypeError):
-        registry.fan_in_policy.limits["digital_cmos"] = 2
+        registry.fan_in["digital_cmos"] = 2

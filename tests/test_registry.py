@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def test_enumerate_all_is_duplicate_free_union(registry):
 
 
 def test_snn_has_no_mac_rows(registry):
-    assert not any(t.mac for t in registry.enumerate_technologies("SNN"))
+    assert not any(registry.fan_in[t.fan_in_class] == 1 for t in registry.enumerate_technologies("SNN"))
 
 
 def test_min_ic_length_defaults_to_20_feature_sizes(constants):
@@ -164,6 +165,26 @@ def test_activity_bounds_enforced(data_copy):
         load_datasets(data_copy)
 
 
+@pytest.mark.parametrize(
+    "file, rows, key, copied, name",
+    [
+        ("devices.json", "devices", "name", "ME", "ME"),
+        ("technologies.json", "combos", "code", "DCSRAM", "DCSRAM"),
+        ("workloads.json", "workloads", "name", "lenet", "lenet"),
+        ("chips_neuromorphic.json", "chips", "name", "TrueNorth", "TrueNorth"),
+        ("chips_accelerators.json", "chips", "name", "Eyeriss", "TrueNorth"),  # a name from the other chip file
+    ],
+)
+def test_duplicate_record_name_is_rejected(data_copy, file, rows, key, copied, name):
+    def duplicate(doc):
+        row = next(r for r in doc[rows] if r[key] == copied)
+        doc[rows].append({**row, key: name})
+
+    rewrite_json(data_copy / file, duplicate)
+    with pytest.raises(ValidationError, match=re.escape(f"{file}: duplicate") + f".* '{re.escape(name)}'"):
+        load_datasets(data_copy)
+
+
 # -- one validator: every rejected value names file, record and field ---------
 
 _DELETE = "<delete the key>"  # readable in a falsifying example
@@ -208,6 +229,8 @@ def _edit(doc, path, value):
         ),
         ("devices.json", ("devices", "CMOSdig", "name"), 2.5, ("devices.0.name", "2.5"), ("devices", "list")),
         ("constants.json", ("units", "time"), "ns", ("units.time", "'ns'"), ("devices", "list")),
+        ("technologies.json", ("fan_in", "snn"), _DELETE, ("fan_in.snn",), ("devices", "list")),
+        ("technologies.json", ("fan_in", "sequential"), _DELETE, ("fan_in.sequential",), ("devices", "list")),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from neurobench.registry import ChipRecord
@@ -5,9 +8,7 @@ from neurobench.topsdown import (
     IncomputableError,
     backfill_derived,
     run_workload_on_chip,
-    topsdown_accelerator,
     topsdown_element,
-    topsdown_neuromorphic,
 )
 from neurobench.workload import WorkloadSpec
 
@@ -16,19 +17,19 @@ def test_truenorth_synapse_area(registry):
     # oracle: 95% of 430 mm^2 spread over 4096*256*256 synapses
     chip = registry.chip("TrueNorth")
     expected = 0.95 * 430e12 / (4096 * 256 * 256)
-    element = topsdown_neuromorphic(chip)
+    element = topsdown_element(chip, registry)
     assert element.synapse_area == pytest.approx(expected)
     assert element.synapse_area == pytest.approx(1.5218e6, rel=1e-3)  # nm^2
 
 
 def test_truenorth_neuron_energy(registry):
     # 26 pJ * 0.5 activity * 256 synapses = 3328 pJ
-    element = topsdown_neuromorphic(registry.chip("TrueNorth"))
+    element = topsdown_element(registry.chip("TrueNorth"), registry)
     assert element.neuron_energy == pytest.approx(3328e6)  # aJ
 
 
 def test_truenorth_synapse_delay_from_fire_rate(registry):
-    element = topsdown_neuromorphic(registry.chip("TrueNorth"))
+    element = topsdown_element(registry.chip("TrueNorth"), registry)
     # inverted spiking rate: 1/(20 Hz * 0.5 * 256)
     assert element.synapse_delay == pytest.approx(1.0 / (20 * 0.5 * 256) * 1e12)
 
@@ -38,7 +39,7 @@ def test_neuron_energy_identity_for_all_computable_records(registry):
         if chip.kind != "neuromorphic":
             continue
         try:
-            element = topsdown_neuromorphic(chip)
+            element = topsdown_element(chip, registry)
         except IncomputableError:
             continue
         assert element.neuron_energy / element.synapse_energy == pytest.approx(
@@ -58,7 +59,7 @@ def test_area_split_proportion(registry):
 
 def test_missing_area_is_named(registry):
     with pytest.raises(IncomputableError, match="area"):
-        topsdown_neuromorphic(registry.chip("SpiNNaker 2"))
+        topsdown_element(registry.chip("SpiNNaker 2"), registry)
 
 
 def test_accelerator_energy_from_power_over_throughput(registry):
@@ -73,18 +74,18 @@ def test_accelerator_time_step_is_clock(registry):
     assert eyeriss.synapse_delay == pytest.approx(1e12 / 200e6)  # 200 MHz in ps
 
 
-def test_accelerator_missing_clock():
+def test_accelerator_missing_clock(registry):
     chip = ChipRecord(name="X", kind="accelerator", cores=1, neurons_per_core=1, synapses_per_neuron=1,
                       area=1e12, power=1.0, syn_throughput=1e9)
     with pytest.raises(IncomputableError, match="clock"):
-        topsdown_accelerator(chip)
+        topsdown_element(chip, registry)
 
 
-def test_accelerator_missing_energy_sources():
+def test_accelerator_missing_energy_sources(registry):
     chip = ChipRecord(name="X", kind="accelerator", cores=1, neurons_per_core=1, synapses_per_neuron=1,
                       area=1e12, clock=1e9)
     with pytest.raises(IncomputableError, match="energy_per_event"):
-        topsdown_accelerator(chip)
+        topsdown_element(chip, registry)
 
 
 # -- back-fill -----------------------------------------------------------------
@@ -157,3 +158,31 @@ def test_zero_stage_workload_rejected(registry):
 def test_chip_without_area_cannot_run_workloads(registry):
     with pytest.raises(IncomputableError, match="area"):
         run_workload_on_chip(registry.chip("Q4MobilEye"), registry.workload("mnist_mlp"), registry)
+
+
+# -- golden ------------------------------------------------------------------------
+
+TOPSDOWN_GOLDEN = Path(__file__).parent / "golden" / "topsdown.json"
+
+
+def test_topsdown_golden(registry):
+    """Every chip's tops-down element (or why it is incomputable) and every
+    workload on each computable chip, as scripts/make_golden.py wrote them."""
+    golden = json.loads(TOPSDOWN_GOLDEN.read_text())
+    assert set(golden) == set(registry.chips)
+    for name, expected in golden.items():
+        chip = registry.chip(name)
+        if "error" in expected:
+            with pytest.raises(IncomputableError) as err:
+                topsdown_element(chip, registry)
+            assert str(err.value) == expected["error"]
+            continue
+        element = topsdown_element(chip, registry)
+        for field, value in expected["element"].items():
+            assert getattr(element, field) == pytest.approx(value, rel=1e-9), (name, field)
+        assert set(expected["workloads"]) == set(registry.workloads)
+        for wname, figures in expected["workloads"].items():
+            bench = run_workload_on_chip(chip, registry.workload(wname), registry)
+            assert bench.schedule == figures["schedule"], (name, wname)
+            for field in ("area", "delay", "energy"):
+                assert getattr(bench, field) == pytest.approx(figures[field], rel=1e-9), (name, wname, field)

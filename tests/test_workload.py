@@ -109,9 +109,10 @@ def test_cascade_unlimited():
     assert cascade(None, 10**9) == (1, 1)
 
 
-def test_cascade_rejects_sequential_fan_in():
-    with pytest.raises(ValueError, match="sequential"):
-        cascade(1, 16)
+def test_cascade_fan_in_one_is_sequential():
+    assert cascade(1, 16) == (16, 1)
+    with pytest.raises(ValueError, match="fan-in"):
+        cascade(0, 16)
 
 
 @given(fan_in=st.integers(2, 64), s_neu=st.integers(1, 4096))
@@ -167,32 +168,32 @@ def test_core_area_counts_cascade_neurons(constants):
 def test_sequential_single_synapse_equals_single_level_cascade():
     stage = StageParams(n_in=1, n_out=4, s_neu=1, f_st=1, r_a=1.0)
     elem = element()
-    assert stage_time_energy(stage, elem, 2, "cascaded") == stage_time_energy(stage, elem, None, "sequential")
+    assert stage_time_energy(stage, elem, 2) == stage_time_energy(stage, elem, 1)
 
 
 def test_stage_energy_linear_in_outputs():
     elem = element()
-    e1 = stage_time_energy(StageParams(10, 10, 10, 1, 1.0), elem, 2, "cascaded")[1]
-    e2 = stage_time_energy(StageParams(10, 20, 10, 1, 1.0), elem, 2, "cascaded")[1]
+    e1 = stage_time_energy(StageParams(10, 10, 10, 1, 1.0), elem, 2)[1]
+    e2 = stage_time_energy(StageParams(10, 20, 10, 1, 1.0), elem, 2)[1]
     assert e2 == pytest.approx(2 * e1)
 
 
 def test_stage_activity_scales_synapse_term_only():
     elem = element(e_syn=5.0, e_neu=7.0)
-    full = stage_time_energy(StageParams(10, 8, 10, 1, 1.0), elem, 2, "cascaded")[1]
-    half = stage_time_energy(StageParams(10, 8, 10, 1, 0.5), elem, 2, "cascaded")[1]
+    full = stage_time_energy(StageParams(10, 8, 10, 1, 1.0), elem, 2)[1]
+    half = stage_time_energy(StageParams(10, 8, 10, 1, 0.5), elem, 2)[1]
     assert full - half == pytest.approx(0.5 * 10 * 8 * 5.0)
 
 
 def test_sequential_delay_structure():
     stage = StageParams(n_in=100, n_out=10, s_neu=100, f_st=1, r_a=1.0)
-    tau, _ = stage_time_energy(stage, element(t_syn=10.0, t_neu=20.0), None, "sequential")
+    tau, _ = stage_time_energy(stage, element(t_syn=10.0, t_neu=20.0), 1)
     assert tau == pytest.approx(100 * 10.0 + 20.0)
 
 
 def test_cascaded_delay_structure():
     stage = StageParams(n_in=256, n_out=10, s_neu=256, f_st=1, r_a=1.0)
-    tau, _ = stage_time_energy(stage, element(t_syn=10.0, t_neu=20.0), 2, "cascaded")
+    tau, _ = stage_time_energy(stage, element(t_syn=10.0, t_neu=20.0), 2)
     assert tau == pytest.approx(8 * 10.0 + 20.0)
 
 
