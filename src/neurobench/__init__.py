@@ -3,56 +3,59 @@
 Bottoms-up: devices -> circuits -> synapse/neuron elements -> network types
 -> interconnect -> chips -> workloads. Tops-down: published chip specs
 decomposed to per-element figures and run through the same workload model.
+
+The public names below are imported on first access (PEP 562), so
+`import neurobench` loads no layer and `load_datasets` loads only the
+dataset layer.
 """
 
-from .ade import AdeTriple
-from .chip import ChipBench, ChipConfig, chip_bench, nominal_config
-from .interconnect import ElementBench
-from .networks import NetworkElementBench, network_element
-from .registry import (
-    ChipRecord,
-    DatasetError,
-    DeviceRecord,
-    GlobalConstants,
-    Registry,
-    Technology,
-    ValidationError,
-    load_datasets,
-)
-from .report import bench_technology, bench_workload, element_matrix, emit_matrix, pareto_front
-from .topsdown import TopsDownElement, backfill_derived, run_workload_on_chip, topsdown_element
-from .workload import LayerSpec, WorkloadBench, WorkloadSpec, run_workload
+# public name -> defining module
+_EXPORTS = {
+    "AdeTriple": "ade",
+    "ChipBench": "chip",
+    "ChipConfig": "chip",
+    "chip_bench": "chip",
+    "nominal_config": "chip",
+    "ElementBench": "interconnect",
+    "NetworkElementBench": "networks",
+    "network_element": "networks",
+    "ChipRecord": "registry",
+    "DatasetError": "registry",
+    "DeviceRecord": "registry",
+    "GlobalConstants": "registry",
+    "LayerSpec": "registry",
+    "Registry": "registry",
+    "Technology": "registry",
+    "ValidationError": "registry",
+    "WorkloadSpec": "registry",
+    "load_datasets": "registry",
+    "bench_technology": "report",
+    "bench_workload": "report",
+    "element_matrix": "report",
+    "emit_matrix": "report",
+    "pareto_front": "report",
+    "TopsDownElement": "topsdown",
+    "backfill_derived": "topsdown",
+    "run_workload_on_chip": "topsdown",
+    "topsdown_element": "topsdown",
+    "WorkloadBench": "workload",
+    "run_workload": "workload",
+}
 
-__all__ = [
-    "AdeTriple",
-    "ChipBench",
-    "ChipConfig",
-    "ChipRecord",
-    "DatasetError",
-    "DeviceRecord",
-    "ElementBench",
-    "GlobalConstants",
-    "LayerSpec",
-    "NetworkElementBench",
-    "Registry",
-    "Technology",
-    "TopsDownElement",
-    "ValidationError",
-    "WorkloadBench",
-    "WorkloadSpec",
-    "backfill_derived",
-    "bench_technology",
-    "bench_workload",
-    "chip_bench",
-    "element_matrix",
-    "emit_matrix",
-    "load_datasets",
-    "network_element",
-    "nominal_config",
-    "pareto_front",
-    "run_workload",
-    "run_workload_on_chip",
-    "topsdown_element",
-]
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `from .<module> import <name>`, spelled so that -X importtime reports it
+    # (importlib.import_module bypasses that hook). The value is not cached
+    # here, so the defining module keeps the one binding of each name.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(module, globals(), None, (name,), 1), name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _EXPORTS.keys())

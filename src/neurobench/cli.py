@@ -3,7 +3,8 @@
 Subcommands: devices list, bench element/network/chip/workload, topsdown,
 export. Exit status 0 on success, 1 on data errors (single-line diagnostic
 on stderr), 2 on usage errors. NEUROBENCH_DATA_DIR or --data-dir overrides
-the packaged datasets.
+the packaged datasets. Only the dataset layer is imported up front; each
+subcommand imports the model layers it runs.
 """
 
 from __future__ import annotations
@@ -14,16 +15,25 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from . import report, units
-from .chip import ChipConfig, chip_bench, nominal_config
+from . import units
 from .registry import _KINDS, DatasetError, Registry, _value, load_datasets
-from .topsdown import backfill_derived, run_workload_on_chip, topsdown_element
+
+
+def _precision(text: str) -> int:
+    """--precision: significant digits, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neurobench", description=__doc__.splitlines()[0])
     parser.add_argument("--data-dir", type=Path, default=None, help="dataset directory override")
-    parser.add_argument("--precision", type=int, default=6, help="significant digits in tabular output")
+    parser.add_argument("--precision", type=_precision, default=6, help="significant digits in tabular output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     devices = sub.add_parser("devices", help="device table operations")
@@ -64,10 +74,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _chip_config(path: Path) -> ChipConfig:
+def _chip_config(path: Path):
     """ChipConfig from a JSON object whose keys are its field names; each value
     passes the dataset validator against the field's annotation."""
-    doc = json.loads(path.read_text())
+    from .chip import ChipConfig
+
+    try:
+        doc = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DatasetError(f"{path}: parse failure: {e}") from None
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: chip config must be a JSON object")
     known = {f.name: f for f in fields(ChipConfig)}
@@ -90,6 +105,9 @@ def _cmd_devices(args, registry: Registry) -> None:
 
 
 def _cmd_bench(args, registry: Registry) -> None:
+    from . import report
+    from .chip import chip_bench, nominal_config
+
     p = args.precision
     if args.bench_command == "element":
         tech = registry.technology(args.tech)
@@ -127,6 +145,8 @@ def _cmd_bench(args, registry: Registry) -> None:
 
 
 def _cmd_topsdown(args, registry: Registry) -> None:
+    from .topsdown import backfill_derived, run_workload_on_chip, topsdown_element
+
     p = args.precision
     chip = registry.chip(args.chip)
     if args.backfill:
@@ -152,6 +172,8 @@ def _cmd_topsdown(args, registry: Registry) -> None:
 
 
 def _cmd_export(args, registry: Registry) -> None:
+    from . import report
+
     p = args.precision
     if args.what == "matrix":
         fmt = "json" if args.out.suffix == ".json" else "csv"

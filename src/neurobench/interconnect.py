@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import units
 from .ade import AdeTriple
-from .networks import NetworkElementBench
-from .registry import GlobalConstants, Technology
+
+if TYPE_CHECKING:  # used in annotations only
+    from .networks import NetworkElementBench
+    from .registry import GlobalConstants, Technology
 
 
 @dataclass(frozen=True)

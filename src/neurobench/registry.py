@@ -20,14 +20,12 @@ import os
 import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Optional, TypeVar
 
 from . import units
 from .ade import AdeTriple
-from .workload import LayerSpec, WorkloadSpec
 
 NETWORK_KINDS = ("ANN", "CNN", "SNN", "ONN")
 NETWORK_PREFIX = {"ANN": "ANN", "CNN": "CNN", "SNN": "Spi", "ONN": "Osc"}
@@ -231,6 +229,29 @@ class ChipRecord:
         return self.cores * self.neurons_per_core * self.synapses_per_neuron
 
 
+@dataclass(frozen=True)
+class LayerSpec:
+    """One weight layer; `kind` selects which fields apply."""
+
+    kind: str  # fully_connected | convolution
+    inputs: int = 0
+    outputs: int = 0
+    image_w: int = 0
+    image_h: int = 0
+    in_channels: int = 1
+    kernel: int = 0
+    feature_maps: int = 1
+    stride: int = 1
+    padding: str = "valid"
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    name: str
+    layers: tuple[LayerSpec, ...]
+    note: str = ""
+
+
 T = TypeVar("T")
 
 
@@ -342,7 +363,8 @@ def _checked(value, key, kind, file: str, record: str, default):
     cls = value.__class__
     if value is None:
         if default is _REQUIRED:
-            raise ValidationError(f"{file}: missing {'field' if record else 'constant'} {_path(record, key)}")
+            what = "constant" if file == "constants.json" and not record else "field"
+            raise ValidationError(f"{file}: missing {what} {_path(record, key)}")
         return default
     if isinstance(kind, list):
         if cls is list:
@@ -658,7 +680,7 @@ def default_data_dir() -> Path:
     override = os.environ.get(ENV_DATA_DIR)
     if override:
         return Path(override)
-    return Path(str(resources.files("neurobench").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:

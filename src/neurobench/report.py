@@ -18,7 +18,6 @@ from .elements import build_raw_element, element_drive_current, element_r_eff
 from .interconnect import ElementBench, assemble_row
 from .networks import network_transform
 from .registry import Registry, Technology, UnknownNameError
-from .topsdown import IncomputableError, run_workload_on_chip, topsdown_element
 from .workload import WorkloadBench, run_workload
 
 MATRIX_HEADER = (
@@ -161,6 +160,8 @@ def emit_matrix(
                 )
             )
     elif scope == "chips":
+        from .topsdown import IncomputableError, topsdown_element  # the other scopes never load tops-down
+
         header = (
             "chip", "kind", "synapse_area_nm2", "neuron_area_nm2",
             "synapse_delay_ps", "synapse_energy_aJ", "neuron_energy_aJ",
@@ -263,6 +264,8 @@ def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
     """Computed speech-recognition workload figures for the two chips with
     published measurements, alongside those measurements. Exploratory: the
     model is optimistic by construction and no tolerance applies."""
+    from .topsdown import run_workload_on_chip
+
     published = {
         "Loihi": {"inferences_per_s": 89.8, "energy_per_inference_uJ": 770.0},
         "Myriad 2": {"inferences_per_s": 300.0, "energy_per_inference_uJ": 1500.0},

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from . import units
 from .ade import ZERO, AdeTriple
 from .interconnect import ElementBench
-from .registry import ChipRecord, Registry, UnknownNameError
-from .workload import WorkloadBench, WorkloadSpec, run_workload
+from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec
+from .workload import WorkloadBench, run_workload
 
 
 class IncomputableError(UnknownNameError):

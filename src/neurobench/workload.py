@@ -9,8 +9,7 @@ estimate and the wiring limit, and stages aggregate either in parallel or
 time-multiplexed onto a single core. The fan-in is the whole run policy: it
 also picks the default schedule.
 
-Only type-checking imports reference other modules; the registry imports
-the layer/workload types from here.
+Only type-checking imports reference other modules.
 """
 
 from __future__ import annotations
@@ -24,30 +23,7 @@ from . import units
 
 if TYPE_CHECKING:  # avoid runtime cycles; duck-typed at runtime
     from .interconnect import ElementBench
-    from .registry import GlobalConstants
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One weight layer; `kind` selects which fields apply."""
-
-    kind: str  # fully_connected | convolution
-    inputs: int = 0
-    outputs: int = 0
-    image_w: int = 0
-    image_h: int = 0
-    in_channels: int = 1
-    kernel: int = 0
-    feature_maps: int = 1
-    stride: int = 1
-    padding: str = "valid"
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    name: str
-    layers: tuple[LayerSpec, ...]
-    note: str = ""
+    from .registry import GlobalConstants, LayerSpec, WorkloadSpec
 
 
 @dataclass(frozen=True)

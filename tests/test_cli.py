@@ -55,11 +55,13 @@ def test_bench_chip_config_file(capsys, tmp_path):
         ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "spiking": "yes"}, "spiking"),
         ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "activity": True}, "activity"),
         ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "activity": 1.5}, "activity"),
+        (b"{not json", "parse failure"),  # raw bytes are written as they are
+        (b'\xff{"cores": 4}', "parse failure"),
     ],
 )
 def test_bench_chip_config_key_error_is_data_error(capsys, tmp_path, doc, key):
     cfg = tmp_path / "chip.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     code, out, err = run(capsys, "bench", "chip", "--config", str(cfg), "--tech", "ANNDCSRAM")
     assert code == 1
     assert out == ""
@@ -128,6 +130,15 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("precision", ["0", "-1", "x"])
+@pytest.mark.parametrize("argv", [("devices", "list"), ("bench", "element", "--tech", "ANNDCSRAM")])
+def test_precision_below_one_is_usage_error(capsys, precision, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", precision, *argv])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
 
 
 def test_data_dir_override(capsys, tmp_path):

@@ -1,0 +1,78 @@
+"""Import on demand: each entry point loads only the layers it runs.
+
+Every case starts a fresh interpreter, does one thing and lists the
+neurobench modules it then holds.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import neurobench
+
+SRC = str(Path(neurobench.__file__).resolve().parent.parent)
+
+PROBE = """
+import contextlib, io, json, sys
+import neurobench
+argv = json.loads(sys.argv[1])
+if argv == ["load_datasets"]:
+    neurobench.load_datasets()
+elif argv:
+    from neurobench import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "neurobench" or m.startswith("neurobench."))))
+"""
+
+DATASET = {"ade", "registry", "units"}
+MODEL = {"chip", "circuits", "elements", "interconnect", "networks", "report", "workload"}
+
+
+def _loaded(argv: list[str]) -> set[str]:
+    env = {k: v for k, v in os.environ.items() if k != "NEUROBENCH_DATA_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {m.partition(".")[2] or m for m in json.loads(proc.stdout)}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ([], set()),
+        (["load_datasets"], DATASET),
+        (["devices", "list"], DATASET | {"cli"}),
+        (
+            ["topsdown", "--chip", "Loihi", "--workload", "speech_mlp"],
+            DATASET | {"cli", "interconnect", "topsdown", "workload"},
+        ),
+        (["bench", "element", "--tech", "ANNDCSRAM"], DATASET | MODEL | {"cli"}),
+        (["bench", "network", "--kind", "ONN"], DATASET | MODEL | {"cli"}),
+        (["bench", "chip", "--nominal", "--tech", "ANNDCSRAM"], DATASET | MODEL | {"cli"}),
+        (["bench", "workload", "--name", "mnist_mlp", "--tech", "ANNDCSRAM"], DATASET | MODEL | {"cli"}),
+    ],
+    ids=[
+        "import", "load_datasets", "devices", "topsdown",
+        "bench-element", "bench-network", "bench-chip", "bench-workload",
+    ],
+)
+def test_entry_point_loads_only_its_layers(argv, expected):
+    assert _loaded(argv) == {"neurobench"} | expected
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from neurobench import *", namespace)
+    for name in neurobench.__all__:
+        value = namespace[name]
+        assert value is getattr(sys.modules[value.__module__], name)
+    assert set(neurobench.__all__) <= set(dir(neurobench))
+    with pytest.raises(AttributeError):
+        neurobench.no_such_name

@@ -231,6 +231,7 @@ def _edit(doc, path, value):
         ("constants.json", ("units", "time"), "ns", ("units.time", "'ns'"), ("devices", "list")),
         ("technologies.json", ("fan_in", "snn"), _DELETE, ("fan_in.snn",), ("devices", "list")),
         ("technologies.json", ("fan_in", "sequential"), _DELETE, ("fan_in.sequential",), ("devices", "list")),
+        ("technologies.json", ("fan_in",), _DELETE, ("missing field fan_in",), ("devices", "list")),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):

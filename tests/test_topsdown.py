@@ -3,14 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from neurobench.registry import ChipRecord
+from neurobench.registry import ChipRecord, WorkloadSpec
 from neurobench.topsdown import (
     IncomputableError,
     backfill_derived,
     run_workload_on_chip,
     topsdown_element,
 )
-from neurobench.workload import WorkloadSpec
 
 
 def test_truenorth_synapse_area(registry):

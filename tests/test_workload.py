@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from neurobench.ade import AdeTriple
 from neurobench.interconnect import ElementBench
+from neurobench.registry import LayerSpec
 from neurobench.workload import (
-    LayerSpec,
     StageBench,
     StageParams,
     aggregate,
