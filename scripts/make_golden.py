@@ -7,15 +7,19 @@ change, then review the diff:
     python3 scripts/make_golden.py
 
 It writes tests/golden/golden.json (bottom-up element rows, nominal chips and
-workloads) and tests/golden/topsdown.json (the tops-down element of every
-chip, or the reason it is incomputable, and every workload on each
-computable chip).
+workloads), tests/golden/topsdown.json (the tops-down element of every chip,
+or the reason it is incomputable, and every workload on each computable chip)
+and tests/golden/cli.json (the exact stdout of a set of CLI commands, keyed by
+their space-joined argv).
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 from neurobench import load_datasets, report
+from neurobench.cli import main as cli_main
 from neurobench.chip import nominal_config, chip_bench
 from neurobench.topsdown import IncomputableError, run_workload_on_chip, topsdown_element
 
@@ -80,10 +84,40 @@ def tops_down(registry) -> dict:
     return payload
 
 
+CLI_COMMANDS = (
+    "bench element --tech ANNDCSRAM",
+    "bench network --kind ONN",
+    "bench chip --nominal --tech SpiDCSRAM",
+    "bench workload --name mnist_mlp --tech ANNDCSRAM",
+    "bench workload --name mnist_mlp --tech ANNDCSRAM --schedule parallel",
+    "bench workload --name mnist_mlp --tech ANNDCSRAM --schedule tmux",
+    "topsdown --chip SpiNNaker --backfill",
+    "topsdown --chip Loihi --workload speech_mlp",
+    "devices list",
+    "--precision 3 bench chip --nominal --tech ANNDCSRAM",
+)
+
+
+def cli_stdout() -> dict:
+    payload = {}
+    for command in CLI_COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(command.split())
+        if code != 0:
+            raise SystemExit(f"neurobench {command} exited {code}")
+        payload[command] = buf.getvalue()
+    return payload
+
+
 def main():
     registry = load_datasets()
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for filename, payload in (("golden.json", bottoms_up(registry)), ("topsdown.json", tops_down(registry))):
+    for filename, payload in (
+        ("golden.json", bottoms_up(registry)),
+        ("topsdown.json", tops_down(registry)),
+        ("cli.json", cli_stdout()),
+    ):
         out = GOLDEN_DIR / filename
         out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out}")

@@ -18,7 +18,6 @@ _EXPORTS = {
     "nominal_config": "chip",
     "ElementBench": "interconnect",
     "NetworkElementBench": "networks",
-    "network_element": "networks",
     "ChipRecord": "registry",
     "DatasetError": "registry",
     "DeviceRecord": "registry",

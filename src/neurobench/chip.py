@@ -50,12 +50,11 @@ class ChipBench:
         return self.syn_throughput * units.PS_PER_S
 
 
-def nominal_config(constants: GlobalConstants, *, activity: float = 1.0, spiking: bool = False) -> ChipConfig:
+def nominal_config(constants: GlobalConstants, *, spiking: bool = False) -> ChipConfig:
     return ChipConfig(
         cores=constants.nominal_cores,
         neurons_per_core=constants.nominal_neurons_per_core,
         synapses_per_neuron=constants.nominal_synapses_per_neuron,
-        activity=activity,
         spiking=spiking,
     )
 

@@ -32,7 +32,6 @@ class SenseAmpBench:
 @dataclass(frozen=True)
 class VoltageSenseAmpBench:
     area: float  # nm^2
-    precharge_resistance: float  # Ohm
     sense_cap: float  # F
     bitline_cap: float  # F
     delay: float  # ps
@@ -53,7 +52,6 @@ class OtaCellBench:
     cell_cap: float  # F
     subthreshold_swing: float  # V/decade
     bias_current: float  # A
-    ota_transconductance: float  # S
     output_conductance: float  # S
     effective_resistance: float  # Ohm
     opamp_current: float  # A
@@ -109,9 +107,7 @@ def voltage_sense_amp(
     settle = 2.3 * r_pch * c_si + constants.vsa_sense_voltage * (c_si + c_li) / drive
     delay = units.seconds_to_ps(settle) + 2.0 * constants.synapse_bits * primitives.add1.delay
     energy = units.cap_voltage_energy_aj(c_si, constants.supply_voltage)
-    return VoltageSenseAmpBench(
-        area=area, precharge_resistance=r_pch, sense_cap=c_si, bitline_cap=c_li, delay=delay, energy=energy
-    )
+    return VoltageSenseAmpBench(area=area, sense_cap=c_si, bitline_cap=c_li, delay=delay, energy=energy)
 
 
 def analog_read(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> AnalogReadBench:
@@ -158,7 +154,6 @@ def ota_cell(constants: GlobalConstants, transistor: TransistorParams | None = N
         cell_cap=cell_cap,
         subthreshold_swing=swing,
         bias_current=bias,
-        ota_transconductance=g_m_ota,
         output_conductance=g_out,
         effective_resistance=r_eff,
         opamp_current=i_opamp,

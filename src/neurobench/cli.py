@@ -2,15 +2,17 @@
 
 Subcommands: devices list, bench element/network/chip/workload, topsdown,
 export. Exit status 0 on success, 1 on data errors (single-line diagnostic
-on stderr), 2 on usage errors. NEUROBENCH_DATA_DIR or --data-dir overrides
-the packaged datasets. Only the dataset layer is imported up front; each
-subcommand imports the model layers it runs.
+on stderr) or a closed stdout (nothing on stderr), 2 on usage errors.
+NEUROBENCH_DATA_DIR or --data-dir overrides the packaged datasets. Only the
+dataset layer is imported up front; each subcommand imports the model layers
+it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -68,10 +70,25 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("export", help="write datasets derived from the model")
     exp.add_argument("--what", required=True, choices=["matrix", "scatter", "pareto"])
     exp.add_argument("--out", required=True, type=Path)
-    exp.add_argument("--scope", default="elements", choices=["elements", "workload", "chips"])
+    exp.add_argument("--scope", default=None, choices=["elements", "workload", "chips"])
     exp.add_argument("--scatter-kind", default="neuron", choices=["synapse", "neuron", "workload", "power"])
     exp.add_argument("--workload", default=None)
     return parser
+
+
+def _check_export(parser: argparse.ArgumentParser, args) -> None:
+    """Usage errors argparse cannot express: --scope belongs to the matrix
+    (default elements), and the workload scope and the workload and power
+    scatters need --workload."""
+    if args.what == "matrix":
+        args.scope = args.scope or "elements"
+        needs, option = args.scope == "workload", f"--scope {args.scope}"
+    elif args.scope is not None:
+        parser.error(f"export: --scope applies only to --what matrix, not {args.what}")
+    else:
+        needs, option = args.scatter_kind in ("workload", "power"), f"--scatter-kind {args.scatter_kind}"
+    if needs and args.workload is None:
+        parser.error(f"export: {option} requires --workload")
 
 
 def _chip_config(path: Path):
@@ -190,6 +207,8 @@ def _cmd_export(args, registry: Registry) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "export":
+        _check_export(parser, args)
     try:
         registry = load_datasets(args.data_dir)
         if args.command == "devices":
@@ -200,6 +219,12 @@ def main(argv=None) -> int:
             _cmd_topsdown(args, registry)
         elif args.command == "export":
             _cmd_export(args, registry)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away (`| head`): the signal module's SIGPIPE note.
+        # Point stdout at devnull so that the exit-time flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DatasetError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

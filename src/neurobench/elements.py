@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import units
 from .ade import AdeTriple
@@ -34,7 +33,6 @@ class RawElementBench:
     synapse: AdeTriple
     neuron: AdeTriple
     family: str
-    technology: Optional[Technology] = None
 
 
 def _digital_neuron(constants: GlobalConstants, p: CircuitPrimitiveTable) -> AdeTriple:
@@ -193,8 +191,7 @@ def build_raw_element(tech: Technology, registry: Registry) -> RawElementBench:
         builder = _BUILDERS[tech.family]
     except KeyError:
         raise ValidationError(f"technology {tech.label}: unknown element family {tech.family!r}") from None
-    bench = builder(tech, registry)
-    return RawElementBench(synapse=bench.synapse, neuron=bench.neuron, family=bench.family, technology=tech)
+    return builder(tech, registry)
 
 
 def element_r_eff(tech: Technology, registry: Registry) -> float:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ade import AdeTriple
-from .elements import RawElementBench, build_raw_element
-from .registry import DeviceRecord, GlobalConstants, Registry, Technology
+from .elements import RawElementBench
+from .registry import GlobalConstants, Registry, Technology
 
 
 @dataclass(frozen=True)
@@ -21,20 +21,8 @@ class NetworkElementBench:
     synapse: AdeTriple
     neuron: AdeTriple
     network_kind: str
-    coding: Optional[str] = None  # SNN only: rate | temporal
-    oscillator_class: Optional[str] = None  # ONN only
     osc_frequency: Optional[float] = None  # 1/ps, ONN only
     osc_power: Optional[float] = None  # aJ/ps, ONN only
-
-    def __post_init__(self):
-        if self.network_kind == "SNN" and self.coding not in ("rate", "temporal"):
-            raise ValueError("SNN bench requires coding 'rate' or 'temporal'")
-        if self.network_kind == "ONN" and self.oscillator_class is None:
-            raise ValueError("ONN bench requires an oscillator class")
-        if self.network_kind not in ("SNN",) and self.coding is not None:
-            raise ValueError(f"{self.network_kind} bench must not carry a coding")
-        if self.network_kind != "ONN" and self.oscillator_class is not None:
-            raise ValueError(f"{self.network_kind} bench must not carry oscillator fields")
 
 
 def ann_transform(raw: RawElementBench) -> NetworkElementBench:
@@ -66,7 +54,6 @@ def snn_transform(raw: RawElementBench, constants: GlobalConstants, coding: str 
         synapse=raw.synapse.scaled(delay=n_spi * n_spa, energy=n_spi),
         neuron=raw.neuron.scaled(delay=n_spi * n_spa * n_fire, energy=neuron_energy_factor),
         network_kind="SNN",
-        coding=coding,
     )
 
 
@@ -109,7 +96,6 @@ def onn_transform(
         synapse=AdeTriple(10.0 * raw.synapse.area, sync_delay, sync_energy),
         neuron=AdeTriple(30.0 * raw.neuron.area, sync_delay, sync_energy),
         network_kind="ONN",
-        oscillator_class=osc_class,
         osc_frequency=f_osc,
         osc_power=p_osc,
     )
@@ -140,8 +126,3 @@ def network_transform(raw: RawElementBench, tech: Technology, registry: Registry
             device_intrinsics=intrinsics,
         )
     raise ValueError(f"unknown network kind {kind!r}")
-
-
-def network_element(tech: Technology, registry: Registry) -> NetworkElementBench:
-    """Raw element plus network transform for one technology label."""
-    return network_transform(build_raw_element(tech, registry), tech, registry)

@@ -249,7 +249,6 @@ class LayerSpec:
 class WorkloadSpec:
     name: str
     layers: tuple[LayerSpec, ...]
-    note: str = ""
 
 
 T = TypeVar("T")
@@ -671,8 +670,7 @@ def _load_workloads(path: Path) -> dict[str, WorkloadSpec]:
                 if kw["padding"] == "valid" and kw["kernel"] > min(kw["image_w"], kw["image_h"]):
                     raise ValidationError(f"{name}: {rec}.kernel: exceeds image dimensions under valid padding")
             layers.append(LayerSpec(kind=kind, **kw))
-        spec = WorkloadSpec(name=wname, layers=tuple(layers), note=_value(row, "note", str, name, wname, default=""))
-        _insert(specs, wname, spec, name, "workload")
+        _insert(specs, wname, WorkloadSpec(name=wname, layers=tuple(layers)), name, "workload")
     return specs
 
 

@@ -122,26 +122,14 @@ def emit_matrix(
     *,
     workload: Optional[str] = None,
     network_kind: Optional[str] = None,
-    labels: Optional[list[str]] = None,
     precision: int = 6,
     fmt: str = "csv",
 ) -> str:
-    """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'.
-
-    `labels`, when given, keeps only the listed technologies (an empty list
-    yields a header-only document).
-    """
-
-    def selected(kind):
-        techs = registry.enumerate_technologies(kind)
-        if labels is None:
-            return techs
-        return [t for t in techs if t.label in labels]
-
+    """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'."""
     if scope == "elements":
         header = MATRIX_HEADER
         rows = []
-        for tech in selected(network_kind):
+        for tech in registry.enumerate_technologies(network_kind):
             cols = matrix_columns(bench_technology(tech, registry))
             rows.append((tech.label, *(_fmt(c, precision) for c in cols)))
     elif scope == "workload":
@@ -150,7 +138,7 @@ def emit_matrix(
         registry.workload(workload)  # raise early on unknown names
         header = ("technology", "area_nm2", "delay_ps", "energy_aJ", "power_W", "inferences_per_s", "schedule")
         rows = []
-        for tech in selected(network_kind):
+        for tech in registry.enumerate_technologies(network_kind):
             b = bench_workload(workload, tech, registry)
             rows.append(
                 (

@@ -35,7 +35,6 @@ class TopsDownElement:
     synapse_delay: float  # ps
     synapse_energy: float  # aJ
     neuron_energy: float  # aJ
-    source: ChipRecord
 
     def as_element_bench(self) -> ElementBench:
         """Element bench with empty interconnect triples; published totals
@@ -94,7 +93,6 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
         synapse_delay=tau_syn,
         synapse_energy=e_syn,
         neuron_energy=e_syn * activity * chip.synapses_per_neuron,
-        source=chip,
     )
 
 

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import neurobench
 from neurobench.cli import main
+
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -117,6 +124,49 @@ def test_export_pareto(capsys, tmp_path):
     code, _, _ = run(capsys, "export", "--what", "pareto", "--out", str(out_path), "--scatter-kind", "neuron")
     assert code == 0
     assert out_path.read_text().startswith("label,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--what", "matrix", "--scope", "workload"),
+        ("--what", "scatter", "--scatter-kind", "power"),
+        ("--what", "pareto", "--scatter-kind", "workload"),
+        ("--what", "scatter", "--scope", "chips"),
+        ("--what", "pareto", "--scope", "elements", "--scatter-kind", "neuron"),
+    ],
+)
+def test_export_usage_error(capsys, tmp_path, argv):
+    out_path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["export", *argv, "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert not out_path.exists()
+    assert "export: --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k not in ("NEUROBENCH_DATA_DIR", "PYTHONUNBUFFERED")}
+    src = str(Path(neurobench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurobench.cli", "bench", "network", "--kind", "ANN"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
+def test_cli_stdout_matches_golden(capsys, command):
+    assert run(capsys, *command.split()) == (0, GOLDEN_CLI[command], "")
 
 
 def test_unknown_technology_is_data_error(capsys):

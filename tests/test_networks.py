@@ -7,7 +7,7 @@ from neurobench.elements import RawElementBench, build_raw_element
 from neurobench.networks import (
     ann_transform,
     cnn_transform,
-    network_element,
+    network_transform,
     onn_transform,
     snn_transform,
 )
@@ -112,16 +112,16 @@ def shared_combos(registry, kind_a, kind_b):
 
 def test_cnn_area_ratios_across_dataset(registry, constants):
     for ann_t, cnn_t in shared_combos(registry, "ANN", "CNN"):
-        ann = network_element(ann_t, registry)
-        cnn = network_element(cnn_t, registry)
+        ann = network_transform(build_raw_element(ann_t, registry), ann_t, registry)
+        cnn = network_transform(build_raw_element(cnn_t, registry), cnn_t, registry)
         assert cnn.synapse.area / ann.synapse.area == pytest.approx(constants.cnn_synapse_factor)
         assert cnn.neuron.area == ann.neuron.area
 
 
 def test_snn_areas_equal_ann_across_dataset(registry):
     for ann_t, snn_t in shared_combos(registry, "ANN", "SNN"):
-        ann = network_element(ann_t, registry)
-        snn = network_element(snn_t, registry)
+        ann = network_transform(build_raw_element(ann_t, registry), ann_t, registry)
+        snn = network_transform(build_raw_element(snn_t, registry), snn_t, registry)
         assert snn.synapse.area == ann.synapse.area
         assert snn.neuron.area == ann.neuron.area
 
@@ -132,15 +132,15 @@ def test_onn_ratios_against_analog_counterparts(registry):
         counterpart = ann.get(osc.combo)
         if counterpart is None or osc.synapse_device != counterpart.synapse_device:
             continue  # oscillator has no matching analog row
-        base = network_element(counterpart, registry)
-        out = network_element(osc, registry)
+        base = network_transform(build_raw_element(counterpart, registry), counterpart, registry)
+        out = network_transform(build_raw_element(osc, registry), osc, registry)
         assert out.synapse.area / base.synapse.area == pytest.approx(10.0)
         assert out.neuron.area / base.neuron.area == pytest.approx(30.0)
 
 
 def test_onn_timing_equalities_across_dataset(registry):
     for tech in registry.enumerate_technologies("ONN"):
-        out = network_element(tech, registry)
+        out = network_transform(build_raw_element(tech, registry), tech, registry)
         assert out.neuron.delay == out.synapse.delay
         assert out.neuron.energy == out.synapse.energy
         assert out.osc_frequency > 0 and out.osc_power > 0

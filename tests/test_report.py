@@ -83,11 +83,6 @@ def test_matrix_deterministic(registry):
     assert report.emit_matrix(registry, "elements") == report.emit_matrix(registry, "elements")
 
 
-def test_matrix_empty_filter_is_header_only(registry):
-    text = report.emit_matrix(registry, "elements", labels=[])
-    assert text == ",".join(MATRIX_HEADER) + "\n"
-
-
 def test_matrix_csv_round_trips(registry):
     text = report.emit_matrix(registry, "elements")
     parsed = list(csv.DictReader(io.StringIO(text)))
