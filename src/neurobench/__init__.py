@@ -17,7 +17,6 @@ _EXPORTS = {
     "chip_bench": "chip",
     "nominal_config": "chip",
     "ElementBench": "interconnect",
-    "NetworkElementBench": "networks",
     "ChipRecord": "registry",
     "DatasetError": "registry",
     "DeviceRecord": "registry",

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import units
-from .interconnect import ChipGeometry, ElementBench
+from .interconnect import ElementBench
 from .registry import Fraction, GlobalConstants
 
 
@@ -63,15 +63,6 @@ def chip_area(cfg: ChipConfig, a_neu: float, a_syn: float, constants: GlobalCons
     """Layout-overhead-corrected chip area, nm^2."""
     per_neuron = constants.neuron_overhead * a_neu + cfg.synapses_per_neuron * constants.synapse_overhead * a_syn
     return constants.chip_overhead * cfg.cores * (constants.core_overhead * cfg.neurons_per_core * per_neuron)
-
-
-def chip_geometry(cfg: ChipConfig, a_neu: float, a_syn: float, constants: GlobalConstants) -> ChipGeometry:
-    """Block areas that set the interconnect lengths: the core's synapse block
-    and the whole chip."""
-    return ChipGeometry(
-        synapse_block_area=a_syn * cfg.neurons_per_core * cfg.synapses_per_neuron,
-        chip_area=chip_area(cfg, a_neu, a_syn, constants),
-    )
 
 
 def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:

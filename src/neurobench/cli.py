@@ -71,24 +71,30 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--what", required=True, choices=["matrix", "scatter", "pareto"])
     exp.add_argument("--out", required=True, type=Path)
     exp.add_argument("--scope", default=None, choices=["elements", "workload", "chips"])
-    exp.add_argument("--scatter-kind", default="neuron", choices=["synapse", "neuron", "workload", "power"])
+    exp.add_argument("--scatter-kind", default=None, choices=["synapse", "neuron", "workload", "power"])
     exp.add_argument("--workload", default=None)
     return parser
 
 
 def _check_export(parser: argparse.ArgumentParser, args) -> None:
     """Usage errors argparse cannot express: --scope belongs to the matrix
-    (default elements), and the workload scope and the workload and power
-    scatters need --workload."""
+    (default elements) and --scatter-kind to scatter and pareto (default
+    neuron); --workload is required by, and allowed only with, the workload
+    scope and the workload and power scatters."""
     if args.what == "matrix":
+        if args.scatter_kind is not None:
+            parser.error("export: --scatter-kind applies only to --what scatter or pareto, not matrix")
         args.scope = args.scope or "elements"
         needs, option = args.scope == "workload", f"--scope {args.scope}"
     elif args.scope is not None:
         parser.error(f"export: --scope applies only to --what matrix, not {args.what}")
     else:
+        args.scatter_kind = args.scatter_kind or "neuron"
         needs, option = args.scatter_kind in ("workload", "power"), f"--scatter-kind {args.scatter_kind}"
     if needs and args.workload is None:
         parser.error(f"export: {option} requires --workload")
+    if not needs and args.workload is not None:
+        parser.error(f"export: --workload does not apply to {option}")
 
 
 def _chip_config(path: Path):
@@ -166,21 +172,25 @@ def _cmd_topsdown(args, registry: Registry) -> None:
 
     p = args.precision
     chip = registry.chip(args.chip)
+    # every figure is computed before the first line is printed, so a data
+    # error leaves stdout empty
+    result = None
     if args.backfill:
         result = backfill_derived(chip)
-        for field_name, identity in sorted(result.filled.items()):
-            print(f"filled {field_name} = {getattr(result.chip, field_name):.{p}g} from {identity}")
-        for identity, residual in sorted(result.residuals.items()):
-            print(f"residual of {identity}: {residual * 100:.2f}%")
         chip = result.chip
     element = topsdown_element(chip, registry)
+    bench = run_workload_on_chip(chip, registry.workload(args.workload), registry) if args.workload else None
+    if result is not None:
+        for field_name, identity in sorted(result.filled.items()):
+            print(f"filled {field_name} = {getattr(chip, field_name):.{p}g} from {identity}")
+        for identity, residual in sorted(result.residuals.items()):
+            print(f"residual of {identity}: {residual * 100:.2f}%")
     print(f"synapse_area_nm2: {element.synapse_area:.{p}g}")
     print(f"neuron_area_nm2: {element.neuron_area:.{p}g}")
     print(f"synapse_delay_ps: {element.synapse_delay:.{p}g}")
     print(f"synapse_energy_aJ: {element.synapse_energy:.{p}g}")
     print(f"neuron_energy_aJ: {element.neuron_energy:.{p}g}")
-    if args.workload:
-        bench = run_workload_on_chip(chip, registry.workload(args.workload), registry)
+    if bench is not None:
         print(f"workload {args.workload}:")
         print(f"  area_nm2: {bench.area:.{p}g}")
         print(f"  delay_ps: {bench.delay:.{p}g}")

@@ -7,17 +7,18 @@ reading circuit from `circuits` is attached to the neuron: sense amp for
 SRAM, voltage sense amp for digital resistive, pulsed read for analog
 resistive. Per-bit reading circuits contribute area and energy once per
 stored bit; their delay is the word-parallel read latency and is added once
-(the enable terms already scale with the bit count).
+(the enable terms already scale with the bit count). Every builder returns
+an `ElementBench` whose interconnect triples are still zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import units
 from .ade import AdeTriple
 from .circuits import analog_read, ota_cell, sense_amp, voltage_sense_amp
+from .interconnect import ElementBench
 from .registry import (
     CircuitPrimitiveTable,
     DeviceRecord,
@@ -26,13 +27,6 @@ from .registry import (
     Technology,
     ValidationError,
 )
-
-
-@dataclass(frozen=True)
-class RawElementBench:
-    synapse: AdeTriple
-    neuron: AdeTriple
-    family: str
 
 
 def _digital_neuron(constants: GlobalConstants, p: CircuitPrimitiveTable) -> AdeTriple:
@@ -45,7 +39,7 @@ def _digital_neuron(constants: GlobalConstants, p: CircuitPrimitiveTable) -> Ade
     )
 
 
-def digital_sram_element(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> RawElementBench:
+def digital_sram_element(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> ElementBench:
     """Synapse of n_b register bits; digital neuron read through per-bit sense amps."""
     n_b = constants.synapse_bits
     if n_b < 1:
@@ -58,10 +52,10 @@ def digital_sram_element(constants: GlobalConstants, primitives: CircuitPrimitiv
     )
     sa = sense_amp(constants, primitives)
     neuron = _digital_neuron(constants, p) + AdeTriple(n_b * sa.area, sa.delay, n_b * sa.energy)
-    return RawElementBench(synapse=synapse, neuron=neuron, family="digital_sram")
+    return ElementBench(synapse=synapse, neuron=neuron)
 
 
-def digital_mac_element(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> RawElementBench:
+def digital_mac_element(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> ElementBench:
     """Multiplier-and-adder synapse; the neuron sums partials into a small RAM.
 
     The adder energy carries a carry-save credit of 1/2 (applied to the adder
@@ -79,14 +73,14 @@ def digital_mac_element(constants: GlobalConstants, primitives: CircuitPrimitive
         delay=p.add.delay + 2 * p.se.delay + p.ram.delay,
         energy=p.add.energy + 2 * p.se.energy + n_b * p.ram.energy,
     )
-    return RawElementBench(synapse=synapse, neuron=neuron, family="digital_mac")
+    return ElementBench(synapse=synapse, neuron=neuron)
 
 
 def analog_transistor_element(
     constants: GlobalConstants,
     primitives: CircuitPrimitiveTable,
     transistor_family: str = "cmos",
-) -> RawElementBench:
+) -> ElementBench:
     """Two-OTA synapse and opamp neuron; standard-cell area approximated as
     fan-out-4 inverters."""
     transistor = constants.transistors.get(transistor_family)
@@ -101,10 +95,10 @@ def analog_transistor_element(
     p_neu = units.watts_to_aj_per_ps(v_cc * (cell.opamp_current + cell.ota_current))
     synapse = AdeTriple(area=2.0 * primitives.inv4.area * width_ratio, delay=settle, energy=p_syn * settle)
     neuron = AdeTriple(area=3.0 * primitives.inv4.area * width_ratio, delay=settle, energy=p_neu * settle)
-    return RawElementBench(synapse=synapse, neuron=neuron, family="analog_transistor")
+    return ElementBench(synapse=synapse, neuron=neuron)
 
 
-def analog_single_device_element(device: DeviceRecord, constants: GlobalConstants) -> RawElementBench:
+def analog_single_device_element(device: DeviceRecord, constants: GlobalConstants) -> ElementBench:
     """Synapse and neuron each built from one switching device, sized up by the
     number of analog levels."""
     n_l = constants.synapse_levels
@@ -114,7 +108,7 @@ def analog_single_device_element(device: DeviceRecord, constants: GlobalConstant
         delay=n_l * device.delay_int / 4.0,
         energy=n_l * device.energy_int,
     )
-    return RawElementBench(synapse=synapse, neuron=neuron, family="analog_single_device")
+    return ElementBench(synapse=synapse, neuron=neuron)
 
 
 def synapse_effective_resistance(device: DeviceRecord, constants: GlobalConstants) -> float:
@@ -129,7 +123,7 @@ def resistive_synapse(
     constants: GlobalConstants,
     mode: str,
     primitives: CircuitPrimitiveTable,
-) -> RawElementBench:
+) -> ElementBench:
     """Resistive-memory synapse; `mode` picks the read path and companion neuron.
 
     digital: digital-CMOS neuron read through the voltage sense amp.
@@ -154,13 +148,11 @@ def resistive_synapse(
             constants, primitives, device.r_on, device.r_off, constants.nominal_synapses_per_neuron
         )
         neuron = _digital_neuron(constants, primitives) + AdeTriple(n_b * vsa.area, vsa.delay, n_b * vsa.energy)
-        family = "resistive_digital"
     else:
         base = analog_transistor_element(constants, primitives, "cmos")
         reader = analog_read(constants, primitives)
         neuron = base.neuron + AdeTriple(reader.area, reader.delay, reader.energy)
-        family = "resistive_analog"
-    return RawElementBench(synapse=synapse, neuron=neuron, family=family)
+    return ElementBench(synapse=synapse, neuron=neuron)
 
 
 _BUILDERS = {
@@ -185,7 +177,7 @@ _BUILDERS = {
 }
 
 
-def build_raw_element(tech: Technology, registry: Registry) -> RawElementBench:
+def build_raw_element(tech: Technology, registry: Registry) -> ElementBench:
     """Family dispatch: every technology label maps to exactly one builder."""
     try:
         builder = _BUILDERS[tech.family]

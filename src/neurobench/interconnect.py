@@ -19,29 +19,22 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from . import units
-from .ade import AdeTriple
+from .ade import ZERO, AdeTriple
 
 if TYPE_CHECKING:  # used in annotations only
-    from .networks import NetworkElementBench
     from .registry import GlobalConstants, Technology
 
 
 @dataclass(frozen=True)
-class ChipGeometry:
-    """Block areas that set interconnect lengths, nm^2."""
-
-    synapse_block_area: float
-    chip_area: float
-
-
-@dataclass(frozen=True)
 class ElementBench:
-    """Full 12-column benchmark row: element triples plus their interconnects."""
+    """Synapse and neuron triples plus their interconnects: the 12-column
+    benchmark row. Before `assemble_row` attaches the wiring, both
+    interconnect triples are ZERO."""
 
     synapse: AdeTriple
-    core_ic: AdeTriple
     neuron: AdeTriple
-    chip_ic: AdeTriple
+    core_ic: AdeTriple = ZERO
+    chip_ic: AdeTriple = ZERO
     technology: Optional[Technology] = None
 
     @cached_property
@@ -101,8 +94,9 @@ def chip_ic_delay(length: float, i_neu: float, voltage: float, constants: Global
 
 
 def assemble_row(
-    net: NetworkElementBench,
-    chip_geom: ChipGeometry,
+    net: ElementBench,
+    synapse_block_area: float,
+    chip_area: float,
     constants: GlobalConstants,
     *,
     r_eff: float = 0.0,
@@ -112,11 +106,12 @@ def assemble_row(
 ) -> ElementBench:
     """Attach core and chip interconnect triples to a network element bench.
 
-    `ic_voltage` defaults to the supply voltage; spintronic technologies pass
-    their reduced interconnect swing here.
+    The core wire spans one core's synapse block and the chip wire the whole
+    chip (both areas nm^2). `ic_voltage` defaults to the supply voltage;
+    spintronic technologies pass their reduced interconnect swing here.
     """
     voltage = constants.supply_voltage if ic_voltage is None else ic_voltage
-    core_len, chip_len = ic_lengths(chip_geom.synapse_block_area, chip_geom.chip_area)
+    core_len, chip_len = ic_lengths(synapse_block_area, chip_area)
     core = AdeTriple(
         area=core_len * constants.wire_pitch,
         delay=core_ic_delay(core_len, r_eff, constants),

@@ -8,62 +8,47 @@ and SNN; areas are never changed by the SNN transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .ade import AdeTriple
-from .elements import RawElementBench
+from .interconnect import ElementBench
 from .registry import GlobalConstants, Registry, Technology
 
 
-@dataclass(frozen=True)
-class NetworkElementBench:
-    synapse: AdeTriple
-    neuron: AdeTriple
-    network_kind: str
-    osc_frequency: Optional[float] = None  # 1/ps, ONN only
-    osc_power: Optional[float] = None  # aJ/ps, ONN only
-
-
-def ann_transform(raw: RawElementBench) -> NetworkElementBench:
+def ann_transform(raw: ElementBench) -> ElementBench:
     """Identity: the element estimates are used directly."""
-    return NetworkElementBench(synapse=raw.synapse, neuron=raw.neuron, network_kind="ANN")
+    return raw
 
 
-def cnn_transform(raw: RawElementBench, constants: GlobalConstants) -> NetworkElementBench:
+def cnn_transform(raw: ElementBench, constants: GlobalConstants) -> ElementBench:
     """Cellular network: more synapses per cell and a longer settling time."""
     m_syn = constants.cnn_synapse_factor
     m_step = constants.cnn_settling_factor
-    return NetworkElementBench(
+    return ElementBench(
         synapse=raw.synapse.scaled(area=m_syn, delay=m_step * m_syn, energy=m_step * m_syn),
         neuron=raw.neuron.scaled(delay=m_step, energy=m_step),
-        network_kind="CNN",
     )
 
 
-def snn_transform(raw: RawElementBench, constants: GlobalConstants, coding: str = "rate") -> NetworkElementBench:
-    """Spiking network: spike duration and spacing stretch delays; the spike
-    count to fire scales the neuron. Areas are unchanged."""
-    if coding not in ("rate", "temporal"):
-        raise ValueError(f"unknown SNN coding {coding!r}")
+def snn_transform(raw: ElementBench, constants: GlobalConstants) -> ElementBench:
+    """Rate-coded spiking network: spike duration and spacing stretch delays;
+    the spike count to fire scales the neuron. Areas are unchanged."""
     n_spi = constants.spike_duration_factor
     n_spa = constants.spike_spacing_factor
     n_fire = constants.spikes_to_fire
-    neuron_energy_factor = n_spi * n_fire if coding == "rate" else n_spi
-    return NetworkElementBench(
+    return ElementBench(
         synapse=raw.synapse.scaled(delay=n_spi * n_spa, energy=n_spi),
-        neuron=raw.neuron.scaled(delay=n_spi * n_spa * n_fire, energy=neuron_energy_factor),
-        network_kind="SNN",
+        neuron=raw.neuron.scaled(delay=n_spi * n_spa * n_fire, energy=n_spi * n_fire),
     )
 
 
 def onn_transform(
-    raw: RawElementBench,
+    raw: ElementBench,
     constants: GlobalConstants,
     osc_class: str,
     inv4_delay: Optional[float] = None,
     device_intrinsics: Optional[AdeTriple] = None,
-) -> NetworkElementBench:
+) -> ElementBench:
     """Oscillator network: oscillators are built from many simple gates (10x
     synapse, 30x neuron area) and operate at the synchronization time.
 
@@ -92,16 +77,13 @@ def onn_transform(
 
     sync_delay = constants.sync_periods / f_osc  # ps
     sync_energy = p_osc * sync_delay  # aJ
-    return NetworkElementBench(
+    return ElementBench(
         synapse=AdeTriple(10.0 * raw.synapse.area, sync_delay, sync_energy),
         neuron=AdeTriple(30.0 * raw.neuron.area, sync_delay, sync_energy),
-        network_kind="ONN",
-        osc_frequency=f_osc,
-        osc_power=p_osc,
     )
 
 
-def network_transform(raw: RawElementBench, tech: Technology, registry: Registry) -> NetworkElementBench:
+def network_transform(raw: ElementBench, tech: Technology, registry: Registry) -> ElementBench:
     """Apply the transform that matches the technology's network kind."""
     kind = tech.network_kind
     if kind == "ANN":
@@ -109,7 +91,7 @@ def network_transform(raw: RawElementBench, tech: Technology, registry: Registry
     if kind == "CNN":
         return cnn_transform(raw, registry.constants)
     if kind == "SNN":
-        return snn_transform(raw, registry.constants, coding="rate")
+        return snn_transform(raw, registry.constants)
     if kind == "ONN":
         inv4_delay = registry.primitives[tech.primitive_family].inv4.delay
         intrinsics = None

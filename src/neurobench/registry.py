@@ -206,6 +206,10 @@ class Technology:
     neuron_drive_current: Optional[float] = None  # A, per-technology override
 
 
+# The chip fields that the two tops-down consistency identities solve for.
+DERIVABLE = ("syn_throughput", "fire_rate", "activity", "power", "energy_per_event")
+
+
 @dataclass(frozen=True)
 class ChipRecord:
     """Published spec of a fabricated chip, canonical units; absent fields stay None."""
@@ -222,7 +226,7 @@ class ChipRecord:
     fire_rate: Optional[float] = _scaled("fire_rate", default=None)  # 1/s
     activity: Optional[Fraction] = None
     clock: Optional[float] = _scaled("clock", default=None)  # Hz
-    derived_fields: tuple[str, ...] = ()
+    derived_fields: tuple[str, ...] = ()  # each one of DERIVABLE
 
     @property
     def total_synapses(self) -> int:
@@ -642,7 +646,7 @@ def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -
         cname = _value(row, "name", str, name, f"chips.{i}")
         record = ChipRecord(
             kind=kind,
-            derived_fields=tuple(_value(row, "derived", [str], name, cname, default=())),
+            derived_fields=tuple(_value(row, "derived", [DERIVABLE], name, cname, default=())),
             **_read(ChipRecord, row, name, cname, factors),
         )
         _insert(chips, cname, record, name, "chip")
@@ -659,8 +663,11 @@ def _load_workloads(path: Path) -> dict[str, WorkloadSpec]:
     specs = {}
     for i, row in enumerate(_value(doc, "workloads", [dict], name)):
         wname = _value(row, "name", str, name, f"workloads.{i}")
+        layer_rows = _value(row, "layers", [dict], name, wname)
+        if not layer_rows:
+            raise ValidationError(f"{name}: {wname}.layers: must list at least one layer")
         layers = []
-        for j, layer in enumerate(_value(row, "layers", [dict], name, wname)):
+        for j, layer in enumerate(layer_rows):
             rec = f"{wname}.layers[{j}]"
             kind = _value(layer, "kind", counts.keys(), name, rec)
             kw = {k: _value(layer, k, int, name, rec) for k in counts[kind]}

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .chip import ChipConfig, chip_geometry, nominal_config
+from .chip import ChipConfig, chip_area, nominal_config
 from .elements import build_raw_element, element_drive_current, element_r_eff
 from .interconnect import ElementBench, assemble_row
 from .networks import network_transform
@@ -59,10 +59,11 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
     net = network_transform(raw, tech, registry)
     if cfg is None:
         cfg = nominal_config(constants, spiking=tech.network_kind == "SNN")
-    geom = chip_geometry(cfg, net.neuron.area, net.synapse.area, constants)
+    a_syn = net.synapse.area
     return assemble_row(
         net,
-        geom,
+        a_syn * cfg.neurons_per_core * cfg.synapses_per_neuron,  # one core's synapse block
+        chip_area(cfg, net.neuron.area, a_syn, constants),
         constants,
         r_eff=element_r_eff(tech, registry),
         i_neu=element_drive_current(tech, registry),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import units
-from .ade import ZERO, AdeTriple
+from .ade import AdeTriple
 from .interconnect import ElementBench
 from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec
 from .workload import WorkloadBench, run_workload
@@ -41,9 +41,7 @@ class TopsDownElement:
         already include all wiring. The neuron is booked at one event time."""
         return ElementBench(
             synapse=AdeTriple(self.synapse_area, self.synapse_delay, self.synapse_energy),
-            core_ic=ZERO,
             neuron=AdeTriple(self.neuron_area, self.synapse_delay, self.neuron_energy),
-            chip_ic=ZERO,
         )
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import neurobench
+from conftest import rewrite_json
 from neurobench.cli import main
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
@@ -110,6 +111,13 @@ def test_topsdown_backfill(capsys):
     assert "filled activity" in out
 
 
+def test_topsdown_data_error_leaves_stdout_empty(capsys):
+    # the back-fill succeeds, then the element needs the unpublished area
+    assert run(capsys, "topsdown", "--chip", "Q4MobilEye", "--backfill") == (
+        1, "", "error: chip Q4MobilEye: area required but absent\n"
+    )
+
+
 def test_export_matrix(capsys, tmp_path):
     out_path = tmp_path / "matrix.csv"
     code, out, _ = run(capsys, "export", "--what", "matrix", "--out", str(out_path))
@@ -134,6 +142,14 @@ def test_export_pareto(capsys, tmp_path):
         ("--what", "pareto", "--scatter-kind", "workload"),
         ("--what", "scatter", "--scope", "chips"),
         ("--what", "pareto", "--scope", "elements", "--scatter-kind", "neuron"),
+        ("--what", "matrix", "--scatter-kind", "power", "--workload", "lenet"),
+        ("--what", "matrix", "--scatter-kind", "neuron"),
+        ("--what", "matrix", "--workload", "lenet"),
+        ("--what", "matrix", "--scope", "elements", "--workload", "lenet"),
+        ("--what", "matrix", "--scope", "chips", "--workload", "lenet"),
+        ("--what", "scatter", "--workload", "lenet"),
+        ("--what", "scatter", "--scatter-kind", "synapse", "--workload", "lenet"),
+        ("--what", "pareto", "--scatter-kind", "neuron", "--workload", "lenet"),
     ],
 )
 def test_export_usage_error(capsys, tmp_path, argv):
@@ -189,6 +205,66 @@ def test_precision_below_one_is_usage_error(capsys, precision, argv):
         main(["--precision", precision, *argv])
     assert exc.value.code == 2
     assert "--precision" in capsys.readouterr().err
+
+
+# subcommand -> a run that succeeds, (a run with an unknown name, its exit code), a run missing a required option
+_EXIT_TABLE = {
+    "devices": (("devices", "list"), (("devices", "frobnicate"), 2), ("devices",)),
+    "bench element": (
+        ("bench", "element", "--tech", "ANNDCSRAM"), (("bench", "element", "--tech", "NOLABEL"), 1), ("bench", "element"),
+    ),
+    "bench network": (
+        ("bench", "network", "--kind", "ONN"), (("bench", "network", "--kind", "XNN"), 2), ("bench", "network"),
+    ),
+    "bench chip": (
+        ("bench", "chip", "--nominal", "--tech", "SpiDCSRAM"),
+        (("bench", "chip", "--nominal", "--tech", "NOLABEL"), 1),
+        ("bench", "chip", "--tech", "SpiDCSRAM"),
+    ),
+    "bench workload": (
+        ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+        (("bench", "workload", "--name", "nowork", "--tech", "ANNDCSRAM"), 1),
+        ("bench", "workload", "--tech", "ANNDCSRAM"),
+    ),
+    "topsdown": (
+        ("topsdown", "--chip", "Loihi", "--workload", "speech_mlp"),
+        (("topsdown", "--chip", "Loihi", "--workload", "nowork"), 1),
+        ("topsdown", "--workload", "speech_mlp"),
+    ),
+    "export": (
+        ("export", "--what", "matrix", "--scope", "workload", "--workload", "lenet", "--out", "{out}"),
+        (("export", "--what", "matrix", "--scope", "workload", "--workload", "nowork", "--out", "{out}"), 1),
+        ("export", "--what", "matrix", "--scope", "workload", "--workload", "lenet"),
+    ),
+}
+_CONDITIONS = ("ok", "unknown name", "missing option", "bad --data-dir", "bad dataset value")
+
+
+@pytest.mark.parametrize("condition", _CONDITIONS)
+@pytest.mark.parametrize("subcommand", sorted(_EXIT_TABLE))
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, data_copy, subcommand, condition):
+    """Exit 0 and a quiet stderr on success, 1 and one stderr line on a data
+    error, 2 and argparse's usage and error lines on a usage error; nothing
+    on stdout and no export file unless the run succeeds."""
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps its usage line to the terminal width
+    ok, (unknown, unknown_code), missing = _EXIT_TABLE[subcommand]
+    rewrite_json(data_copy / "constants.json", lambda doc: doc.update(synapse_bits=2.7))
+    argv, expected = {
+        "ok": (ok, 0),
+        "unknown name": (unknown, unknown_code),
+        "missing option": (missing, 2),
+        "bad --data-dir": (("--data-dir", str(tmp_path / "nowhere"), *ok), 1),
+        "bad dataset value": (("--data-dir", str(data_copy), *ok), 1),
+    }[condition]
+    out_path = tmp_path / "x.csv"
+    try:
+        code = main([str(out_path) if a == "{out}" else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, err.count("\n")) == (expected, expected), err
+    if code:
+        assert out == "" and not out_path.exists()
 
 
 def test_data_dir_override(capsys, tmp_path):

@@ -6,23 +6,20 @@ from hypothesis import given, strategies as st
 from neurobench import load_datasets
 from neurobench.ade import AdeTriple
 from neurobench.interconnect import (
-    ChipGeometry,
+    ElementBench,
     assemble_row,
     chip_ic_delay,
     core_ic_delay,
     ic_energy,
     ic_lengths,
 )
-from neurobench.networks import NetworkElementBench
 
 MM = 1e6  # nm
 
 
 @pytest.fixture()
 def net():
-    return NetworkElementBench(
-        synapse=AdeTriple(100.0, 10.0, 5.0), neuron=AdeTriple(300.0, 20.0, 7.0), network_kind="ANN"
-    )
+    return ElementBench(synapse=AdeTriple(100.0, 10.0, 5.0), neuron=AdeTriple(300.0, 20.0, 7.0))
 
 
 def test_spike_energy_reference_point(constants):
@@ -101,7 +98,7 @@ def test_chip_delay_rejects_undriven_wire(constants):
 
 
 def test_assemble_row_zero_geometry_reduces_to_element(net, constants):
-    row = assemble_row(net, ChipGeometry(0.0, 0.0), constants, i_neu=1e-5)
+    row = assemble_row(net, 0.0, 0.0, constants, i_neu=1e-5)
     assert row.core_ic == AdeTriple(0.0, 0.0, 0.0)
     assert row.chip_ic == AdeTriple(0.0, 0.0, 0.0)
     assert row.synapse_total == net.synapse
@@ -109,16 +106,15 @@ def test_assemble_row_zero_geometry_reduces_to_element(net, constants):
 
 
 def test_assemble_row_spintronic_voltage(net, constants):
-    geom = ChipGeometry(1e8, 1e10)
-    full = assemble_row(net, geom, constants, i_neu=1e-5)
-    low = assemble_row(net, geom, constants, i_neu=1e-5, ic_voltage=0.1)
+    full = assemble_row(net, 1e8, 1e10, constants, i_neu=1e-5)
+    low = assemble_row(net, 1e8, 1e10, constants, i_neu=1e-5, ic_voltage=0.1)
     # energy scales with V^2: (0.8/0.1)^2 = 64
     assert full.chip_ic.energy / low.chip_ic.energy == pytest.approx(64.0)
     assert full.core_ic.energy / low.core_ic.energy == pytest.approx(64.0)
 
 
 def test_assemble_row_column_order(net, constants):
-    row = assemble_row(net, ChipGeometry(1e8, 1e10), constants, i_neu=1e-5)
+    row = assemble_row(net, 1e8, 1e10, constants, i_neu=1e-5)
     cols = row.columns()
     assert cols[0] == row.synapse.area and cols[1] == row.core_ic.area
     assert cols[2] == row.neuron.area and cols[3] == row.chip_ic.area

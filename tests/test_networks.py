@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from neurobench.ade import AdeTriple
-from neurobench.elements import RawElementBench, build_raw_element
+from neurobench.elements import build_raw_element
+from neurobench.interconnect import ElementBench
 from neurobench.networks import (
     ann_transform,
     cnn_transform,
@@ -15,10 +16,9 @@ from neurobench.networks import (
 
 @pytest.fixture()
 def raw():
-    return RawElementBench(
+    return ElementBench(
         synapse=AdeTriple(100.0, 10.0, 5.0),
         neuron=AdeTriple(300.0, 20.0, 7.0),
-        family="digital_sram",
     )
 
 
@@ -30,7 +30,7 @@ def test_ann_is_identity(raw):
 
 def test_ann_idempotent(raw):
     once = ann_transform(raw)
-    twice = ann_transform(RawElementBench(once.synapse, once.neuron, raw.family))
+    twice = ann_transform(ElementBench(synapse=once.synapse, neuron=once.neuron))
     assert twice.synapse == once.synapse and twice.neuron == once.neuron
 
 
@@ -58,15 +58,6 @@ def test_snn_leaves_areas_untouched(raw, constants):
     assert out.neuron.delay == pytest.approx(90 * raw.neuron.delay)
 
 
-def test_snn_rate_vs_temporal_differ_only_in_neuron_energy(raw, constants):
-    rate = snn_transform(raw, constants, "rate")
-    temporal = snn_transform(raw, constants, "temporal")
-    assert rate.synapse == temporal.synapse
-    assert rate.neuron.area == temporal.neuron.area
-    assert rate.neuron.delay == temporal.neuron.delay
-    assert rate.neuron.energy / temporal.neuron.energy == pytest.approx(constants.spikes_to_fire)
-
-
 def test_snn_unit_factors_are_identity(raw, constants):
     flat = replace(constants, spike_duration_factor=1.0, spike_spacing_factor=1.0, spikes_to_fire=1.0)
     out = snn_transform(raw, flat)
@@ -84,7 +75,6 @@ def test_onn_ring_frequency_arithmetic(raw, constants):
     out = onn_transform(
         raw, constants, "transistor_ring", inv4_delay=10.0, device_intrinsics=AdeTriple(1.0, 1.0, 1.0)
     )
-    assert out.osc_frequency == pytest.approx(0.01)
     assert out.synapse.delay == pytest.approx(3000.0)
 
 
@@ -143,4 +133,4 @@ def test_onn_timing_equalities_across_dataset(registry):
         out = network_transform(build_raw_element(tech, registry), tech, registry)
         assert out.neuron.delay == out.synapse.delay
         assert out.neuron.energy == out.synapse.energy
-        assert out.osc_frequency > 0 and out.osc_power > 0
+        assert out.synapse.delay > 0 and out.synapse.energy > 0

@@ -232,6 +232,14 @@ def _edit(doc, path, value):
         ("technologies.json", ("fan_in", "snn"), _DELETE, ("fan_in.snn",), ("devices", "list")),
         ("technologies.json", ("fan_in", "sequential"), _DELETE, ("fan_in.sequential",), ("devices", "list")),
         ("technologies.json", ("fan_in",), _DELETE, ("missing field fan_in",), ("devices", "list")),
+        (
+            "workloads.json", ("workloads", "lenet", "layers"), [], ("lenet.layers",),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "chips_neuromorphic.json", ("chips", "HICANN", "derived"), ["bogus"], ("HICANN.derived.0", "'bogus'"),
+            ("topsdown", "--chip", "HICANN", "--backfill"),
+        ),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):
