@@ -206,8 +206,12 @@ class Technology:
     neuron_drive_current: Optional[float] = None  # A, per-technology override
 
 
-# The chip fields that the two tops-down consistency identities solve for.
-DERIVABLE = ("syn_throughput", "fire_rate", "activity", "power", "energy_per_event")
+# Chip kind -> the fields that its tops-down consistency identities solve
+# for. Accelerators are clock-driven and have only the power identity.
+DERIVABLE = {
+    "neuromorphic": ("syn_throughput", "fire_rate", "activity", "power", "energy_per_event"),
+    "accelerator": ("power", "syn_throughput", "energy_per_event"),
+}
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ class ChipRecord:
     fire_rate: Optional[float] = _scaled("fire_rate", default=None)  # 1/s
     activity: Optional[Fraction] = None
     clock: Optional[float] = _scaled("clock", default=None)  # Hz
-    derived_fields: tuple[str, ...] = ()  # each one of DERIVABLE
+    derived_fields: tuple[str, ...] = ()  # each one of DERIVABLE[kind]
 
     @property
     def total_synapses(self) -> int:
@@ -646,7 +650,7 @@ def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -
         cname = _value(row, "name", str, name, f"chips.{i}")
         record = ChipRecord(
             kind=kind,
-            derived_fields=tuple(_value(row, "derived", [DERIVABLE], name, cname, default=())),
+            derived_fields=tuple(_value(row, "derived", [DERIVABLE[kind]], name, cname, default=())),
             **_read(ChipRecord, row, name, cname, factors),
         )
         _insert(chips, cname, record, name, "chip")

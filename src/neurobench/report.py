@@ -106,10 +106,6 @@ def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> li
     return [bench_technology(t, registry) for t in registry.enumerate_technologies(network_kind)]
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
-
-
 def _csv(rows: list[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -127,12 +123,13 @@ def emit_matrix(
     fmt: str = "csv",
 ) -> str:
     """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'."""
+    spec = f".{precision}g"
     if scope == "elements":
         header = MATRIX_HEADER
         rows = []
         for tech in registry.enumerate_technologies(network_kind):
             cols = matrix_columns(bench_technology(tech, registry))
-            rows.append((tech.label, *(_fmt(c, precision) for c in cols)))
+            rows.append((tech.label, *(format(c, spec) for c in cols)))
     elif scope == "workload":
         if workload is None:
             raise UnknownNameError("workload scope requires a workload name")
@@ -144,8 +141,8 @@ def emit_matrix(
             rows.append(
                 (
                     tech.label,
-                    _fmt(b.area, precision), _fmt(b.delay, precision), _fmt(b.energy, precision),
-                    _fmt(b.power_w, precision), _fmt(b.inferences_per_s, precision), b.schedule,
+                    format(b.area, spec), format(b.delay, spec), format(b.energy, spec),
+                    format(b.power_w, spec), format(b.inferences_per_s, spec), b.schedule,
                 )
             )
     elif scope == "chips":
@@ -163,9 +160,9 @@ def emit_matrix(
                 rows.append(
                     (
                         name, chip.kind,
-                        _fmt(e.synapse_area, precision), _fmt(e.neuron_area, precision),
-                        _fmt(e.synapse_delay, precision), _fmt(e.synapse_energy, precision),
-                        _fmt(e.neuron_energy, precision),
+                        format(e.synapse_area, spec), format(e.neuron_area, spec),
+                        format(e.synapse_delay, spec), format(e.synapse_energy, spec),
+                        format(e.neuron_energy, spec),
                     )
                 )
             except IncomputableError:
@@ -238,8 +235,9 @@ def pareto_front(points: list[ScatterPoint]) -> list[ScatterPoint]:
 
 
 def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
+    spec = f".{precision}g"
     rows = [("label", "x", "y", "series")]
-    rows += [(p.label, _fmt(p.x, precision), _fmt(p.y, precision), p.series) for p in points]
+    rows += [(p.label, format(p.x, spec), format(p.y, spec), p.series) for p in points]
     return _csv(rows)
 
 

@@ -68,8 +68,13 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     and runs one synaptic event every 1/(fire_rate * activity * s_neu); an
     accelerator splits only its compute fraction of the area, runs one MAC
     per clock and, unless the record quotes an activity, runs at full
-    activity.
+    activity. The element is computed once per registry and chip value; an
+    incomputable chip raises on every call.
     """
+    return registry.memoized(chip, lambda: _element(chip, registry))
+
+
+def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     p = registry.topsdown_params
     if chip.kind == "neuromorphic":
         budget = _require(chip, "area")
@@ -181,8 +186,13 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
 
     Accelerators run as ANN at the "sequential" fan-in; neuromorphic chips
     run with spiking semantics (activity decaying per stage) at the "snn"
-    fan-in.
+    fan-in. The result is computed once per registry, chip value and
+    workload value.
     """
+    return registry.memoized((chip, spec), lambda: _chip_workload(chip, spec, registry))
+
+
+def _chip_workload(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:
     elem = topsdown_element(chip, registry).as_element_bench()
     network_kind, fan_in_class = ("ANN", "sequential") if chip.kind == "accelerator" else ("SNN", "snn")
     return run_workload(

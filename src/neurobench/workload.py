@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import units
 
@@ -26,23 +26,15 @@ if TYPE_CHECKING:  # avoid runtime cycles; duck-typed at runtime
     from .registry import GlobalConstants, LayerSpec, WorkloadSpec
 
 
-@dataclass(frozen=True)
-class StageParams:
+class StageParams(NamedTuple):
     n_in: int
     n_out: int
     s_neu: int  # synapses per output neuron
     f_st: int  # feature maps = core copies
     r_a: float
 
-    def __post_init__(self):
-        if min(self.n_in, self.n_out, self.s_neu, self.f_st) < 1:
-            raise ValueError("stage counts must be >= 1")
-        if not (0.0 < self.r_a <= 1.0):
-            raise ValueError(f"activity ratio must be in (0, 1], got {self.r_a}")
 
-
-@dataclass(frozen=True)
-class StageBench:
+class StageBench(NamedTuple):
     area: float  # nm^2
     delay: float  # ps
     energy: float  # aJ
@@ -86,8 +78,8 @@ def stage_params(layer: LayerSpec, stage_index: int, network_kind: str) -> Stage
         raise ValueError("stage_index is 1-based")
     r_a = 1.0 / stage_index if network_kind == "SNN" else 1.0
     if layer.kind == "fully_connected":
-        return StageParams(n_in=layer.inputs, n_out=layer.outputs, s_neu=layer.inputs, f_st=1, r_a=r_a)
-    if layer.kind == "convolution":
+        stage = StageParams(n_in=layer.inputs, n_out=layer.outputs, s_neu=layer.inputs, f_st=1, r_a=r_a)
+    elif layer.kind == "convolution":
         if layer.padding == "valid":
             if layer.kernel > layer.image_w or layer.kernel > layer.image_h:
                 raise ValueError(
@@ -98,14 +90,20 @@ def stage_params(layer: LayerSpec, stage_index: int, network_kind: str) -> Stage
         else:  # same
             out_w = math.ceil(layer.image_w / layer.stride)
             out_h = math.ceil(layer.image_h / layer.stride)
-        return StageParams(
+        stage = StageParams(
             n_in=layer.image_w * layer.image_h * layer.in_channels,
             n_out=out_w * out_h,
             s_neu=layer.kernel * layer.kernel * layer.in_channels,
             f_st=layer.feature_maps,
             r_a=r_a,
         )
-    raise ValueError(f"unknown layer kind {layer.kind!r}")
+    else:
+        raise ValueError(f"unknown layer kind {layer.kind!r}")
+    if min(stage.n_in, stage.n_out, stage.s_neu, stage.f_st) < 1:
+        raise ValueError("stage counts must be >= 1")
+    if not (0.0 < stage.r_a <= 1.0):
+        raise ValueError(f"activity ratio must be in (0, 1], got {stage.r_a}")
+    return stage
 
 
 @lru_cache(maxsize=256)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from neurobench import load_datasets, report
+from neurobench import load_datasets, report, topsdown
 from neurobench.chip import nominal_config
 
 from conftest import rewrite_json
@@ -80,6 +80,80 @@ def test_each_row_is_built_once_per_registry(monkeypatch):
         report.emit_matrix(registry, "workload", workload=name)
     assert set(built) == {t.label for t in registry.technologies}
     assert set(built.values()) == {1}
+
+
+def test_second_topsdown_call_returns_the_identical_result():
+    registry = load_datasets()
+    chip, spec = registry.chip("Loihi"), registry.workload("speech_mlp")
+    element = topsdown.topsdown_element(chip, registry)
+    assert topsdown.topsdown_element(chip, registry) is element
+    bench = topsdown.run_workload_on_chip(chip, spec, registry)
+    assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
+    first_layer = replace(spec, layers=spec.layers[:1])
+    assert topsdown.run_workload_on_chip(chip, first_layer, registry).energy < bench.energy
+
+
+def test_replaced_registry_recomputes_topsdown_results():
+    registry = load_datasets()
+    chip, spec = registry.chip("Loihi"), registry.workload("speech_mlp")
+    bench = topsdown.run_workload_on_chip(chip, spec, registry)
+    c = registry.constants
+    scaled = replace(registry, constants=replace(c, core_overhead=2 * c.core_overhead))
+    assert scaled._memo == {}
+    assert topsdown.run_workload_on_chip(chip, spec, scaled).area != bench.area
+    assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
+
+
+def test_replaced_chip_gets_its_own_topsdown_element():
+    registry = load_datasets()
+    chip = registry.chip("TrueNorth")
+    element = topsdown.topsdown_element(chip, registry)
+    doubled = topsdown.topsdown_element(replace(chip, area=2 * chip.area), registry)
+    assert doubled.synapse_area == pytest.approx(2 * element.synapse_area)
+    assert doubled.neuron_area == pytest.approx(2 * element.neuron_area)
+    assert topsdown.topsdown_element(chip, registry) is element
+
+
+def test_each_topsdown_result_is_computed_once_per_registry(monkeypatch):
+    registry = load_datasets()
+    elements, benches = Counter(), Counter()
+    element, chip_workload = topsdown._element, topsdown._chip_workload
+
+    def counting_element(chip, reg):
+        elements[chip.name] += 1
+        return element(chip, reg)
+
+    def counting_chip_workload(chip, spec, reg):
+        benches[chip.name, spec.name] += 1
+        return chip_workload(chip, spec, reg)
+
+    monkeypatch.setattr(topsdown, "_element", counting_element)
+    monkeypatch.setattr(topsdown, "_chip_workload", counting_chip_workload)
+    report.emit_matrix(registry, "chips")
+    computable = []
+    for chip in registry.chips.values():
+        try:
+            topsdown.topsdown_element(chip, registry)
+        except topsdown.IncomputableError:
+            continue
+        computable.append(chip.name)
+        for spec in registry.workloads.values():
+            topsdown.run_workload_on_chip(chip, spec, registry)
+    report.speech_comparison(registry)
+    assert 0 < len(computable) < len(registry.chips)
+    assert [elements[name] for name in computable] == [1] * len(computable)
+    assert set(benches) == {(name, w) for name in computable for w in registry.workloads}
+    assert set(benches.values()) == {1}
+
+
+def test_incomputable_chip_raises_on_every_call():
+    registry = load_datasets()
+    chip = registry.chip("Parker")
+    for _ in range(2):
+        with pytest.raises(topsdown.IncomputableError, match="area required"):
+            topsdown.topsdown_element(chip, registry)
+        with pytest.raises(topsdown.IncomputableError, match="area required"):
+            topsdown.run_workload_on_chip(chip, registry.workload("lenet"), registry)
 
 
 @pytest.mark.parametrize("mapping", ["primitives", "devices", "chips", "workloads", "topsdown_params"])

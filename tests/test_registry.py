@@ -240,6 +240,10 @@ def _edit(doc, path, value):
             "chips_neuromorphic.json", ("chips", "HICANN", "derived"), ["bogus"], ("HICANN.derived.0", "'bogus'"),
             ("topsdown", "--chip", "HICANN", "--backfill"),
         ),
+        (
+            "chips_accelerators.json", ("chips", "Diannao", "derived"), ["fire_rate"], ("Diannao.derived.0", "'fire_rate'"),
+            ("topsdown", "--chip", "Diannao", "--backfill"),
+        ),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):
