@@ -8,15 +8,19 @@ change, then review the diff:
 
 It writes tests/golden/golden.json (bottom-up element rows, nominal chips and
 workloads), tests/golden/topsdown.json (the tops-down element of every chip,
-or the reason it is incomputable, and every workload on each computable chip)
-and tests/golden/cli.json (the exact stdout of a set of CLI commands, keyed by
-their space-joined argv).
+or the reason it is incomputable, and every workload on each computable chip),
+tests/golden/cli.json (the exact stdout of a set of CLI commands, keyed by
+their space-joined argv) and tests/golden/results.json (the text of every
+file scripts/run_benchmarks.py writes, keyed by file name).
 """
 
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
+
+from run_benchmarks import main as run_benchmarks
 
 from neurobench import load_datasets, report
 from neurobench.cli import main as cli_main
@@ -110,6 +114,12 @@ def cli_stdout() -> dict:
     return payload
 
 
+def results() -> dict:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        run_benchmarks(["--out", tmp])
+        return {path.name: path.read_text(encoding="utf-8") for path in sorted(Path(tmp).iterdir())}
+
+
 def main():
     registry = load_datasets()
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
@@ -117,6 +127,7 @@ def main():
         ("golden.json", bottoms_up(registry)),
         ("topsdown.json", tops_down(registry)),
         ("cli.json", cli_stdout()),
+        ("results.json", results()),
     ):
         out = GOLDEN_DIR / filename
         out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")

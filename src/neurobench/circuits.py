@@ -126,25 +126,22 @@ def analog_read(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -
     return AnalogReadBench(area=area, column_voltage=v_col, delay=delay, power=power, energy=energy)
 
 
-def ota_cell(constants: GlobalConstants, transistor: TransistorParams | None = None) -> OtaCellBench:
+def ota_cell(constants: GlobalConstants, transistor: TransistorParams) -> OtaCellBench:
     """Operating point of the two-OTA analog synapse cell.
 
     The effective resistance carries a factor 2 for OTA nonlinearity and
     another 2 for output stability; the bias current is the geometric mean
     of the on- and off-state currents.
     """
-    t = transistor if transistor is not None else constants.transistors["cmos"]
-    if t.on_current_per_width <= t.off_current_per_width:
-        raise CircuitDomainError(
-            f"OTA cell: on-current {t.on_current_per_width} A/m must exceed "
-            f"off-current {t.off_current_per_width} A/m"
-        )
+    i_on, i_off = transistor.on_current_per_width, transistor.off_current_per_width
+    if i_on <= i_off:
+        raise CircuitDomainError(f"OTA cell: on-current {i_on} A/m must exceed off-current {i_off} A/m")
     if constants.cnn_max_weight <= 0:
         raise CircuitDomainError("OTA cell: maximum weight must be positive")
     w = constants.ota_widths
     cell_cap = 4.0 * constants.transistor_cap_per_width * w.output * units.M_PER_NM
-    swing = t.saturation_voltage / math.log10(t.on_current_per_width / t.off_current_per_width)
-    bias = math.sqrt(t.on_current_per_width * t.off_current_per_width) * w.input * units.M_PER_NM
+    swing = transistor.saturation_voltage / math.log10(i_on / i_off)
+    bias = math.sqrt(i_on * i_off) * w.input * units.M_PER_NM
     g_m_ota = bias * math.log(10.0) / swing * (w.output / w.pullup)
     g_out = 2.0 * g_m_ota / constants.cnn_max_weight
     r_eff = 4.0 / g_out

@@ -79,7 +79,7 @@ def digital_mac_element(constants: GlobalConstants, primitives: CircuitPrimitive
 def analog_transistor_element(
     constants: GlobalConstants,
     primitives: CircuitPrimitiveTable,
-    transistor_family: str = "cmos",
+    transistor_family: str,
 ) -> ElementBench:
     """Two-OTA synapse and opamp neuron; standard-cell area approximated as
     fan-out-4 inverters."""

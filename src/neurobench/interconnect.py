@@ -22,7 +22,7 @@ from . import units
 from .ade import ZERO, AdeTriple
 
 if TYPE_CHECKING:  # used in annotations only
-    from .registry import GlobalConstants, Technology
+    from .registry import GlobalConstants
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class ElementBench:
     neuron: AdeTriple
     core_ic: AdeTriple = ZERO
     chip_ic: AdeTriple = ZERO
-    technology: Optional[Technology] = None
 
     @cached_property
     def synapse_total(self) -> AdeTriple:
@@ -102,7 +101,6 @@ def assemble_row(
     r_eff: float = 0.0,
     i_neu: float,
     ic_voltage: Optional[float] = None,
-    technology: Optional[Technology] = None,
 ) -> ElementBench:
     """Attach core and chip interconnect triples to a network element bench.
 
@@ -122,4 +120,4 @@ def assemble_row(
         delay=chip_ic_delay(chip_len, i_neu, voltage, constants),
         energy=ic_energy(chip_len, voltage, constants),
     )
-    return ElementBench(synapse=net.synapse, core_ic=core, neuron=net.neuron, chip_ic=chip, technology=technology)
+    return ElementBench(synapse=net.synapse, core_ic=core, neuron=net.neuron, chip_ic=chip)

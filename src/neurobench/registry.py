@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Optional, TypeVar
@@ -274,7 +274,7 @@ class Registry:
     constants: GlobalConstants
     primitives: Mapping[str, CircuitPrimitiveTable]
     devices: Mapping[str, DeviceRecord]
-    technologies: tuple[Technology, ...]
+    technologies: Mapping[str, Technology]  # label -> record, in table order
     chips: Mapping[str, ChipRecord]
     workloads: Mapping[str, WorkloadSpec]
     fan_in: Mapping[str, Optional[int]]  # fan-in class -> parallel fan-in; None = unlimited, 1 = sequential
@@ -294,35 +294,18 @@ class Registry:
         return _lookup(self.devices, name, "device")
 
     def technology(self, label: str) -> Technology:
-        for tech in self.technologies:
-            if tech.label == label:
-                return tech
-        raise UnknownNameError(f"unknown technology {label!r}")
+        return _lookup(self.technologies, label, "technology")
 
     def enumerate_technologies(self, network_kind: Optional[str] = None) -> list[Technology]:
         if network_kind is not None and network_kind not in NETWORK_KINDS:
             raise UnknownNameError(f"unknown network kind {network_kind!r}")
-        return [t for t in self.technologies if network_kind in (None, t.network_kind)]
+        return [t for t in self.technologies.values() if network_kind in (None, t.network_kind)]
 
     def chip(self, name: str) -> ChipRecord:
         return _lookup(self.chips, name, "chip")
 
     def workload(self, name: str) -> WorkloadSpec:
         return _lookup(self.workloads, name, "workload")
-
-    def canonical_json(self) -> str:
-        """Deterministic serialization of everything loaded (for regression/determinism checks)."""
-        payload = {
-            "constants": asdict(self.constants),
-            "primitives": {k: asdict(v) for k, v in sorted(self.primitives.items())},
-            "devices": {k: asdict(v) for k, v in sorted(self.devices.items())},
-            "technologies": [asdict(t) for t in self.technologies],
-            "chips": {k: asdict(v) for k, v in sorted(self.chips.items())},
-            "workloads": {k: asdict(v) for k, v in sorted(self.workloads.items())},
-            "fan_in": dict(sorted(self.fan_in.items())),
-            "topsdown": dict(sorted(self.topsdown_params.items())),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +565,7 @@ def _load_devices(path: Path) -> dict[str, DeviceRecord]:
     return devices
 
 
-def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tuple[Technology, ...], dict]:
+def _load_technologies(path: Path, constants, primitives, devices) -> tuple[dict[str, Technology], dict]:
     name = "technologies.json"
     doc = _read_json(path, name)
     _units(doc, name)
@@ -597,6 +580,14 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tupl
         "transistor_family": constants.transistors.keys(),
         "fan_in_class": limits.keys(),
     }
+    # a family built from the synapse device needs its record, a resistive one also its r_on/r_off
+    resistive = {d for d, record in devices.items() if record.r_on is not None}
+    device_of = {"analog_single_device": devices.keys(), "resistive_digital": resistive, "resistive_analog": resistive}
+
+    def device_checked(options: dict, record: str) -> dict:
+        if options["family"] in device_of:
+            _value(options, "synapse_device", device_of[options["family"]], name, record)
+        return options
 
     combos = {}
     for i, row in enumerate(_value(doc, "combos", [dict], name)):
@@ -604,21 +595,20 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tupl
         if _value(row, "neuron_code", str, name, code) + _value(row, "synapse_code", str, name, code) != code:
             raise ValidationError(f"{name}: {code}: label does not decompose into neuron+synapse codes")
         networks = _value(row, "networks", [NETWORK_KINDS[:3]], name, code)
-        _insert(combos, code, (_read(Technology, row, name, code, kinds=known), networks), name, "combo")
+        base = device_checked(_read(Technology, row, name, code, kinds=known), code)
+        _insert(combos, code, (base, networks), name, "combo")
 
     # Table order: all ANN rows, then CNN, then SNN (matching the reference
     # matrix grouping), then the oscillator column.
-    technologies = [
-        Technology(
-            label=NETWORK_PREFIX[kind] + code,
-            network_kind=kind,
-            combo=code,
-            **(base | {"fan_in_class": "snn"} if kind == "SNN" else base),  # spiking rows take the snn fan-in
-        )
-        for kind in NETWORK_KINDS[:3]
-        for code, (base, networks) in combos.items()
-        if kind in networks
-    ]
+    technologies: dict[str, Technology] = {}
+    for kind in NETWORK_KINDS[:3]:
+        for code, (base, networks) in combos.items():
+            if kind in networks:
+                label = NETWORK_PREFIX[kind] + code
+                # spiking rows take the snn fan-in
+                options = base | {"fan_in_class": "snn"} if kind == "SNN" else base
+                tech = Technology(label=label, network_kind=kind, combo=code, **options)
+                _insert(technologies, label, tech, name, "technology")
     for i, row in enumerate(_value(doc, "oscillators", [dict], name)):
         label = _value(row, "label", str, name, f"oscillators.{i}")
         code = _value(row, "base_combo", combos.keys(), name, label)
@@ -626,21 +616,16 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[tupl
         element_device = _value(row, "element_device", devices.keys(), name, label, default=None)
         if element_device is not None:
             inherited.update(neuron_device=element_device, synapse_device=element_device)
-        technologies.append(
-            Technology(
-                label=label,
-                network_kind="ONN",
-                combo=code,
-                osc_class=_value(row, "osc_class", ("transistor_ring", "spintronic", "piezo"), name, label),
-                osc_device=_value(row, "osc_device", devices.keys(), name, label, default=None),
-                **inherited,
-            )
+        tech = Technology(
+            label=label,
+            network_kind="ONN",
+            combo=code,
+            osc_class=_value(row, "osc_class", ("transistor_ring", "spintronic", "piezo"), name, label),
+            osc_device=_value(row, "osc_device", devices.keys(), name, label, default=None),
+            **device_checked(inherited, label),
         )
-
-    labels = [t.label for t in technologies]
-    if len(labels) != len(set(labels)):
-        raise ValidationError(f"{name}: duplicate technology labels")
-    return tuple(technologies), limits
+        _insert(technologies, label, tech, name, "technology")
+    return technologies, limits
 
 
 def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -> None:
@@ -711,7 +696,7 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
         constants=constants,
         primitives=MappingProxyType(primitives),
         devices=MappingProxyType(devices),
-        technologies=technologies,
+        technologies=MappingProxyType(technologies),
         chips=MappingProxyType(chips),
         workloads=MappingProxyType(_load_workloads(path)),
         fan_in=MappingProxyType(limits),

@@ -58,7 +58,7 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
     raw = build_raw_element(tech, registry)
     net = network_transform(raw, tech, registry)
     if cfg is None:
-        cfg = nominal_config(constants, spiking=tech.network_kind == "SNN")
+        cfg = nominal_config(constants)
     a_syn = net.synapse.area
     return assemble_row(
         net,
@@ -68,7 +68,6 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
         r_eff=element_r_eff(tech, registry),
         i_neu=element_drive_current(tech, registry),
         ic_voltage=tech.ic_voltage,
-        technology=tech,
     )
 
 
@@ -187,16 +186,10 @@ def scatter_dataset(registry: Registry, what: str = "neuron", workload: Optional
     """
     points = []
     if what in ("synapse", "neuron"):
-        for bench in element_matrix(registry):
+        for tech in registry.enumerate_technologies():
+            bench = bench_technology(tech, registry)
             triple = bench.synapse_total if what == "synapse" else bench.neuron_total
-            points.append(
-                ScatterPoint(
-                    label=bench.technology.label,
-                    x=triple.delay,
-                    y=triple.energy,
-                    series=bench.technology.network_kind,
-                )
-            )
+            points.append(ScatterPoint(label=tech.label, x=triple.delay, y=triple.energy, series=tech.network_kind))
     elif what in ("workload", "power"):
         if workload is None:
             raise UnknownNameError(f"{what} scatter requires a workload name")

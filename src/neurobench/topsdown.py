@@ -137,7 +137,8 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
     """Re-derive every field flagged as derived from the consistency identities.
 
     Quoted fields are never touched. A flagged or absent field that no
-    identity can reach with a single unknown raises; nothing is guessed.
+    identity can reach with a single unknown raises; nothing is guessed. So
+    does a back-filled activity outside (0, 1].
     """
     identities = [
         (THROUGHPUT_IDENTITY, ("syn_throughput", "fire_rate", "activity"), _solve_throughput),
@@ -172,6 +173,8 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
             f"chip {chip.name}: under-determined; cannot derive {sorted(unknown_fields)} "
             "from the consistency identities"
         )
+    if "activity" in filled and not 0.0 < current.activity <= 1.0:
+        raise IncomputableError(f"chip {chip.name}: back-filled activity {current.activity:g} lies outside (0, 1]")
     for name, fields, solve in identities:
         if any(f in filled for f in fields):
             continue  # identity was consumed by a solve; residual is zero by construction

@@ -13,7 +13,6 @@ factors except through the helpers here.
 from __future__ import annotations
 
 M_PER_NM = 1e-9
-S_PER_PS = 1e-12
 PS_PER_S = 1e12
 AJ_PER_J = 1e18
 J_PER_AJ = 1e-18

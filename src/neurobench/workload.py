@@ -139,24 +139,20 @@ def wire_limited_area(stage: StageParams, constants: "GlobalConstants") -> float
 
 def core_area(
     stage: StageParams,
-    topology: str,
     elem: "ElementBench",
     fan_in: Optional[int],
     constants: "GlobalConstants",
 ) -> float:
     """Overhead-corrected core area for one stage, floored by the wiring limit.
 
-    Cross-connect places a synapse at every input/output crossing; the
-    convolution topology only places the active ones.
+    Each output neuron has a synapse per input it reads: every input of a
+    fully-connected layer (a cross-connect), the kernel window of a convolution.
     """
-    if topology not in ("cross_connect", "convolution"):
-        raise ValueError(f"unknown topology {topology!r}")
     _, n_cas = cascade(fan_in, stage.s_neu)
     n_cor = n_cas * stage.n_out + stage.n_in
-    synapse_sites = stage.n_out * (stage.n_in if topology == "cross_connect" else stage.s_neu)
     a_cor = constants.core_overhead * (
         constants.neuron_overhead * elem.neuron.area * n_cor
-        + constants.synapse_overhead * elem.synapse.area * synapse_sites
+        + constants.synapse_overhead * elem.synapse.area * (stage.n_out * stage.s_neu)
     )
     return max(a_cor, wire_limited_area(stage, constants))
 
@@ -202,12 +198,9 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
 
 
 @lru_cache(maxsize=256)
-def _stages(spec: WorkloadSpec, network_kind: str) -> tuple[tuple[StageParams, str], ...]:
-    """(stage parameters, core topology) of every layer, in order."""
-    return tuple(
-        (stage_params(layer, index, network_kind), "convolution" if layer.kind == "convolution" else "cross_connect")
-        for index, layer in enumerate(spec.layers, start=1)
-    )
+def _stages(spec: WorkloadSpec, network_kind: str) -> tuple[StageParams, ...]:
+    """Stage parameters of every layer, in order."""
+    return tuple(stage_params(layer, index, network_kind) for index, layer in enumerate(spec.layers, start=1))
 
 
 def run_workload(
@@ -225,8 +218,8 @@ def run_workload(
     core time-multiplexed and every other fan-in runs the stages in parallel.
     """
     benches = []
-    for stage, topology in _stages(spec, network_kind):
-        area = core_area(stage, topology, elem, fan_in, constants)
+    for stage in _stages(spec, network_kind):
+        area = core_area(stage, elem, fan_in, constants)
         delay, energy = stage_time_energy(stage, elem, fan_in)
         benches.append(StageBench(area=area, delay=delay, energy=energy, f_st=stage.f_st))
     return aggregate(benches, schedule or ("time_multiplexed" if fan_in == 1 else "parallel"))

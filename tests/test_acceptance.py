@@ -26,7 +26,7 @@ def registry():
 
 @pytest.fixture(scope="module")
 def matrix(registry):
-    return {b.technology.label: b for b in report.element_matrix(registry)}
+    return {t.label: report.bench_technology(t, registry) for t in registry.enumerate_technologies()}
 
 
 def verdict(number, ok, detail):

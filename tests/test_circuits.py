@@ -169,7 +169,7 @@ def test_ota_identities_hold_to_machine_precision(constants):
 
 def test_ota_current_ratio(constants):
     # 2 * (2*w_sum/w_max) * (1 + w_out/w_up) = 2 * (2*1.26/0.23) * 3
-    cell = ota_cell(constants)
+    cell = ota_cell(constants, constants.transistors["cmos"])
     expected = 2 * (2 * 1.26 / 0.23) * (1 + 150.0 / 75.0)
     assert cell.ota_current / cell.bias_current == pytest.approx(expected)
     assert cell.ota_current / cell.bias_current == pytest.approx(65.7, rel=1e-3)

@@ -118,6 +118,15 @@ def test_topsdown_data_error_leaves_stdout_empty(capsys):
     )
 
 
+def test_topsdown_backfilled_activity_above_one_is_data_error(capsys, data_copy):
+    def inflate(doc):
+        next(chip for chip in doc["chips"] if chip["name"] == "IFAT")["syn_throughput"] *= 20
+
+    rewrite_json(data_copy / "chips_neuromorphic.json", inflate)
+    argv = ("--data-dir", str(data_copy), "topsdown", "--chip", "IFAT", "--backfill", "--workload", "speech_mlp")
+    assert run(capsys, *argv) == (1, "", "error: chip IFAT: back-filled activity 2.17557 lies outside (0, 1]\n")
+
+
 def test_export_matrix(capsys, tmp_path):
     out_path = tmp_path / "matrix.csv"
     code, out, _ = run(capsys, "export", "--what", "matrix", "--out", str(out_path))

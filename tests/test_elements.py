@@ -182,15 +182,15 @@ def test_resistive_modes_pick_different_neurons(registry, constants, cmos):
 
 
 def test_family_dispatch_is_total(registry):
-    assert {tech.family for tech in registry.technologies} == FAMILIES
-    for tech in registry.technologies:
+    assert {tech.family for tech in registry.technologies.values()} == FAMILIES
+    for tech in registry.technologies.values():
         bench = build_raw_element(tech, registry)
         assert bench.synapse.area > 0 and bench.synapse.delay > 0 and bench.synapse.energy > 0
         assert bench.neuron.area > 0 and bench.neuron.delay > 0 and bench.neuron.energy > 0
 
 
 def test_r_eff_zero_for_nonresistive(registry):
-    for tech in registry.technologies:
+    for tech in registry.technologies.values():
         r = element_r_eff(tech, registry)
         if tech.family in ("resistive_digital", "resistive_analog"):
             assert r > 0

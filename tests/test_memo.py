@@ -56,7 +56,7 @@ def test_perturbed_dataset_does_not_read_the_default_rows(registry, data_copy):
     rewrite_json(data_copy / "circuit_primitives.json", scale_register_energy)
     perturbed = load_datasets(data_copy)
     rows = report.element_matrix(perturbed)
-    assert rows[0].technology.label == "ANNDCSRAM" and rows[0] != default_rows[0]
+    assert next(iter(perturbed.technologies)) == "ANNDCSRAM" and rows[0] != default_rows[0]
     for tech, row in zip(perturbed.enumerate_technologies(), rows):
         assert row == uncached_row(tech, perturbed)
     tech = perturbed.technology("ANNDCSRAM")
@@ -78,7 +78,7 @@ def test_each_row_is_built_once_per_registry(monkeypatch):
         for tech in registry.enumerate_technologies():
             report.bench_workload(name, tech, registry)
         report.emit_matrix(registry, "workload", workload=name)
-    assert set(built) == {t.label for t in registry.technologies}
+    assert set(built) == set(registry.technologies)
     assert set(built.values()) == {1}
 
 
@@ -156,7 +156,7 @@ def test_incomputable_chip_raises_on_every_call():
             topsdown.run_workload_on_chip(chip, registry.workload("lenet"), registry)
 
 
-@pytest.mark.parametrize("mapping", ["primitives", "devices", "chips", "workloads", "topsdown_params"])
+@pytest.mark.parametrize("mapping", ["primitives", "devices", "technologies", "chips", "workloads", "topsdown_params"])
 def test_registry_mappings_are_read_only(registry, mapping):
     with pytest.raises(TypeError):
         getattr(registry, mapping)["new"] = None

@@ -78,22 +78,22 @@ def test_ic_resistance_self_consistency(constants):
 
 
 def test_every_technology_reference_resolves(registry):
-    for tech in registry.technologies:
+    for tech in registry.technologies.values():
         for ref in (tech.neuron_device, tech.synapse_device):
             assert ref in registry.devices or ref in registry.primitives, (tech.label, ref)
 
 
 def test_label_decomposition(registry):
     prefixes = {"ANN": "ANN", "CNN": "CNN", "SNN": "Spi"}
-    for tech in registry.technologies:
+    for tech in registry.technologies.values():
         if tech.network_kind in prefixes:
             assert tech.label == prefixes[tech.network_kind] + tech.combo
 
 
 def test_deterministic_load():
-    a = load_datasets().canonical_json()
-    b = load_datasets().canonical_json()
+    a, b = load_datasets(), load_datasets()
     assert a == b
+    assert list(a.technologies) == list(b.technologies)
 
 
 def test_validation_rejects_swapped_resistances(data_copy):
@@ -173,6 +173,8 @@ def test_activity_bounds_enforced(data_copy):
         ("workloads.json", "workloads", "name", "lenet", "lenet"),
         ("chips_neuromorphic.json", "chips", "name", "TrueNorth", "TrueNorth"),
         ("chips_accelerators.json", "chips", "name", "Eyeriss", "TrueNorth"),  # a name from the other chip file
+        ("technologies.json", "oscillators", "label", "OscME", "OscME"),
+        ("technologies.json", "oscillators", "label", "OscME", "ANNDCSRAM"),  # a label derived from a combo
     ],
 )
 def test_duplicate_record_name_is_rejected(data_copy, file, rows, key, copied, name):
@@ -243,6 +245,14 @@ def _edit(doc, path, value):
         (
             "chips_accelerators.json", ("chips", "Diannao", "derived"), ["fire_rate"], ("Diannao.derived.0", "'fire_rate'"),
             ("topsdown", "--chip", "Diannao", "--backfill"),
+        ),
+        (  # DCOxme is resistive_digital; ME has no on/off resistances
+            "technologies.json", ("combos", 2, "synapse_device"), "ME", ("DCOxme.synapse_device", "got 'ME'"),
+            ("bench", "element", "--tech", "ANNDCOxme"),
+        ),
+        (  # FETFET is analog_single_device; digital_cmos is a primitive family, not a device
+            "technologies.json", ("combos", 13, "synapse_device"), "digital_cmos",
+            ("FETFET.synapse_device", "got 'digital_cmos'"), ("bench", "element", "--tech", "ANNFETFET"),
         ),
     ],
 )
@@ -341,7 +351,7 @@ def test_rewriting_units_leaves_every_result_unchanged(registry, data_copy, file
     def close(a, b):
         return math.isclose(a, b, rel_tol=1e-12)
 
-    for tech in registry.technologies:
+    for tech in registry.technologies.values():
         want = report.bench_technology(tech, registry).columns()
         assert all(map(close, report.bench_technology(tech, other).columns(), want)), tech.label
         for name in registry.workloads:

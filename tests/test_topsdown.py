@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,13 @@ def test_backfill_synapse_fire_rate(registry):
     # throughput / (activity * synapses): 15 MSOPS over 576*128
     assert result.chip.fire_rate == pytest.approx(15e6 / (576 * 128), rel=1e-6)
     assert result.chip.fire_rate == pytest.approx(203, rel=0.01)
+
+
+def test_backfilled_activity_above_one_is_rejected(registry):
+    chip = registry.chip("IFAT")
+    inflated = replace(chip, syn_throughput=20 * chip.syn_throughput)
+    with pytest.raises(IncomputableError, match=r"chip IFAT: back-filled activity 2\.17557 lies outside \(0, 1\]"):
+        backfill_derived(inflated)
 
 
 # -- workloads on chips -----------------------------------------------------------

@@ -137,26 +137,29 @@ def test_wire_limited_area_arithmetic(constants):
     assert wire_limited_area(stage, constants) == pytest.approx(2.8901376e9)
 
 
-def test_convolution_topology_not_larger_when_sparse(constants):
-    stage = StageParams(n_in=1225, n_out=961, s_neu=25, f_st=1, r_a=1.0)
-    elem = element()
-    conv = core_area(stage, "convolution", elem, 16, constants)
-    cross = core_area(stage, "cross_connect", elem, 16, constants)
-    assert conv <= cross
+def test_convolution_core_area_counts_kernel_synapses(constants):
+    layer = LayerSpec(kind="convolution", image_w=35, image_h=35, kernel=5)
+    stage = stage_params(layer, 1, "ANN")
+    assert (stage.n_in, stage.n_out, stage.s_neu) == (1225, 961, 25)
+    elem = element(a_syn=1e7, a_neu=0.0)  # circuit area well above the wire floor
+    area = core_area(stage, elem, 16, constants)
+    c = constants
+    assert area > wire_limited_area(stage, c)
+    assert area == pytest.approx(c.core_overhead * c.synapse_overhead * 1e7 * stage.n_out * stage.s_neu, rel=1e-12)
 
 
 def test_wire_limit_dominates_tiny_synapses(constants):
     stage = StageParams(n_in=1000, n_out=1000, s_neu=10, f_st=1, r_a=1.0)
     elem = element(a_syn=1e-3, a_neu=1e-3)
-    assert core_area(stage, "convolution", elem, 16, constants) == wire_limited_area(stage, constants)
+    assert core_area(stage, elem, 16, constants) == wire_limited_area(stage, constants)
 
 
 def test_core_area_counts_cascade_neurons(constants):
     stage = StageParams(n_in=256, n_out=1, s_neu=256, f_st=1, r_a=1.0)
     elem = element(a_syn=1e-9, a_neu=1e6)  # circuit area well above the wire floor
     # fan-in 2 needs 255 cascade neurons; unlimited needs 1
-    wide = core_area(stage, "cross_connect", elem, None, constants)
-    deep = core_area(stage, "cross_connect", elem, 2, constants)
+    wide = core_area(stage, elem, None, constants)
+    deep = core_area(stage, elem, 2, constants)
     c = constants
     expected_gap = c.core_overhead * c.neuron_overhead * elem.neuron.area * (255 - 1) * stage.n_out
     assert deep - wide == pytest.approx(expected_gap, rel=1e-6)
