@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Run every valid CLI command in-process and dump what each one produced.
+
+    python3 scripts/cli_sweep.py OUT
+
+At --precision 3, 6 and 12 it runs `devices list`; `bench element`,
+`bench chip --nominal` and `bench workload` (default, parallel and tmux
+schedule, every workload) for every technology; `bench network` for every
+kind; `topsdown` for every chip, with and without `--backfill` and with no
+or every `--workload`; and every valid `export`. OUT receives sorted JSON
+mapping each space-joined argv to [exit code, stdout, stderr, export text or
+null]. Run it on two checkouts and compare the dumps with `cmp`: a refactor
+that keeps the CLI's behaviour leaves them byte-identical.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from neurobench import load_datasets
+from neurobench.cli import main as cli_main
+
+PRECISIONS = ("3", "6", "12")
+EXPORT_NAME = "export"  # relative, so `wrote ...` is the same text in every checkout
+
+
+def commands(registry) -> list[list[str]]:
+    labels = list(registry.technologies)
+    workloads = sorted(registry.workloads)
+    per_precision = [["devices", "list"]]
+    for label in labels:
+        per_precision.append(["bench", "element", "--tech", label])
+        per_precision.append(["bench", "chip", "--nominal", "--tech", label])
+        for name in workloads:
+            for schedule in ([], ["--schedule", "parallel"], ["--schedule", "tmux"]):
+                per_precision.append(["bench", "workload", "--name", name, "--tech", label, *schedule])
+    per_precision += [["bench", "network", "--kind", kind] for kind in ("ANN", "CNN", "SNN", "ONN")]
+    for chip in sorted(registry.chips):
+        for backfill in ([], ["--backfill"]):
+            for workload in ([], *(["--workload", name] for name in workloads)):
+                per_precision.append(["topsdown", "--chip", chip, *backfill, *workload])
+    matrix = [["--scope", "elements"], ["--scope", "chips"]]
+    matrix += [["--scope", "workload", "--workload", name] for name in workloads]
+    scatter = [["--scatter-kind", kind] for kind in ("synapse", "neuron")]
+    scatter += [["--scatter-kind", kind, "--workload", name] for kind in ("workload", "power") for name in workloads]
+    for suffix in (".csv", ".json"):
+        per_precision += [["export", "--what", "matrix", "--out", EXPORT_NAME + suffix, *opts] for opts in matrix]
+    for what in ("scatter", "pareto"):
+        per_precision += [["export", "--what", what, "--out", EXPORT_NAME + ".csv", *opts] for opts in scatter]
+    return [["--precision", p, *argv] for p in PRECISIONS for argv in per_precision]
+
+
+def run(argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    exported = None
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        if path.exists():
+            exported = path.read_text(encoding="utf-8")
+            path.unlink()
+    return [code, out.getvalue(), err.getvalue(), exported]
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: cli_sweep.py OUT", file=sys.stderr)
+        return 2
+    out = Path(sys.argv[1]).resolve()
+    results = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in commands(load_datasets()):
+                results[" ".join(command)] = run(command)
+        finally:
+            os.chdir(cwd)
+    out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(results)} commands to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,8 +22,8 @@ class AdeTriple:
     def __post_init__(self):
         for name in ("area", "delay", "energy"):
             v = getattr(self, name)
-            if not (v >= 0.0):  # also catches NaN
-                raise ValueError(f"AdeTriple.{name} must be >= 0, got {v!r}")
+            if not 0.0 <= v < math.inf:  # also catches NaN
+                raise ValueError(f"AdeTriple.{name} must be finite and >= 0, got {v!r}")
 
     def __add__(self, other: "AdeTriple") -> "AdeTriple":
         return AdeTriple(

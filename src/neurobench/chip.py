@@ -4,6 +4,7 @@ per step, for a configurable (by default nominal) chip."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import units
@@ -40,6 +41,10 @@ class ChipBench:
     syn_throughput: float  # events/ps
     power: float  # aJ/ps
     energy_per_step: float  # aJ
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"chip figures must be finite: {self}")
 
     @property
     def power_w(self) -> float:

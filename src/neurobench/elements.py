@@ -196,16 +196,10 @@ def element_r_eff(tech: Technology, registry: Registry) -> float:
 def element_drive_current(tech: Technology, registry: Registry) -> float:
     """Neuron output current driving the chip-wide interconnect, A.
 
-    Per-technology override wins; otherwise resistive synapse technologies
-    drive with the cell on-current, everything else with one minimum digital
-    transistor.
+    Resistive synapse technologies drive with the cell on-current, everything
+    else with one minimum digital transistor.
     """
-    if tech.neuron_drive_current is not None:
-        return tech.neuron_drive_current
     c = registry.constants
-    if c.neuron_drive_current is not None:
-        return c.neuron_drive_current
     if tech.family in ("resistive_digital", "resistive_analog"):
-        device = registry.device(tech.synapse_device)
-        return c.supply_voltage / device.r_on
+        return c.supply_voltage / registry.device(tech.synapse_device).r_on
     return c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * units.M_PER_NM

@@ -93,18 +93,11 @@ def network_transform(raw: ElementBench, tech: Technology, registry: Registry) -
     if kind == "SNN":
         return snn_transform(raw, registry.constants)
     if kind == "ONN":
-        inv4_delay = registry.primitives[tech.primitive_family].inv4.delay
-        intrinsics = None
-        device_name = tech.osc_device or (
-            tech.synapse_device if tech.synapse_device in registry.devices else None
-        )
-        if device_name is not None:
-            intrinsics = registry.device(device_name).intrinsic
         return onn_transform(
             raw,
             registry.constants,
             tech.osc_class,
-            inv4_delay=inv4_delay,
-            device_intrinsics=intrinsics,
+            inv4_delay=registry.primitives[tech.primitive_family].inv4.delay,
+            device_intrinsics=None if tech.osc_device is None else registry.device(tech.osc_device).intrinsic,
         )
     raise ValueError(f"unknown network kind {kind!r}")

@@ -71,8 +71,8 @@ class Fraction(float):
 
 
 def _by_hand(**kw):
-    """A field the loader builds itself: a feature-size multiple, a unit-converted
-    constant, a nested block or a computed default."""
+    """A field the loader builds itself: a feature-size multiple, a nested block
+    or a computed value."""
     return field(metadata={"by_hand": True}, **kw)
 
 
@@ -111,7 +111,7 @@ class GlobalConstants:
     """Process/architecture constants in canonical units (nm, ps, aJ, V, Ohm, F, A, S)."""
 
     feature_size: float  # nm
-    min_ic_length: float = _by_hand()  # nm
+    min_ic_length: float = _by_hand()  # nm, 20 feature sizes
     synapse_bits: int
     synapse_levels: int
     digital_transistor_width: float = _by_hand()  # nm
@@ -120,10 +120,10 @@ class GlobalConstants:
     linear_transconductance: float  # S
     transistor_on_resistance: float  # Ohm
     transistors: dict[str, TransistorParams]
-    ic_cap_per_length: float = _by_hand()  # F/m, empirical routing factor folded in
-    ic_res_per_length: float = _by_hand()  # Ohm/m
+    ic_cap_per_length: float = _scaled("cap_per_length")  # F/m, empirical routing factor folded in
+    ic_res_per_length: float = _scaled("res_per_length")  # Ohm/m
     min_ic_resistance: float  # Ohm
-    load_capacitance: float = _by_hand()  # F
+    load_capacitance: float = _by_hand()  # F, one minimum digital transistor input
     sense_voltage: float  # V
     sense_amp_widths: SenseAmpWidths
     vsa_sense_voltage: float  # V
@@ -131,7 +131,6 @@ class GlobalConstants:
     analog_row_voltage: float  # V
     analog_read_pulse: float  # ps
     ota_widths: OtaWidths
-    neuron_drive_current: Optional[float]  # A; None = derive per technology
     cnn_synapse_factor: float
     cnn_settling_factor: float
     cnn_max_weight: float
@@ -168,7 +167,7 @@ class CircuitPrimitiveTable:
     se: AdeTriple
     add1: AdeTriple
     add: AdeTriple
-    ram: AdeTriple  # defaults to reg when the dataset has no override
+    ram: AdeTriple
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ class Technology:
     label: str = _by_hand()
     network_kind: str = _by_hand()
     combo: str = _by_hand()
-    neuron_device: str  # device name or circuit-primitive family
     synapse_device: str
     family: str
     primitive_family: str = "digital_cmos"
@@ -203,7 +201,6 @@ class Technology:
     ic_voltage: Optional[float] = None  # None = supply voltage
     osc_class: Optional[str] = _by_hand(default=None)  # ONN only
     osc_device: Optional[str] = _by_hand(default=None)  # ONN only: device whose intrinsics set rate/power
-    neuron_drive_current: Optional[float] = None  # A, per-technology override
 
 
 # Chip kind -> the fields that its tops-down consistency identities solve
@@ -426,8 +423,15 @@ def _read(cls, doc: dict, file: str, record: str = "", factors=None, defaults=No
         if kinds is not None:
             kind = kinds.get(name, kind)
         value = _value(doc, key, kind, file, record, default if defaults is None else defaults[name])
-        kwargs[name] = value * factors[unit] if unit and value is not None else value
+        kwargs[name] = _converted(value, factors[unit], file, record, key) if unit and value is not None else value
     return kwargs
+
+
+def _converted(value: float, factor: float, file: str, record: str, key) -> float:
+    """A checked value times its unit factor; the product must be finite and positive too."""
+    if not 0.0 < value * factor <= _FLOAT_MAX:
+        raise ValidationError(f"{file}: {_path(record, key)}: must be finite and positive once converted, got {value}")
+    return value * factor
 
 
 _CANONICAL = {key: tuple(n for n, f in table.items() if f == 1.0) for key, table in units.HEADER_UNITS.items()}
@@ -470,38 +474,34 @@ def _read_json(path: Path, name: str) -> dict:
 def _load_constants(path: Path) -> GlobalConstants:
     name = "constants.json"
     doc = _read_json(path, name)
-    factors = _units(doc, name, ("cap_per_length", "res_per_length"))
-    walked = _read(GlobalConstants, doc, name)
+    walked = _read(GlobalConstants, doc, name, factors=_units(doc, name, _units_of(GlobalConstants)))
     feature = walked["feature_size"]
 
     def feature_widths(cls, key):
         block = _value(doc, key, dict, name)
         return cls(**{k: v * feature for k, v in _read(cls, block, name, key).items()})
 
+    # orderings that the sense amp, analog read and OTA cell models need
+    orders = [("", walked, "sense_voltage", "supply_voltage"), ("", walked, "vsa_read_voltage", "analog_row_voltage")]
     block = _value(doc, "transistors", dict, name)
     transistors = {}
     for fam in block:
-        params = _value(block, fam, dict, name, "transistors")
-        transistors[fam] = TransistorParams(**_read(TransistorParams, params, name, f"transistors.{fam}"))
+        params = _read(TransistorParams, _value(block, fam, dict, name, "transistors"), name, f"transistors.{fam}")
+        transistors[fam] = TransistorParams(**params)
+        orders.append((f"transistors.{fam}", params, "off_current_per_width", "on_current_per_width"))
     if "cmos" not in transistors:
         raise ValidationError(f"{name}: transistors must include a 'cmos' family")
 
     w_dt = _value(doc, "digital_transistor_width_f", float, name) * feature
-    min_ic = _value(doc, "min_ic_length", float, name, default=None)
-    load_cap = _value(doc, "load_capacitance", float, name, default=None)
     overheads = _value(doc, "overheads", dict, name)
     nominal = _value(doc, "nominal_chip", dict, name)
     constants = GlobalConstants(
         **walked,
-        # min interconnect length defaults to 20 F when not overridden
-        min_ic_length=20.0 * feature if min_ic is None else min_ic,
+        min_ic_length=20.0 * feature,
         digital_transistor_width=w_dt,
         wire_pitch=_value(doc, "wire_pitch_f", float, name) * feature,
         transistors=transistors,
-        ic_cap_per_length=_value(doc, "ic_cap_per_length", float, name) * factors["cap_per_length"],
-        ic_res_per_length=_value(doc, "ic_res_per_length", float, name) * factors["res_per_length"],
-        # natural load of a receiving gate: one minimum digital transistor input
-        load_capacitance=walked["transistor_cap_per_width"] * w_dt * units.M_PER_NM if load_cap is None else load_cap,
+        load_capacitance=walked["transistor_cap_per_width"] * w_dt * units.M_PER_NM,
         sense_amp_widths=feature_widths(SenseAmpWidths, "sense_amp_widths_f"),
         ota_widths=feature_widths(OtaWidths, "ota_widths_f"),
         **{
@@ -522,6 +522,9 @@ def _load_constants(path: Path) -> GlobalConstants:
             f"{name}: ic_res_per_length * min_ic_length = {implied:.1f} Ohm "
             f"disagrees with min_ic_resistance = {constants.min_ic_resistance:.1f} Ohm by more than 2%"
         )
+    for record, row, low, high in orders:
+        if not row[low] < row[high]:
+            raise ValidationError(f"{name}: {_path(record, low)}: must be below {high} ({row[low]} >= {row[high]})")
     return constants
 
 
@@ -531,17 +534,17 @@ def _load_primitives(path: Path) -> dict[str, CircuitPrimitiveTable]:
     factors = _units(doc, name, ("area", "delay", "energy"))
 
     def triple(entry, record):
-        return AdeTriple(*(_value(entry, k, float, name, record) * factors[k] for k in ("area", "delay", "energy")))
+        figures = {k: _value(entry, k, float, name, record) for k in ("area", "delay", "energy")}
+        return AdeTriple(*(_converted(v, factors[k], name, record, k) for k, v in figures.items()))
 
     tables = {}
     families = _value(doc, "families", dict, name)
     for fam in families:
         cells = _value(families, fam, dict, name, "families")
-        parsed = {}
-        for cell in [f.name for f in fields(CircuitPrimitiveTable)][1:]:
-            entry = _value(cells, cell, dict, name, fam, default=None if cell == "ram" else _REQUIRED)
-            # ram defaults to the closest declared analog
-            parsed[cell] = parsed["reg"] if entry is None else triple(entry, f"{fam}.{cell}")
+        parsed = {
+            cell: triple(_value(cells, cell, dict, name, fam), f"{fam}.{cell}")
+            for cell in [f.name for f in fields(CircuitPrimitiveTable)][1:]
+        }
         tables[fam] = CircuitPrimitiveTable(family=fam, **parsed)
     for fam in ("digital_cmos", "digital_tfet"):
         if fam not in tables:
@@ -559,8 +562,8 @@ def _load_devices(path: Path) -> dict[str, DeviceRecord]:
         record = DeviceRecord(**_read(DeviceRecord, row, name, dev, factors))
         if (record.r_on is None) != (record.r_off is None):
             raise ValidationError(f"{name}: {dev}: r_on and r_off must be given together")
-        if record.r_on is not None and record.r_off < record.r_on:
-            raise ValidationError(f"{name}: {dev}.r_off: must be >= r_on ({record.r_off} < {record.r_on})")
+        if record.r_on is not None and record.r_off <= record.r_on:
+            raise ValidationError(f"{name}: {dev}.r_off: must exceed r_on ({record.r_off} <= {record.r_on})")
         _insert(devices, dev, record, name, "device")
     return devices
 
@@ -574,7 +577,6 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[dict
     limits = {c: None if fan_in[c] == "unlimited" else _value(fan_in, c, int, name, "fan_in") for c in fan_in}
     known = {
         "family": ELEMENT_FAMILIES,
-        "neuron_device": devices.keys() | primitives.keys(),
         "synapse_device": devices.keys() | primitives.keys(),
         "primitive_family": primitives.keys(),
         "transistor_family": constants.transistors.keys(),
@@ -613,15 +615,19 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[dict
         label = _value(row, "label", str, name, f"oscillators.{i}")
         code = _value(row, "base_combo", combos.keys(), name, label)
         inherited = _read(Technology, row, name, label, defaults=combos[code][0], kinds=known)
-        element_device = _value(row, "element_device", devices.keys(), name, label, default=None)
-        if element_device is not None:
-            inherited.update(neuron_device=element_device, synapse_device=element_device)
+        device = inherited["synapse_device"] = _value(
+            row, "element_device", devices.keys(), name, label, default=inherited["synapse_device"]
+        )
+        osc_class = _value(row, "osc_class", ("transistor_ring", "spintronic", "piezo"), name, label)
+        # a ring or spintronic oscillator takes its rate and power from a device,
+        # by default the synapse device; a piezo resonator reads none
+        default = None if osc_class == "piezo" else device if device in devices else _REQUIRED
         tech = Technology(
             label=label,
             network_kind="ONN",
             combo=code,
-            osc_class=_value(row, "osc_class", ("transistor_ring", "spintronic", "piezo"), name, label),
-            osc_device=_value(row, "osc_device", devices.keys(), name, label, default=None),
+            osc_class=osc_class,
+            osc_device=_value(row, "osc_device", devices.keys(), name, label, default=default),
             **device_checked(inherited, label),
         )
         _insert(technologies, label, tech, name, "technology")
@@ -689,8 +695,8 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
     _load_chips(neuromorphic, "chips_neuromorphic.json", "neuromorphic", chips)
     _load_chips(_read_json(path, "chips_accelerators.json"), "chips_accelerators.json", "accelerator", chips)
     topsdown_params = {
-        key: _value(neuromorphic, key, Fraction, "chips_neuromorphic.json", default=default)
-        for key, default in (("neuron_area_fraction", 0.05), ("accelerator_compute_fraction", 0.10))
+        key: _value(neuromorphic, key, Fraction, "chips_neuromorphic.json")
+        for key in ("neuron_area_fraction", "accelerator_compute_fraction")
     }
     return Registry(
         constants=constants,

@@ -15,6 +15,7 @@ and quoted values are never overwritten.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import units
@@ -36,6 +37,10 @@ class TopsDownElement:
     synapse_energy: float  # aJ
     neuron_energy: float  # aJ
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"tops-down figures must be finite: {self}")
+
     def as_element_bench(self) -> ElementBench:
         """Element bench with empty interconnect triples; published totals
         already include all wiring. The neuron is booked at one event time."""
@@ -50,15 +55,6 @@ def _require(chip: ChipRecord, field_name: str) -> float:
     if value is None:
         raise IncomputableError(f"chip {chip.name}: {field_name} required but absent")
     return value
-
-
-def _event_energy(chip: ChipRecord) -> float:
-    """Energy per synaptic event, aJ; quoted value or power/throughput."""
-    if chip.energy_per_event is not None:
-        return chip.energy_per_event
-    if chip.power is not None and chip.syn_throughput is not None:
-        return units.joules_to_aj(chip.power / chip.syn_throughput)
-    raise IncomputableError(f"chip {chip.name}: energy_per_event required but absent (and not derivable)")
 
 
 def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
@@ -87,7 +83,7 @@ def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
         budget = p["accelerator_compute_fraction"] * _require(chip, "area")
         tau_syn = units.seconds_to_ps(1.0 / clock)  # one MAC per clock
         activity = chip.activity if chip.activity is not None else 1.0
-    e_syn = _event_energy(chip)
+    e_syn = _require(chip, "energy_per_event")
     per_neuron = chip.cores * chip.neurons_per_core
     neuron_area_fraction = p["neuron_area_fraction"]
     return TopsDownElement(

@@ -48,6 +48,10 @@ class WorkloadBench:
     energy: float  # aJ
     schedule: str  # parallel | time_multiplexed
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.area, self.delay, self.energy))):
+            raise ValueError(f"workload figures must be finite: {self}")
+
     @property
     def power(self) -> float:
         """aJ/ps."""

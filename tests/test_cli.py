@@ -127,6 +127,29 @@ def test_topsdown_backfilled_activity_above_one_is_data_error(capsys, data_copy)
     assert run(capsys, *argv) == (1, "", "error: chip IFAT: back-filled activity 2.17557 lies outside (0, 1]\n")
 
 
+def _lenet_feature_maps(doc):
+    next(w for w in doc["workloads"] if w["name"] == "lenet")["layers"][0]["feature_maps"] = 1e300
+
+
+@pytest.mark.parametrize(
+    "file, mutate, argv",
+    [
+        ("constants.json", lambda doc: doc.update(supply_voltage=1e200), ("bench", "element", "--tech", "ANNDCSRAM")),
+        (
+            "constants.json", lambda doc: doc["nominal_chip"].update(cores=1e300),
+            ("bench", "chip", "--nominal", "--tech", "ANNDCSRAM"),
+        ),
+        ("workloads.json", _lenet_feature_maps, ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM")),
+    ],
+)
+def test_overflowing_figure_is_data_error(capsys, data_copy, file, mutate, argv):
+    # every input is finite, but a product overflows
+    rewrite_json(data_copy / file, mutate)
+    code, out, err = run(capsys, "--data-dir", str(data_copy), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
+
 def test_export_matrix(capsys, tmp_path):
     out_path = tmp_path / "matrix.csv"
     code, out, _ = run(capsys, "export", "--what", "matrix", "--out", str(out_path))

@@ -79,8 +79,18 @@ def test_ic_resistance_self_consistency(constants):
 
 def test_every_technology_reference_resolves(registry):
     for tech in registry.technologies.values():
-        for ref in (tech.neuron_device, tech.synapse_device):
-            assert ref in registry.devices or ref in registry.primitives, (tech.label, ref)
+        ref = tech.synapse_device
+        assert ref in registry.devices or ref in registry.primitives, (tech.label, ref)
+
+
+def test_oscillator_device_defaults_to_the_synapse_device(data_copy):
+    def drop(doc):
+        del next(row for row in doc["oscillators"] if row["label"] == "OscSOT")["osc_device"]
+
+    rewrite_json(data_copy / "technologies.json", drop)
+    registry = load_datasets(data_copy)
+    assert registry.technology("OscSOT").osc_device == registry.technology("OscSOT").synapse_device == "SOT"
+    assert registry.technology("OscPiezo").osc_device is None  # a piezo resonator reads no device
 
 
 def test_label_decomposition(registry):
@@ -253,6 +263,42 @@ def _edit(doc, path, value):
         (  # FETFET is analog_single_device; digital_cmos is a primitive family, not a device
             "technologies.json", ("combos", 13, "synapse_device"), "digital_cmos",
             ("FETFET.synapse_device", "got 'digital_cmos'"), ("bench", "element", "--tech", "ANNFETFET"),
+        ),
+        # cross-field constraints of the circuit models
+        (
+            "devices.json", ("devices", "OxideR", "r_off"), 200, ("OxideR.r_off", "must exceed r_on"),
+            ("bench", "element", "--tech", "ANNDCOxme"),
+        ),
+        (
+            "constants.json", ("sense_voltage",), 0.9, ("sense_voltage: must be below supply_voltage",),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "constants.json", ("analog_row_voltage",), 0.4, ("vsa_read_voltage: must be below analog_row_voltage",),
+            ("bench", "element", "--tech", "ANNAnCOxme"),
+        ),
+        (
+            "constants.json", ("transistors", "tfet", "off_current_per_width"), 500,
+            ("transistors.tfet.off_current_per_width: must be below on_current_per_width",),
+            ("bench", "element", "--tech", "ANNAnTAnT"),
+        ),
+        (  # finite in mm^2, beyond the float range in nm^2
+            "chips_neuromorphic.json", ("chips", "TrueNorth", "area"), 1e300, ("TrueNorth.area", "1e+300"),
+            ("topsdown", "--chip", "TrueNorth"),
+        ),
+        # required values that once had a code default
+        (
+            "circuit_primitives.json", ("families", "digital_cmos", "ram"), _DELETE, ("missing field digital_cmos.ram",),
+            ("bench", "element", "--tech", "ANNDCCMAC"),
+        ),
+        (
+            "chips_neuromorphic.json", ("neuron_area_fraction",), _DELETE, ("missing field neuron_area_fraction",),
+            ("topsdown", "--chip", "TrueNorth"),
+        ),
+        (  # a ring oscillator needs a device, and DCSRAM's synapse is a primitive family
+            "technologies.json", ("oscillators", 2),
+            {"label": "OscMOSring", "osc_class": "transistor_ring", "base_combo": "DCSRAM", "fan_in_class": "analog_cmos"},
+            ("missing field OscMOSring.osc_device",), ("bench", "element", "--tech", "OscMOSring"),
         ),
     ],
 )
