@@ -1,0 +1,182 @@
+#!/usr/bin/env python3
+"""Benchmark a change against its parent commit in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_N.json \\
+        --workload perturbed_sweep:12 --workload surface:6 --workload cli_oneshot:8 \\
+        [--seconds 10] [--seed 1101] [--claim perturbed_sweep:op_p50_ms] \\
+        [--trace perturbed_sweep] [--trace-seconds 15] [--change "what changed"]
+
+Run it from the repository root. It extracts `git archive REV` into a
+temporary directory and runs `perfbench/run.py --trace 0` there (the parent)
+and in the working tree (the change), one run per side per seed. Seeds count
+up from `--seed`; the parent runs first on odd seeds and the change first on
+even ones. `--workload W:N` asks for N pairs of W (10 without `:N`).
+
+For each workload and each end-to-end metric of BENCHMARK.json the output
+gives each side's median, quartiles (statistics.quantiles, n=4) and runs in
+seed order, the pairs the change won, the parent's interquartile range, the
+relative change of the median and whether that change is within the
+metric's bound. `--trace W` adds one `--trace 1` run per side of W, whose
+per-layer figures go under `per_layer_trace`. Progress goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def extract(rev: str, dest: Path) -> str:
+    """Write `git archive rev` into dest; return the abbreviated commit."""
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        raise SystemExit(f"error: git archive {rev} failed")
+    return subprocess.run(
+        ["git", "rev-parse", "--short", rev], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line of one perfbench run in `checkout`."""
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # run.py imports the checkout's own src/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"error: {checkout}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(runs: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(runs, n=4)) if len(runs) > 1 else (runs[0],) * 3
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    lower = better == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    (p_q1, p_median, p_q3), (c_q1, c_median, c_q3) = quartiles(parent), quartiles(change)
+    limit = p_median * (1 + bound) if lower else p_median * (1 - bound)
+    return {
+        "parent": {"median": round(p_median, 4), "q1": round(p_q1, 4), "q3": round(p_q3, 4),
+                   "runs": [round(v, 4) for v in parent]},
+        "change": {"median": round(c_median, 4), "q1": round(c_q1, 4), "q3": round(c_q3, 4),
+                   "runs": [round(v, 4) for v in change]},
+        "change_wins": f"{wins}/{len(parent)}",
+        "parent_iqr": round(p_q3 - p_q1, 4),
+        "median_change_rel": round(c_median / p_median - 1.0, 4),
+        "within_bound": c_median <= limit if lower else c_median >= limit,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--workload", action="append", required=True, metavar="W:N")
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--claim", default=None, metavar="W:METRIC")
+    parser.add_argument("--trace", action="append", default=[], metavar="W")
+    parser.add_argument("--trace-seconds", type=float, default=15.0)
+    parser.add_argument("--change", default="", help="one line saying what the change does")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    plan = []
+    for item in args.workload:
+        name, _, pairs = item.partition(":")
+        plan.append((name, int(pairs or 10)))
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        parent_dir = Path(tmp)
+        result = {"change": args.change, "parent_commit": extract(args.parent, parent_dir)}
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        result["host"] = (
+            f"{platform.system()} {platform.machine()}, nproc = {os.cpu_count()}, "
+            f"Python {platform.python_version()}; times scaled to the reference host speed by perfbench/calibration.py"
+        )
+        seed = args.seed
+        seeds_text = []
+        workloads = {}
+        for name, pairs in plan:
+            seeds = list(range(seed, seed + pairs))
+            seed += pairs
+            seeds_text.append(f"{name} seeds {seeds[0]}-{seeds[-1]} ({pairs} pairs)")
+            lines = {side: [] for side in SIDES}
+            for s in seeds:
+                for side in SIDES if s % 2 else SIDES[::-1]:
+                    line = run(checkouts[side], name, s, args.seconds, 0)
+                    lines[side].append(line)
+                    p50 = line["metrics"]["op_p50_ms"]["value"]
+                    print(f"{name} seed {s} {side}: op_p50_ms {p50:.4f}, failed {line['failed']}", file=sys.stderr)
+            workloads[name] = {
+                "seeds": seeds,
+                "failed": {side: sum(line["failed"] for line in lines[side]) for side in SIDES},
+                "attempted": {side: sum(line["attempted"] for line in lines[side]) for side in SIDES},
+                "correct": all(line["correct"] for side in SIDES for line in lines[side]),
+                "end_to_end": {
+                    m: compare(
+                        *([line["metrics"][m]["value"] for line in lines[side]] for side in SIDES),
+                        spec["better"], spec["bound"],
+                    )
+                    for m, spec in metrics.items()
+                },
+            }
+        traces = {}
+        for name in args.trace:
+            traced = {side: run(checkouts[side], name, seed, args.trace_seconds, 1)["metrics"] for side in SIDES}
+            traces[name] = {
+                m: {side: round(traced[side][m]["value"], 4) for side in SIDES} for m in traced["parent"]
+            }
+            print(f"{name} traced at seed {seed}", file=sys.stderr)
+
+    result["method"] = (
+        f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 in an archive of the "
+        "parent commit and in the working tree with this change, one run per side per seed, parent first on odd "
+        f"seeds and change first on even seeds (scripts/bench_pairs.py). {'; '.join(seeds_text)}. "
+        + (f"Per-layer figures come from one --trace 1 run of {args.trace_seconds:g} s per side at seed {seed}. "
+           if args.trace else "")
+        + "Each entry gives each side's median and quartiles (statistics.quantiles, n=4), its runs in seed order, "
+        "the pairs the change won, the parent's interquartile range, the relative change of the median and "
+        "whether it is within the bound of BENCHMARK.json."
+    )
+    notes = []
+    if args.claim:
+        name, _, metric = args.claim.partition(":")
+        result["claim"] = {"workload": name, "metric": metric}
+        entry = workloads[name]["end_to_end"][metric]
+        notes.append(
+            f"{metric} on {name}: the change is better in {entry['change_wins']} pairs; medians "
+            f"{entry['parent']['median']} -> {entry['change']['median']} ({entry['median_change_rel']:+.1%}), "
+            f"parent IQR {entry['parent_iqr']}."
+        )
+    result["workloads"] = workloads
+    if traces:
+        result["per_layer_trace"] = traces
+    outside = [f"{w} {m}" for w, e in workloads.items() for m, v in e["end_to_end"].items() if not v["within_bound"]]
+    notes.append("Every end-to-end median is within its bound." if not outside
+                 else "Outside the bound: " + ", ".join(outside) + ".")
+    result["notes"] = notes
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

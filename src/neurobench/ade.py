@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+_INF = math.inf
+
 
 @dataclass(frozen=True)
 class AdeTriple:
@@ -20,10 +22,11 @@ class AdeTriple:
     energy: float
 
     def __post_init__(self):
-        for name in ("area", "delay", "energy"):
-            v = getattr(self, name)
-            if not 0.0 <= v < math.inf:  # also catches NaN
-                raise ValueError(f"AdeTriple.{name} must be finite and >= 0, got {v!r}")
+        if not (0.0 <= self.area < _INF and 0.0 <= self.delay < _INF and 0.0 <= self.energy < _INF):  # also NaN
+            for name in ("area", "delay", "energy"):
+                v = getattr(self, name)
+                if not 0.0 <= v < _INF:
+                    raise ValueError(f"AdeTriple.{name} must be finite and >= 0, got {v!r}")
 
     def __add__(self, other: "AdeTriple") -> "AdeTriple":
         return AdeTriple(

@@ -254,6 +254,10 @@ class LayerSpec:
 class WorkloadSpec:
     name: str
     layers: tuple[LayerSpec, ...]
+    # Stage plans of this spec by (network kind, fan-in), filled by
+    # `workload.workload_plan`. Not an init field, so dataclasses.replace()
+    # yields a spec without plans.
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 T = TypeVar("T")
@@ -477,9 +481,13 @@ def _load_constants(path: Path) -> GlobalConstants:
     walked = _read(GlobalConstants, doc, name, factors=_units(doc, name, _units_of(GlobalConstants)))
     feature = walked["feature_size"]
 
+    # feature-size multiples (`_f` keys) get the check of a unit conversion
+    def feature_multiple(key):
+        return _converted(_value(doc, key, float, name), feature, name, "", key)
+
     def feature_widths(cls, key):
         block = _value(doc, key, dict, name)
-        return cls(**{k: v * feature for k, v in _read(cls, block, name, key).items()})
+        return cls(**{k: _converted(v, feature, name, key, k) for k, v in _read(cls, block, name, key).items()})
 
     # orderings that the sense amp, analog read and OTA cell models need
     orders = [("", walked, "sense_voltage", "supply_voltage"), ("", walked, "vsa_read_voltage", "analog_row_voltage")]
@@ -492,14 +500,14 @@ def _load_constants(path: Path) -> GlobalConstants:
     if "cmos" not in transistors:
         raise ValidationError(f"{name}: transistors must include a 'cmos' family")
 
-    w_dt = _value(doc, "digital_transistor_width_f", float, name) * feature
+    w_dt = feature_multiple("digital_transistor_width_f")
     overheads = _value(doc, "overheads", dict, name)
     nominal = _value(doc, "nominal_chip", dict, name)
     constants = GlobalConstants(
         **walked,
-        min_ic_length=20.0 * feature,
+        min_ic_length=_converted(feature, 20.0, name, "", "feature_size"),
         digital_transistor_width=w_dt,
-        wire_pitch=_value(doc, "wire_pitch_f", float, name) * feature,
+        wire_pitch=feature_multiple("wire_pitch_f"),
         transistors=transistors,
         load_capacitance=walked["transistor_cap_per_width"] * w_dt * units.M_PER_NM,
         sense_amp_widths=feature_widths(SenseAmpWidths, "sense_amp_widths_f"),

@@ -58,7 +58,7 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
     raw = build_raw_element(tech, registry)
     net = network_transform(raw, tech, registry)
     if cfg is None:
-        cfg = nominal_config(constants)
+        cfg = registry.memoized(nominal_config, lambda: nominal_config(constants))
     a_syn = net.synapse.area
     return assemble_row(
         net,

@@ -9,6 +9,13 @@ estimate and the wiring limit, and stages aggregate either in parallel or
 time-multiplexed onto a single core. The fan-in is the whole run policy: it
 also picks the default schedule.
 
+Evaluation is split in two. `workload_plan` compiles a workload at one
+network kind and fan-in into `StagePlan` entries, the counts that no
+technology changes, once per value of its arguments. `stage_benches` then
+evaluates every planned stage of one element row in a single loop, and
+`aggregate` combines the stages. A fresh registry with value-equal
+workloads reuses the plans.
+
 Only type-checking imports reference other modules.
 """
 
@@ -32,6 +39,18 @@ class StageParams(NamedTuple):
     s_neu: int  # synapses per output neuron
     f_st: int  # feature maps = core copies
     r_a: float
+
+
+class StagePlan(NamedTuple):
+    """One stage's technology-independent counts at one fan-in."""
+
+    neurons: int  # cascade neurons of every output, plus the inputs
+    synapses: int  # n_out * s_neu
+    wires: int  # n_in * n_out, routed at the metal pitch
+    levels: int  # cascade depth: synapse delays per stage
+    active_synapses: float  # r_a * s_neu * n_out
+    n_out: int
+    f_st: int
 
 
 class StageBench(NamedTuple):
@@ -110,7 +129,6 @@ def stage_params(layer: LayerSpec, stage_index: int, network_kind: str) -> Stage
     return stage
 
 
-@lru_cache(maxsize=256)
 def cascade(fan_in: Optional[int], s_neu: int) -> tuple[int, int]:
     """Levels and total neurons of the reduction tree combining s_neu inputs.
 
@@ -135,49 +153,79 @@ def cascade(fan_in: Optional[int], s_neu: int) -> tuple[int, int]:
     return levels, neurons
 
 
-def wire_limited_area(stage: StageParams, constants: "GlobalConstants") -> float:
-    """Area floor set by routing n_in x n_out wires at the metal pitch, nm^2."""
-    p = constants.wire_pitch
-    return stage.n_in * stage.n_out * p * p
-
-
-def core_area(
-    stage: StageParams,
-    elem: "ElementBench",
-    fan_in: Optional[int],
-    constants: "GlobalConstants",
-) -> float:
-    """Overhead-corrected core area for one stage, floored by the wiring limit.
+def plan_stage(stage: StageParams, fan_in: Optional[int]) -> StagePlan:
+    """The counts of one stage at one fan-in that no technology changes.
 
     Each output neuron has a synapse per input it reads: every input of a
-    fully-connected layer (a cross-connect), the kernel window of a convolution.
+    fully-connected layer (a cross-connect), the kernel window of a
+    convolution. The core also holds the cascade neurons of every output and
+    the input neurons.
     """
-    _, n_cas = cascade(fan_in, stage.s_neu)
-    n_cor = n_cas * stage.n_out + stage.n_in
-    a_cor = constants.core_overhead * (
-        constants.neuron_overhead * elem.neuron.area * n_cor
-        + constants.synapse_overhead * elem.synapse.area * (stage.n_out * stage.s_neu)
+    levels, n_cas = cascade(fan_in, stage.s_neu)
+    return StagePlan(
+        neurons=n_cas * stage.n_out + stage.n_in,
+        synapses=stage.n_out * stage.s_neu,
+        wires=stage.n_in * stage.n_out,
+        levels=levels,
+        active_synapses=stage.r_a * stage.s_neu * stage.n_out,
+        n_out=stage.n_out,
+        f_st=stage.f_st,
     )
-    return max(a_cor, wire_limited_area(stage, constants))
 
 
-def stage_time_energy(
-    stage: StageParams,
+def workload_plan(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) -> tuple[StagePlan, ...]:
+    """The plan of every layer, in order; built once per value of the arguments.
+
+    The spec object keeps the plans it was given, so later calls skip the
+    value-keyed lookup, which compares every layer.
+    """
+    key = network_kind, fan_in
+    plan = spec._plans.get(key)
+    if plan is None:
+        plan = spec._plans.setdefault(key, _compile(spec, network_kind, fan_in))
+    return plan
+
+
+@lru_cache(maxsize=256)
+def _compile(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) -> tuple[StagePlan, ...]:
+    return tuple(
+        plan_stage(stage_params(layer, index, network_kind), fan_in) for index, layer in enumerate(spec.layers, start=1)
+    )
+
+
+def stage_benches(
+    plan: tuple[StagePlan, ...],
     elem: "ElementBench",
-    fan_in: Optional[int],
-) -> tuple[float, float]:
-    """Delay (ps) and energy (aJ) of one stage.
+    constants: "GlobalConstants",
+) -> list[StageBench]:
+    """Area (nm^2), delay (ps) and energy (aJ) of every planned stage.
 
-    A stage pays one synapse delay per cascade level, so sequential operation
-    (fan-in 1) pays one per synapse. Synapse figures include the core
-    interconnect, neuron figures the chip interconnect.
+    Core area is the overhead-corrected circuit estimate, floored by routing
+    n_in x n_out wires at the metal pitch. A stage pays one synapse delay per
+    cascade level, so sequential operation (fan-in 1) pays one per synapse.
+    Synapse figures include the core interconnect, neuron figures the chip
+    interconnect.
     """
     syn = elem.synapse_total
     neu = elem.neuron_total
-    levels, _ = cascade(fan_in, stage.s_neu)
-    delay = levels * syn.delay + neu.delay
-    energy = stage.r_a * stage.s_neu * stage.n_out * syn.energy + stage.n_out * neu.energy
-    return delay, energy
+    t_syn, e_syn, t_neu, e_neu = syn.delay, syn.energy, neu.delay, neu.energy
+    core_overhead = constants.core_overhead
+    neuron_site = constants.neuron_overhead * elem.neuron.area
+    synapse_site = constants.synapse_overhead * elem.synapse.area
+    p = constants.wire_pitch
+    benches = []
+    for neurons, synapses, wires, levels, active_synapses, n_out, f_st in plan:
+        circuit = core_overhead * (neuron_site * neurons + synapse_site * synapses)
+        floor = wires * p * p
+        benches.append(
+            StageBench(
+                floor if floor > circuit else circuit,  # max(circuit, floor)
+                levels * t_syn + t_neu,
+                active_synapses * e_syn + n_out * e_neu,
+                f_st,
+            )
+        )
+    return benches
 
 
 def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
@@ -201,12 +249,6 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
     return WorkloadBench(area=area, delay=delay, energy=energy, schedule=schedule)
 
 
-@lru_cache(maxsize=256)
-def _stages(spec: WorkloadSpec, network_kind: str) -> tuple[StageParams, ...]:
-    """Stage parameters of every layer, in order."""
-    return tuple(stage_params(layer, index, network_kind) for index, layer in enumerate(spec.layers, start=1))
-
-
 def run_workload(
     spec: WorkloadSpec,
     elem: "ElementBench",
@@ -221,12 +263,10 @@ def run_workload(
     Without an explicit schedule, sequential operation (fan-in 1) reuses one
     core time-multiplexed and every other fan-in runs the stages in parallel.
     """
-    benches = []
-    for stage in _stages(spec, network_kind):
-        area = core_area(stage, elem, fan_in, constants)
-        delay, energy = stage_time_energy(stage, elem, fan_in)
-        benches.append(StageBench(area=area, delay=delay, energy=energy, f_st=stage.f_st))
-    return aggregate(benches, schedule or ("time_multiplexed" if fan_in == 1 else "parallel"))
+    return aggregate(
+        stage_benches(workload_plan(spec, network_kind, fan_in), elem, constants),
+        schedule or ("time_multiplexed" if fan_in == 1 else "parallel"),
+    )
 
 
 def total_synaptic_ops(spec: WorkloadSpec, network_kind: str = "ANN") -> float:

@@ -300,6 +300,27 @@ def _edit(doc, path, value):
             {"label": "OscMOSring", "osc_class": "transistor_ring", "base_combo": "DCSRAM", "fan_in_class": "analog_cmos"},
             ("missing field OscMOSring.osc_device",), ("bench", "element", "--tech", "OscMOSring"),
         ),
+        # feature-size multiples beyond the float range in nm
+        (
+            "constants.json", ("wire_pitch_f",), 1e308, ("constants.json: wire_pitch_f", "1e+308"),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "constants.json", ("digital_transistor_width_f",), 1e308, ("constants.json: digital_transistor_width_f",),
+            ("devices", "list"),
+        ),
+        (
+            "constants.json", ("sense_amp_widths_f", "iso"), 1e308, ("constants.json: sense_amp_widths_f.iso",),
+            ("devices", "list"),
+        ),
+        (
+            "constants.json", ("ota_widths_f", "input"), 1e308, ("constants.json: ota_widths_f.input",),
+            ("bench", "element", "--tech", "ANNAnCOxme"),
+        ),
+        (  # 20 feature sizes, the minimum interconnect length
+            "constants.json", ("feature_size",), 1e307, ("constants.json: feature_size", "1e+307"),
+            ("devices", "list"),
+        ),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):

@@ -1,22 +1,24 @@
-import math
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neurobench import load_datasets
 from neurobench.ade import AdeTriple
 from neurobench.interconnect import ElementBench
-from neurobench.registry import LayerSpec
+from neurobench.registry import LayerSpec, WorkloadSpec
+from neurobench.report import bench_technology
 from neurobench.workload import (
     StageBench,
     StageParams,
     aggregate,
     cascade,
-    core_area,
+    plan_stage,
     run_workload,
+    stage_benches,
     stage_params,
-    stage_time_energy,
     total_synaptic_ops,
-    wire_limited_area,
+    workload_plan,
 )
 
 ZERO = AdeTriple(0.0, 0.0, 0.0)
@@ -27,6 +29,46 @@ def element(a_syn=100.0, t_syn=10.0, e_syn=5.0, a_neu=300.0, t_neu=20.0, e_neu=7
         synapse=AdeTriple(a_syn, t_syn, e_syn), core_ic=ZERO,
         neuron=AdeTriple(a_neu, t_neu, e_neu), chip_ic=ZERO,
     )
+
+
+def stage_bench(stage, elem, fan_in, constants):
+    """One stage through the kernel."""
+    return stage_benches((plan_stage(stage, fan_in),), elem, constants)[0]
+
+
+def time_energy(stage, elem, fan_in, constants):
+    bench = stage_bench(stage, elem, fan_in, constants)
+    return bench.delay, bench.energy
+
+
+def wire_floor(stage, constants):
+    """Area of n_in x n_out wires at the metal pitch, nm^2."""
+    p = constants.wire_pitch
+    return stage.n_in * stage.n_out * p * p
+
+
+def oracle_stages(spec, elem, c, network_kind="ANN", fan_in=None):
+    """The stages of `run_workload`, written stage by stage with the model's
+    expressions in their order of evaluation."""
+    syn, neu = elem.synapse_total, elem.neuron_total
+    stages = []
+    for index, layer in enumerate(spec.layers, start=1):
+        s = stage_params(layer, index, network_kind)
+        levels, n_cas = cascade(fan_in, s.s_neu)
+        n_cor = n_cas * s.n_out + s.n_in
+        a_cor = c.core_overhead * (
+            c.neuron_overhead * elem.neuron.area * n_cor + c.synapse_overhead * elem.synapse.area * (s.n_out * s.s_neu)
+        )
+        area = max(a_cor, s.n_in * s.n_out * c.wire_pitch * c.wire_pitch)
+        delay = levels * syn.delay + neu.delay
+        energy = s.r_a * s.s_neu * s.n_out * syn.energy + s.n_out * neu.energy
+        stages.append(StageBench(area, delay, energy, s.f_st))
+    return stages
+
+
+def oracle(spec, elem, c, network_kind="ANN", fan_in=None, schedule=None):
+    stages = oracle_stages(spec, elem, c, network_kind, fan_in)
+    return aggregate(stages, schedule or ("time_multiplexed" if fan_in == 1 else "parallel"))
 
 
 def reduction_tree_oracle(fan_in, s_neu):
@@ -132,9 +174,10 @@ def test_cascade_bracketing(fan_in, s_neu):
 
 def test_wire_limited_area_arithmetic(constants):
     stage = StageParams(n_in=784, n_out=256, s_neu=784, f_st=1, r_a=1.0)
+    area = stage_bench(stage, element(a_syn=1e-3, a_neu=1e-3), 16, constants).area  # circuit below the floor
     # 784 * 256 * (120 nm)^2
-    assert wire_limited_area(stage, constants) == pytest.approx(784 * 256 * 14400)
-    assert wire_limited_area(stage, constants) == pytest.approx(2.8901376e9)
+    assert area == pytest.approx(784 * 256 * 14400)
+    assert area == pytest.approx(2.8901376e9)
 
 
 def test_convolution_core_area_counts_kernel_synapses(constants):
@@ -142,24 +185,24 @@ def test_convolution_core_area_counts_kernel_synapses(constants):
     stage = stage_params(layer, 1, "ANN")
     assert (stage.n_in, stage.n_out, stage.s_neu) == (1225, 961, 25)
     elem = element(a_syn=1e7, a_neu=0.0)  # circuit area well above the wire floor
-    area = core_area(stage, elem, 16, constants)
+    area = stage_bench(stage, elem, 16, constants).area
     c = constants
-    assert area > wire_limited_area(stage, c)
+    assert area > wire_floor(stage, c)
     assert area == pytest.approx(c.core_overhead * c.synapse_overhead * 1e7 * stage.n_out * stage.s_neu, rel=1e-12)
 
 
 def test_wire_limit_dominates_tiny_synapses(constants):
     stage = StageParams(n_in=1000, n_out=1000, s_neu=10, f_st=1, r_a=1.0)
     elem = element(a_syn=1e-3, a_neu=1e-3)
-    assert core_area(stage, elem, 16, constants) == wire_limited_area(stage, constants)
+    assert stage_bench(stage, elem, 16, constants).area == wire_floor(stage, constants)
 
 
 def test_core_area_counts_cascade_neurons(constants):
     stage = StageParams(n_in=256, n_out=1, s_neu=256, f_st=1, r_a=1.0)
     elem = element(a_syn=1e-9, a_neu=1e6)  # circuit area well above the wire floor
     # fan-in 2 needs 255 cascade neurons; unlimited needs 1
-    wide = core_area(stage, elem, None, constants)
-    deep = core_area(stage, elem, 2, constants)
+    wide = stage_bench(stage, elem, None, constants).area
+    deep = stage_bench(stage, elem, 2, constants).area
     c = constants
     expected_gap = c.core_overhead * c.neuron_overhead * elem.neuron.area * (255 - 1) * stage.n_out
     assert deep - wide == pytest.approx(expected_gap, rel=1e-6)
@@ -168,35 +211,35 @@ def test_core_area_counts_cascade_neurons(constants):
 # -- stage time/energy -----------------------------------------------------------
 
 
-def test_sequential_single_synapse_equals_single_level_cascade():
+def test_sequential_single_synapse_equals_single_level_cascade(constants):
     stage = StageParams(n_in=1, n_out=4, s_neu=1, f_st=1, r_a=1.0)
     elem = element()
-    assert stage_time_energy(stage, elem, 2) == stage_time_energy(stage, elem, 1)
+    assert time_energy(stage, elem, 2, constants) == time_energy(stage, elem, 1, constants)
 
 
-def test_stage_energy_linear_in_outputs():
+def test_stage_energy_linear_in_outputs(constants):
     elem = element()
-    e1 = stage_time_energy(StageParams(10, 10, 10, 1, 1.0), elem, 2)[1]
-    e2 = stage_time_energy(StageParams(10, 20, 10, 1, 1.0), elem, 2)[1]
+    e1 = time_energy(StageParams(10, 10, 10, 1, 1.0), elem, 2, constants)[1]
+    e2 = time_energy(StageParams(10, 20, 10, 1, 1.0), elem, 2, constants)[1]
     assert e2 == pytest.approx(2 * e1)
 
 
-def test_stage_activity_scales_synapse_term_only():
+def test_stage_activity_scales_synapse_term_only(constants):
     elem = element(e_syn=5.0, e_neu=7.0)
-    full = stage_time_energy(StageParams(10, 8, 10, 1, 1.0), elem, 2)[1]
-    half = stage_time_energy(StageParams(10, 8, 10, 1, 0.5), elem, 2)[1]
+    full = time_energy(StageParams(10, 8, 10, 1, 1.0), elem, 2, constants)[1]
+    half = time_energy(StageParams(10, 8, 10, 1, 0.5), elem, 2, constants)[1]
     assert full - half == pytest.approx(0.5 * 10 * 8 * 5.0)
 
 
-def test_sequential_delay_structure():
+def test_sequential_delay_structure(constants):
     stage = StageParams(n_in=100, n_out=10, s_neu=100, f_st=1, r_a=1.0)
-    tau, _ = stage_time_energy(stage, element(t_syn=10.0, t_neu=20.0), 1)
+    tau, _ = time_energy(stage, element(t_syn=10.0, t_neu=20.0), 1, constants)
     assert tau == pytest.approx(100 * 10.0 + 20.0)
 
 
-def test_cascaded_delay_structure():
+def test_cascaded_delay_structure(constants):
     stage = StageParams(n_in=256, n_out=10, s_neu=256, f_st=1, r_a=1.0)
-    tau, _ = stage_time_energy(stage, element(t_syn=10.0, t_neu=20.0), 2)
+    tau, _ = time_energy(stage, element(t_syn=10.0, t_neu=20.0), 2, constants)
     assert tau == pytest.approx(8 * 10.0 + 20.0)
 
 
@@ -285,3 +328,147 @@ def test_workload_delay_monotone_in_stage_delay(registry, constants):
     slow = run_workload(registry.workload("mnist_mlp"), element(t_syn=20.0), constants, fan_in=2)
     fast = run_workload(registry.workload("mnist_mlp"), element(t_syn=10.0), constants, fan_in=2)
     assert slow.delay >= fast.delay
+
+
+# -- the stage kernel against the per-stage oracle ----------------------------------
+
+
+fully_connected = st.builds(
+    LayerSpec, kind=st.just("fully_connected"), inputs=st.integers(1, 2048), outputs=st.integers(1, 2048)
+)
+
+
+@st.composite
+def convolutions(draw):
+    image_w, image_h = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    return LayerSpec(
+        kind="convolution",
+        image_w=image_w,
+        image_h=image_h,
+        in_channels=draw(st.integers(1, 8)),
+        kernel=draw(st.integers(1, min(image_w, image_h, 11))),
+        feature_maps=draw(st.integers(1, 64)),
+        stride=draw(st.integers(1, 4)),
+        padding=draw(st.sampled_from(["valid", "same"])),
+    )
+
+
+workloads = st.lists(st.one_of(fully_connected, convolutions()), min_size=1, max_size=8).map(
+    lambda layers: WorkloadSpec(name="generated", layers=tuple(layers))
+)
+fan_ins = st.one_of(st.none(), st.just(1), st.integers(2, 64))
+schedules = st.sampled_from([None, "parallel", "time_multiplexed"])
+figures = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+triples = st.builds(AdeTriple, figures, figures, figures)
+elements = st.builds(ElementBench, synapse=triples, neuron=triples, core_ic=triples, chip_ic=triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=workloads,
+    elem=elements,
+    kind=st.sampled_from(["ANN", "SNN"]),
+    fan_in=fan_ins,
+    schedule=schedules,
+    overheads=st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
+    wire_pitch=st.floats(1.0, 1e3),
+)
+def test_run_workload_equals_stage_oracle_bit_for_bit(
+    constants, spec, elem, kind, fan_in, schedule, overheads, wire_pitch
+):
+    # overheads and a pitch off the shipped round numbers, so that a
+    # reordered product rounds differently
+    core, neuron, synapse = overheads
+    c = dataclasses.replace(
+        constants, core_overhead=core, neuron_overhead=neuron, synapse_overhead=synapse, wire_pitch=wire_pitch
+    )
+    assert stage_benches(workload_plan(spec, kind, fan_in), elem, c) == oracle_stages(spec, elem, c, kind, fan_in)
+    got = run_workload(spec, elem, c, network_kind=kind, fan_in=fan_in, schedule=schedule)
+    want = oracle(spec, elem, c, kind, fan_in, schedule)
+    assert (got.area, got.delay, got.energy, got.schedule) == (want.area, want.delay, want.energy, want.schedule)
+
+
+# -- workload invariants on every shipped technology -------------------------------
+
+
+def shipped_rows(registry):
+    return [(tech, bench_technology(tech, registry)) for tech in registry.enumerate_technologies()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=workloads)
+def test_schedules_share_energy_and_trade_area_for_delay(registry, spec):
+    c = registry.constants
+    for tech, row in shipped_rows(registry):
+        policy = {"network_kind": tech.network_kind, "fan_in": registry.fan_in[tech.fan_in_class]}
+        par = run_workload(spec, row, c, schedule="parallel", **policy)
+        tmux = run_workload(spec, row, c, schedule="time_multiplexed", **policy)
+        assert par.energy == tmux.energy, tech.label
+        assert tmux.area <= par.area, tech.label
+        assert tmux.delay >= par.delay, tech.label
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=workloads, pair=st.lists(st.integers(1, 64), min_size=2, max_size=2, unique=True), schedule=schedules)
+def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule):
+    c = registry.constants
+    for tech, row in shipped_rows(registry):
+        delays = [
+            run_workload(spec, row, c, network_kind=tech.network_kind, fan_in=fan_in, schedule=schedule).delay
+            for fan_in in (*sorted(pair), None)  # None: unlimited
+        ]
+        assert delays[0] >= delays[1] >= delays[2], tech.label
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=workloads)
+def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(registry, spec):
+    c = registry.constants
+    for tech, row in shipped_rows(registry):
+        silent = dataclasses.replace(
+            row,
+            neuron=dataclasses.replace(row.neuron, energy=0.0),
+            chip_ic=dataclasses.replace(row.chip_ic, energy=0.0),
+        )
+        e_syn = row.synapse_total.energy
+        plan = workload_plan(spec, tech.network_kind, registry.fan_in[tech.fan_in_class])
+        for index, (layer, bench) in enumerate(zip(spec.layers, stage_benches(plan, silent, c)), start=1):
+            s = stage_params(layer, index, tech.network_kind)
+            assert bench.energy == s.r_a * s.s_neu * s.n_out * e_syn, (tech.label, index)
+
+
+# -- the plan cache ----------------------------------------------------------------
+
+
+def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, constants):
+    first, second = load_datasets(), load_datasets()
+    elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
+    for name, spec in registry.workloads.items():
+        a, b = first.workload(name), second.workload(name)
+        assert a is not b and a == b == spec
+        for kind, fan_in in (("ANN", None), ("SNN", 16), ("ANN", 1)):
+            assert workload_plan(a, kind, fan_in) is workload_plan(b, kind, fan_in)
+            results = [run_workload(s, elem, constants, network_kind=kind, fan_in=fan_in) for s in (a, b, spec)]
+            assert results[0] == results[1] == results[2] == oracle(spec, elem, constants, kind, fan_in)
+
+
+def test_replaced_spec_gets_its_own_plan(registry, constants):
+    spec = registry.workload("mnist_mlp")
+    elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
+    assert len(workload_plan(spec, "ANN", 2)) == 3
+    shorter = dataclasses.replace(spec, layers=spec.layers[:1])
+    wider = dataclasses.replace(spec, layers=(dataclasses.replace(spec.layers[0], outputs=512), *spec.layers[1:]))
+    assert len(workload_plan(shorter, "ANN", 2)) == 1
+    assert workload_plan(wider, "ANN", 2) != workload_plan(spec, "ANN", 2)
+    for s in (spec, shorter, wider, spec):
+        assert run_workload(s, elem, constants, fan_in=2) == oracle(s, elem, constants, fan_in=2)
+
+
+def test_network_kinds_and_fan_ins_never_share_a_plan(constants):
+    spec = load_datasets().workload("lenet")  # a spec no other test has planned
+    elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
+    runs = [(kind, fan_in) for kind in ("ANN", "SNN") for fan_in in (None, 1, 2, 16)]
+    for kind, fan_in in runs + runs[::-1]:
+        got = run_workload(spec, elem, constants, network_kind=kind, fan_in=fan_in)
+        assert got == oracle(spec, elem, constants, kind, fan_in), (kind, fan_in)
+    assert len({workload_plan(spec, kind, fan_in) for kind, fan_in in runs}) == len(runs)
