@@ -22,6 +22,7 @@ from .interconnect import ElementBench
 from .registry import (
     CircuitPrimitiveTable,
     DeviceRecord,
+    RESISTIVE_FAMILIES,
     GlobalConstants,
     Registry,
     Technology,
@@ -188,7 +189,7 @@ def build_raw_element(tech: Technology, registry: Registry) -> ElementBench:
 
 def element_r_eff(tech: Technology, registry: Registry) -> float:
     """Synapse resistance seen by the core interconnect; zero for non-resistive families."""
-    if tech.family in ("resistive_digital", "resistive_analog"):
+    if tech.family in RESISTIVE_FAMILIES:
         return synapse_effective_resistance(registry.device(tech.synapse_device), registry.constants)
     return 0.0
 
@@ -200,6 +201,6 @@ def element_drive_current(tech: Technology, registry: Registry) -> float:
     else with one minimum digital transistor.
     """
     c = registry.constants
-    if tech.family in ("resistive_digital", "resistive_analog"):
+    if tech.family in RESISTIVE_FAMILIES:
         return c.supply_voltage / registry.device(tech.synapse_device).r_on
     return c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * units.M_PER_NM

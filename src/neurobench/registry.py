@@ -30,13 +30,14 @@ from .ade import AdeTriple
 NETWORK_KINDS = ("ANN", "CNN", "SNN", "ONN")
 NETWORK_PREFIX = {"ANN": "ANN", "CNN": "CNN", "SNN": "Spi", "ONN": "Osc"}
 
+# the families whose synapse is a resistive device cell, read through its r_on/r_off
+RESISTIVE_FAMILIES = ("resistive_digital", "resistive_analog")
 ELEMENT_FAMILIES = (
     "digital_sram",
     "digital_mac",
     "analog_transistor",
     "analog_single_device",
-    "resistive_digital",
-    "resistive_analog",
+    *RESISTIVE_FAMILIES,
 )
 
 ENV_DATA_DIR = "NEUROBENCH_DATA_DIR"
@@ -592,7 +593,7 @@ def _load_technologies(path: Path, constants, primitives, devices) -> tuple[dict
     }
     # a family built from the synapse device needs its record, a resistive one also its r_on/r_off
     resistive = {d for d, record in devices.items() if record.r_on is not None}
-    device_of = {"analog_single_device": devices.keys(), "resistive_digital": resistive, "resistive_analog": resistive}
+    device_of = {"analog_single_device": devices.keys(), **dict.fromkeys(RESISTIVE_FAMILIES, resistive)}
 
     def device_checked(options: dict, record: str) -> dict:
         if options["family"] in device_of:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import units
 from .chip import ChipConfig, chip_area, nominal_config
 from .elements import build_raw_element, element_drive_current, element_r_eff
 from .interconnect import ElementBench, assemble_row
@@ -26,9 +27,6 @@ MATRIX_HEADER = (
     "delay_syn_ps", "delay_lic_ps", "delay_neu_ps", "delay_gic_ps",
     "energy_syn_aJ", "energy_lic_aJ", "energy_neu_aJ", "energy_gic_aJ",
 )
-
-NM2_PER_UM2 = 1e6
-
 
 @dataclass(frozen=True)
 class ScatterPoint:
@@ -97,7 +95,7 @@ def matrix_columns(bench: ElementBench) -> list[float]:
     """The 12 element-matrix columns; areas in um^2, matching the reference matrix."""
     cols = list(bench.columns())
     for i in range(4):
-        cols[i] /= NM2_PER_UM2
+        cols[i] /= units.AREA_TO_NM2["um^2"]
     return cols
 
 
@@ -237,7 +235,10 @@ def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
 def geometric_mean_neuron_delay(registry: Registry, network_kind: str) -> float:
     """Geometric mean of the neuron delay column over one network kind."""
     delays = [b.neuron.delay for b in element_matrix(registry, network_kind)]
-    return math.exp(sum(math.log(d) for d in delays) / len(delays))
+    total = 0.0
+    for d in delays:  # left to right, as `workload.aggregate` sums
+        total += math.log(d)
+    return math.exp(total / len(delays))
 
 
 def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
@@ -254,7 +255,7 @@ def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
     for name, measured in published.items():
         bench = run_workload_on_chip(registry.chip(name), registry.workload("speech_mlp"), registry)
         computed_rate = bench.inferences_per_s
-        computed_energy_uj = bench.energy * 1e-12  # aJ -> uJ
+        computed_energy_uj = bench.energy * units.UJ_PER_AJ
         out[name] = {
             "computed_inferences_per_s": computed_rate,
             "published_inferences_per_s": measured["inferences_per_s"],

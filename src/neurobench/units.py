@@ -6,8 +6,9 @@ Canonical internal units, used everywhere past the loaders:
 
 Derived conventions: power is carried as aJ/ps (1 aJ/ps = 1e-6 W),
 throughput of events as 1/ps. Loaders convert dataset units exactly once,
-by the factors in the tables here; no other module multiplies by unit
-factors except through the helpers here.
+by the factors in the tables here. Every unit factor is one of the tables
+or constants here, used directly or through the helpers; no other module
+writes a factor as a literal.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ M_PER_NM = 1e-9
 PS_PER_S = 1e12
 AJ_PER_J = 1e18
 J_PER_AJ = 1e-18
+UJ_PER_AJ = 1e-12
 W_PER_AJ_PER_PS = 1e-6  # 1e-18 J / 1e-12 s
 AJ_PER_PS_PER_W = 1e6
 

@@ -234,18 +234,23 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
     Parallel gives every stage its own cores (areas add, feature maps
     multiply area); time-multiplexed reuses one core (area is the maximum,
     feature maps multiply delay). Energy is identical across schedules.
+
+    The sums run left to right over the stages, uncompensated, so every
+    Python gives the same bits (`sum()` of floats is compensated from 3.12).
     """
     if not stages:
         raise ValueError("workload needs at least one stage")
     if schedule not in ("parallel", "time_multiplexed"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    energy = sum(s.energy * s.f_st for s in stages)
-    if schedule == "parallel":
-        area = sum(s.area * s.f_st for s in stages)
-        delay = sum(s.delay for s in stages)
-    else:
-        area = max(s.area for s in stages)
-        delay = sum(s.delay * s.f_st for s in stages)
+    area = delay = energy = 0.0
+    for s in stages:
+        energy += s.energy * s.f_st
+        if schedule == "parallel":
+            area += s.area * s.f_st
+            delay += s.delay
+        else:
+            area = max(area, s.area)
+            delay += s.delay * s.f_st
     return WorkloadBench(area=area, delay=delay, energy=energy, schedule=schedule)
 
 

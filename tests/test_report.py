@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import random
 
 import pytest
@@ -138,3 +140,16 @@ def test_scatter_emit_round_trips(registry):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == len(points)
     assert float(rows[0]["x"]) > 0
+
+
+def test_geometric_mean_sums_logs_left_to_right(registry):
+    # with the supply voltage doubled, a compensated sum of the logs (sum() from
+    # Python 3.12 on) gives other bits for some network kinds
+    c = registry.constants
+    derived = dataclasses.replace(registry, constants=dataclasses.replace(c, supply_voltage=2 * c.supply_voltage))
+    for kind in ("ANN", "ONN", "CNN", "SNN"):
+        delays = [row.neuron.delay for row in report.element_matrix(derived, kind)]
+        total = 0.0
+        for d in delays:
+            total += math.log(d)
+        assert report.geometric_mean_neuron_delay(derived, kind) == math.exp(total / len(delays)), kind

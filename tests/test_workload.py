@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from neurobench import load_datasets
 from neurobench.ade import AdeTriple
@@ -258,6 +258,14 @@ def test_aggregate_rejects_empty():
         aggregate([], "parallel")
 
 
+def test_aggregate_sums_stages_left_to_right():
+    # 1 + 2**-53 rounds back to 1 at each step; a compensated sum gives 1 + 2**-52
+    stages = [StageBench(x, x, x, 1) for x in (1.0, 2.0**-53, 2.0**-53)]
+    par = aggregate(stages, "parallel")
+    tmux = aggregate(stages, "time_multiplexed")
+    assert (par.area, par.delay, par.energy, tmux.delay) == (1.0, 1.0, 1.0, 1.0)
+
+
 @given(
     stages=st.lists(
         st.tuples(
@@ -388,7 +396,23 @@ def test_run_workload_equals_stage_oracle_bit_for_bit(
     assert (got.area, got.delay, got.energy, got.schedule) == (want.area, want.delay, want.energy, want.schedule)
 
 
-# -- workload invariants on every shipped technology -------------------------------
+# -- workload invariants on every shipped technology, nominal and perturbed constants --
+
+
+PERTURBED = ("supply_voltage", "synapse_overhead", "neuron_overhead", "core_overhead", "chip_overhead", "wire_pitch")
+scalings = st.one_of(st.none(), st.tuples(*[st.floats(0.5, 2.0)] * len(PERTURBED)))
+
+
+def scaled(registry, factors):
+    """The shipped registry for factors None, else a derived one with the
+    `PERTURBED` constants scaled; draws that break the loader's ordering
+    sense_voltage < supply_voltage are discarded."""
+    if factors is None:
+        return registry
+    c = registry.constants
+    c = dataclasses.replace(c, **{name: getattr(c, name) * f for name, f in zip(PERTURBED, factors)})
+    assume(c.sense_voltage < c.supply_voltage)
+    return dataclasses.replace(registry, constants=c)
 
 
 def shipped_rows(registry):
@@ -396,8 +420,9 @@ def shipped_rows(registry):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workloads)
-def test_schedules_share_energy_and_trade_area_for_delay(registry, spec):
+@given(spec=workloads, factors=scalings)
+def test_schedules_share_energy_and_trade_area_for_delay(registry, spec, factors):
+    registry = scaled(registry, factors)
     c = registry.constants
     for tech, row in shipped_rows(registry):
         policy = {"network_kind": tech.network_kind, "fan_in": registry.fan_in[tech.fan_in_class]}
@@ -409,8 +434,14 @@ def test_schedules_share_energy_and_trade_area_for_delay(registry, spec):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workloads, pair=st.lists(st.integers(1, 64), min_size=2, max_size=2, unique=True), schedule=schedules)
-def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule):
+@given(
+    spec=workloads,
+    pair=st.lists(st.integers(1, 64), min_size=2, max_size=2, unique=True),
+    schedule=schedules,
+    factors=scalings,
+)
+def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule, factors):
+    registry = scaled(registry, factors)
     c = registry.constants
     for tech, row in shipped_rows(registry):
         delays = [
@@ -421,8 +452,9 @@ def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workloads)
-def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(registry, spec):
+@given(spec=workloads, factors=scalings)
+def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(registry, spec, factors):
+    registry = scaled(registry, factors)
     c = registry.constants
     for tech, row in shipped_rows(registry):
         silent = dataclasses.replace(
