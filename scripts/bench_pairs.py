@@ -16,7 +16,11 @@ For each workload and each end-to-end metric of BENCHMARK.json the output
 gives each side's median, quartiles (statistics.quantiles, n=4) and runs in
 seed order, the pairs the change won, the parent's interquartile range, the
 relative change of the median and whether that change is within the
-metric's bound. `--trace W` adds one `--trace 1` run per side of W, whose
+metric's bound. The notes name every median that is worse than the
+parent's, within its bound or not, with the pairs the change won. `host`
+records PYTHONDONTWRITEBYTECODE and whether each side has bytecode cached
+in src/neurobench/__pycache__, since both move `import.ms` and `setup_s`.
+`--trace W` adds one `--trace 1` run per side of W, whose
 per-layer figures go under `per_layer_trace`. Progress goes to stderr.
 """
 
@@ -66,6 +70,10 @@ def quartiles(runs: list[float]) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(runs, n=4)) if len(runs) > 1 else (runs[0],) * 3
 
 
+def is_worse(parent: float, change: float, better: str) -> bool:
+    return change > parent if better == "lower" else change < parent
+
+
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     lower = better == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
@@ -109,7 +117,14 @@ def main(argv=None) -> int:
         checkouts = {"parent": parent_dir, "change": ROOT}
         result["host"] = (
             f"{platform.system()} {platform.machine()}, nproc = {os.cpu_count()}, "
-            f"Python {platform.python_version()}; times scaled to the reference host speed by perfbench/calibration.py"
+            f"Python {platform.python_version()}; "
+            "times scaled to the reference host speed by perfbench/calibration.py; "
+            f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}; "
+            + ", ".join(
+                f"{side} src/neurobench/__pycache__ "
+                + ("exists" if (checkouts[side] / "src" / "neurobench" / "__pycache__").is_dir() else "absent")
+                for side in SIDES
+            )
         )
         seed = args.seed
         seeds_text = []
@@ -172,6 +187,14 @@ def main(argv=None) -> int:
     outside = [f"{w} {m}" for w, e in workloads.items() for m, v in e["end_to_end"].items() if not v["within_bound"]]
     notes.append("Every end-to-end median is within its bound." if not outside
                  else "Outside the bound: " + ", ".join(outside) + ".")
+    worse = [
+        f"{w} {m} {v['median_change_rel']:+.1%} (change better in {v['change_wins']} pairs)"
+        for w, e in workloads.items()
+        for m, v in e["end_to_end"].items()
+        if is_worse(v["parent"]["median"], v["change"]["median"], metrics[m]["better"])
+    ]
+    notes.append("No end-to-end median is worse than the parent's." if not worse
+                 else "Medians worse than the parent's: " + ", ".join(worse) + ".")
     result["notes"] = notes
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import units
 from .interconnect import ElementBench
@@ -31,8 +32,7 @@ class ChipConfig:
         return self.cores * self.neurons_per_core * self.synapses_per_neuron
 
 
-@dataclass(frozen=True)
-class ChipBench:
+class ChipBench(NamedTuple):
     total_synapses: int
     area: float  # nm^2
     firing_rate: float  # 1/ps
@@ -41,10 +41,6 @@ class ChipBench:
     syn_throughput: float  # events/ps
     power: float  # aJ/ps
     energy_per_step: float  # aJ
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError(f"chip figures must be finite: {self}")
 
     @property
     def power_w(self) -> float:
@@ -82,7 +78,8 @@ def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:
 
 
 def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) -> ChipBench:
-    """Chip-level figures from one element bench (interconnect included)."""
+    """Chip-level figures from one element bench (interconnect included); a
+    figure that overflows raises."""
     syn = elem.synapse_total
     neu = elem.neuron_total
     f_fire = firing_rate(cfg, elem)
@@ -90,7 +87,7 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
     e_event = syn.energy + neu.energy / (cfg.activity * cfg.synapses_per_neuron)
     throughput = f_fire * cfg.activity * cfg.total_synapses
     power = throughput * e_event
-    return ChipBench(
+    bench = ChipBench(
         total_synapses=cfg.total_synapses,
         area=chip_area(cfg, elem.neuron.area, elem.synapse.area, constants),
         firing_rate=f_fire,
@@ -100,3 +97,6 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
         power=power,
         energy_per_step=power * tau_step,
     )
+    if not all(map(math.isfinite, bench)):
+        raise ValueError(f"chip figures must be finite: {bench}")
+    return bench

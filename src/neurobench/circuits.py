@@ -10,7 +10,7 @@ tables, outputs carry nm^2 / ps / aJ (documented per field).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import units
 from .registry import CircuitPrimitiveTable, GlobalConstants, TransistorParams
@@ -20,8 +20,7 @@ class CircuitDomainError(ValueError):
     """Inputs outside the physical domain of a circuit model."""
 
 
-@dataclass(frozen=True)
-class SenseAmpBench:
+class SenseAmpBench(NamedTuple):
     area: float  # nm^2
     transconductance: float  # S
     load_cap: float  # F
@@ -29,8 +28,7 @@ class SenseAmpBench:
     energy: float  # aJ
 
 
-@dataclass(frozen=True)
-class VoltageSenseAmpBench:
+class VoltageSenseAmpBench(NamedTuple):
     area: float  # nm^2
     sense_cap: float  # F
     bitline_cap: float  # F
@@ -38,8 +36,7 @@ class VoltageSenseAmpBench:
     energy: float  # aJ
 
 
-@dataclass(frozen=True)
-class AnalogReadBench:
+class AnalogReadBench(NamedTuple):
     area: float  # nm^2
     column_voltage: float  # V
     delay: float  # ps
@@ -47,8 +44,7 @@ class AnalogReadBench:
     energy: float  # aJ
 
 
-@dataclass(frozen=True)
-class OtaCellBench:
+class OtaCellBench(NamedTuple):
     cell_cap: float  # F
     subthreshold_swing: float  # V/decade
     bias_current: float  # A

@@ -14,8 +14,7 @@ wire pitch); no equation in the model defines them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from . import units
@@ -29,20 +28,22 @@ if TYPE_CHECKING:  # used in annotations only
 class ElementBench:
     """Synapse and neuron triples plus their interconnects: the 12-column
     benchmark row. Before `assemble_row` attaches the wiring, both
-    interconnect triples are ZERO."""
+    interconnect triples are ZERO.
+
+    `synapse_total` (synapse plus core wire) and `neuron_total` (neuron plus
+    chip wire) are set once, when the row is built; against a ZERO wire they
+    are the synapse or neuron triple itself."""
 
     synapse: AdeTriple
     neuron: AdeTriple
     core_ic: AdeTriple = ZERO
     chip_ic: AdeTriple = ZERO
+    synapse_total: AdeTriple = field(init=False, compare=False, repr=False)
+    neuron_total: AdeTriple = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def synapse_total(self) -> AdeTriple:
-        return self.synapse + self.core_ic
-
-    @cached_property
-    def neuron_total(self) -> AdeTriple:
-        return self.neuron + self.chip_ic
+    def __post_init__(self):
+        object.__setattr__(self, "synapse_total", self.synapse if self.core_ic is ZERO else self.synapse + self.core_ic)
+        object.__setattr__(self, "neuron_total", self.neuron if self.chip_ic is ZERO else self.neuron + self.chip_ic)
 
     def columns(self) -> tuple[float, ...]:
         """Reference-matrix column order: areas, delays, energies; syn/lic/neu/gic each."""

@@ -10,8 +10,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import units
 from .chip import ChipConfig, chip_area, nominal_config
@@ -28,16 +27,18 @@ MATRIX_HEADER = (
     "energy_syn_aJ", "energy_lic_aJ", "energy_neu_aJ", "energy_gic_aJ",
 )
 
-@dataclass(frozen=True)
-class ScatterPoint:
+class ScatterPoint(NamedTuple):
     label: str
     x: float
     y: float
     series: str
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.x > 0 and self.y > 0):
-            raise ValueError(f"scatter point {self.label}: coordinates must be finite and positive")
+
+def _point(label: str, x: float, y: float, series: str) -> ScatterPoint:
+    """The one constructor `scatter_dataset` uses: plots need finite, positive coordinates."""
+    if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+        raise ValueError(f"scatter point {label}: coordinates must be finite and positive")
+    return ScatterPoint(label, x, y, series)
 
 
 def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
@@ -53,7 +54,11 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
 
 def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
     constants = registry.constants
-    raw = build_raw_element(tech, registry)
+    # the builder reads exactly these fields, so rows that agree on them share one raw element
+    raw = registry.memoized(
+        (build_raw_element, tech.family, tech.primitive_family, tech.transistor_family, tech.synapse_device),
+        lambda: build_raw_element(tech, registry),
+    )
     net = network_transform(raw, tech, registry)
     if cfg is None:
         cfg = registry.memoized(nominal_config, lambda: nominal_config(constants))
@@ -187,23 +192,16 @@ def scatter_dataset(registry: Registry, what: str = "neuron", workload: Optional
         for tech in registry.enumerate_technologies():
             bench = bench_technology(tech, registry)
             triple = bench.synapse_total if what == "synapse" else bench.neuron_total
-            points.append(ScatterPoint(label=tech.label, x=triple.delay, y=triple.energy, series=tech.network_kind))
+            points.append(_point(tech.label, triple.delay, triple.energy, tech.network_kind))
     elif what in ("workload", "power"):
         if workload is None:
             raise UnknownNameError(f"{what} scatter requires a workload name")
         for tech in registry.enumerate_technologies():
             b = bench_workload(workload, tech, registry)
             if what == "workload":
-                points.append(ScatterPoint(label=tech.label, x=b.delay, y=b.energy, series=tech.network_kind))
+                points.append(_point(tech.label, b.delay, b.energy, tech.network_kind))
             else:
-                points.append(
-                    ScatterPoint(
-                        label=tech.label,
-                        x=b.power_w / b.area,
-                        y=b.inference_throughput,
-                        series=tech.network_kind,
-                    )
-                )
+                points.append(_point(tech.label, b.power_w / b.area, b.inference_throughput, tech.network_kind))
     else:
         raise UnknownNameError(f"unknown scatter kind {what!r}")
     return points

@@ -16,7 +16,8 @@ and quoted values are never overwritten.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import units
 from .ade import AdeTriple
@@ -29,17 +30,12 @@ class IncomputableError(UnknownNameError):
     """A tops-down figure needs a field the record does not carry."""
 
 
-@dataclass(frozen=True)
-class TopsDownElement:
+class TopsDownElement(NamedTuple):
     neuron_area: float  # nm^2
     synapse_area: float  # nm^2
     synapse_delay: float  # ps
     synapse_energy: float  # aJ
     neuron_energy: float  # aJ
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError(f"tops-down figures must be finite: {self}")
 
     def as_element_bench(self) -> ElementBench:
         """Element bench with empty interconnect triples; published totals
@@ -65,7 +61,7 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     accelerator splits only its compute fraction of the area, runs one MAC
     per clock and, unless the record quotes an activity, runs at full
     activity. The element is computed once per registry and chip value; an
-    incomputable chip raises on every call.
+    incomputable chip, or a figure that overflows, raises on every call.
     """
     return registry.memoized(chip, lambda: _element(chip, registry))
 
@@ -86,13 +82,16 @@ def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     e_syn = _require(chip, "energy_per_event")
     per_neuron = chip.cores * chip.neurons_per_core
     neuron_area_fraction = p["neuron_area_fraction"]
-    return TopsDownElement(
+    element = TopsDownElement(
         neuron_area=neuron_area_fraction * budget / per_neuron,
         synapse_area=(1.0 - neuron_area_fraction) * budget / (per_neuron * chip.synapses_per_neuron),
         synapse_delay=tau_syn,
         synapse_energy=e_syn,
         neuron_energy=e_syn * activity * chip.synapses_per_neuron,
     )
+    if not all(map(math.isfinite, element)):
+        raise ValueError(f"tops-down figures must be finite: {element}")
+    return element
 
 
 # -- consistency back-fill ---------------------------------------------------
@@ -101,8 +100,7 @@ THROUGHPUT_IDENTITY = "throughput = fire_rate * activity * total_synapses"
 POWER_IDENTITY = "power = throughput * event_energy"
 
 
-@dataclass(frozen=True)
-class BackfillResult:
+class BackfillResult(NamedTuple):
     chip: ChipRecord
     filled: dict[str, str]  # field -> identity that produced it
     residuals: dict[str, float]  # identity -> relative residual, fully-quoted identities only

@@ -22,7 +22,6 @@ Only type-checking imports reference other modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -60,16 +59,11 @@ class StageBench(NamedTuple):
     f_st: int
 
 
-@dataclass(frozen=True)
-class WorkloadBench:
+class WorkloadBench(NamedTuple):
     area: float  # nm^2
     delay: float  # ps
     energy: float  # aJ
     schedule: str  # parallel | time_multiplexed
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.area, self.delay, self.energy))):
-            raise ValueError(f"workload figures must be finite: {self}")
 
     @property
     def power(self) -> float:
@@ -237,6 +231,7 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
 
     The sums run left to right over the stages, uncompensated, so every
     Python gives the same bits (`sum()` of floats is compensated from 3.12).
+    A figure that overflows raises.
     """
     if not stages:
         raise ValueError("workload needs at least one stage")
@@ -251,7 +246,10 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
         else:
             area = max(area, s.area)
             delay += s.delay * s.f_st
-    return WorkloadBench(area=area, delay=delay, energy=energy, schedule=schedule)
+    bench = WorkloadBench(area, delay, energy, schedule)
+    if not (math.isfinite(area) and math.isfinite(delay) and math.isfinite(energy)):
+        raise ValueError(f"workload figures must be finite: {bench}")
+    return bench
 
 
 def run_workload(

@@ -1,0 +1,124 @@
+"""Value carriers are NamedTuples: they keep every check and print as before."""
+
+import math
+import re
+from dataclasses import replace
+
+import pytest
+
+from neurobench import load_datasets, topsdown
+from neurobench.ade import ZERO, AdeTriple
+from neurobench.chip import ChipBench, chip_bench, nominal_config
+from neurobench.circuits import AnalogReadBench, OtaCellBench, SenseAmpBench, VoltageSenseAmpBench
+from neurobench.interconnect import ElementBench
+from neurobench.report import ScatterPoint
+from neurobench.topsdown import BackfillResult, TopsDownElement
+from neurobench.workload import StageBench, WorkloadBench, aggregate
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["area", "delay", "energy"])
+def test_triple_checks_every_route_in(name, bad):
+    good = AdeTriple(1.0, 2.0, 3.0)
+    message = f"AdeTriple.{name} must be finite and >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AdeTriple(**{**good._asdict(), name: bad})
+    with pytest.raises(ValueError, match=f"AdeTriple.{name} must be"):
+        good._replace(**{name: bad})
+    with pytest.raises(ValueError, match=f"AdeTriple.{name} must be"):
+        AdeTriple._make(bad if f == name else 1.0 for f in AdeTriple._fields)
+
+
+def test_triple_rejects_a_sum_that_overflows():
+    big = AdeTriple(1e308, 0.0, 0.0)
+    with pytest.raises(ValueError, match="AdeTriple.area must be finite"):
+        big + big
+
+
+def test_triple_adds_component_wise_and_never_repeats():
+    a, b = AdeTriple(1.0, 2.0, 3.0), AdeTriple(10.0, 20.0, 30.0)
+    total = a + b
+    assert type(total) is AdeTriple and total == AdeTriple(11.0, 22.0, 33.0)
+    assert a + ZERO == a
+    assert a._replace(delay=5.0) == AdeTriple(1.0, 5.0, 3.0) and type(a._replace()) is AdeTriple
+    for product in (lambda: a * 2, lambda: 2 * a, lambda: a * a):
+        with pytest.raises(TypeError, match="no scalar multiplication"):
+            product()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (AdeTriple(1.0, 2.5, 0.0), "AdeTriple(area=1.0, delay=2.5, energy=0.0)"),
+        (
+            SenseAmpBench(1.0, 2.0, 3.0, 4.0, 5.0),
+            "SenseAmpBench(area=1.0, transconductance=2.0, load_cap=3.0, delay=4.0, energy=5.0)",
+        ),
+        (
+            VoltageSenseAmpBench(1.0, 2.0, 3.0, 4.0, 5.0),
+            "VoltageSenseAmpBench(area=1.0, sense_cap=2.0, bitline_cap=3.0, delay=4.0, energy=5.0)",
+        ),
+        (
+            AnalogReadBench(1.0, 2.0, 3.0, 4.0, 5.0),
+            "AnalogReadBench(area=1.0, column_voltage=2.0, delay=3.0, power=4.0, energy=5.0)",
+        ),
+        (
+            OtaCellBench(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+            "OtaCellBench(cell_cap=1.0, subthreshold_swing=2.0, bias_current=3.0, output_conductance=4.0, "
+            "effective_resistance=5.0, opamp_current=6.0, ota_current=7.0)",
+        ),
+        (
+            ChipBench(8, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+            "ChipBench(total_synapses=8, area=1.0, firing_rate=2.0, time_step=3.0, energy_per_event=4.0, "
+            "syn_throughput=5.0, power=6.0, energy_per_step=7.0)",
+        ),
+        (
+            WorkloadBench(1.0, 2.0, 3.0, "parallel"),
+            "WorkloadBench(area=1.0, delay=2.0, energy=3.0, schedule='parallel')",
+        ),
+        (
+            TopsDownElement(1.0, 2.0, 3.0, 4.0, 5.0),
+            "TopsDownElement(neuron_area=1.0, synapse_area=2.0, synapse_delay=3.0, synapse_energy=4.0, "
+            "neuron_energy=5.0)",
+        ),
+        (
+            BackfillResult(None, {"power": "p"}, {"t": 0.5}),
+            "BackfillResult(chip=None, filled={'power': 'p'}, residuals={'t': 0.5})",
+        ),
+        (ScatterPoint("ME", 1.0, 2.0, "ANN"), "ScatterPoint(label='ME', x=1.0, y=2.0, series='ANN')"),
+    ],
+)
+def test_carrier_repr_is_unchanged(value, text):
+    # the text the same fields gave as a frozen dataclass
+    assert repr(value) == text
+
+
+def test_element_row_totals_are_set_when_the_row_is_built():
+    syn, neu, core, chip = AdeTriple(1.0, 2.0, 3.0), AdeTriple(4.0, 5.0, 6.0), AdeTriple(0.5, 0.5, 0.5), ZERO
+    row = ElementBench(synapse=syn, neuron=neu, core_ic=core, chip_ic=chip)
+    assert row.synapse_total == AdeTriple(1.5, 2.5, 3.5)
+    assert row.neuron_total is neu  # a ZERO wire adds nothing
+    assert repr(row) == f"ElementBench(synapse={syn!r}, neuron={neu!r}, core_ic={core!r}, chip_ic={chip!r})"
+    assert replace(row, core_ic=ZERO).synapse_total is syn
+
+
+def test_chip_figures_that_overflow_raise():
+    constants = load_datasets().constants
+    elem = ElementBench(synapse=AdeTriple(1.0, 1.0, 1e303), neuron=AdeTriple(1.0, 1.0, 1.0))
+    message = r"^chip figures must be finite: ChipBench\(total_synapses=4194304, .*power=inf"
+    with pytest.raises(ValueError, match=message):
+        chip_bench(nominal_config(constants), elem, constants)
+
+
+def test_topsdown_figures_that_overflow_raise():
+    registry = load_datasets()
+    chip = replace(registry.chip("Loihi"), energy_per_event=1e307)
+    message = r"^tops-down figures must be finite: TopsDownElement\(.*neuron_energy=inf\)$"
+    with pytest.raises(ValueError, match=message):
+        topsdown.topsdown_element(chip, registry)
+
+
+def test_workload_figures_that_overflow_raise():
+    stages = [StageBench(1e308, 1.0, 1.0, 2)]
+    with pytest.raises(ValueError, match=r"^workload figures must be finite: WorkloadBench\(area=inf, delay=1.0"):
+        aggregate(stages, "parallel")

@@ -127,27 +127,51 @@ def test_topsdown_backfilled_activity_above_one_is_data_error(capsys, data_copy)
     assert run(capsys, *argv) == (1, "", "error: chip IFAT: back-filled activity 2.17557 lies outside (0, 1]\n")
 
 
-def _lenet_feature_maps(doc):
-    next(w for w in doc["workloads"] if w["name"] == "lenet")["layers"][0]["feature_maps"] = 1e300
+def _lenet_feature_maps(count):
+    def mutate(doc):
+        next(w for w in doc["workloads"] if w["name"] == "lenet")["layers"][0]["feature_maps"] = count
+
+    return mutate
 
 
 @pytest.mark.parametrize(
-    "file, mutate, argv",
+    "file, mutate, argv, line",
     [
-        ("constants.json", lambda doc: doc.update(supply_voltage=1e200), ("bench", "element", "--tech", "ANNDCSRAM")),
-        (
+        pytest.param(
+            "constants.json", lambda doc: doc.update(supply_voltage=1e200), ("bench", "element", "--tech", "ANNDCSRAM"),
+            "AdeTriple.energy must be finite and >= 0, got inf",
+            id="constants.json-<lambda>-argv0",
+        ),
+        pytest.param(
             "constants.json", lambda doc: doc["nominal_chip"].update(cores=1e300),
             ("bench", "chip", "--nominal", "--tech", "ANNDCSRAM"),
+            "AdeTriple.area must be finite and >= 0, got inf",
+            id="constants.json-<lambda>-argv1",
         ),
-        ("workloads.json", _lenet_feature_maps, ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM")),
+        pytest.param(
+            "workloads.json", _lenet_feature_maps(1e300),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            "workload figures must be finite: "
+            "WorkloadBench(area=inf, delay=367432.88488230633, energy=inf, schedule='parallel')",
+            id="workloads.json-_lenet_feature_maps-argv2",
+        ),
+        pytest.param(
+            # area and delay are finite, their product is not: the throughput is 0
+            "workloads.json", _lenet_feature_maps(1e296),
+            ("export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet"),
+            "scatter point ANNDCSRAM: coordinates must be finite and positive",
+            id="workloads.json-_lenet_feature_maps-export-scatter",
+        ),
     ],
 )
-def test_overflowing_figure_is_data_error(capsys, data_copy, file, mutate, argv):
+def test_overflowing_figure_is_data_error(capsys, tmp_path, data_copy, file, mutate, argv, line):
     # every input is finite, but a product overflows
     rewrite_json(data_copy / file, mutate)
-    code, out, err = run(capsys, "--data-dir", str(data_copy), *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+    out_path = tmp_path / "out.csv"
+    if argv[0] == "export":
+        argv = (*argv, "--out", str(out_path))
+    assert run(capsys, "--data-dir", str(data_copy), *argv) == (1, "", f"error: {line}\n")
+    assert not out_path.exists()
 
 
 def test_export_matrix(capsys, tmp_path):

@@ -4,8 +4,11 @@ Every case starts a fresh interpreter, does one thing and lists the
 neurobench modules it then holds.
 """
 
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +79,20 @@ def test_star_import_resolves_every_public_name():
     assert set(neurobench.__all__) <= set(dir(neurobench))
     with pytest.raises(AttributeError):
         neurobench.no_such_name
+
+
+def test_dataclasses_are_the_chosen_ones():
+    # value carriers are NamedTuples; a new dataclass is a deliberate choice
+    found = set()
+    for info in pkgutil.iter_modules(neurobench.__path__):
+        module = importlib.import_module(f"neurobench.{info.name}")
+        found |= {
+            f"{info.name}.{name}"
+            for name, value in vars(module).items()
+            if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+        }
+    registry = {
+        "TransistorParams", "SenseAmpWidths", "OtaWidths", "GlobalConstants", "CircuitPrimitiveTable",
+        "DeviceRecord", "Technology", "ChipRecord", "LayerSpec", "WorkloadSpec", "Registry",
+    }
+    assert found == {f"registry.{name}" for name in registry} | {"interconnect.ElementBench", "chip.ChipConfig"}

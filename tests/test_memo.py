@@ -63,23 +63,57 @@ def test_perturbed_dataset_does_not_read_the_default_rows(registry, data_copy):
     assert report.bench_workload("lenet", tech, perturbed) != report.bench_workload("lenet", tech, registry)
 
 
-def test_each_row_is_built_once_per_registry(monkeypatch):
-    registry = load_datasets()
-    built = Counter()
-    original = report.build_raw_element
-
-    def counting(tech, reg):
-        built[tech.label] += 1
-        return original(tech, reg)
-
-    monkeypatch.setattr(report, "build_raw_element", counting)
+def _touch_every_row(registry):
     report.element_matrix(registry)
     for name in registry.workloads:
         for tech in registry.enumerate_technologies():
             report.bench_workload(name, tech, registry)
         report.emit_matrix(registry, "workload", workload=name)
+
+
+def test_each_row_is_built_once_per_registry(monkeypatch):
+    registry = load_datasets()
+    built = Counter()
+    original = report._build_row
+
+    def counting(tech, reg, cfg=None):
+        built[tech.label] += 1
+        return original(tech, reg, cfg)
+
+    monkeypatch.setattr(report, "_build_row", counting)
+    _touch_every_row(registry)
     assert set(built) == set(registry.technologies)
     assert set(built.values()) == {1}
+
+
+def test_each_raw_element_is_built_once_per_builder_input(monkeypatch):
+    registry = load_datasets()
+    built = Counter()
+    original = report.build_raw_element
+
+    def counting(tech, reg):
+        built[tech.family, tech.primitive_family, tech.transistor_family, tech.synapse_device] += 1
+        return original(tech, reg)
+
+    monkeypatch.setattr(report, "build_raw_element", counting)
+    _touch_every_row(registry)
+    for tech in registry.enumerate_technologies():  # explicit configs share the raw elements too
+        uncached_row(tech, registry)
+    assert len(built) == 18 < len(registry.technologies)
+    assert set(built.values()) == {1}
+
+
+def _scaled_constants(registry):
+    c = registry.constants
+    return replace(registry, constants=replace(c, supply_voltage=1.05 * c.supply_voltage, synapse_levels=4))
+
+
+@pytest.mark.parametrize("derive", [lambda r: r, _scaled_constants], ids=["default", "scaled"])
+def test_shared_raw_elements_give_the_unshared_rows(derive):
+    registry = derive(load_datasets())
+    for tech in registry.enumerate_technologies():
+        alone = report._build_row(tech, replace(registry))  # an empty memo: nothing is shared
+        assert report.bench_technology(tech, registry) == alone, tech.label
 
 
 def test_second_topsdown_call_returns_the_identical_result():

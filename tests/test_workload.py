@@ -459,8 +459,8 @@ def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(re
     for tech, row in shipped_rows(registry):
         silent = dataclasses.replace(
             row,
-            neuron=dataclasses.replace(row.neuron, energy=0.0),
-            chip_ic=dataclasses.replace(row.chip_ic, energy=0.0),
+            neuron=row.neuron._replace(energy=0.0),
+            chip_ic=row.chip_ic._replace(energy=0.0),
         )
         e_syn = row.synapse_total.energy
         plan = workload_plan(spec, tech.network_kind, registry.fan_in[tech.fan_in_class])
