@@ -39,7 +39,8 @@ def main(argv=None):
     comparison = report.speech_comparison(registry)
     (args.out / "speech_comparison.json").write_text(json.dumps(comparison, indent=1, sort_keys=True) + "\n")
 
-    ordering = {k: report.geometric_mean_neuron_delay(registry, k) for k in ("ANN", "ONN", "CNN", "SNN")}
+    kinds = {tech.network_kind for tech in registry.technologies.values()}
+    ordering = {k: report.geometric_mean_neuron_delay(registry, k) for k in ("ANN", "ONN", "CNN", "SNN") if k in kinds}
     print("geometric-mean neuron delay (ps):", {k: round(v, 1) for k, v in ordering.items()})
     print(f"wrote {len(list(args.out.iterdir()))} files to {args.out}/")
 

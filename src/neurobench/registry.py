@@ -10,7 +10,11 @@ in each rejection.
 
 The returned Registry is immutable after load and safe to share between
 concurrent evaluators: its mappings are read-only views, and results that
-the report layer derives from it are memoized on the registry itself.
+the report layer derives from it are memoized on the registry itself. A
+memo key names the registry's own records (`memo_key`): a technology by its
+label, a chip or workload by its name. Any other record, such as a
+`dataclasses.replace` copy or a record of another registry, stands for
+itself and is compared by value.
 """
 
 from __future__ import annotations
@@ -271,6 +275,13 @@ def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
         raise UnknownNameError(f"unknown {what} {name!r}") from None
 
 
+def memo_key(records: Mapping[str, T], name: str, record: T):
+    """`name` when `record` is the registry's own record of that name (tested
+    by identity), else the record itself. A name is hashed from its cached
+    string hash; a record would hash every field of the dataclass."""
+    return name if records.get(name) is record else record
+
+
 @dataclass(frozen=True)
 class Registry:
     constants: GlobalConstants
@@ -285,11 +296,18 @@ class Registry:
     # dataclasses.replace() yields a registry with an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def memoized(self, key, compute: Callable[[], T]) -> T:
-        """compute() once per key for this registry; later calls return the same object."""
+    def memoized(self, key, compute: Callable[..., T], *args) -> T:
+        """compute(*args) once per key for this registry; later calls return the same object.
+
+        A hit calls nothing, so callers pass the function and its arguments
+        rather than a closure. A key is a tuple whose first item is a constant
+        tag for its kind of result, so no two kinds collide; a tag is never a
+        function object, which a tracer may rebind. A compute that raises
+        stores nothing.
+        """
         value = self._memo.get(key)
         if value is None:
-            value = self._memo.setdefault(key, compute())
+            value = self._memo.setdefault(key, compute(*args))
         return value
 
     def device(self, name: str) -> DeviceRecord:

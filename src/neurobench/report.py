@@ -17,7 +17,7 @@ from .chip import ChipConfig, chip_area, nominal_config
 from .elements import build_raw_element, element_drive_current, element_r_eff
 from .interconnect import ElementBench, assemble_row
 from .networks import network_transform
-from .registry import Registry, Technology, UnknownNameError
+from .registry import Registry, Technology, UnknownNameError, memo_key
 from .workload import WorkloadBench, run_workload
 
 MATRIX_HEADER = (
@@ -48,7 +48,7 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     for an explicit `cfg` is built on every call.
     """
     if cfg is None:
-        return registry.memoized(tech, lambda: _build_row(tech, registry))
+        return registry.memoized(("row", memo_key(registry.technologies, tech.label, tech)), _build_row, tech, registry)
     return _build_row(tech, registry, cfg)
 
 
@@ -56,12 +56,14 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
     constants = registry.constants
     # the builder reads exactly these fields, so rows that agree on them share one raw element
     raw = registry.memoized(
-        (build_raw_element, tech.family, tech.primitive_family, tech.transistor_family, tech.synapse_device),
-        lambda: build_raw_element(tech, registry),
+        ("raw element", tech.family, tech.primitive_family, tech.transistor_family, tech.synapse_device),
+        build_raw_element,
+        tech,
+        registry,
     )
     net = network_transform(raw, tech, registry)
     if cfg is None:
-        cfg = registry.memoized(nominal_config, lambda: nominal_config(constants))
+        cfg = registry.memoized(("nominal config",), nominal_config, constants)
     a_syn = net.synapse.area
     return assemble_row(
         net,
@@ -83,16 +85,18 @@ def bench_workload(
     """Run a named workload on one technology at the fan-in of its class
     (`Registry.fan_in`), which also picks the default schedule. The result
     is built once per registry."""
-    return registry.memoized(
-        (workload_name, tech, schedule),
-        lambda: run_workload(
-            registry.workload(workload_name),
-            bench_technology(tech, registry),
-            registry.constants,
-            network_kind=tech.network_kind,
-            fan_in=registry.fan_in[tech.fan_in_class],
-            schedule=schedule,
-        ),
+    key = ("workload", workload_name, memo_key(registry.technologies, tech.label, tech), schedule)
+    return registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
+
+
+def _workload_bench(workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]) -> WorkloadBench:
+    return run_workload(
+        registry.workload(workload_name),
+        bench_technology(tech, registry),
+        registry.constants,
+        network_kind=tech.network_kind,
+        fan_in=registry.fan_in[tech.fan_in_class],
+        schedule=schedule,
     )
 
 
@@ -212,15 +216,15 @@ def pareto_front(points: list[ScatterPoint]) -> list[ScatterPoint]:
 
     A point survives iff no other point is <= in both coordinates and < in at
     least one. Output is sorted by (x, y, label), independent of input order.
+    One pass over that order: the last point kept has the least y so far,
+    at the least x with that y, so a point is dominated iff that one
+    dominates it. Equal points all survive.
     """
-    survivors = []
-    for p in points:
-        dominated = any(
-            q.x <= p.x and q.y <= p.y and (q.x < p.x or q.y < p.y) for q in points if q is not p
-        )
-        if not dominated:
-            survivors.append(p)
-    return sorted(survivors, key=lambda p: (p.x, p.y, p.label))
+    front = []
+    for p in sorted(points, key=lambda p: (p.x, p.y, p.label)):
+        if not front or p.y < front[-1].y or (p.y == front[-1].y and p.x == front[-1].x):
+            front.append(p)
+    return front
 
 
 def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
@@ -233,6 +237,8 @@ def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
 def geometric_mean_neuron_delay(registry: Registry, network_kind: str) -> float:
     """Geometric mean of the neuron delay column over one network kind."""
     delays = [b.neuron.delay for b in element_matrix(registry, network_kind)]
+    if not delays:
+        raise ValueError(f"no {network_kind} technologies: their geometric-mean neuron delay is undefined")
     total = 0.0
     for d in delays:  # left to right, as `workload.aggregate` sums
         total += math.log(d)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import units
 from .ade import AdeTriple
 from .interconnect import ElementBench
-from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec
+from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec, memo_key
 from .workload import WorkloadBench, run_workload
 
 
@@ -60,10 +60,10 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     and runs one synaptic event every 1/(fire_rate * activity * s_neu); an
     accelerator splits only its compute fraction of the area, runs one MAC
     per clock and, unless the record quotes an activity, runs at full
-    activity. The element is computed once per registry and chip value; an
-    incomputable chip, or a figure that overflows, raises on every call.
+    activity. The element is computed once per registry and chip (`memo_key`);
+    an incomputable chip, or a figure that overflows, raises on every call.
     """
-    return registry.memoized(chip, lambda: _element(chip, registry))
+    return registry.memoized(("chip element", memo_key(registry.chips, chip.name, chip)), _element, chip, registry)
 
 
 def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
@@ -183,10 +183,15 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
 
     Accelerators run as ANN at the "sequential" fan-in; neuromorphic chips
     run with spiking semantics (activity decaying per stage) at the "snn"
-    fan-in. The result is computed once per registry, chip value and
-    workload value.
+    fan-in. The result is computed once per registry, chip and workload
+    (`memo_key`).
     """
-    return registry.memoized((chip, spec), lambda: _chip_workload(chip, spec, registry))
+    key = (
+        "chip workload",
+        memo_key(registry.chips, chip.name, chip),
+        memo_key(registry.workloads, spec.name, spec),
+    )
+    return registry.memoized(key, _chip_workload, chip, spec, registry)
 
 
 def _chip_workload(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:

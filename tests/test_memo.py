@@ -1,12 +1,15 @@
 """Memoized results belong to the Registry that produced them."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from neurobench import load_datasets, report, topsdown
+from neurobench import elements, load_datasets, report, topsdown, workload
 from neurobench.chip import nominal_config
+from neurobench.interconnect import ElementBench
+from neurobench.registry import ChipRecord, LayerSpec, Technology, WorkloadSpec
 
 from conftest import rewrite_json
 
@@ -199,3 +202,149 @@ def test_registry_mappings_are_read_only(registry, mapping):
 def test_fan_in_limits_are_read_only(registry):
     with pytest.raises(TypeError):
         registry.fan_in["digital_cmos"] = 2
+
+
+# -- memo keys: a registry's own records by name, any other record by value ------
+
+
+def _surface_pass(registry):
+    """Every memoized query that a pass over the golden surface makes."""
+    _touch_every_row(registry)
+    report.emit_matrix(registry, "elements")
+    report.emit_matrix(registry, "chips")
+    for what in ("synapse", "neuron"):
+        report.pareto_front(report.scatter_dataset(registry, what))
+    report.speech_comparison(registry)
+    for kind in ("ANN", "ONN", "CNN", "SNN"):
+        report.geometric_mean_neuron_delay(registry, kind)
+    for chip in registry.chips.values():
+        try:
+            topsdown.topsdown_element(chip, registry)
+        except topsdown.IncomputableError:
+            continue
+        for spec in registry.workloads.values():
+            topsdown.run_workload_on_chip(chip, spec, registry)
+
+
+@pytest.mark.parametrize("record", [Technology, ChipRecord, WorkloadSpec, LayerSpec], ids=lambda c: c.__name__)
+def test_warm_pass_hashes_no_record_of_the_registry(monkeypatch, record):
+    registry = load_datasets()
+    _surface_pass(registry)
+    hashed = Counter()
+    original = record.__hash__
+
+    def counting(self):
+        hashed[record] += 1
+        return original(self)
+
+    monkeypatch.setattr(record, "__hash__", counting)
+    _surface_pass(registry)
+    assert hashed[record] == 0
+
+
+def test_replaced_technology_keeps_its_label_and_gets_its_own_row():
+    registry = load_datasets()
+    tech = registry.technology("ANNDCSRAM")
+    row = report.bench_technology(tech, registry)
+    boosted = replace(tech, ic_voltage=1.5 * registry.constants.supply_voltage)
+    assert boosted.label == tech.label
+    boosted_row = report.bench_technology(boosted, registry)
+    assert boosted_row != row
+    assert boosted_row == uncached_row(boosted, registry)
+    assert report.bench_technology(boosted, registry) is boosted_row
+    assert report.bench_technology(tech, registry) is row
+    assert report.bench_workload("lenet", boosted, registry) != report.bench_workload("lenet", tech, registry)
+
+
+def test_chip_named_like_a_technology_keeps_its_own_entries(data_copy):
+    def rename_loihi(doc):
+        next(row for row in doc["chips"] if row["name"] == "Loihi")["name"] = "ANNDCSRAM"
+
+    rewrite_json(data_copy / "chips_neuromorphic.json", rename_loihi)
+    registry = load_datasets(data_copy)
+    tech, chip, spec = registry.technology("ANNDCSRAM"), registry.chip("ANNDCSRAM"), registry.workload("lenet")
+    row = report.bench_technology(tech, registry)
+    element = topsdown.topsdown_element(chip, registry)
+    bench = report.bench_workload("lenet", tech, registry)
+    on_chip = topsdown.run_workload_on_chip(chip, spec, registry)
+    assert isinstance(row, ElementBench) and isinstance(element, topsdown.TopsDownElement)
+    assert on_chip != bench
+    assert report.bench_technology(tech, registry) is row
+    assert topsdown.topsdown_element(chip, registry) is element
+    assert report.bench_workload("lenet", tech, registry) is bench
+    assert topsdown.run_workload_on_chip(chip, spec, registry) is on_chip
+
+
+def test_backfilled_chip_gets_its_own_workload_result():
+    registry = load_datasets()
+    chip, spec = registry.chip("Diannao"), registry.workload("lenet")
+    bench = topsdown.run_workload_on_chip(chip, spec, registry)
+    filled = topsdown.backfill_derived(chip).chip
+    assert filled.name == chip.name and filled != chip
+    filled_bench = topsdown.run_workload_on_chip(filled, spec, registry)
+    assert filled_bench != bench
+    assert filled_bench == topsdown._chip_workload(filled, spec, replace(registry))
+    assert topsdown.run_workload_on_chip(filled, spec, registry) is filled_bench
+    assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
+
+
+# -- layers wrapped at every call site, as perfbench's tracer wraps them --------
+
+
+def _wrap_everywhere(monkeypatch, module, name, calls):
+    """Replace `module.name` with a counting wrapper in every neurobench module that holds it."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for holder in [m for k, m in sys.modules.items() if k == "neurobench" or k.startswith("neurobench.")]:
+        for attr, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, attr, counting)
+
+
+def test_memo_misses_call_the_wrapped_layers(monkeypatch):
+    registry = load_datasets()
+    calls = Counter()
+    _wrap_everywhere(monkeypatch, report, "bench_technology", calls)
+    _wrap_everywhere(monkeypatch, topsdown, "topsdown_element", calls)
+    report.bench_workload("lenet", registry.technology("SpiMEME"), registry)
+    assert calls["bench_technology"] == 1
+    topsdown.run_workload_on_chip(registry.chip("Loihi"), registry.workload("lenet"), registry)
+    assert calls["topsdown_element"] == 1
+
+
+def test_memo_hits_after_the_layers_are_wrapped(monkeypatch):
+    registry = load_datasets()
+    _surface_pass(registry)
+    incomputable = 0
+    for chip in registry.chips.values():
+        try:
+            topsdown.topsdown_element(chip, registry)
+        except topsdown.IncomputableError:
+            incomputable += 1
+    calls = Counter()
+    for module, name in [
+        (report, "bench_technology"),
+        (report, "bench_workload"),
+        (elements, "build_raw_element"),
+        (workload, "run_workload"),
+        (topsdown, "topsdown_element"),
+        (topsdown, "run_workload_on_chip"),
+        (report, "_build_row"),
+        (topsdown, "_element"),
+        (topsdown, "_chip_workload"),
+    ]:
+        _wrap_everywhere(monkeypatch, module, name, calls)
+    _surface_pass(registry)
+    assert calls["bench_technology"] > 0 and calls["topsdown_element"] > 0
+    for computed in ("build_raw_element", "run_workload", "_build_row", "_chip_workload"):
+        assert calls[computed] == 0, computed
+    # only an incomputable chip, which stores nothing, computes its element again: once
+    # for the chips table and once in the loop over chips
+    assert calls["_element"] == 2 * incomputable > 0
+    for tech in registry.enumerate_technologies():  # explicit configs read the shared raw elements
+        uncached_row(tech, registry)
+    assert calls["_build_row"] == 56 and calls["build_raw_element"] == 0

@@ -8,8 +8,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from neurobench import report
+from neurobench import load_datasets, report
 from neurobench.report import MATRIX_HEADER, ScatterPoint, pareto_front
+
+from conftest import rewrite_json
 
 
 def brute_force_pareto(points):
@@ -58,6 +60,24 @@ def test_pareto_permutation_independent():
 )
 def test_pareto_matches_oracle(coords):
     points = [pt(x, y, label=f"p{i}") for i, (x, y) in enumerate(coords)]
+    assert pareto_front(points) == brute_force_pareto(points)
+
+
+@given(
+    points=st.lists(
+        st.builds(
+            pt,
+            x=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+            y=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+            label=st.sampled_from(["a", "b"]),
+            series=st.sampled_from(["ANN", "SNN"]),
+        ),
+        max_size=40,
+    )
+)
+def test_pareto_matches_oracle_with_many_ties(points):
+    # few distinct coordinates and labels: equal points, shared x and shared y
+    # are the rule, and points equal in (x, y, label) keep their input order
     assert pareto_front(points) == brute_force_pareto(points)
 
 
@@ -153,3 +173,11 @@ def test_geometric_mean_sums_logs_left_to_right(registry):
         for d in delays:
             total += math.log(d)
         assert report.geometric_mean_neuron_delay(derived, kind) == math.exp(total / len(delays)), kind
+
+
+def test_geometric_mean_names_a_kind_with_no_technologies(data_copy):
+    rewrite_json(data_copy / "technologies.json", lambda doc: doc.update(oscillators=[]))
+    registry = load_datasets(data_copy)
+    assert report.geometric_mean_neuron_delay(registry, "ANN") > 0
+    with pytest.raises(ValueError, match="no ONN technologies"):
+        report.geometric_mean_neuron_delay(registry, "ONN")

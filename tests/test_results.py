@@ -8,19 +8,35 @@ from pathlib import Path
 
 import neurobench
 
+from conftest import rewrite_json
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "results.json").read_text(encoding="utf-8"))
 
 
-def test_run_benchmarks_output_matches_golden(tmp_path):
+def run_benchmarks(out: Path, data_dir=None) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "NEUROBENCH_DATA_DIR"}
+    if data_dir is not None:
+        env["NEUROBENCH_DATA_DIR"] = str(data_dir)
     src = str(Path(neurobench.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     script = ROOT / "scripts" / "run_benchmarks.py"
-    subprocess.run(
-        [sys.executable, str(script), "--out", str(tmp_path)], env=env, check=True, capture_output=True, timeout=120
-    )
+    command = [sys.executable, str(script), "--out", str(out)]
+    return subprocess.run(command, env=env, check=True, capture_output=True, text=True, timeout=120)
+
+
+def test_run_benchmarks_output_matches_golden(tmp_path):
+    run_benchmarks(tmp_path)
     written = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
     assert sorted(written) == sorted(GOLDEN)
     for name, text in GOLDEN.items():
         assert written[name] == text, name
+
+
+def test_run_benchmarks_orders_only_the_kinds_present(tmp_path, data_copy):
+    rewrite_json(data_copy / "technologies.json", lambda doc: doc.update(oscillators=[]))
+    out = tmp_path / "results"
+    stdout = run_benchmarks(out, data_copy).stdout
+    assert stdout.startswith("geometric-mean neuron delay (ps): {'ANN': ")
+    assert "'CNN'" in stdout and "'SNN'" in stdout and "ONN" not in stdout
+    assert sorted(path.name for path in out.iterdir()) == sorted(GOLDEN)
