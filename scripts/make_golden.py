@@ -37,28 +37,15 @@ def bottoms_up(registry) -> dict:
         bench = report.bench_technology(tech, registry)
         payload["elements"][tech.label] = list(bench.columns())
         cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
-        cb = chip_bench(cfg, bench, registry.constants)
-        payload["nominal_chip"][tech.label] = {
-            "area": cb.area,
-            "firing_rate": cb.firing_rate,
-            "time_step": cb.time_step,
-            "energy_per_event": cb.energy_per_event,
-            "syn_throughput": cb.syn_throughput,
-            "power": cb.power,
-            "energy_per_step": cb.energy_per_step,
-        }
+        figures = chip_bench(cfg, bench, registry.constants)._asdict()
+        del figures["total_synapses"]
+        payload["nominal_chip"][tech.label] = figures
 
     for name in sorted(registry.workloads):
-        per_tech = {}
-        for tech in registry.enumerate_technologies():
-            wb = report.bench_workload(name, tech, registry)
-            per_tech[tech.label] = {
-                "area": wb.area,
-                "delay": wb.delay,
-                "energy": wb.energy,
-                "schedule": wb.schedule,
-            }
-        payload["workloads"][name] = per_tech
+        payload["workloads"][name] = {
+            tech.label: report.bench_workload(name, tech, registry)._asdict()
+            for tech in registry.enumerate_technologies()
+        }
     return payload
 
 
@@ -71,20 +58,11 @@ def tops_down(registry) -> dict:
         except IncomputableError as err:
             payload[name] = {"error": str(err)}
             continue
-        workloads = {}
-        for wname in sorted(registry.workloads):
-            wb = run_workload_on_chip(chip, registry.workloads[wname], registry)
-            workloads[wname] = {"area": wb.area, "delay": wb.delay, "energy": wb.energy, "schedule": wb.schedule}
-        payload[name] = {
-            "element": {
-                "neuron_area": e.neuron_area,
-                "synapse_area": e.synapse_area,
-                "synapse_delay": e.synapse_delay,
-                "synapse_energy": e.synapse_energy,
-                "neuron_energy": e.neuron_energy,
-            },
-            "workloads": workloads,
+        workloads = {
+            wname: run_workload_on_chip(chip, registry.workloads[wname], registry)._asdict()
+            for wname in sorted(registry.workloads)
         }
+        payload[name] = {"element": e._asdict(), "workloads": workloads}
     return payload
 
 

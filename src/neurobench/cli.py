@@ -143,9 +143,11 @@ def _cmd_bench(args, registry: Registry) -> None:
         tech = registry.technology(args.tech)
         if args.nominal:
             cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
+            row = report.bench_technology(tech, registry)
         else:
             cfg = _chip_config(args.config)
-        bench = chip_bench(cfg, report.bench_technology(tech, registry, cfg), registry.constants)
+            row = report.bench_technology(tech, registry, cfg)
+        bench = chip_bench(cfg, row, registry.constants)
         print(f"total_synapses: {bench.total_synapses}")
         print(f"area_nm2: {bench.area:.{p}g}")
         print(f"firing_rate_per_s: {bench.firing_rate * units.PS_PER_S:.{p}g}")

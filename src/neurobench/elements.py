@@ -156,51 +156,54 @@ def resistive_synapse(
     return ElementBench(synapse=synapse, neuron=neuron)
 
 
+# Each builder gets the registry and the raw inputs after the family, and reads nothing else.
 _BUILDERS = {
-    "digital_sram": lambda tech, reg: digital_sram_element(
-        reg.constants, reg.primitives[tech.primitive_family]
+    "digital_sram": lambda reg, primitive, transistor, device: digital_sram_element(
+        reg.constants, reg.primitives[primitive]
     ),
-    "digital_mac": lambda tech, reg: digital_mac_element(
-        reg.constants, reg.primitives[tech.primitive_family]
+    "digital_mac": lambda reg, primitive, transistor, device: digital_mac_element(
+        reg.constants, reg.primitives[primitive]
     ),
-    "analog_transistor": lambda tech, reg: analog_transistor_element(
-        reg.constants, reg.primitives[tech.primitive_family], tech.transistor_family
+    "analog_transistor": lambda reg, primitive, transistor, device: analog_transistor_element(
+        reg.constants, reg.primitives[primitive], transistor
     ),
-    "analog_single_device": lambda tech, reg: analog_single_device_element(
-        reg.device(tech.synapse_device), reg.constants
+    "analog_single_device": lambda reg, primitive, transistor, device: analog_single_device_element(
+        reg.device(device), reg.constants
     ),
-    "resistive_digital": lambda tech, reg: resistive_synapse(
-        reg.device(tech.synapse_device), reg.constants, "digital", reg.primitives["digital_cmos"]
+    "resistive_digital": lambda reg, primitive, transistor, device: resistive_synapse(
+        reg.device(device), reg.constants, "digital", reg.primitives["digital_cmos"]
     ),
-    "resistive_analog": lambda tech, reg: resistive_synapse(
-        reg.device(tech.synapse_device), reg.constants, "analog", reg.primitives["digital_cmos"]
+    "resistive_analog": lambda reg, primitive, transistor, device: resistive_synapse(
+        reg.device(device), reg.constants, "analog", reg.primitives["digital_cmos"]
     ),
 }
 
 
+def raw_inputs(tech: Technology) -> tuple[str, str, str, str]:
+    """(family, primitive_family, transistor_family, synapse_device): every
+    field of `tech` that its raw element is built from, so technologies that
+    agree on these share one raw element."""
+    return tech.family, tech.primitive_family, tech.transistor_family, tech.synapse_device
+
+
 def build_raw_element(tech: Technology, registry: Registry) -> ElementBench:
     """Family dispatch: every technology label maps to exactly one builder."""
+    family, *inputs = raw_inputs(tech)
     try:
-        builder = _BUILDERS[tech.family]
+        builder = _BUILDERS[family]
     except KeyError:
-        raise ValidationError(f"technology {tech.label}: unknown element family {tech.family!r}") from None
-    return builder(tech, registry)
+        raise ValidationError(f"technology {tech.label}: unknown element family {family!r}") from None
+    return builder(registry, *inputs)
 
 
-def element_r_eff(tech: Technology, registry: Registry) -> float:
-    """Synapse resistance seen by the core interconnect; zero for non-resistive families."""
-    if tech.family in RESISTIVE_FAMILIES:
-        return synapse_effective_resistance(registry.device(tech.synapse_device), registry.constants)
-    return 0.0
-
-
-def element_drive_current(tech: Technology, registry: Registry) -> float:
-    """Neuron output current driving the chip-wide interconnect, A.
-
-    Resistive synapse technologies drive with the cell on-current, everything
-    else with one minimum digital transistor.
-    """
+def wire_drive(tech: Technology, registry: Registry) -> tuple[float, float, float]:
+    """(r_eff, i_neu, voltage): the synapse resistance seen by the core wire
+    (Ohm), the neuron current that charges the chip wire (A) and the swing of
+    both (V; `ic_voltage`, by default the supply). A resistive synapse drives
+    with its cell, every other family with one minimum digital transistor."""
     c = registry.constants
+    voltage = c.supply_voltage if tech.ic_voltage is None else tech.ic_voltage
     if tech.family in RESISTIVE_FAMILIES:
-        return c.supply_voltage / registry.device(tech.synapse_device).r_on
-    return c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * units.M_PER_NM
+        device = registry.device(tech.synapse_device)
+        return synapse_effective_resistance(device, c), c.supply_voltage / device.r_on, voltage
+    return 0.0, c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * units.M_PER_NM, voltage

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from . import units
 from .ade import ZERO, AdeTriple
@@ -98,18 +98,16 @@ def assemble_row(
     synapse_block_area: float,
     chip_area: float,
     constants: GlobalConstants,
-    *,
-    r_eff: float = 0.0,
+    r_eff: float,
     i_neu: float,
-    ic_voltage: Optional[float] = None,
+    voltage: float,
 ) -> ElementBench:
     """Attach core and chip interconnect triples to a network element bench.
 
     The core wire spans one core's synapse block and the chip wire the whole
-    chip (both areas nm^2). `ic_voltage` defaults to the supply voltage;
-    spintronic technologies pass their reduced interconnect swing here.
+    chip (both areas nm^2). `r_eff`, `i_neu` and `voltage` are the wire
+    drive of the technology (`elements.wire_drive`).
     """
-    voltage = constants.supply_voltage if ic_voltage is None else ic_voltage
     core_len, chip_len = ic_lengths(synapse_block_area, chip_area)
     core = AdeTriple(
         area=core_len * constants.wire_pitch,

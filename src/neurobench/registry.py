@@ -116,7 +116,6 @@ class GlobalConstants:
     """Process/architecture constants in canonical units (nm, ps, aJ, V, Ohm, F, A, S)."""
 
     feature_size: float  # nm
-    min_ic_length: float = _by_hand()  # nm, 20 feature sizes
     synapse_bits: int
     synapse_levels: int
     digital_transistor_width: float = _by_hand()  # nm
@@ -128,7 +127,6 @@ class GlobalConstants:
     ic_cap_per_length: float = _scaled("cap_per_length")  # F/m, empirical routing factor folded in
     ic_res_per_length: float = _scaled("res_per_length")  # Ohm/m
     min_ic_resistance: float  # Ohm
-    load_capacitance: float = _by_hand()  # F, one minimum digital transistor input
     sense_voltage: float  # V
     sense_amp_widths: SenseAmpWidths
     vsa_sense_voltage: float  # V
@@ -154,6 +152,16 @@ class GlobalConstants:
     wire_pitch: float = _by_hand()  # nm
 
     @property
+    def min_ic_length(self) -> float:
+        """Length of one minimum interconnect segment, 20 feature sizes, nm."""
+        return self.feature_size * 20.0
+
+    @property
+    def load_capacitance(self) -> float:
+        """Input capacitance of one minimum digital transistor, F."""
+        return self.transistor_cap_per_width * self.digital_transistor_width * units.M_PER_NM
+
+    @property
     def min_ic_capacitance(self) -> float:
         """C of one minimum-length interconnect segment, F."""
         return self.ic_cap_per_length * self.min_ic_length * units.M_PER_NM
@@ -163,7 +171,6 @@ class GlobalConstants:
 class CircuitPrimitiveTable:
     """Area/delay/energy of standard digital cells for one technology family."""
 
-    family: str
     inv: AdeTriple
     inv1: AdeTriple
     inv4: AdeTriple
@@ -519,16 +526,14 @@ def _load_constants(path: Path) -> GlobalConstants:
     if "cmos" not in transistors:
         raise ValidationError(f"{name}: transistors must include a 'cmos' family")
 
-    w_dt = feature_multiple("digital_transistor_width_f")
+    _converted(feature, 20.0, name, "", "feature_size")  # the minimum interconnect length must be finite too
     overheads = _value(doc, "overheads", dict, name)
     nominal = _value(doc, "nominal_chip", dict, name)
     constants = GlobalConstants(
         **walked,
-        min_ic_length=_converted(feature, 20.0, name, "", "feature_size"),
-        digital_transistor_width=w_dt,
+        digital_transistor_width=feature_multiple("digital_transistor_width_f"),
         wire_pitch=feature_multiple("wire_pitch_f"),
         transistors=transistors,
-        load_capacitance=walked["transistor_cap_per_width"] * w_dt * units.M_PER_NM,
         sense_amp_widths=feature_widths(SenseAmpWidths, "sense_amp_widths_f"),
         ota_widths=feature_widths(OtaWidths, "ota_widths_f"),
         **{
@@ -570,9 +575,9 @@ def _load_primitives(path: Path) -> dict[str, CircuitPrimitiveTable]:
         cells = _value(families, fam, dict, name, "families")
         parsed = {
             cell: triple(_value(cells, cell, dict, name, fam), f"{fam}.{cell}")
-            for cell in [f.name for f in fields(CircuitPrimitiveTable)][1:]
+            for cell in [f.name for f in fields(CircuitPrimitiveTable)]
         }
-        tables[fam] = CircuitPrimitiveTable(family=fam, **parsed)
+        tables[fam] = CircuitPrimitiveTable(**parsed)
     for fam in ("digital_cmos", "digital_tfet"):
         if fam not in tables:
             raise ValidationError(f"{name}: missing primitive family {fam!r}")

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from . import units
 from .chip import ChipConfig, chip_area, nominal_config
-from .elements import build_raw_element, element_drive_current, element_r_eff
+from .elements import build_raw_element, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row
 from .networks import network_transform
 from .registry import Registry, Technology, UnknownNameError, memo_key
@@ -54,13 +54,7 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
 
 def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
     constants = registry.constants
-    # the builder reads exactly these fields, so rows that agree on them share one raw element
-    raw = registry.memoized(
-        ("raw element", tech.family, tech.primitive_family, tech.transistor_family, tech.synapse_device),
-        build_raw_element,
-        tech,
-        registry,
-    )
+    raw = registry.memoized(("raw element", *raw_inputs(tech)), build_raw_element, tech, registry)
     net = network_transform(raw, tech, registry)
     if cfg is None:
         cfg = registry.memoized(("nominal config",), nominal_config, constants)
@@ -70,9 +64,7 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
         a_syn * cfg.neurons_per_core * cfg.synapses_per_neuron,  # one core's synapse block
         chip_area(cfg, net.neuron.area, a_syn, constants),
         constants,
-        r_eff=element_r_eff(tech, registry),
-        i_neu=element_drive_current(tech, registry),
-        ic_voltage=tech.ic_voltage,
+        *wire_drive(tech, registry),
     )
 
 
@@ -248,16 +240,20 @@ def geometric_mean_neuron_delay(registry: Registry, network_kind: str) -> float:
 def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
     """Computed speech-recognition workload figures for the two chips with
     published measurements, alongside those measurements. Exploratory: the
-    model is optimistic by construction and no tolerance applies."""
+    model is optimistic by construction and no tolerance applies. A chip or
+    the `speech_mlp` workload that the registry lacks is skipped."""
     from .topsdown import run_workload_on_chip
 
     published = {
         "Loihi": {"inferences_per_s": 89.8, "energy_per_inference_uJ": 770.0},
         "Myriad 2": {"inferences_per_s": 300.0, "energy_per_inference_uJ": 1500.0},
     }
+    spec = registry.workloads.get("speech_mlp")
     out = {}
     for name, measured in published.items():
-        bench = run_workload_on_chip(registry.chip(name), registry.workload("speech_mlp"), registry)
+        if spec is None or name not in registry.chips:
+            continue
+        bench = run_workload_on_chip(registry.chips[name], spec, registry)
         computed_rate = bench.inferences_per_s
         computed_energy_uj = bench.energy * units.UJ_PER_AJ
         out[name] = {

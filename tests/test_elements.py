@@ -10,9 +10,10 @@ from neurobench.elements import (
     build_raw_element,
     digital_mac_element,
     digital_sram_element,
-    element_r_eff,
+    raw_inputs,
     resistive_synapse,
     synapse_effective_resistance,
+    wire_drive,
 )
 from neurobench.registry import CircuitPrimitiveTable
 
@@ -29,8 +30,7 @@ FAMILIES = {
 def unit_primitives(delay=1.0, energy=1.0, area=1.0):
     cell = AdeTriple(area, delay, energy)
     return CircuitPrimitiveTable(
-        family="synthetic", inv=cell, inv1=cell, inv4=cell, nan=cell,
-        reg=cell, se=cell, add1=cell, add=cell, ram=cell,
+        inv=cell, inv1=cell, inv4=cell, nan=cell, reg=cell, se=cell, add1=cell, add=cell, ram=cell,
     )
 
 
@@ -189,10 +189,34 @@ def test_family_dispatch_is_total(registry):
         assert bench.neuron.area > 0 and bench.neuron.delay > 0 and bench.neuron.energy > 0
 
 
+def test_builders_read_only_the_raw_inputs(registry):
+    for tech in registry.technologies.values():
+        other = replace(
+            tech, label="X", network_kind="CNN", combo="X", fan_in_class="snn",
+            ic_voltage=0.3, osc_class="piezo", osc_device=None,
+        )
+        assert raw_inputs(other) == raw_inputs(tech)
+        assert build_raw_element(other, registry) == build_raw_element(tech, registry), tech.label
+
+
 def test_r_eff_zero_for_nonresistive(registry):
     for tech in registry.technologies.values():
-        r = element_r_eff(tech, registry)
+        r = wire_drive(tech, registry)[0]
         if tech.family in ("resistive_digital", "resistive_analog"):
             assert r > 0
         else:
             assert r == 0.0
+
+
+def test_wire_drive_current_and_voltage(registry):
+    c = registry.constants
+    transistor = c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * 1e-9
+    for tech in registry.technologies.values():
+        r_eff, i_neu, voltage = wire_drive(tech, registry)
+        if tech.family in ("resistive_digital", "resistive_analog"):
+            device = registry.device(tech.synapse_device)
+            assert r_eff == synapse_effective_resistance(device, c)
+            assert i_neu == c.supply_voltage / device.r_on
+        else:
+            assert i_neu == pytest.approx(transistor, rel=1e-12)
+        assert voltage == (c.supply_voltage if tech.ic_voltage is None else tech.ic_voltage)

@@ -98,7 +98,7 @@ def test_chip_delay_rejects_undriven_wire(constants):
 
 
 def test_assemble_row_zero_geometry_reduces_to_element(net, constants):
-    row = assemble_row(net, 0.0, 0.0, constants, i_neu=1e-5)
+    row = assemble_row(net, 0.0, 0.0, constants, r_eff=0.0, i_neu=1e-5, voltage=constants.supply_voltage)
     assert row.core_ic == AdeTriple(0.0, 0.0, 0.0)
     assert row.chip_ic == AdeTriple(0.0, 0.0, 0.0)
     assert row.synapse_total == net.synapse
@@ -106,15 +106,15 @@ def test_assemble_row_zero_geometry_reduces_to_element(net, constants):
 
 
 def test_assemble_row_spintronic_voltage(net, constants):
-    full = assemble_row(net, 1e8, 1e10, constants, i_neu=1e-5)
-    low = assemble_row(net, 1e8, 1e10, constants, i_neu=1e-5, ic_voltage=0.1)
+    full = assemble_row(net, 1e8, 1e10, constants, r_eff=0.0, i_neu=1e-5, voltage=constants.supply_voltage)
+    low = assemble_row(net, 1e8, 1e10, constants, r_eff=0.0, i_neu=1e-5, voltage=0.1)
     # energy scales with V^2: (0.8/0.1)^2 = 64
     assert full.chip_ic.energy / low.chip_ic.energy == pytest.approx(64.0)
     assert full.core_ic.energy / low.core_ic.energy == pytest.approx(64.0)
 
 
 def test_assemble_row_column_order(net, constants):
-    row = assemble_row(net, 1e8, 1e10, constants, i_neu=1e-5)
+    row = assemble_row(net, 1e8, 1e10, constants, r_eff=0.0, i_neu=1e-5, voltage=constants.supply_voltage)
     cols = row.columns()
     assert cols[0] == row.synapse.area and cols[1] == row.core_ic.area
     assert cols[2] == row.neuron.area and cols[3] == row.chip_ic.area

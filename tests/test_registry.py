@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,14 @@ def test_snn_has_no_mac_rows(registry):
 def test_min_ic_length_defaults_to_20_feature_sizes(constants):
     assert constants.min_ic_length == pytest.approx(20 * constants.feature_size)
     assert constants.min_ic_length == pytest.approx(300.0)
+
+
+@pytest.mark.parametrize(
+    "field, derived", [("feature_size", "min_ic_length"), ("transistor_cap_per_width", "load_capacitance")]
+)
+def test_derived_constants_follow_a_replaced_input(constants, field, derived):
+    doubled = replace(constants, **{field: 2 * getattr(constants, field)})
+    assert getattr(doubled, derived) == 2 * getattr(constants, derived)
 
 
 def test_ic_resistance_self_consistency(constants):
@@ -320,6 +329,32 @@ def _edit(doc, path, value):
         (  # 20 feature sizes, the minimum interconnect length
             "constants.json", ("feature_size",), 1e307, ("constants.json: feature_size", "1e+307"),
             ("devices", "list"),
+        ),
+        # cross-record checks of the loader
+        (
+            "constants.json", ("transistors", "cmos"), _DELETE, ("constants.json: transistors", "'cmos'"),
+            ("devices", "list"),
+        ),
+        (  # ic_res_per_length * 20 feature sizes is 667 Ohm
+            "constants.json", ("min_ic_resistance",), 700.0, ("min_ic_resistance = 700.0 Ohm", "more than 2%"),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "circuit_primitives.json", ("families", "digital_tfet"), _DELETE,
+            ("circuit_primitives.json: missing primitive family 'digital_tfet'",), ("devices", "list"),
+        ),
+        (
+            "devices.json", ("devices", "OxideR", "r_off"), _DELETE, ("devices.json: OxideR: r_on and r_off",),
+            ("devices", "list"),
+        ),
+        (
+            "technologies.json", ("combos", 0, "neuron_code"), "DX",
+            ("technologies.json: DCSRAM: label does not decompose",), ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "workloads.json", ("workloads", "lenet", "layers", 0, "kernel"), 33,
+            ("workloads.json: lenet.layers[0].kernel: exceeds image dimensions",),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
         ),
     ],
 )

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import neurobench
+import pytest
 
 from conftest import rewrite_json
 
@@ -40,3 +41,25 @@ def test_run_benchmarks_orders_only_the_kinds_present(tmp_path, data_copy):
     assert stdout.startswith("geometric-mean neuron delay (ps): {'ANN': ")
     assert "'CNN'" in stdout and "'SNN'" in stdout and "ONN" not in stdout
     assert sorted(path.name for path in out.iterdir()) == sorted(GOLDEN)
+
+
+def _drop(key: str, name: str):
+    return lambda doc: doc.update({key: [row for row in doc[key] if row["name"] != name]})
+
+
+@pytest.mark.parametrize(
+    "file, key, name, compared",
+    [
+        ("chips_neuromorphic.json", "chips", "Loihi", ["Myriad 2"]),
+        ("chips_accelerators.json", "chips", "Myriad 2", ["Loihi"]),
+        ("workloads.json", "workloads", "speech_mlp", []),
+    ],
+)
+def test_run_benchmarks_compares_only_the_records_present(tmp_path, data_copy, file, key, name, compared):
+    rewrite_json(data_copy / file, _drop(key, name))
+    out = tmp_path / "results"
+    run_benchmarks(out, data_copy)
+    written = sorted(path.name for path in out.iterdir())
+    assert written == sorted(f for f in GOLDEN if f != f"workload_{name}.csv")
+    speech = json.loads((out / "speech_comparison.json").read_text(encoding="utf-8"))
+    assert speech == {chip: json.loads(GOLDEN["speech_comparison.json"])[chip] for chip in compared}
