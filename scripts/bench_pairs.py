@@ -17,7 +17,10 @@ gives each side's median, quartiles (statistics.quantiles, n=4) and runs in
 seed order, the pairs the change won, the parent's interquartile range, the
 relative change of the median and whether that change is within the
 metric's bound. The notes name every median that is worse than the
-parent's, within its bound or not, with the pairs the change won. `host`
+parent's, within its bound or not, with the pairs the change won. With
+`--claim W:METRIC`, `claim.claim_met` says whether the change won at least
+nine tenths of the pairs (a tie counts for neither side) and its median
+beat the parent's by more than the parent's interquartile range. `host`
 records PYTHONDONTWRITEBYTECODE and whether each side has bytecode cached
 in src/neurobench/__pycache__, since both move `import.ms` and `setup_s`.
 `--trace W` adds one `--trace 1` run per side of W, whose
@@ -74,9 +77,23 @@ def is_worse(parent: float, change: float, better: str) -> bool:
     return change > parent if better == "lower" else change < parent
 
 
+def change_wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change is better; a tie counts for neither side."""
+    lower = better == "lower"
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def claim_met(parent: list[float], change: list[float], better: str) -> bool:
+    """A gain holds when the change wins at least nine tenths of all pairs and
+    its median beats the parent's by more than the parent's interquartile range."""
+    (p_q1, p_median, p_q3), (_, c_median, _) = quartiles(parent), quartiles(change)
+    gap = p_median - c_median if better == "lower" else c_median - p_median
+    return 10 * change_wins(parent, change, better) >= 9 * len(parent) and gap > p_q3 - p_q1
+
+
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     lower = better == "lower"
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    wins = change_wins(parent, change, better)
     (p_q1, p_median, p_q3), (c_q1, c_median, c_q3) = quartiles(parent), quartiles(change)
     limit = p_median * (1 + bound) if lower else p_median * (1 - bound)
     return {
@@ -129,6 +146,7 @@ def main(argv=None) -> int:
         seed = args.seed
         seeds_text = []
         workloads = {}
+        runs = {}
         for name, pairs in plan:
             seeds = list(range(seed, seed + pairs))
             seed += pairs
@@ -140,6 +158,7 @@ def main(argv=None) -> int:
                     lines[side].append(line)
                     p50 = line["metrics"]["op_p50_ms"]["value"]
                     print(f"{name} seed {s} {side}: op_p50_ms {p50:.4f}, failed {line['failed']}", file=sys.stderr)
+            runs[name] = lines
             workloads[name] = {
                 "seeds": seeds,
                 "failed": {side: sum(line["failed"] for line in lines[side]) for side in SIDES},
@@ -174,12 +193,16 @@ def main(argv=None) -> int:
     notes = []
     if args.claim:
         name, _, metric = args.claim.partition(":")
-        result["claim"] = {"workload": name, "metric": metric}
+        met = claim_met(
+            *([line["metrics"][metric]["value"] for line in runs[name][side]] for side in SIDES),
+            metrics[metric]["better"],
+        )
+        result["claim"] = {"workload": name, "metric": metric, "claim_met": met}
         entry = workloads[name]["end_to_end"][metric]
         notes.append(
             f"{metric} on {name}: the change is better in {entry['change_wins']} pairs; medians "
             f"{entry['parent']['median']} -> {entry['change']['median']} ({entry['median_change_rel']:+.1%}), "
-            f"parent IQR {entry['parent_iqr']}."
+            f"parent IQR {entry['parent_iqr']}; claim {'met' if met else 'not met'}."
         )
     result["workloads"] = workloads
     if traces:

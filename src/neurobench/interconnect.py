@@ -14,8 +14,7 @@ wire pitch); no equation in the model defines them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import units
 from .ade import ZERO, AdeTriple
@@ -23,27 +22,56 @@ from .ade import ZERO, AdeTriple
 if TYPE_CHECKING:  # used in annotations only
     from .registry import GlobalConstants
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class ElementBench:
+
+class _Row(NamedTuple):
+    synapse: AdeTriple
+    neuron: AdeTriple
+    core_ic: AdeTriple
+    chip_ic: AdeTriple
+    synapse_total: AdeTriple
+    neuron_total: AdeTriple
+
+
+class ElementBench(_Row):
     """Synapse and neuron triples plus their interconnects: the 12-column
     benchmark row. Before `assemble_row` attaches the wiring, both
     interconnect triples are ZERO.
 
-    `synapse_total` (synapse plus core wire) and `neuron_total` (neuron plus
-    chip wire) are set once, when the row is built; against a ZERO wire they
-    are the synapse or neuron triple itself."""
+    The fields are the four triples. `synapse_total` (synapse plus core
+    wire) and `neuron_total` (neuron plus chip wire) are stored after them
+    when the row is built, and `_make` and `_replace` build them again;
+    against a ZERO wire they are the synapse or neuron triple itself. Two
+    rows are equal when their four triples are."""
 
-    synapse: AdeTriple
-    neuron: AdeTriple
-    core_ic: AdeTriple = ZERO
-    chip_ic: AdeTriple = ZERO
-    synapse_total: AdeTriple = field(init=False, compare=False, repr=False)
-    neuron_total: AdeTriple = field(init=False, compare=False, repr=False)
+    __slots__ = ()
+    _fields = _Row._fields[:4]
 
-    def __post_init__(self):
-        object.__setattr__(self, "synapse_total", self.synapse if self.core_ic is ZERO else self.synapse + self.core_ic)
-        object.__setattr__(self, "neuron_total", self.neuron if self.chip_ic is ZERO else self.neuron + self.chip_ic)
+    def __new__(
+        cls, synapse: AdeTriple, neuron: AdeTriple, core_ic: AdeTriple = ZERO, chip_ic: AdeTriple = ZERO
+    ) -> "ElementBench":
+        return _new(cls, (
+            synapse, neuron, core_ic, chip_ic,
+            synapse if core_ic is ZERO else synapse + core_ic,
+            neuron if chip_ic is ZERO else neuron + chip_ic,
+        ))
+
+    @classmethod
+    def _make(cls, iterable) -> "ElementBench":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "ElementBench":
+        row = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return row
+
+    def __getnewargs__(self) -> tuple[AdeTriple, ...]:
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self)) + ")"
 
     def columns(self) -> tuple[float, ...]:
         """Reference-matrix column order: areas, delays, energies; syn/lic/neu/gic each."""

@@ -241,8 +241,9 @@ def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
     """Computed speech-recognition workload figures for the two chips with
     published measurements, alongside those measurements. Exploratory: the
     model is optimistic by construction and no tolerance applies. A chip or
-    the `speech_mlp` workload that the registry lacks is skipped."""
-    from .topsdown import run_workload_on_chip
+    the `speech_mlp` workload that the registry lacks is skipped, and so is
+    a chip whose figures are incomputable (as `emit_matrix` blanks its row)."""
+    from .topsdown import IncomputableError, run_workload_on_chip
 
     published = {
         "Loihi": {"inferences_per_s": 89.8, "energy_per_inference_uJ": 770.0},
@@ -253,7 +254,10 @@ def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
     for name, measured in published.items():
         if spec is None or name not in registry.chips:
             continue
-        bench = run_workload_on_chip(registry.chips[name], spec, registry)
+        try:
+            bench = run_workload_on_chip(registry.chips[name], spec, registry)
+        except IncomputableError:
+            continue
         computed_rate = bench.inferences_per_s
         computed_energy_uj = bench.energy * units.UJ_PER_AJ
         out[name] = {

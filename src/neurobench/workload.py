@@ -11,10 +11,11 @@ also picks the default schedule.
 
 Evaluation is split in two. `workload_plan` compiles a workload at one
 network kind and fan-in into `StagePlan` entries, the counts that no
-technology changes, once per value of its arguments. `stage_benches` then
-evaluates every planned stage of one element row in a single loop, and
-`aggregate` combines the stages. A fresh registry with value-equal
-workloads reuses the plans.
+technology changes, once per value of its arguments. One generator,
+`_stage_figures`, then evaluates every planned stage of one element row,
+and `aggregate` sums what it yields in one pass, so `run_workload` builds
+no per-stage object. `stage_benches` is the per-stage view of the same
+generator. A fresh registry with value-equal workloads reuses the plans.
 
 Only type-checking imports reference other modules.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from . import units
 
@@ -187,18 +188,19 @@ def _compile(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) -> tu
     )
 
 
-def stage_benches(
+def _stage_figures(
     plan: tuple[StagePlan, ...],
     elem: "ElementBench",
     constants: "GlobalConstants",
-) -> list[StageBench]:
-    """Area (nm^2), delay (ps) and energy (aJ) of every planned stage.
+) -> Iterator[tuple[float, float, float, int]]:
+    """Area (nm^2), delay (ps), energy (aJ) and feature maps of every planned
+    stage, in order: the one statement of the stage model.
 
     Core area is the overhead-corrected circuit estimate, floored by routing
     n_in x n_out wires at the metal pitch. A stage pays one synapse delay per
     cascade level, so sequential operation (fan-in 1) pays one per synapse.
     Synapse figures include the core interconnect, neuron figures the chip
-    interconnect.
+    interconnect. The per-row terms are computed once, before the first stage.
     """
     syn = elem.synapse_total
     neu = elem.neuron_total
@@ -207,23 +209,30 @@ def stage_benches(
     neuron_site = constants.neuron_overhead * elem.neuron.area
     synapse_site = constants.synapse_overhead * elem.synapse.area
     p = constants.wire_pitch
-    benches = []
     for neurons, synapses, wires, levels, active_synapses, n_out, f_st in plan:
         circuit = core_overhead * (neuron_site * neurons + synapse_site * synapses)
         floor = wires * p * p
-        benches.append(
-            StageBench(
-                floor if floor > circuit else circuit,  # max(circuit, floor)
-                levels * t_syn + t_neu,
-                active_synapses * e_syn + n_out * e_neu,
-                f_st,
-            )
+        yield (
+            floor if floor > circuit else circuit,  # max(circuit, floor)
+            levels * t_syn + t_neu,
+            active_synapses * e_syn + n_out * e_neu,
+            f_st,
         )
-    return benches
 
 
-def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
-    """Combine per-stage benches.
+def stage_benches(
+    plan: tuple[StagePlan, ...],
+    elem: "ElementBench",
+    constants: "GlobalConstants",
+) -> list[StageBench]:
+    """The per-stage view of a workload row: one `StageBench` per planned
+    stage, with the figures `run_workload` sums."""
+    return list(map(StageBench._make, _stage_figures(plan, elem, constants)))
+
+
+def aggregate(stages: Iterable[tuple[float, float, float, int]], schedule: str) -> WorkloadBench:
+    """Combine per-stage figures, `(area, delay, energy, f_st)` each (a
+    `StageBench` is one), in one pass.
 
     Parallel gives every stage its own cores (areas add, feature maps
     multiply area); time-multiplexed reuses one core (area is the maximum,
@@ -233,19 +242,23 @@ def aggregate(stages: list[StageBench], schedule: str) -> WorkloadBench:
     Python gives the same bits (`sum()` of floats is compensated from 3.12).
     A figure that overflows raises.
     """
-    if not stages:
-        raise ValueError("workload needs at least one stage")
     if schedule not in ("parallel", "time_multiplexed"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    parallel = schedule == "parallel"
     area = delay = energy = 0.0
-    for s in stages:
-        energy += s.energy * s.f_st
-        if schedule == "parallel":
-            area += s.area * s.f_st
-            delay += s.delay
+    count = 0
+    for s_area, s_delay, s_energy, f_st in stages:
+        count += 1
+        energy += s_energy * f_st
+        if parallel:
+            area += s_area * f_st
+            delay += s_delay
         else:
-            area = max(area, s.area)
-            delay += s.delay * s.f_st
+            if s_area > area:  # max(area, s_area)
+                area = s_area
+            delay += s_delay * f_st
+    if not count:
+        raise ValueError("workload needs at least one stage")
     bench = WorkloadBench(area, delay, energy, schedule)
     if not (math.isfinite(area) and math.isfinite(delay) and math.isfinite(energy)):
         raise ValueError(f"workload figures must be finite: {bench}")
@@ -267,7 +280,7 @@ def run_workload(
     core time-multiplexed and every other fan-in runs the stages in parallel.
     """
     return aggregate(
-        stage_benches(workload_plan(spec, network_kind, fan_in), elem, constants),
+        _stage_figures(workload_plan(spec, network_kind, fan_in), elem, constants),
         schedule or ("time_multiplexed" if fan_in == 1 else "parallel"),
     )
 

@@ -1,0 +1,36 @@
+"""scripts/bench_pairs.py: the rule that decides whether a claimed gain holds."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+PARENT = [20.0, 20.2, 19.8, 20.1, 19.9, 20.3, 19.7, 20.0, 20.1, 19.9]  # IQR 0.25
+FASTER = [18.0, 18.3, 17.9, 18.1, 18.2, 17.8, 18.0, 18.1, 17.9, 18.2]
+
+
+def test_claim_is_met_when_the_change_wins_nine_tenths_by_more_than_the_iqr():
+    assert bench_pairs.claim_met(PARENT, FASTER, "lower")
+    assert bench_pairs.claim_met([-v for v in PARENT], [-v for v in FASTER], "higher")
+    one_tie = [PARENT[0], *FASTER[1:]]
+    assert bench_pairs.change_wins(PARENT, one_tie, "lower") == 9
+    assert bench_pairs.claim_met(PARENT, one_tie, "lower")
+
+
+def test_claim_is_lost_on_wins():
+    two_lost = [21.0, 21.0, *FASTER[2:]]
+    assert bench_pairs.change_wins(PARENT, two_lost, "lower") == 8
+    assert not bench_pairs.claim_met(PARENT, two_lost, "lower")
+    two_ties = [*PARENT[:2], *FASTER[2:]]  # a tie counts for neither side
+    assert bench_pairs.change_wins(PARENT, two_ties, "lower") == 8
+    assert not bench_pairs.claim_met(PARENT, two_ties, "lower")
+
+
+def test_claim_is_lost_on_iqr():
+    parent = [10.0, 30.0, 12.0, 28.0, 14.0, 26.0, 16.0, 24.0, 18.0, 22.0]
+    change = [v - 0.5 for v in parent]  # wins every pair by less than the spread
+    assert bench_pairs.change_wins(parent, change, "lower") == 10
+    assert not bench_pairs.claim_met(parent, change, "lower")

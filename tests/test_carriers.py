@@ -1,6 +1,8 @@
 """Value carriers are NamedTuples: they keep every check and print as before."""
 
+import copy
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -99,7 +101,34 @@ def test_element_row_totals_are_set_when_the_row_is_built():
     assert row.synapse_total == AdeTriple(1.5, 2.5, 3.5)
     assert row.neuron_total is neu  # a ZERO wire adds nothing
     assert repr(row) == f"ElementBench(synapse={syn!r}, neuron={neu!r}, core_ic={core!r}, chip_ic={chip!r})"
-    assert replace(row, core_ic=ZERO).synapse_total is syn
+    assert row._replace(core_ic=ZERO).synapse_total is syn
+
+
+def test_element_row_make_and_replace_build_both_totals_again():
+    syn, neu, wire = AdeTriple(1.0, 2.0, 3.0), AdeTriple(4.0, 5.0, 6.0), AdeTriple(0.5, 0.5, 0.5)
+    row = ElementBench(syn, neu)
+    assert (row.synapse_total, row.neuron_total) == (syn, neu)
+    wired = row._replace(core_ic=wire, chip_ic=wire)
+    assert wired.synapse_total == AdeTriple(1.5, 2.5, 3.5)
+    assert wired.neuron_total == AdeTriple(4.5, 5.5, 6.5)
+    made = ElementBench._make((neu, syn, wire, ZERO))
+    assert made.synapse_total == AdeTriple(4.5, 5.5, 6.5) and made.neuron_total is syn
+    assert made._replace(chip_ic=wire).neuron_total == AdeTriple(1.5, 2.5, 3.5)
+    assert ElementBench._fields == ("synapse", "neuron", "core_ic", "chip_ic")
+    assert wired._asdict() == {"synapse": syn, "neuron": neu, "core_ic": wire, "chip_ic": wire}
+    assert copy.copy(wired) == wired and pickle.loads(pickle.dumps(wired)) == wired
+    with pytest.raises(ValueError, match="synapse_total"):
+        row._replace(synapse_total=syn)
+
+
+def test_element_rows_are_equal_exactly_when_their_four_triples_are():
+    a, b, c, d = (AdeTriple(x, x + 1.0, x + 2.0) for x in (1.0, 2.0, 3.0, 4.0))
+    row = ElementBench(a, b, c, d)
+    assert row == ElementBench(synapse=a, neuron=b, core_ic=c, chip_ic=d)
+    assert hash(row) == hash(ElementBench(a, b, c, d))
+    assert ElementBench(a, b) == ElementBench(a, b, AdeTriple(0.0, 0.0, 0.0), AdeTriple(0.0, 0.0, 0.0))
+    for changed in ({"synapse": d}, {"neuron": c}, {"core_ic": b}, {"chip_ic": a}):
+        assert row != row._replace(**changed)
 
 
 def test_chip_figures_that_overflow_raise():

@@ -95,4 +95,4 @@ def test_dataclasses_are_the_chosen_ones():
         "TransistorParams", "SenseAmpWidths", "OtaWidths", "GlobalConstants", "CircuitPrimitiveTable",
         "DeviceRecord", "Technology", "ChipRecord", "LayerSpec", "WorkloadSpec", "Registry",
     }
-    assert found == {f"registry.{name}" for name in registry} | {"interconnect.ElementBench", "chip.ChipConfig"}
+    assert found == {f"registry.{name}" for name in registry} | {"chip.ChipConfig"}

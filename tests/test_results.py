@@ -63,3 +63,17 @@ def test_run_benchmarks_compares_only_the_records_present(tmp_path, data_copy, f
     assert written == sorted(f for f in GOLDEN if f != f"workload_{name}.csv")
     speech = json.loads((out / "speech_comparison.json").read_text(encoding="utf-8"))
     assert speech == {chip: json.loads(GOLDEN["speech_comparison.json"])[chip] for chip in compared}
+
+
+def test_run_benchmarks_skips_an_incomputable_speech_chip(tmp_path, data_copy):
+    def drop_loihi_area(doc):
+        for row in doc["chips"]:
+            if row["name"] == "Loihi":
+                del row["area"]
+
+    rewrite_json(data_copy / "chips_neuromorphic.json", drop_loihi_area)
+    out = tmp_path / "results"
+    run_benchmarks(out, data_copy)
+    assert sorted(path.name for path in out.iterdir()) == sorted(GOLDEN)
+    speech = json.loads((out / "speech_comparison.json").read_text(encoding="utf-8"))
+    assert speech == {"Myriad 2": json.loads(GOLDEN["speech_comparison.json"])["Myriad 2"]}

@@ -7,7 +7,7 @@ from neurobench import load_datasets
 from neurobench.ade import AdeTriple
 from neurobench.interconnect import ElementBench
 from neurobench.registry import LayerSpec, WorkloadSpec
-from neurobench.report import bench_technology
+from neurobench.report import bench_technology, bench_workload
 from neurobench.workload import (
     StageBench,
     StageParams,
@@ -258,6 +258,17 @@ def test_aggregate_rejects_empty():
         aggregate([], "parallel")
 
 
+def test_aggregate_takes_one_pass_over_any_iterable_of_figures():
+    figures = [(5.0, 7.0, 11.0, 2), (3.0, 1.0, 4.0, 1)]
+    for schedule in ("parallel", "time_multiplexed"):
+        from_benches = aggregate([StageBench(*f) for f in figures], schedule)
+        assert aggregate(iter(figures), schedule) == aggregate((f for f in figures), schedule) == from_benches
+    with pytest.raises(ValueError, match="^workload needs at least one stage$"):
+        aggregate(iter(()), "parallel")
+    with pytest.raises(ValueError, match="^unknown schedule 'both'$"):
+        aggregate(iter(figures), "both")
+
+
 def test_aggregate_sums_stages_left_to_right():
     # 1 + 2**-53 rounds back to 1 at each step; a compensated sum gives 1 + 2**-52
     stages = [StageBench(x, x, x, 1) for x in (1.0, 2.0**-53, 2.0**-53)]
@@ -457,8 +468,7 @@ def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(re
     registry = scaled(registry, factors)
     c = registry.constants
     for tech, row in shipped_rows(registry):
-        silent = dataclasses.replace(
-            row,
+        silent = row._replace(
             neuron=row.neuron._replace(energy=0.0),
             chip_ic=row.chip_ic._replace(energy=0.0),
         )
@@ -467,6 +477,24 @@ def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(re
         for index, (layer, bench) in enumerate(zip(spec.layers, stage_benches(plan, silent, c)), start=1):
             s = stage_params(layer, index, tech.network_kind)
             assert bench.energy == s.r_a * s.s_neu * s.n_out * e_syn, (tech.label, index)
+
+
+@pytest.mark.parametrize("factors", [None, (1.25, 1.5)], ids=["shipped", "scaled"])
+def test_stage_view_sums_to_the_memoized_workload_bench(registry, factors):
+    # the explain path (stage_benches, then aggregate) and the hot path
+    # (run_workload, memoized by bench_workload) give the same bits
+    if factors is not None:
+        c = registry.constants
+        voltage, overhead = factors
+        c = dataclasses.replace(c, supply_voltage=c.supply_voltage * voltage, core_overhead=c.core_overhead * overhead)
+        registry = dataclasses.replace(registry, constants=c)
+    c = registry.constants
+    for tech, row in shipped_rows(registry):
+        fan_in = registry.fan_in[tech.fan_in_class]
+        for name, spec in registry.workloads.items():
+            stages = stage_benches(workload_plan(spec, tech.network_kind, fan_in), row, c)
+            for schedule in ("parallel", "time_multiplexed"):
+                assert bench_workload(name, tech, registry, schedule) == aggregate(stages, schedule), (tech.label, name)
 
 
 # -- the plan cache ----------------------------------------------------------------
