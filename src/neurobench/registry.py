@@ -8,17 +8,24 @@ canonical units (nm^2, ps, aJ, V, Ohm, F) exactly once at load time, and
 every value passes one validator, `_value`, which names `file: record.field`
 in each rejection.
 
+Each file is validated once per distinct content: the builders are pure
+functions of the file bytes, memoized by those bytes, so loads of identical
+bytes share the same validated, read-only records. A file rewritten in
+place is always read again, and a rejected file fails on every load.
+
 The returned Registry is immutable after load and safe to share between
 concurrent evaluators: its mappings are read-only views, and results that
-the report layer derives from it are memoized on the registry itself. A
-memo key names the registry's own records (`memo_key`): a technology by its
-label, a chip or workload by its name. Any other record, such as a
-`dataclasses.replace` copy or a record of another registry, stands for
-itself and is compared by value.
+the report layer derives from it are memoized on the registry itself, in a
+memo that every load starts empty. A memo key names the registry's own
+records (`memo_key`): a technology by its label, a chip or workload by its
+name. Any other record, such as a `dataclasses.replace` copy or a record of
+a registry loaded from other bytes, stands for itself and is compared by
+value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -123,7 +130,7 @@ class GlobalConstants:
     supply_voltage: float  # V
     linear_transconductance: float  # S
     transistor_on_resistance: float  # Ohm
-    transistors: dict[str, TransistorParams]
+    transistors: Mapping[str, TransistorParams]  # read-only
     ic_cap_per_length: float = _scaled("cap_per_length")  # F/m, empirical routing factor folded in
     ic_res_per_length: float = _scaled("res_per_length")  # Ohm/m
     min_ic_resistance: float  # Ohm
@@ -488,12 +495,16 @@ def _insert(records: dict, key: str, record, file: str, what: str) -> None:
     records[key] = record
 
 
-def _read_json(path: Path, name: str) -> dict:
+def _file_bytes(path: Path, name: str) -> bytes:
     try:
-        with open(path / name, "rb") as f:
-            doc = json.load(f)
+        return (path / name).read_bytes()
     except FileNotFoundError:
         raise DatasetError(f"{name}: file not found in {path}") from None
+
+
+def _parsed(data: bytes, name: str) -> dict:
+    try:
+        doc = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DatasetError(f"{name}: parse failure: {e}") from None
     if not isinstance(doc, dict) or "units" not in doc:
@@ -501,9 +512,17 @@ def _read_json(path: Path, name: str) -> dict:
     return doc
 
 
-def _load_constants(path: Path) -> GlobalConstants:
+# Each builder below is a pure function of the bytes of its file, and of the
+# files it cross-checks, memoized by those bytes: never by path or mtime, so a
+# file rewritten in place is read again. lru_cache stores no exception.
+_CACHE_ENTRIES = 32  # per builder
+_by_content = functools.lru_cache(maxsize=_CACHE_ENTRIES)
+
+
+@_by_content
+def _constants(data: bytes) -> GlobalConstants:
     name = "constants.json"
-    doc = _read_json(path, name)
+    doc = _parsed(data, name)
     walked = _read(GlobalConstants, doc, name, factors=_units(doc, name, _units_of(GlobalConstants)))
     feature = walked["feature_size"]
 
@@ -533,7 +552,7 @@ def _load_constants(path: Path) -> GlobalConstants:
         **walked,
         digital_transistor_width=feature_multiple("digital_transistor_width_f"),
         wire_pitch=feature_multiple("wire_pitch_f"),
-        transistors=transistors,
+        transistors=MappingProxyType(transistors),
         sense_amp_widths=feature_widths(SenseAmpWidths, "sense_amp_widths_f"),
         ota_widths=feature_widths(OtaWidths, "ota_widths_f"),
         **{
@@ -560,9 +579,10 @@ def _load_constants(path: Path) -> GlobalConstants:
     return constants
 
 
-def _load_primitives(path: Path) -> dict[str, CircuitPrimitiveTable]:
+@_by_content
+def _primitives(data: bytes) -> dict[str, CircuitPrimitiveTable]:
     name = "circuit_primitives.json"
-    doc = _read_json(path, name)
+    doc = _parsed(data, name)
     factors = _units(doc, name, ("area", "delay", "energy"))
 
     def triple(entry, record):
@@ -584,9 +604,10 @@ def _load_primitives(path: Path) -> dict[str, CircuitPrimitiveTable]:
     return tables
 
 
-def _load_devices(path: Path) -> dict[str, DeviceRecord]:
+@_by_content
+def _devices(data: bytes) -> dict[str, DeviceRecord]:
     name = "devices.json"
-    doc = _read_json(path, name)
+    doc = _parsed(data, name)
     factors = _units(doc, name, _units_of(DeviceRecord))
     devices = {}
     for i, row in enumerate(_value(doc, "devices", [dict], name)):
@@ -600,9 +621,15 @@ def _load_devices(path: Path) -> dict[str, DeviceRecord]:
     return devices
 
 
-def _load_technologies(path: Path, constants, primitives, devices) -> tuple[dict[str, Technology], dict]:
+@_by_content
+def _technologies(
+    data: bytes, constants_data: bytes, primitives_data: bytes, devices_data: bytes
+) -> tuple[dict[str, Technology], dict]:
+    """Technologies and fan-in limits; the files whose names they reference
+    are part of the key."""
+    constants, primitives, devices = _constants(constants_data), _primitives(primitives_data), _devices(devices_data)
     name = "technologies.json"
-    doc = _read_json(path, name)
+    doc = _parsed(data, name)
     _units(doc, name)
     # required classes: SNN rows and neuromorphic chips run at "snn", accelerators at "sequential"
     fan_in = {"snn": None, "sequential": None, **_value(doc, "fan_in", dict, name)}
@@ -679,9 +706,33 @@ def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -
         _insert(chips, cname, record, name, "chip")
 
 
-def _load_workloads(path: Path) -> dict[str, WorkloadSpec]:
+_NEUROMORPHIC, _ACCELERATORS = "chips_neuromorphic.json", "chips_accelerators.json"
+_TOPSDOWN_PARAMS = ("neuron_area_fraction", "accelerator_compute_fraction")
+
+
+@_by_content
+def _neuromorphic_chips(data: bytes) -> tuple[dict[str, ChipRecord], dict]:
+    """The neuromorphic chips, and the tops-down parameters as written, which
+    `_chips` checks after the accelerator chips."""
+    doc = _parsed(data, _NEUROMORPHIC)
+    chips: dict[str, ChipRecord] = {}
+    _load_chips(doc, _NEUROMORPHIC, "neuromorphic", chips)
+    return chips, {key: doc.get(key) for key in _TOPSDOWN_PARAMS}
+
+
+@_by_content
+def _chips(neuromorphic_data: bytes, accelerators_data: bytes) -> tuple[dict[str, ChipRecord], dict[str, float]]:
+    """The chips of both files, and the tops-down parameters."""
+    neuromorphic, params = _neuromorphic_chips(neuromorphic_data)
+    chips = dict(neuromorphic)
+    _load_chips(_parsed(accelerators_data, _ACCELERATORS), _ACCELERATORS, "accelerator", chips)
+    return chips, {key: _value(params, key, Fraction, _NEUROMORPHIC) for key in _TOPSDOWN_PARAMS}
+
+
+@_by_content
+def _workloads(data: bytes) -> dict[str, WorkloadSpec]:
     name = "workloads.json"
-    doc = _read_json(path, name)
+    doc = _parsed(data, name)
     _units(doc, name)
     counts = {
         "fully_connected": ("inputs", "outputs"),
@@ -716,27 +767,33 @@ def default_data_dir() -> Path:
 
 
 def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
-    """Load and cross-validate all dataset files, returning an immutable Registry."""
+    """Load and cross-validate all dataset files, returning an immutable Registry.
+
+    Each file is read right before the builder that checks it, so a directory
+    with several faults reports the first in this order. The registry's
+    records are shared with every load of the same bytes; its mapping views
+    and its memo are its own.
+    """
     path = Path(data_dir) if data_dir is not None else default_data_dir()
-    constants = _load_constants(path)
-    primitives = _load_primitives(path)
-    devices = _load_devices(path)
-    technologies, limits = _load_technologies(path, constants, primitives, devices)
-    neuromorphic = _read_json(path, "chips_neuromorphic.json")
-    chips: dict[str, ChipRecord] = {}
-    _load_chips(neuromorphic, "chips_neuromorphic.json", "neuromorphic", chips)
-    _load_chips(_read_json(path, "chips_accelerators.json"), "chips_accelerators.json", "accelerator", chips)
-    topsdown_params = {
-        key: _value(neuromorphic, key, Fraction, "chips_neuromorphic.json")
-        for key in ("neuron_area_fraction", "accelerator_compute_fraction")
-    }
+    constants_data = _file_bytes(path, "constants.json")
+    constants = _constants(constants_data)
+    primitives_data = _file_bytes(path, "circuit_primitives.json")
+    primitives = _primitives(primitives_data)
+    devices_data = _file_bytes(path, "devices.json")
+    devices = _devices(devices_data)
+    technologies, limits = _technologies(
+        _file_bytes(path, "technologies.json"), constants_data, primitives_data, devices_data
+    )
+    neuromorphic_data = _file_bytes(path, _NEUROMORPHIC)
+    _neuromorphic_chips(neuromorphic_data)  # its faults come before a missing accelerator file
+    chips, topsdown_params = _chips(neuromorphic_data, _file_bytes(path, _ACCELERATORS))
     return Registry(
         constants=constants,
         primitives=MappingProxyType(primitives),
         devices=MappingProxyType(devices),
         technologies=MappingProxyType(technologies),
         chips=MappingProxyType(chips),
-        workloads=MappingProxyType(_load_workloads(path)),
+        workloads=MappingProxyType(_workloads(_file_bytes(path, "workloads.json"))),
         fan_in=MappingProxyType(limits),
         topsdown_params=MappingProxyType(topsdown_params),
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tempfile
 from dataclasses import replace
@@ -13,6 +14,7 @@ from conftest import rewrite_json
 from neurobench import cli, load_datasets, report
 from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
+    RESISTIVE_FAMILIES,
     DatasetError,
     UnknownNameError,
     ValidationError,
@@ -203,6 +205,13 @@ def test_duplicate_record_name_is_rejected(data_copy, file, rows, key, copied, n
 
     rewrite_json(data_copy / file, duplicate)
     with pytest.raises(ValidationError, match=re.escape(f"{file}: duplicate") + f".* '{re.escape(name)}'"):
+        load_datasets(data_copy)
+
+
+def test_the_first_fault_in_file_order_is_reported(data_copy):
+    rewrite_json(data_copy / "chips_neuromorphic.json", lambda doc: doc["chips"][5].update(activity=1.5))
+    (data_copy / "chips_accelerators.json").unlink()
+    with pytest.raises(ValidationError, match=r"^chips_neuromorphic\.json: .*activity"):
         load_datasets(data_copy)
 
 
@@ -471,3 +480,76 @@ def test_rewriting_units_leaves_every_result_unchanged(registry, data_copy, file
             continue
         got = topsdown_element(other.chip(chip_name), other)
         assert all(close(getattr(got, f), getattr(want, f)) for f in figures), chip_name
+
+
+# -- loads of the same bytes share validated, read-only records ----------------
+
+_MAPPINGS = ("primitives", "devices", "technologies", "chips", "workloads")
+
+
+def test_loads_of_the_same_bytes_share_records_but_not_the_memo(registry, data_copy):
+    first, second = load_datasets(data_copy), load_datasets(data_copy)
+    assert first is not second and first._memo is not second._memo
+    for reg in (first, second, registry):  # a byte-identical copy at another path shares them too
+        assert reg.constants is first.constants
+        for mapping in _MAPPINGS:
+            assert getattr(reg, mapping) == getattr(first, mapping)
+            assert all(record is getattr(first, mapping)[name] for name, record in getattr(reg, mapping).items())
+    for mapping in (*_MAPPINGS, "fan_in", "topsdown_params"):
+        assert getattr(first, mapping) is not getattr(second, mapping)
+
+    tech = first.technology("ANNDCSRAM")
+    report.bench_technology(tech, first)
+    assert first._memo and second._memo == {}
+    assert report.bench_technology(tech, second) == report.bench_technology(tech, first)
+
+
+def test_other_bytes_of_the_same_values_give_equal_records(registry, data_copy):
+    rewrite_json(data_copy / "constants.json", lambda doc: None)  # re-serialized
+    other = load_datasets(data_copy)
+    assert other.constants is not registry.constants and other.constants == registry.constants
+    assert other.devices["ME"] is registry.devices["ME"]  # devices.json is byte-identical
+
+
+def test_shared_records_are_read_only(registry):
+    # the registry mappings, fan_in among them, are pinned read-only in test_memo.py
+    with pytest.raises(TypeError):
+        registry.constants.transistors["cmos"] = None
+    doubled = replace(registry.constants, supply_voltage=2 * registry.constants.supply_voltage)
+    assert doubled.transistors is registry.constants.transistors and doubled != registry.constants
+
+
+def _rewrite_in_place(file: Path, old: bytes, new: bytes) -> None:
+    """Replace `old` by `new` of the same length, keeping the file's mtime."""
+    stat, data = file.stat(), file.read_bytes()
+    assert data.count(old) == 1 and len(new) == len(old)
+    file.write_bytes(data.replace(old, new))
+    os.utime(file, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (file.stat().st_size, file.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+
+def test_a_file_rewritten_in_place_is_read_again(data_copy):
+    file = data_copy / "constants.json"
+    assert load_datasets(data_copy).constants.supply_voltage == 0.8
+    _rewrite_in_place(file, b'"supply_voltage": 0.8,', b'"supply_voltage": 0.7,')
+    assert load_datasets(data_copy).constants.supply_voltage == 0.7
+    _rewrite_in_place(file, b'"supply_voltage": 0.7,', b'"supply_voltage": 0.0,')
+    for _ in range(2):  # a rejection is never cached
+        with pytest.raises(ValidationError) as exc:
+            load_datasets(data_copy)
+        assert str(exc.value) == "constants.json: supply_voltage: must be finite and positive, got 0.0"
+
+
+def test_a_change_to_devices_alone_reaches_technologies(data_copy):
+    registry = load_datasets(data_copy)  # every builder has seen the shipped bytes
+    tech = next(t for t in registry.technologies.values() if t.family in RESISTIVE_FAMILIES)
+
+    def drop(doc):
+        row = next(row for row in doc["devices"] if row["name"] == tech.synapse_device)
+        del row["r_on"], row["r_off"]
+
+    rewrite_json(data_copy / "devices.json", drop)
+    with pytest.raises(ValidationError) as exc:
+        load_datasets(data_copy)
+    assert str(exc.value).startswith(f"technologies.json: {tech.combo}.synapse_device: ")
+    assert repr(tech.synapse_device) in str(exc.value)

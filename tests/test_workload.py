@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -500,8 +501,19 @@ def test_stage_view_sums_to_the_memoized_workload_bench(registry, factors):
 # -- the plan cache ----------------------------------------------------------------
 
 
-def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, constants):
-    first, second = load_datasets(), load_datasets()
+def _workloads_reserialized(data_copy, indent: int):
+    """A registry whose workloads.json holds the shipped values in other
+    bytes, so its specs are not those of any load of the shipped file."""
+    file = data_copy / "workloads.json"
+    text = file.read_text()
+    file.write_text(json.dumps(json.loads(text), indent=indent))
+    assert file.read_text() != text
+    return load_datasets(data_copy)
+
+
+def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, constants, data_copy):
+    # two byte contents that no other test loads, so neither spec holds plans yet
+    first, second = _workloads_reserialized(data_copy, indent=3), _workloads_reserialized(data_copy, indent=4)
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     for name, spec in registry.workloads.items():
         a, b = first.workload(name), second.workload(name)
@@ -524,8 +536,8 @@ def test_replaced_spec_gets_its_own_plan(registry, constants):
         assert run_workload(s, elem, constants, fan_in=2) == oracle(s, elem, constants, fan_in=2)
 
 
-def test_network_kinds_and_fan_ins_never_share_a_plan(constants):
-    spec = load_datasets().workload("lenet")  # a spec no other test has planned
+def test_network_kinds_and_fan_ins_never_share_a_plan(constants, data_copy):
+    spec = _workloads_reserialized(data_copy, indent=5).workload("lenet")  # a spec no other test has planned
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     runs = [(kind, fan_in) for kind in ("ANN", "SNN") for fan_in in (None, 1, 2, 16)]
     for kind, fan_in in runs + runs[::-1]:
