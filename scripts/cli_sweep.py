@@ -3,7 +3,7 @@
 
     python3 scripts/cli_sweep.py OUT
 
-At --precision 3, 6 and 12 it runs `devices list`; `bench element`,
+At --precision 1, 3, 6, 12 and 17 it runs `devices list`; `bench element`,
 `bench chip --nominal` and `bench workload` (default, parallel and tmux
 schedule, every workload) for every technology; `bench network` for every
 kind; `topsdown` for every chip, with and without `--backfill` and with no
@@ -24,7 +24,7 @@ from pathlib import Path
 from neurobench import load_datasets
 from neurobench.cli import main as cli_main
 
-PRECISIONS = ("3", "6", "12")
+PRECISIONS = ("1", "3", "6", "12", "17")  # 1 and 17: the fewest digits and the most a double needs
 EXPORT_NAME = "export"  # relative, so `wrote ...` is the same text in every checkout
 
 

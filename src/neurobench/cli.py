@@ -22,13 +22,13 @@ from .registry import _KINDS, DatasetError, Registry, _value, load_datasets
 
 
 def _precision(text: str) -> int:
-    """--precision: significant digits, at least 1."""
+    """--precision: significant digits, from 1 to 2**31 - 1, the most a format spec takes."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    if not 1 <= value <= 2147483647:
+        raise argparse.ArgumentTypeError(f"must be an integer from 1 to 2147483647, got {text!r}")
     return value
 
 

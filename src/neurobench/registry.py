@@ -623,11 +623,11 @@ def _devices(data: bytes) -> dict[str, DeviceRecord]:
 
 @_by_content
 def _technologies(
-    data: bytes, constants_data: bytes, primitives_data: bytes, devices_data: bytes
+    data: bytes, transistor_families: tuple[str, ...], primitives_data: bytes, devices_data: bytes
 ) -> tuple[dict[str, Technology], dict]:
-    """Technologies and fan-in limits; the files whose names they reference
-    are part of the key."""
-    constants, primitives, devices = _constants(constants_data), _primitives(primitives_data), _devices(devices_data)
+    """Technologies and fan-in limits; the key holds what they read of the
+    files they reference: the transistor family names, primitives and devices."""
+    primitives, devices = _primitives(primitives_data), _devices(devices_data)
     name = "technologies.json"
     doc = _parsed(data, name)
     _units(doc, name)
@@ -638,7 +638,7 @@ def _technologies(
         "family": ELEMENT_FAMILIES,
         "synapse_device": devices.keys() | primitives.keys(),
         "primitive_family": primitives.keys(),
-        "transistor_family": constants.transistors.keys(),
+        "transistor_family": transistor_families,
         "fan_in_class": limits.keys(),
     }
     # a family built from the synapse device needs its record, a resistive one also its r_on/r_off
@@ -775,14 +775,13 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
     and its memo are its own.
     """
     path = Path(data_dir) if data_dir is not None else default_data_dir()
-    constants_data = _file_bytes(path, "constants.json")
-    constants = _constants(constants_data)
+    constants = _constants(_file_bytes(path, "constants.json"))
     primitives_data = _file_bytes(path, "circuit_primitives.json")
     primitives = _primitives(primitives_data)
     devices_data = _file_bytes(path, "devices.json")
     devices = _devices(devices_data)
     technologies, limits = _technologies(
-        _file_bytes(path, "technologies.json"), constants_data, primitives_data, devices_data
+        _file_bytes(path, "technologies.json"), tuple(constants.transistors), primitives_data, devices_data
     )
     neuromorphic_data = _file_bytes(path, _NEUROMORPHIC)
     _neuromorphic_chips(neuromorphic_data)  # its faults come before a missing accelerator file

@@ -2,12 +2,13 @@
 scatter datasets, Pareto fronts, and the per-technology evaluation pipeline
 that feeds them. All tabular output is deterministic: fixed row order
 (technology dataset order), fixed precision, '.' decimal separator, LF
-line endings."""
+line endings. Each row is one `%` on a template built once per call. A text
+cell from the dataset (a technology label or chip name) is quoted as RFC 4180
+says: wrapped in double quotes when it holds a comma, a double quote, CR or
+LF, with each double quote doubled."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import NamedTuple, Optional
@@ -104,11 +105,16 @@ def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> li
     return [bench_technology(t, registry) for t in registry.enumerate_technologies(network_kind)]
 
 
-def _csv(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _text(cell: str) -> str:
+    """A dataset text cell as a CSV field."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_lines(header: tuple, rows: list[tuple[str, tuple]]) -> str:
+    """CSV of (template, cells) rows whose first cell is dataset text."""
+    return "".join([",".join(header) + "\n", *[t % (_text(cells[0]), *cells[1:]) for t, cells in rows]])
 
 
 def emit_matrix(
@@ -120,29 +126,26 @@ def emit_matrix(
     precision: int = 6,
     fmt: str = "csv",
 ) -> str:
-    """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'."""
-    spec = f".{precision}g"
+    """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'. A row is
+    (template, cells); the template joins with commas one format per column, "%s" or "%.<precision>g"."""
+    figure = f"%.{precision}g"
     if scope == "elements":
         header = MATRIX_HEADER
-        rows = []
-        for tech in registry.enumerate_technologies(network_kind):
-            cols = matrix_columns(bench_technology(tech, registry))
-            rows.append((tech.label, *(format(c, spec) for c in cols)))
+        template = ",".join(["%s", *[figure] * 12]) + "\n"
+        rows = [
+            (template, (tech.label, *matrix_columns(bench_technology(tech, registry))))
+            for tech in registry.enumerate_technologies(network_kind)
+        ]
     elif scope == "workload":
         if workload is None:
             raise UnknownNameError("workload scope requires a workload name")
         registry.workload(workload)  # raise early on unknown names
         header = ("technology", "area_nm2", "delay_ps", "energy_aJ", "power_W", "inferences_per_s", "schedule")
+        template = ",".join(["%s", *[figure] * 5, "%s"]) + "\n"
         rows = []
         for tech in registry.enumerate_technologies(network_kind):
             b = bench_workload(workload, tech, registry)
-            rows.append(
-                (
-                    tech.label,
-                    format(b.area, spec), format(b.delay, spec), format(b.energy, spec),
-                    format(b.power_w, spec), format(b.inferences_per_s, spec), b.schedule,
-                )
-            )
+            rows.append((template, (tech.label, b.area, b.delay, b.energy, b.power_w, b.inferences_per_s, b.schedule)))
     elif scope == "chips":
         from .topsdown import IncomputableError, topsdown_element  # the other scopes never load tops-down
 
@@ -150,28 +153,24 @@ def emit_matrix(
             "chip", "kind", "synapse_area_nm2", "neuron_area_nm2",
             "synapse_delay_ps", "synapse_energy_aJ", "neuron_energy_aJ",
         )
+        template, blank = ",".join(["%s", "%s", *[figure] * 5]) + "\n", ",".join(["%s"] * 7) + "\n"
         rows = []
         for name in sorted(registry.chips):
             chip = registry.chips[name]
             try:
                 e = topsdown_element(chip, registry)
-                rows.append(
-                    (
-                        name, chip.kind,
-                        format(e.synapse_area, spec), format(e.neuron_area, spec),
-                        format(e.synapse_delay, spec), format(e.synapse_energy, spec),
-                        format(e.neuron_energy, spec),
-                    )
-                )
+                figures = (e.synapse_area, e.neuron_area, e.synapse_delay, e.synapse_energy, e.neuron_energy)
+                rows.append((template, (name, chip.kind, *figures)))
             except IncomputableError:
-                rows.append((name, chip.kind, "", "", "", "", ""))
+                rows.append((blank, (name, chip.kind, "", "", "", "", "")))
     else:
         raise UnknownNameError(f"unknown matrix scope {scope!r}")
 
     if fmt == "csv":
-        return _csv([header, *rows])
+        return _csv_lines(header, rows)
     if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=1, sort_keys=True) + "\n"
+        table = [{h: f % c for h, f, c in zip(header, t[:-1].split(","), cells)} for t, cells in rows]
+        return json.dumps(table, indent=1, sort_keys=True) + "\n"
     raise UnknownNameError(f"unknown export format {fmt!r}")
 
 
@@ -220,10 +219,8 @@ def pareto_front(points: list[ScatterPoint]) -> list[ScatterPoint]:
 
 
 def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
-    spec = f".{precision}g"
-    rows = [("label", "x", "y", "series")]
-    rows += [(p.label, format(p.x, spec), format(p.y, spec), p.series) for p in points]
-    return _csv(rows)
+    template = f"%s,%.{precision}g,%.{precision}g,%s\n"
+    return _csv_lines(ScatterPoint._fields, [(template, p) for p in points])
 
 
 def geometric_mean_neuron_delay(registry: Registry, network_kind: str) -> float:

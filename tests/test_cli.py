@@ -263,6 +263,24 @@ def test_precision_below_one_is_usage_error(capsys, precision, argv):
     assert "--precision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precision", ["2147483648", "100000000000000000000"])
+def test_precision_beyond_what_a_format_spec_takes_is_usage_error(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", precision, "bench", "element", "--tech", "ANNDCSRAM"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and [line for line in err.splitlines() if "error" in line] == [
+        f"neurobench: error: argument --precision: must be an integer from 1 to 2147483647, got '{precision}'"
+    ]
+
+
+def test_the_largest_precision_is_accepted():
+    from neurobench.cli import _build_parser
+
+    # parsed only: formatting a figure at this precision allocates a buffer of that many bytes
+    assert _build_parser().parse_args(["--precision", "2147483647", "devices", "list"]).precision == 2147483647
+
+
 # subcommand -> a run that succeeds, (a run with an unknown name, its exit code), a run missing a required option
 _EXIT_TABLE = {
     "devices": (("devices", "list"), (("devices", "frobnicate"), 2), ("devices",)),

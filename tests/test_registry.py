@@ -553,3 +553,24 @@ def test_a_change_to_devices_alone_reaches_technologies(data_copy):
         load_datasets(data_copy)
     assert str(exc.value).startswith(f"technologies.json: {tech.combo}.synapse_device: ")
     assert repr(tech.synapse_device) in str(exc.value)
+
+
+def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
+    # technologies read only the transistor family names of the constants
+    rewrite_json(data_copy / "constants.json", lambda doc: doc.update(supply_voltage=0.9))
+    other = load_datasets(data_copy)
+    assert other.constants.supply_voltage == 0.9
+    assert all(other.technologies[label] is tech for label, tech in registry.technologies.items())
+    derived = replace(registry, constants=other.constants)
+    rows = [report.bench_technology(t, other) for t in other.enumerate_technologies()]
+    assert rows == [report.bench_technology(t, derived) for t in derived.enumerate_technologies()]
+    assert rows != [report.bench_technology(t, registry) for t in registry.enumerate_technologies()]
+
+
+def test_a_constants_file_without_a_used_transistor_family_fails_on_technologies(registry, data_copy):
+    load_datasets(data_copy)  # every builder has seen the shipped bytes
+    tech = next(t for t in registry.technologies.values() if t.transistor_family != "cmos")
+    rewrite_json(data_copy / "constants.json", lambda doc: doc["transistors"].pop(tech.transistor_family))
+    with pytest.raises(ValidationError) as exc:
+        load_datasets(data_copy)
+    assert str(exc.value).startswith(f"technologies.json: {tech.combo}.transistor_family: ")

@@ -146,6 +146,64 @@ def test_chips_matrix_blank_cells_for_incomputable(registry):
     assert by_name["Q4MobilEye"]["synapse_area_nm2"] == ""  # no area published
 
 
+@pytest.mark.parametrize(
+    "scope, workload, fmt, message",
+    [
+        ("nope", None, "xml", "unknown matrix scope 'nope'"),
+        ("workload", None, "xml", "workload scope requires a workload name"),
+        ("workload", "nope", "xml", "unknown workload 'nope'"),
+        ("elements", None, "xml", "unknown export format 'xml'"),
+    ],
+)
+def test_matrix_errors_name_scope_then_workload_then_format(registry, scope, workload, fmt, message):
+    from neurobench.registry import UnknownNameError
+
+    with pytest.raises(UnknownNameError, match=message):
+        report.emit_matrix(registry, scope, workload=workload, fmt=fmt)
+
+
+@given(st.floats(), st.integers(1, 30))
+def test_the_figure_template_formats_as_format_does(x, precision):
+    assert f"%.{precision}g" % x == format(x, f".{precision}g")
+
+
+@pytest.mark.parametrize("precision", [1, 6, 17])
+def test_json_cells_equal_csv_cells(registry, precision):
+    scopes = [("elements", None), ("chips", None), *(("workload", name) for name in sorted(registry.workloads))]
+    for scope, workload in scopes:
+        csv_text = report.emit_matrix(registry, scope, workload=workload, precision=precision)
+        json_text = report.emit_matrix(registry, scope, workload=workload, precision=precision, fmt="json")
+        assert json.loads(json_text) == list(csv.DictReader(io.StringIO(csv_text, newline=""))), scope
+
+
+def test_csv_quotes_dataset_names(data_copy):
+    # csv.writer leaves a bare CR unquoted before Python 3.13, which splits the row for a reader
+    awkward = {"TrueNorth": "True\rNorth", "Neurogrid": "Neuro\ngrid", "IFAT": "I,FAT", "ROLLS": 'R,"O"\r\nLLS'}
+
+    def rename_chips(doc):
+        for row in doc["chips"]:
+            row["name"] = awkward.get(row["name"], row["name"])
+
+    def rename_combo(doc):
+        row = next(row for row in doc["combos"] if row["code"] == "DCSRAM")
+        row.update(code="D,CSRAM", neuron_code="D,C")
+
+    rewrite_json(data_copy / "chips_neuromorphic.json", rename_chips)
+    rewrite_json(data_copy / "technologies.json", rename_combo)
+    registry = load_datasets(data_copy)
+    labels = [t.label for t in registry.enumerate_technologies()]
+    assert set(awkward.values()) <= registry.chips.keys() and "ANND,CSRAM" in labels
+    points = report.scatter_dataset(registry, "neuron")
+    for text, names in [
+        (report.emit_matrix(registry, "chips"), sorted(registry.chips)),
+        (report.emit_matrix(registry, "elements"), labels),
+        (report.emit_scatter(points), [p.label for p in points]),
+    ]:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert [row[0] for row in rows] == names
+        assert all(len(row) == len(header) for row in rows)
+
+
 def test_scatter_points_are_plottable(registry):
     for what in ("synapse", "neuron"):
         points = report.scatter_dataset(registry, what)
