@@ -5,7 +5,6 @@ per step, for a configurable (by default nominal) chip."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import units
@@ -13,19 +12,34 @@ from .interconnect import ElementBench
 from .registry import Fraction, GlobalConstants
 
 
-@dataclass(frozen=True)
-class ChipConfig:
+class _ChipConfig(NamedTuple):
     cores: int
     neurons_per_core: int
     synapses_per_neuron: int
     activity: Fraction = 1.0
     spiking: bool = False
 
-    def __post_init__(self):
-        if min(self.cores, self.neurons_per_core, self.synapses_per_neuron) < 1:
+
+class ChipConfig(_ChipConfig):
+    """Core and neuron counts, activity and spiking mode of one chip.
+
+    Every count is >= 1 and the activity lies in (0, 1]; construction,
+    `_make` and `_replace` all check it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ChipConfig":
+        cfg = super().__new__(cls, *args, **kwargs)
+        if min(cfg.cores, cfg.neurons_per_core, cfg.synapses_per_neuron) < 1:
             raise ValueError("chip config counts must be >= 1")
-        if not (0.0 < self.activity <= 1.0):
-            raise ValueError(f"activity must be in (0, 1], got {self.activity}")
+        if not (0.0 < cfg.activity <= 1.0):
+            raise ValueError(f"activity must be in (0, 1], got {cfg.activity}")
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable) -> "ChipConfig":
+        return cls(*iterable)
 
     @property
     def total_synapses(self) -> int:

@@ -14,11 +14,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import units
 from .registry import _KINDS, DatasetError, Registry, _value, load_datasets
+
+
+# A double's exact decimal expansion has at most 767 significant digits, so
+# "%.<p>g" prints the same text at every p from 767 up, while formatting at p
+# allocates about p bytes. `main` formats at no more than this.
+_MAX_DIGITS = 767
 
 
 def _precision(text: str) -> int:
@@ -108,14 +114,14 @@ def _chip_config(path: Path):
         raise DatasetError(f"{path}: parse failure: {e}") from None
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: chip config must be a JSON object")
-    known = {f.name: f for f in fields(ChipConfig)}
+    fields, defaults, kinds = ChipConfig._fields, ChipConfig._field_defaults, get_type_hints(ChipConfig)
     for key in doc:
-        if key not in known:
+        if key not in fields:
             raise DatasetError(f"{path}: unknown chip config key {key!r}")
-    for key, f in known.items():
-        if doc.get(key) is None and f.default is MISSING:
+    for key in fields:
+        if doc.get(key) is None and key not in defaults:
             raise DatasetError(f"{path}: missing chip config key {key!r}")
-    return ChipConfig(**{k: _value(doc, k, _KINDS[f.type], str(path), default=f.default) for k, f in known.items()})
+    return ChipConfig._make(_value(doc, k, _KINDS[kinds[k]], str(path), default=defaults.get(k)) for k in fields)
 
 
 def _cmd_devices(args, registry: Registry) -> None:
@@ -219,6 +225,7 @@ def _cmd_export(args, registry: Registry) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.precision = min(args.precision, _MAX_DIGITS)  # the same text, without a buffer of p bytes
     if args.command == "export":
         _check_export(parser, args)
     try:

@@ -18,22 +18,19 @@ concurrent evaluators: its mappings are read-only views, and results that
 the report layer derives from it are memoized on the registry itself, in a
 memo that every load starts empty. A memo key names the registry's own
 records (`memo_key`): a technology by its label, a chip or workload by its
-name. Any other record, such as a `dataclasses.replace` copy or a record of
+name. Any other record, such as a `_replace` copy or a record of
 a registry loaded from other bytes, stands for itself and is compared by
 value.
 """
-
-from __future__ import annotations
 
 import functools
 import json
 import os
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from . import units
 from .ade import AdeTriple
@@ -72,30 +69,31 @@ class UnknownNameError(DatasetError, KeyError):
 # ---------------------------------------------------------------------------
 # domain types
 #
-# The dataclasses are the dataset schema. A scalar field (float, int, str,
+# The NamedTuples are the dataset schema. A scalar field (float, int, str,
 # bool, Fraction, or Optional of one) is read from the JSON key of the same
-# name, unless `_scaled` names another key and a unit, or `_by_hand` leaves it
-# to the loader. Optional fields may be absent; defaults live here only.
+# name, unless the class's `_loader` table names another key and a unit
+# (`_scaled`) or leaves the field to the loader (`_BY_HAND`). Optional fields
+# may be absent; defaults live here only. This module does without
+# `from __future__ import annotations`: NamedTuple compiles each string
+# annotation into a ForwardRef, which costs more at import than the types.
 
 
 class Fraction(float):
     """Annotation for a number in (0, 1]; the loader stores a plain float."""
 
 
-def _by_hand(**kw):
-    """A field the loader builds itself: a feature-size multiple, a nested block
-    or a computed value."""
-    return field(metadata={"by_hand": True}, **kw)
+# the `_loader` entry of a field the loader builds itself: a feature-size
+# multiple, a nested block or a computed value
+_BY_HAND = object()
 
 
-def _scaled(unit: str, key: Optional[str] = None, **kw):
-    """A field read from JSON `key` (default: the field name) and converted by
-    the file's `unit` header entry."""
-    return field(metadata={"unit": unit, "key": key}, **kw)
+def _scaled(unit: str, key: Optional[str] = None) -> tuple[Optional[str], str]:
+    """The `_loader` entry of a field read from JSON `key` (default: the field
+    name) and converted by the file's `unit` header entry."""
+    return key, unit
 
 
-@dataclass(frozen=True)
-class TransistorParams:
+class TransistorParams(NamedTuple):
     """Per-family transistor currents for the analog cell model."""
 
     on_current_per_width: float  # A/m
@@ -103,36 +101,33 @@ class TransistorParams:
     saturation_voltage: float  # V
 
 
-@dataclass(frozen=True)
-class SenseAmpWidths:
+class SenseAmpWidths(NamedTuple):
     p: float  # nm
     n: float  # nm
     iso: float  # nm
     enable: float  # nm
 
 
-@dataclass(frozen=True)
-class OtaWidths:
+class OtaWidths(NamedTuple):
     input: float  # nm
     pullup: float  # nm
     output: float  # nm
 
 
-@dataclass(frozen=True)
-class GlobalConstants:
+class GlobalConstants(NamedTuple):
     """Process/architecture constants in canonical units (nm, ps, aJ, V, Ohm, F, A, S)."""
 
     feature_size: float  # nm
     synapse_bits: int
     synapse_levels: int
-    digital_transistor_width: float = _by_hand()  # nm
+    digital_transistor_width: float  # nm
     transistor_cap_per_width: float  # F/m
     supply_voltage: float  # V
     linear_transconductance: float  # S
     transistor_on_resistance: float  # Ohm
     transistors: Mapping[str, TransistorParams]  # read-only
-    ic_cap_per_length: float = _scaled("cap_per_length")  # F/m, empirical routing factor folded in
-    ic_res_per_length: float = _scaled("res_per_length")  # Ohm/m
+    ic_cap_per_length: float  # F/m, empirical routing factor folded in
+    ic_res_per_length: float  # Ohm/m
     min_ic_resistance: float  # Ohm
     sense_voltage: float  # V
     sense_amp_widths: SenseAmpWidths
@@ -149,14 +144,28 @@ class GlobalConstants:
     spike_spacing_factor: float
     spikes_to_fire: float
     sync_periods: float
-    synapse_overhead: float = _by_hand()
-    neuron_overhead: float = _by_hand()
-    core_overhead: float = _by_hand()
-    chip_overhead: float = _by_hand()
-    nominal_cores: int = _by_hand()
-    nominal_neurons_per_core: int = _by_hand()
-    nominal_synapses_per_neuron: int = _by_hand()
-    wire_pitch: float = _by_hand()  # nm
+    synapse_overhead: float
+    neuron_overhead: float
+    core_overhead: float
+    chip_overhead: float
+    nominal_cores: int
+    nominal_neurons_per_core: int
+    nominal_synapses_per_neuron: int
+    wire_pitch: float  # nm
+
+    _loader = {
+        "digital_transistor_width": _BY_HAND,
+        "ic_cap_per_length": _scaled("cap_per_length"),
+        "ic_res_per_length": _scaled("res_per_length"),
+        "synapse_overhead": _BY_HAND,
+        "neuron_overhead": _BY_HAND,
+        "core_overhead": _BY_HAND,
+        "chip_overhead": _BY_HAND,
+        "nominal_cores": _BY_HAND,
+        "nominal_neurons_per_core": _BY_HAND,
+        "nominal_synapses_per_neuron": _BY_HAND,
+        "wire_pitch": _BY_HAND,
+    }
 
     @property
     def min_ic_length(self) -> float:
@@ -174,8 +183,7 @@ class GlobalConstants:
         return self.ic_cap_per_length * self.min_ic_length * units.M_PER_NM
 
 
-@dataclass(frozen=True)
-class CircuitPrimitiveTable:
+class CircuitPrimitiveTable(NamedTuple):
     """Area/delay/energy of standard digital cells for one technology family."""
 
     inv: AdeTriple
@@ -189,37 +197,51 @@ class CircuitPrimitiveTable:
     ram: AdeTriple
 
 
-@dataclass(frozen=True)
-class DeviceRecord:
+class DeviceRecord(NamedTuple):
     """Intrinsic figures for one switching/resistive device."""
 
     name: str
-    area_int: float = _scaled("area", "area")  # nm^2
-    delay_int: float = _scaled("delay", "delay")  # ps
-    energy_int: float = _scaled("energy", "energy")  # aJ
-    r_on: Optional[float] = _scaled("resistance", default=None)  # Ohm
-    r_off: Optional[float] = _scaled("resistance", default=None)  # Ohm
+    area_int: float  # nm^2
+    delay_int: float  # ps
+    energy_int: float  # aJ
+    r_on: Optional[float] = None  # Ohm
+    r_off: Optional[float] = None  # Ohm
+
+    _loader = {
+        "area_int": _scaled("area", "area"),
+        "delay_int": _scaled("delay", "delay"),
+        "energy_int": _scaled("energy", "energy"),
+        "r_on": _scaled("resistance"),
+        "r_off": _scaled("resistance"),
+    }
 
     @property
     def intrinsic(self) -> AdeTriple:
         return AdeTriple(self.area_int, self.delay_int, self.energy_int)
 
 
-@dataclass(frozen=True)
-class Technology:
+class Technology(NamedTuple):
     """One device/architecture combination for one network kind."""
 
-    label: str = _by_hand()
-    network_kind: str = _by_hand()
-    combo: str = _by_hand()
+    label: str
+    network_kind: str
+    combo: str
     synapse_device: str
     family: str
     primitive_family: str = "digital_cmos"
     transistor_family: str = "cmos"
     fan_in_class: str = "digital_cmos"  # key of the fan-in table; "snn" for every SNN row
     ic_voltage: Optional[float] = None  # None = supply voltage
-    osc_class: Optional[str] = _by_hand(default=None)  # ONN only
-    osc_device: Optional[str] = _by_hand(default=None)  # ONN only: device whose intrinsics set rate/power
+    osc_class: Optional[str] = None  # ONN only
+    osc_device: Optional[str] = None  # ONN only: device whose intrinsics set rate/power
+
+    _loader = {
+        "label": _BY_HAND,
+        "network_kind": _BY_HAND,
+        "combo": _BY_HAND,
+        "osc_class": _BY_HAND,
+        "osc_device": _BY_HAND,
+    }
 
 
 # Chip kind -> the fields that its tops-down consistency identities solve
@@ -230,31 +252,39 @@ DERIVABLE = {
 }
 
 
-@dataclass(frozen=True)
-class ChipRecord:
+class ChipRecord(NamedTuple):
     """Published spec of a fabricated chip, canonical units; absent fields stay None."""
 
     name: str
-    kind: str = _by_hand()  # neuromorphic | accelerator
+    kind: str  # neuromorphic | accelerator
     cores: int
     neurons_per_core: int
     synapses_per_neuron: int
-    area: Optional[float] = _scaled("area", default=None)  # nm^2
-    power: Optional[float] = _scaled("power", default=None)  # W
-    syn_throughput: Optional[float] = _scaled("syn_throughput", default=None)  # events/s
-    energy_per_event: Optional[float] = _scaled("energy", default=None)  # aJ
-    fire_rate: Optional[float] = _scaled("fire_rate", default=None)  # 1/s
+    area: Optional[float] = None  # nm^2
+    power: Optional[float] = None  # W
+    syn_throughput: Optional[float] = None  # events/s
+    energy_per_event: Optional[float] = None  # aJ
+    fire_rate: Optional[float] = None  # 1/s
     activity: Optional[Fraction] = None
-    clock: Optional[float] = _scaled("clock", default=None)  # Hz
+    clock: Optional[float] = None  # Hz
     derived_fields: tuple[str, ...] = ()  # each one of DERIVABLE[kind]
+
+    _loader = {
+        "kind": _BY_HAND,
+        "area": _scaled("area"),
+        "power": _scaled("power"),
+        "syn_throughput": _scaled("syn_throughput"),
+        "energy_per_event": _scaled("energy"),
+        "fire_rate": _scaled("fire_rate"),
+        "clock": _scaled("clock"),
+    }
 
     @property
     def total_synapses(self) -> int:
         return self.cores * self.neurons_per_core * self.synapses_per_neuron
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
     """One weight layer; `kind` selects which fields apply."""
 
     kind: str  # fully_connected | convolution
@@ -269,14 +299,27 @@ class LayerSpec:
     padding: str = "valid"
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _Workload(NamedTuple):
     name: str
     layers: tuple[LayerSpec, ...]
-    # Stage plans of this spec by (network kind, fan-in), filled by
-    # `workload.workload_plan`. Not an init field, so dataclasses.replace()
-    # yields a spec without plans.
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class WorkloadSpec(_Workload):
+    """A named workload, its weight layers in order.
+
+    Its stage plans by (network kind, fan-in), filled by
+    `workload.workload_plan`, live in `_plans`: each spec starts without
+    plans, a `_replace` copy too, and equality ignores them.
+    """
+
+    def __new__(cls, *args, **kwargs) -> "WorkloadSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        spec._plans = {}
+        return spec
+
+    @classmethod
+    def _make(cls, iterable) -> "WorkloadSpec":
+        return cls(*iterable)
 
 
 T = TypeVar("T")
@@ -292,12 +335,11 @@ def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
 def memo_key(records: Mapping[str, T], name: str, record: T):
     """`name` when `record` is the registry's own record of that name (tested
     by identity), else the record itself. A name is hashed from its cached
-    string hash; a record would hash every field of the dataclass."""
+    string hash; a record would hash every field."""
     return name if records.get(name) is record else record
 
 
-@dataclass(frozen=True)
-class Registry:
+class _Registry(NamedTuple):
     constants: GlobalConstants
     primitives: Mapping[str, CircuitPrimitiveTable]
     devices: Mapping[str, DeviceRecord]
@@ -306,9 +348,25 @@ class Registry:
     workloads: Mapping[str, WorkloadSpec]
     fan_in: Mapping[str, Optional[int]]  # fan-in class -> parallel fan-in; None = unlimited, 1 = sequential
     topsdown_params: Mapping[str, float]
-    # Results derived from this registry. Not an init field, so
-    # dataclasses.replace() yields a registry with an empty memo.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class Registry(_Registry):
+    """The validated datasets, by kind. `_replace` derives a registry, say
+    `registry._replace(constants=...)` for a sensitivity study.
+
+    Results derived from a registry are memoized on it, in `_memo`: each
+    registry starts with an empty memo, a `_replace` copy too, and equality
+    ignores it.
+    """
+
+    def __new__(cls, *args, **kwargs) -> "Registry":
+        registry = super().__new__(cls, *args, **kwargs)
+        registry._memo = {}
+        return registry
+
+    @classmethod
+    def _make(cls, iterable) -> "Registry":
+        return cls(*iterable)
 
     def memoized(self, key, compute: Callable[..., T], *args) -> T:
         """compute(*args) once per key for this registry; later calls return the same object.
@@ -333,7 +391,9 @@ class Registry:
     def enumerate_technologies(self, network_kind: Optional[str] = None) -> list[Technology]:
         if network_kind is not None and network_kind not in NETWORK_KINDS:
             raise UnknownNameError(f"unknown network kind {network_kind!r}")
-        return [t for t in self.technologies.values() if network_kind in (None, t.network_kind)]
+        if network_kind is None:
+            return list(self.technologies.values())
+        return [t for t in self.technologies.values() if t.network_kind == network_kind]
 
     def chip(self, name: str) -> ChipRecord:
         return _lookup(self.chips, name, "chip")
@@ -427,20 +487,21 @@ def _path(record: str, key) -> str:
     return f"{record}.{key}" if record else key
 
 
-_KINDS = {"float": float, "int": int, "str": str, "bool": bool, "Fraction": Fraction}
+_SCALARS = (float, int, str, bool, Fraction)
+_KINDS = {**{t: t for t in _SCALARS}, **{Optional[t]: t for t in _SCALARS}}  # annotation -> kind
 
 
 def _walk(cls) -> tuple:
     """(field, JSON key, kind, unit, default) of every scalar field of `cls`
-    that the loader reads by name. Annotations are strings here."""
+    that the loader reads by name, as its `_loader` table says."""
+    loader = getattr(cls, "_loader", {})
     walked = []
-    for f in fields(cls):
-        optional = f.type.startswith("Optional[")
-        kind = _KINDS.get(f.type[len("Optional[") : -1] if optional else f.type)
-        if kind is None or f.metadata.get("by_hand"):
+    for name, annotation in cls.__annotations__.items():
+        kind, how = _KINDS.get(annotation), loader.get(name, (None, None))
+        if kind is None or how is _BY_HAND:
             continue
-        default = f.default if f.default is not MISSING else (None if optional else _REQUIRED)
-        walked.append((f.name, f.metadata.get("key") or f.name, kind, f.metadata.get("unit"), default))
+        key, unit = how
+        walked.append((name, key or name, kind, unit, cls._field_defaults.get(name, _REQUIRED)))
     return tuple(walked)
 
 
@@ -453,7 +514,7 @@ _WALKS = {
 def _read(cls, doc: dict, file: str, record: str = "", factors=None, defaults=None, kinds=None) -> dict:
     """Keyword arguments for `cls` from its walked fields in `doc`. `factors`
     maps header unit keys to conversion factors; `defaults`, when given,
-    replaces the dataclass defaults for every field; `kinds` narrows the kind
+    replaces the class defaults for every field; `kinds` narrows the kind
     of some fields to a collection of known names."""
     kwargs = {}
     for name, key, kind, unit, default in _WALKS[cls]:
@@ -497,7 +558,8 @@ def _insert(records: dict, key: str, record, file: str, what: str) -> None:
 
 def _file_bytes(path: Path, name: str) -> bytes:
     try:
-        return (path / name).read_bytes()
+        with open(os.path.join(path, name), "rb", buffering=0) as file:  # one read, no buffer object
+            return file.readall()
     except FileNotFoundError:
         raise DatasetError(f"{name}: file not found in {path}") from None
 
@@ -595,7 +657,7 @@ def _primitives(data: bytes) -> dict[str, CircuitPrimitiveTable]:
         cells = _value(families, fam, dict, name, "families")
         parsed = {
             cell: triple(_value(cells, cell, dict, name, fam), f"{fam}.{cell}")
-            for cell in [f.name for f in fields(CircuitPrimitiveTable)]
+            for cell in CircuitPrimitiveTable._fields
         }
         tables[fam] = CircuitPrimitiveTable(**parsed)
     for fam in ("digital_cmos", "digital_tfet"):
@@ -738,6 +800,7 @@ def _workloads(data: bytes) -> dict[str, WorkloadSpec]:
         "fully_connected": ("inputs", "outputs"),
         "convolution": ("image_w", "image_h", "in_channels", "kernel", "feature_maps"),
     }
+    defaults = LayerSpec._field_defaults
     specs = {}
     for i, row in enumerate(_value(doc, "workloads", [dict], name)):
         wname = _value(row, "name", str, name, f"workloads.{i}")
@@ -750,8 +813,8 @@ def _workloads(data: bytes) -> dict[str, WorkloadSpec]:
             kind = _value(layer, "kind", counts.keys(), name, rec)
             kw = {k: _value(layer, k, int, name, rec) for k in counts[kind]}
             if kind == "convolution":
-                kw["stride"] = _value(layer, "stride", int, name, rec, default=LayerSpec.stride)
-                kw["padding"] = _value(layer, "padding", ("valid", "same"), name, rec, default=LayerSpec.padding)
+                kw["stride"] = _value(layer, "stride", int, name, rec, default=defaults["stride"])
+                kw["padding"] = _value(layer, "padding", ("valid", "same"), name, rec, default=defaults["padding"])
                 if kw["padding"] == "valid" and kw["kernel"] > min(kw["image_w"], kw["image_h"]):
                     raise ValidationError(f"{name}: {rec}.kernel: exceeds image dimensions under valid padding")
             layers.append(LayerSpec(kind=kind, **kw))

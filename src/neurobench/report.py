@@ -93,12 +93,15 @@ def _workload_bench(workload_name: str, tech: Technology, registry: Registry, sc
     )
 
 
-def matrix_columns(bench: ElementBench) -> list[float]:
+def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
     """The 12 element-matrix columns; areas in um^2, matching the reference matrix."""
-    cols = list(bench.columns())
-    for i in range(4):
-        cols[i] /= units.AREA_TO_NM2["um^2"]
-    return cols
+    syn, neu, lic, gic = bench[:4]
+    um2 = units.AREA_TO_NM2["um^2"]
+    return (
+        syn.area / um2, lic.area / um2, neu.area / um2, gic.area / um2,
+        syn.delay, lic.delay, neu.delay, gic.delay,
+        syn.energy, lic.energy, neu.energy, gic.energy,
+    )
 
 
 def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> list[ElementBench]:

@@ -16,7 +16,6 @@ and quoted values are never overwritten.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 from . import units
@@ -158,7 +157,7 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
             unknowns = [f for f in fields if f in unknown_fields]
             if len(unknowns) == 1:
                 f = unknowns[0]
-                current = replace(current, **{f: solve(current, f)})
+                current = current._replace(**{f: solve(current, f)})
                 filled[f] = name
                 unknown_fields.discard(f)
                 progress = True

@@ -4,7 +4,6 @@ import copy
 import math
 import pickle
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -141,7 +140,7 @@ def test_chip_figures_that_overflow_raise():
 
 def test_topsdown_figures_that_overflow_raise():
     registry = load_datasets()
-    chip = replace(registry.chip("Loihi"), energy_per_event=1e307)
+    chip = registry.chip("Loihi")._replace(energy_per_event=1e307)
     message = r"^tops-down figures must be finite: TopsDownElement\(.*neuron_energy=inf\)$"
     with pytest.raises(ValueError, match=message):
         topsdown.topsdown_element(chip, registry)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,15 +25,15 @@ def test_power_unit_pinning():
 
 
 def test_chip_area_unit_factors(constants):
-    flat = replace(constants, synapse_overhead=1.0, neuron_overhead=1.0, core_overhead=1.0, chip_overhead=1.0)
+    flat = constants._replace(synapse_overhead=1.0, neuron_overhead=1.0, core_overhead=1.0, chip_overhead=1.0)
     cfg = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1)
     assert chip_area(cfg, 300.0, 100.0, flat) == pytest.approx(400.0)
 
 
 def test_chip_area_overhead_nesting(constants):
     cfg = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1)
-    flat = replace(constants, synapse_overhead=1.0, neuron_overhead=1.0, core_overhead=1.0, chip_overhead=1.0)
-    doubled = replace(constants, synapse_overhead=2.0, neuron_overhead=2.0, core_overhead=2.0, chip_overhead=2.0)
+    flat = constants._replace(synapse_overhead=1.0, neuron_overhead=1.0, core_overhead=1.0, chip_overhead=1.0)
+    doubled = constants._replace(synapse_overhead=2.0, neuron_overhead=2.0, core_overhead=2.0, chip_overhead=2.0)
     # chip, core, and element overheads nest: 2 * 2 * 2 = 8x for fixed inner term
     assert chip_area(cfg, 1.0, 1.0, doubled) == pytest.approx(8 * chip_area(cfg, 1.0, 1.0, flat))
 
@@ -48,14 +47,14 @@ def test_firing_rate_nonspiking_reciprocal():
 def test_firing_rate_spiking_ratio():
     elem = element(t_syn=897.31)
     plain = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=256, activity=0.5)
-    spiking = replace(plain, spiking=True)
+    spiking = plain._replace(spiking=True)
     assert firing_rate(plain, elem) / firing_rate(spiking, elem) == pytest.approx(128.0)
 
 
 def test_firing_rate_degenerate_spiking_equals_nonspiking():
     elem = element()
     cfg = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1, activity=1.0)
-    assert firing_rate(cfg, elem) == firing_rate(replace(cfg, spiking=True), elem)
+    assert firing_rate(cfg, elem) == firing_rate(cfg._replace(spiking=True), elem)
 
 
 def test_truenorth_shaped_throughput(constants):
@@ -105,14 +104,14 @@ def test_throughput_linear_in_counts_nonspiking(constants):
     base = ChipConfig(cores=2, neurons_per_core=4, synapses_per_neuron=8)
     b0 = chip_bench(base, element(), constants)
     for field in ("cores", "neurons_per_core", "synapses_per_neuron"):
-        grown = replace(base, **{field: getattr(base, field) * 3})
+        grown = base._replace(**{field: getattr(base, field) * 3})
         b1 = chip_bench(grown, element(), constants)
         assert b1.syn_throughput == pytest.approx(3 * b0.syn_throughput), field
 
 
 def test_throughput_invariant_in_synapses_when_spiking(constants):
     base = ChipConfig(cores=2, neurons_per_core=4, synapses_per_neuron=8, spiking=True, activity=0.5)
-    grown = replace(base, synapses_per_neuron=800)
+    grown = base._replace(synapses_per_neuron=800)
     b0 = chip_bench(base, element(), constants)
     b1 = chip_bench(grown, element(), constants)
     # the synapse count cancels between the firing rate and the synapse total
@@ -130,3 +129,17 @@ def test_config_validation():
         ChipConfig(cores=0, neurons_per_core=1, synapses_per_neuron=1)
     with pytest.raises(ValueError):
         ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1, activity=0.0)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"cores": 0}, {"neurons_per_core": 0}, {"synapses_per_neuron": -1}, {"activity": 0.0}, {"activity": 1.5}],
+)
+def test_every_route_to_a_config_checks_it(changes):
+    good = ChipConfig(cores=2, neurons_per_core=3, synapses_per_neuron=4, activity=0.5)
+    bad = {**good._asdict(), **changes}
+    for build in (lambda: ChipConfig(**bad), lambda: ChipConfig._make(bad.values()), lambda: good._replace(**changes)):
+        with pytest.raises(ValueError):
+            build()
+    assert type(good._replace(cores=5)) is ChipConfig and good._replace(cores=5).total_synapses == 60
+    assert ChipConfig._make(good) == good

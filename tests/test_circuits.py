@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,7 +36,7 @@ def test_sense_amp_default_resolve_term(constants, cmos):
 
 def test_sense_amp_natural_log_unit_point(constants, cmos):
     # V_sa = V_cc / e makes the log factor exactly one
-    tweaked = replace(constants, sense_voltage=constants.supply_voltage / math.e)
+    tweaked = constants._replace(sense_voltage=constants.supply_voltage / math.e)
     bench = sense_amp(tweaked, cmos)
     resolve_ps = (bench.delay - constants.synapse_bits * cmos.add1.delay) * 1e-12
     assert resolve_ps == pytest.approx(bench.load_cap / bench.transconductance, rel=1e-12)
@@ -50,11 +49,11 @@ def test_sense_amp_energy_is_cv2(constants, cmos):
 
 def test_sense_amp_rejects_sense_voltage_at_supply(constants, cmos):
     with pytest.raises(CircuitDomainError):
-        sense_amp(replace(constants, sense_voltage=constants.supply_voltage), cmos)
+        sense_amp(constants._replace(sense_voltage=constants.supply_voltage), cmos)
 
 
 def test_sense_amp_rejects_zero_widths(constants, cmos):
-    degenerate = replace(constants, sense_amp_widths=SenseAmpWidths(0.0, 0.0, 97.5, 75.0))
+    degenerate = constants._replace(sense_amp_widths=SenseAmpWidths(0.0, 0.0, 97.5, 75.0))
     with pytest.raises(CircuitDomainError):
         sense_amp(degenerate, cmos)
 
@@ -67,7 +66,7 @@ def test_sense_amp_delay_nonincreasing_in_transconductance(scale):
     base = registry.constants
     cmos = registry.primitives["digital_cmos"]
     slow = sense_amp(base, cmos)
-    fast = sense_amp(replace(base, linear_transconductance=base.linear_transconductance * scale), cmos)
+    fast = sense_amp(base._replace(linear_transconductance=base.linear_transconductance * scale), cmos)
     assert fast.delay <= slow.delay + 1e-12
 
 
@@ -135,7 +134,7 @@ def test_analog_read_area_is_32_inverter_cells(constants, cmos):
 
 
 def test_analog_read_zero_pulse(constants, cmos):
-    bench = analog_read(replace(constants, analog_read_pulse=1e-30), cmos)
+    bench = analog_read(constants._replace(analog_read_pulse=1e-30), cmos)
     assert bench.delay == pytest.approx(2 * constants.synapse_bits * cmos.add1.delay)
 
 
@@ -146,7 +145,7 @@ def test_analog_read_energy_is_power_times_delay(constants, cmos):
 
 def test_analog_read_rejects_low_row_voltage(constants, cmos):
     with pytest.raises(CircuitDomainError):
-        analog_read(replace(constants, analog_row_voltage=0.4), cmos)
+        analog_read(constants._replace(analog_row_voltage=0.4), cmos)
 
 
 # -- OTA cell -----------------------------------------------------------------

@@ -281,6 +281,51 @@ def test_the_largest_precision_is_accepted():
     assert _build_parser().parse_args(["--precision", "2147483647", "devices", "list"]).precision == 2147483647
 
 
+def _figures(doc):
+    """Every float in a JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _figures(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@pytest.mark.parametrize("precision", [768, 1000, 4096])
+def test_a_precision_above_767_prints_what_767_prints(capsys, precision):
+    # a double's exact decimal expansion has at most 767 significant digits
+    golden = json.loads((Path(__file__).parent / "golden" / "golden.json").read_text(encoding="utf-8"))
+    for x in [0.1, sys.float_info.max, 5e-324, *_figures(golden)]:
+        assert format(x, f".{precision}g") == format(x, ".767g") == f"%.{precision}g" % x, x
+    for argv in (
+        ("bench", "element", "--tech", "ANNDCSRAM"),
+        ("bench", "network", "--kind", "ONN"),
+        ("bench", "chip", "--nominal", "--tech", "SpiMEME"),
+        ("topsdown", "--chip", "Loihi", "--workload", "speech_mlp"),
+    ):
+        assert run(capsys, "--precision", str(precision), *argv) == run(capsys, "--precision", "767", *argv)
+
+
+def test_the_largest_precision_runs_in_a_1_gb_address_space():
+    resource = pytest.importorskip("resource")
+    env = {k: v for k, v in os.environ.items() if k != "NEUROBENCH_DATA_DIR"}
+    src = str(Path(neurobench.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    out = {}
+    for precision in ("2147483647", "767"):
+        argv = ["--precision", precision, "bench", "element", "--tech", "ANNDCSRAM"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurobench.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        out[precision] = proc.stdout
+    assert out["2147483647"] == out["767"]
+
+
 # subcommand -> a run that succeeds, (a run with an unknown name, its exit code), a run missing a required option
 _EXIT_TABLE = {
     "devices": (("devices", "list"), (("devices", "frobnicate"), 2), ("devices",)),

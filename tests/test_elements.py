@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -50,14 +49,14 @@ def test_sram_synapse_area_matches_reference_row(constants, cmos):
 
 
 def test_sram_unit_primitive_delay(constants):
-    tweaked = replace(constants, synapse_bits=1)
+    tweaked = constants._replace(synapse_bits=1)
     bench = digital_sram_element(tweaked, unit_primitives())
     assert bench.synapse.delay == pytest.approx(3 + 4 + 1 + 1 + 1)
 
 
 def test_sram_scales_linearly_in_bits(constants, cmos):
-    single = digital_sram_element(replace(constants, synapse_bits=4), cmos)
-    double = digital_sram_element(replace(constants, synapse_bits=8), cmos)
+    single = digital_sram_element(constants._replace(synapse_bits=4), cmos)
+    double = digital_sram_element(constants._replace(synapse_bits=8), cmos)
     assert double.synapse.area == pytest.approx(2 * single.synapse.area)
     assert double.synapse.energy == pytest.approx(2 * single.synapse.energy)
 
@@ -75,14 +74,14 @@ def test_mac_synapse_area_structure(constants, cmos):
 
 def test_mac_energy_carry_save_credit(constants):
     prims = unit_primitives()
-    prims = replace(prims, add=AdeTriple(1.0, 1.0, 2.0), se=AdeTriple(1.0, 1.0, 1.0))
+    prims = prims._replace(add=AdeTriple(1.0, 1.0, 2.0), se=AdeTriple(1.0, 1.0, 1.0))
     bench = digital_mac_element(constants, prims)
     # (8+1) * 2 / 2 + 1
     assert bench.synapse.energy == pytest.approx(10.0)
 
 
 def test_mac_ram_defaults_to_register_when_absent(constants, cmos):
-    without_ram = replace(cmos, ram=cmos.reg)
+    without_ram = cmos._replace(ram=cmos.reg)
     bench = digital_mac_element(constants, without_ram)
     n_b = constants.synapse_bits
     assert bench.neuron.area == pytest.approx(cmos.add.area + 2 * cmos.se.area + n_b * cmos.reg.area)
@@ -125,7 +124,7 @@ def test_single_device_me_neuron_delay(registry, constants):
 
 
 def test_single_device_four_levels_is_identity_delay(registry, constants):
-    bench = analog_single_device_element(registry.device("ME"), replace(constants, synapse_levels=4))
+    bench = analog_single_device_element(registry.device("ME"), constants._replace(synapse_levels=4))
     assert bench.neuron.delay == pytest.approx(registry.device("ME").delay_int)
 
 
@@ -152,14 +151,14 @@ def test_resistive_oxider_settle_time(registry, constants, cmos):
 
 def test_resistive_single_level_keeps_on_resistance(registry, constants):
     dev = registry.device("OxideR")
-    r = synapse_effective_resistance(dev, replace(constants, synapse_levels=1))
+    r = synapse_effective_resistance(dev, constants._replace(synapse_levels=1))
     assert r == pytest.approx(dev.r_on)
 
 
 def test_resistive_delay_scales_as_sqrt_levels(registry, constants, cmos):
     dev = registry.device("OxideR")
-    t16 = resistive_synapse(dev, replace(constants, synapse_levels=16), "digital", cmos).synapse.delay
-    t64 = resistive_synapse(dev, replace(constants, synapse_levels=64), "digital", cmos).synapse.delay
+    t16 = resistive_synapse(dev, constants._replace(synapse_levels=16), "digital", cmos).synapse.delay
+    t64 = resistive_synapse(dev, constants._replace(synapse_levels=64), "digital", cmos).synapse.delay
     assert t64 / t16 == pytest.approx(2.0)
 
 
@@ -191,8 +190,8 @@ def test_family_dispatch_is_total(registry):
 
 def test_builders_read_only_the_raw_inputs(registry):
     for tech in registry.technologies.values():
-        other = replace(
-            tech, label="X", network_kind="CNN", combo="X", fan_in_class="snn",
+        other = tech._replace(
+            label="X", network_kind="CNN", combo="X", fan_in_class="snn",
             ic_voltage=0.3, osc_class="piezo", osc_device=None,
         )
         assert raw_inputs(other) == raw_inputs(tech)

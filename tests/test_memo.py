@@ -2,14 +2,13 @@
 
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from neurobench import elements, load_datasets, report, topsdown, workload
 from neurobench.chip import nominal_config
 from neurobench.interconnect import ElementBench
-from neurobench.registry import ChipRecord, LayerSpec, Technology, WorkloadSpec
+from neurobench.registry import ChipRecord, LayerSpec, Registry, Technology, WorkloadSpec
 
 from conftest import rewrite_json
 
@@ -43,12 +42,34 @@ def test_replaced_registry_starts_with_an_empty_memo():
     tech = registry.technology("ANNDCSRAM")
     row = report.bench_technology(tech, registry)
     c = registry.constants
-    scaled = replace(registry, constants=replace(c, supply_voltage=1.05 * c.supply_voltage))
+    scaled = registry._replace(constants=c._replace(supply_voltage=1.05 * c.supply_voltage))
     assert scaled._memo == {}
     scaled_row = report.bench_technology(tech, scaled)
     assert scaled_row != row
     assert scaled_row == uncached_row(tech, scaled)
     assert report.bench_technology(tech, registry) is row
+
+
+@pytest.mark.parametrize(
+    "derive", [lambda r: r._replace(), lambda r: r._make(r._asdict().values())], ids=["_replace", "_make"]
+)
+def test_derived_registry_is_equal_and_starts_with_an_empty_memo(derive):
+    registry = load_datasets()
+    row = report.bench_technology(registry.technology("ANNDCSRAM"), registry)
+    derived = derive(registry)
+    assert type(derived) is Registry and derived._memo == {} and registry._memo
+    assert derived == registry  # equality ignores the memo
+    assert derived._asdict() == registry._asdict() and repr(derived) == repr(registry)
+    assert report.bench_technology(registry.technology("ANNDCSRAM"), derived) is not row
+
+
+def test_replaced_spec_starts_without_plans():
+    registry = load_datasets()
+    spec = registry.workload("mnist_mlp")
+    workload.workload_plan(spec, "ANN", 2)
+    for copy in (spec._replace(), spec._make(spec), WorkloadSpec(*spec)):
+        assert type(copy) is WorkloadSpec and copy._plans == {} and spec._plans
+        assert copy == spec and hash(copy) == hash(spec)  # equality and hash ignore the plans
 
 
 def test_perturbed_dataset_does_not_read_the_default_rows(registry, data_copy):
@@ -108,14 +129,14 @@ def test_each_raw_element_is_built_once_per_builder_input(monkeypatch):
 
 def _scaled_constants(registry):
     c = registry.constants
-    return replace(registry, constants=replace(c, supply_voltage=1.05 * c.supply_voltage, synapse_levels=4))
+    return registry._replace(constants=c._replace(supply_voltage=1.05 * c.supply_voltage, synapse_levels=4))
 
 
 @pytest.mark.parametrize("derive", [lambda r: r, _scaled_constants], ids=["default", "scaled"])
 def test_shared_raw_elements_give_the_unshared_rows(derive):
     registry = derive(load_datasets())
     for tech in registry.enumerate_technologies():
-        alone = report._build_row(tech, replace(registry))  # an empty memo: nothing is shared
+        alone = report._build_row(tech, registry._replace())  # an empty memo: nothing is shared
         assert report.bench_technology(tech, registry) == alone, tech.label
 
 
@@ -126,7 +147,7 @@ def test_second_topsdown_call_returns_the_identical_result():
     assert topsdown.topsdown_element(chip, registry) is element
     bench = topsdown.run_workload_on_chip(chip, spec, registry)
     assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
-    first_layer = replace(spec, layers=spec.layers[:1])
+    first_layer = spec._replace(layers=spec.layers[:1])
     assert topsdown.run_workload_on_chip(chip, first_layer, registry).energy < bench.energy
 
 
@@ -135,7 +156,7 @@ def test_replaced_registry_recomputes_topsdown_results():
     chip, spec = registry.chip("Loihi"), registry.workload("speech_mlp")
     bench = topsdown.run_workload_on_chip(chip, spec, registry)
     c = registry.constants
-    scaled = replace(registry, constants=replace(c, core_overhead=2 * c.core_overhead))
+    scaled = registry._replace(constants=c._replace(core_overhead=2 * c.core_overhead))
     assert scaled._memo == {}
     assert topsdown.run_workload_on_chip(chip, spec, scaled).area != bench.area
     assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
@@ -145,7 +166,7 @@ def test_replaced_chip_gets_its_own_topsdown_element():
     registry = load_datasets()
     chip = registry.chip("TrueNorth")
     element = topsdown.topsdown_element(chip, registry)
-    doubled = topsdown.topsdown_element(replace(chip, area=2 * chip.area), registry)
+    doubled = topsdown.topsdown_element(chip._replace(area=2 * chip.area), registry)
     assert doubled.synapse_area == pytest.approx(2 * element.synapse_area)
     assert doubled.neuron_area == pytest.approx(2 * element.neuron_area)
     assert topsdown.topsdown_element(chip, registry) is element
@@ -246,7 +267,7 @@ def test_replaced_technology_keeps_its_label_and_gets_its_own_row():
     registry = load_datasets()
     tech = registry.technology("ANNDCSRAM")
     row = report.bench_technology(tech, registry)
-    boosted = replace(tech, ic_voltage=1.5 * registry.constants.supply_voltage)
+    boosted = tech._replace(ic_voltage=1.5 * registry.constants.supply_voltage)
     assert boosted.label == tech.label
     boosted_row = report.bench_technology(boosted, registry)
     assert boosted_row != row
@@ -283,7 +304,7 @@ def test_backfilled_chip_gets_its_own_workload_result():
     assert filled.name == chip.name and filled != chip
     filled_bench = topsdown.run_workload_on_chip(filled, spec, registry)
     assert filled_bench != bench
-    assert filled_bench == topsdown._chip_workload(filled, spec, replace(registry))
+    assert filled_bench == topsdown._chip_workload(filled, spec, registry._replace())
     assert topsdown.run_workload_on_chip(filled, spec, registry) is filled_bench
     assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
 

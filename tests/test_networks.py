@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -45,7 +44,7 @@ def test_cnn_factors(raw, constants):
 
 
 def test_cnn_unit_factors_are_identity(raw, constants):
-    flat = replace(constants, cnn_synapse_factor=1.0, cnn_settling_factor=1.0)
+    flat = constants._replace(cnn_synapse_factor=1.0, cnn_settling_factor=1.0)
     out = cnn_transform(raw, flat)
     assert out.synapse == raw.synapse and out.neuron == raw.neuron
 
@@ -59,7 +58,7 @@ def test_snn_leaves_areas_untouched(raw, constants):
 
 
 def test_snn_unit_factors_are_identity(raw, constants):
-    flat = replace(constants, spike_duration_factor=1.0, spike_spacing_factor=1.0, spikes_to_fire=1.0)
+    flat = constants._replace(spike_duration_factor=1.0, spike_spacing_factor=1.0, spikes_to_fire=1.0)
     out = snn_transform(raw, flat)
     assert out.synapse == raw.synapse and out.neuron == raw.neuron
 

@@ -3,7 +3,6 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from neurobench.registry import (
     DatasetError,
     UnknownNameError,
     ValidationError,
+    _WALKS,
     default_data_dir,
 )
 
@@ -70,6 +70,12 @@ def test_snn_has_no_mac_rows(registry):
     assert not any(registry.fan_in[t.fan_in_class] == 1 for t in registry.enumerate_technologies("SNN"))
 
 
+def test_every_loader_entry_names_a_field_of_its_class():
+    # a misspelt entry would leave its field read by name and unconverted
+    for cls in _WALKS:
+        assert set(getattr(cls, "_loader", {})) <= set(cls._fields), cls.__name__
+
+
 def test_min_ic_length_defaults_to_20_feature_sizes(constants):
     assert constants.min_ic_length == pytest.approx(20 * constants.feature_size)
     assert constants.min_ic_length == pytest.approx(300.0)
@@ -79,7 +85,7 @@ def test_min_ic_length_defaults_to_20_feature_sizes(constants):
     "field, derived", [("feature_size", "min_ic_length"), ("transistor_cap_per_width", "load_capacitance")]
 )
 def test_derived_constants_follow_a_replaced_input(constants, field, derived):
-    doubled = replace(constants, **{field: 2 * getattr(constants, field)})
+    doubled = constants._replace(**{field: 2 * getattr(constants, field)})
     assert getattr(doubled, derived) == 2 * getattr(constants, derived)
 
 
@@ -515,7 +521,7 @@ def test_shared_records_are_read_only(registry):
     # the registry mappings, fan_in among them, are pinned read-only in test_memo.py
     with pytest.raises(TypeError):
         registry.constants.transistors["cmos"] = None
-    doubled = replace(registry.constants, supply_voltage=2 * registry.constants.supply_voltage)
+    doubled = registry.constants._replace(supply_voltage=2 * registry.constants.supply_voltage)
     assert doubled.transistors is registry.constants.transistors and doubled != registry.constants
 
 
@@ -561,7 +567,7 @@ def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
     other = load_datasets(data_copy)
     assert other.constants.supply_voltage == 0.9
     assert all(other.technologies[label] is tech for label, tech in registry.technologies.items())
-    derived = replace(registry, constants=other.constants)
+    derived = registry._replace(constants=other.constants)
     rows = [report.bench_technology(t, other) for t in other.enumerate_technologies()]
     assert rows == [report.bench_technology(t, derived) for t in derived.enumerate_technologies()]
     assert rows != [report.bench_technology(t, registry) for t in registry.enumerate_technologies()]

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -224,7 +223,7 @@ def test_geometric_mean_sums_logs_left_to_right(registry):
     # with the supply voltage doubled, a compensated sum of the logs (sum() from
     # Python 3.12 on) gives other bits for some network kinds
     c = registry.constants
-    derived = dataclasses.replace(registry, constants=dataclasses.replace(c, supply_voltage=2 * c.supply_voltage))
+    derived = registry._replace(constants=c._replace(supply_voltage=2 * c.supply_voltage))
     for kind in ("ANN", "ONN", "CNN", "SNN"):
         delays = [row.neuron.delay for row in report.element_matrix(derived, kind)]
         total = 0.0

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -133,7 +132,7 @@ def test_backfill_synapse_fire_rate(registry):
 
 def test_backfilled_activity_above_one_is_rejected(registry):
     chip = registry.chip("IFAT")
-    inflated = replace(chip, syn_throughput=20 * chip.syn_throughput)
+    inflated = chip._replace(syn_throughput=20 * chip.syn_throughput)
     with pytest.raises(IncomputableError, match=r"chip IFAT: back-filled activity 2\.17557 lies outside \(0, 1\]"):
         backfill_derived(inflated)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -399,9 +398,7 @@ def test_run_workload_equals_stage_oracle_bit_for_bit(
     # overheads and a pitch off the shipped round numbers, so that a
     # reordered product rounds differently
     core, neuron, synapse = overheads
-    c = dataclasses.replace(
-        constants, core_overhead=core, neuron_overhead=neuron, synapse_overhead=synapse, wire_pitch=wire_pitch
-    )
+    c = constants._replace(core_overhead=core, neuron_overhead=neuron, synapse_overhead=synapse, wire_pitch=wire_pitch)
     assert stage_benches(workload_plan(spec, kind, fan_in), elem, c) == oracle_stages(spec, elem, c, kind, fan_in)
     got = run_workload(spec, elem, c, network_kind=kind, fan_in=fan_in, schedule=schedule)
     want = oracle(spec, elem, c, kind, fan_in, schedule)
@@ -422,9 +419,9 @@ def scaled(registry, factors):
     if factors is None:
         return registry
     c = registry.constants
-    c = dataclasses.replace(c, **{name: getattr(c, name) * f for name, f in zip(PERTURBED, factors)})
+    c = c._replace(**{name: getattr(c, name) * f for name, f in zip(PERTURBED, factors)})
     assume(c.sense_voltage < c.supply_voltage)
-    return dataclasses.replace(registry, constants=c)
+    return registry._replace(constants=c)
 
 
 def shipped_rows(registry):
@@ -487,8 +484,8 @@ def test_stage_view_sums_to_the_memoized_workload_bench(registry, factors):
     if factors is not None:
         c = registry.constants
         voltage, overhead = factors
-        c = dataclasses.replace(c, supply_voltage=c.supply_voltage * voltage, core_overhead=c.core_overhead * overhead)
-        registry = dataclasses.replace(registry, constants=c)
+        c = c._replace(supply_voltage=c.supply_voltage * voltage, core_overhead=c.core_overhead * overhead)
+        registry = registry._replace(constants=c)
     c = registry.constants
     for tech, row in shipped_rows(registry):
         fan_in = registry.fan_in[tech.fan_in_class]
@@ -528,8 +525,8 @@ def test_replaced_spec_gets_its_own_plan(registry, constants):
     spec = registry.workload("mnist_mlp")
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     assert len(workload_plan(spec, "ANN", 2)) == 3
-    shorter = dataclasses.replace(spec, layers=spec.layers[:1])
-    wider = dataclasses.replace(spec, layers=(dataclasses.replace(spec.layers[0], outputs=512), *spec.layers[1:]))
+    shorter = spec._replace(layers=spec.layers[:1])
+    wider = spec._replace(layers=(spec.layers[0]._replace(outputs=512), *spec.layers[1:]))
     assert len(workload_plan(shorter, "ANN", 2)) == 1
     assert workload_plan(wider, "ANN", 2) != workload_plan(spec, "ANN", 2)
     for s in (spec, shorter, wider, spec):
