@@ -26,6 +26,7 @@ _EXPORTS = {
     "Technology": "registry",
     "ValidationError": "registry",
     "WorkloadSpec": "registry",
+    "derive": "registry",
     "load_datasets": "registry",
     "bench_technology": "report",
     "bench_workload": "report",

@@ -13,18 +13,19 @@ functions of the file bytes, memoized by those bytes, so loads of identical
 bytes share the same validated, read-only records. A file rewritten in
 place is always read again, and a rejected file fails on every load.
 
-The returned Registry is immutable after load and safe to share between
-concurrent evaluators: its mappings are read-only views, and results that
-the report layer derives from it are memoized on the registry itself, in a
-memo that every load starts empty. A memo key names the registry's own
-records (`memo_key`): a technology by its label, a chip or workload by its
-name. Any other record, such as a `_replace` copy or a record of
-a registry loaded from other bytes, stands for itself and is compared by
-value.
+A Registry is built only here, from file bytes that `load_datasets` reads
+or `derive` edits, so every registry passes the same checks. It is
+read-only and safe to share between concurrent evaluators. Results derived
+from it are memoized on it, in a memo that every registry starts empty. A
+memo key names the registry's own records (`memo_key`): a technology by its
+label, a chip or workload by its name. Any other record, such as a
+`_replace` copy or a record of a registry built from other bytes, stands
+for itself and is compared by value.
 """
 
 import functools
 import json
+import operator
 import os
 import sys
 from collections.abc import Mapping
@@ -339,7 +340,16 @@ def memo_key(records: Mapping[str, T], name: str, record: T):
     return name if records.get(name) is record else record
 
 
-class _Registry(NamedTuple):
+class Registry:
+    """The validated datasets, by kind, and the bytes of the seven files they
+    were built from, by file name (`files`). Only `load_datasets` and `derive`
+    build one, it cannot be changed, and it starts with an empty memo, `_memo`."""
+
+    __slots__ = (
+        "files", "constants", "primitives", "devices", "technologies", "chips", "workloads", "fan_in",
+        "topsdown_params", "_memo",
+    )
+    files: Mapping[str, bytes]
     constants: GlobalConstants
     primitives: Mapping[str, CircuitPrimitiveTable]
     devices: Mapping[str, DeviceRecord]
@@ -349,24 +359,15 @@ class _Registry(NamedTuple):
     fan_in: Mapping[str, Optional[int]]  # fan-in class -> parallel fan-in; None = unlimited, 1 = sequential
     topsdown_params: Mapping[str, float]
 
+    def __init__(self, files: dict, constants: GlobalConstants, *mappings: dict) -> None:
+        values = MappingProxyType(files), constants, *map(MappingProxyType, mappings), {}
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
-class Registry(_Registry):
-    """The validated datasets, by kind. `_replace` derives a registry, say
-    `registry._replace(constants=...)` for a sensitivity study.
+    def __setattr__(self, *args):
+        raise AttributeError("a Registry cannot be changed; derive a new one with neurobench.derive")
 
-    Results derived from a registry are memoized on it, in `_memo`: each
-    registry starts with an empty memo, a `_replace` copy too, and equality
-    ignores it.
-    """
-
-    def __new__(cls, *args, **kwargs) -> "Registry":
-        registry = super().__new__(cls, *args, **kwargs)
-        registry._memo = {}
-        return registry
-
-    @classmethod
-    def _make(cls, iterable) -> "Registry":
-        return cls(*iterable)
+    __delattr__ = __setattr__
 
     def memoized(self, key, compute: Callable[..., T], *args) -> T:
         """compute(*args) once per key for this registry; later calls return the same object.
@@ -829,33 +830,46 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
-    """Load and cross-validate all dataset files, returning an immutable Registry.
+def _build(read: Callable[[str], bytes]) -> Registry:
+    """The registry of the files whose bytes `read(name)` returns. Each file
+    is read right before the builder that checks it, so the first fault in
+    this order is reported. Records are shared by builds from the same bytes."""
+    files: dict[str, bytes] = {}
 
-    Each file is read right before the builder that checks it, so a directory
-    with several faults reports the first in this order. The registry's
-    records are shared with every load of the same bytes; its mapping views
-    and its memo are its own.
-    """
-    path = Path(data_dir) if data_dir is not None else default_data_dir()
-    constants = _constants(_file_bytes(path, "constants.json"))
-    primitives_data = _file_bytes(path, "circuit_primitives.json")
-    primitives = _primitives(primitives_data)
-    devices_data = _file_bytes(path, "devices.json")
-    devices = _devices(devices_data)
+    def data(name: str) -> bytes:
+        return files.setdefault(name, read(name))
+
+    constants = _constants(data("constants.json"))
+    primitives = _primitives(data("circuit_primitives.json"))
+    devices = _devices(data("devices.json"))
     technologies, limits = _technologies(
-        _file_bytes(path, "technologies.json"), tuple(constants.transistors), primitives_data, devices_data
+        data("technologies.json"), tuple(constants.transistors), files["circuit_primitives.json"], files["devices.json"]
     )
-    neuromorphic_data = _file_bytes(path, _NEUROMORPHIC)
-    _neuromorphic_chips(neuromorphic_data)  # its faults come before a missing accelerator file
-    chips, topsdown_params = _chips(neuromorphic_data, _file_bytes(path, _ACCELERATORS))
-    return Registry(
-        constants=constants,
-        primitives=MappingProxyType(primitives),
-        devices=MappingProxyType(devices),
-        technologies=MappingProxyType(technologies),
-        chips=MappingProxyType(chips),
-        workloads=MappingProxyType(_workloads(_file_bytes(path, "workloads.json"))),
-        fan_in=MappingProxyType(limits),
-        topsdown_params=MappingProxyType(topsdown_params),
-    )
+    _neuromorphic_chips(data(_NEUROMORPHIC))  # its faults come before a missing accelerator file
+    chips, topsdown_params = _chips(files[_NEUROMORPHIC], data(_ACCELERATORS))
+    workloads = _workloads(data("workloads.json"))
+    return Registry(files, constants, primitives, devices, technologies, chips, workloads, limits, topsdown_params)
+
+
+def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
+    """Load and cross-validate all dataset files, returning a read-only Registry."""
+    return _build(functools.partial(_file_bytes, Path(data_dir) if data_dir is not None else default_data_dir()))
+
+
+def derive(registry: Registry, edits: Mapping[str, Mapping[tuple, object]]) -> Registry:
+    """A registry from `registry.files` with `edits` applied, through every
+    check of `load_datasets`. `edits` maps a file name to `{path: value}`,
+    where a path is a tuple of JSON keys and list indices and a value is in
+    the file's units: `{"constants.json": {("supply_voltage",): 0.9}}`. A file
+    without edits keeps its bytes, and so shares its records with `registry`."""
+    files = dict(registry.files)
+    for name, changes in edits.items():
+        doc = json.loads(_lookup(files, name, "dataset file"))
+        for path, value in changes.items():
+            try:
+                *keys, last = path
+                functools.reduce(operator.getitem, keys, doc)[last] = value
+            except (KeyError, IndexError, TypeError, ValueError):
+                raise UnknownNameError(f"{name}: no value at path {path!r}") from None
+        files[name] = json.dumps(doc).encode()
+    return _build(files.__getitem__)

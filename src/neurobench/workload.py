@@ -11,11 +11,12 @@ also picks the default schedule.
 
 Evaluation is split in two. `workload_plan` compiles a workload at one
 network kind and fan-in into `StagePlan` entries, the counts that no
-technology changes, once per value of its arguments. One generator,
+technology changes, once per spec object. One generator,
 `_stage_figures`, then evaluates every planned stage of one element row,
 and `aggregate` sums what it yields in one pass, so `run_workload` builds
 no per-stage object. `stage_benches` is the per-stage view of the same
-generator. A fresh registry with value-equal workloads reuses the plans.
+generator. Loads of the same workloads.json bytes share spec objects, and
+so their plans.
 
 Only type-checking imports reference other modules.
 """
@@ -23,7 +24,6 @@ Only type-checking imports reference other modules.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from . import units
@@ -169,23 +169,15 @@ def plan_stage(stage: StageParams, fan_in: Optional[int]) -> StagePlan:
 
 
 def workload_plan(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) -> tuple[StagePlan, ...]:
-    """The plan of every layer, in order; built once per value of the arguments.
-
-    The spec object keeps the plans it was given, so later calls skip the
-    value-keyed lookup, which compares every layer.
-    """
+    """The plan of every layer, in order; built once per spec object, network
+    kind and fan-in, and kept in the spec's `_plans`."""
     key = network_kind, fan_in
     plan = spec._plans.get(key)
     if plan is None:
-        plan = spec._plans.setdefault(key, _compile(spec, network_kind, fan_in))
+        layers = enumerate(spec.layers, start=1)
+        plan = tuple(plan_stage(stage_params(layer, index, network_kind), fan_in) for index, layer in layers)
+        plan = spec._plans.setdefault(key, plan)
     return plan
-
-
-@lru_cache(maxsize=256)
-def _compile(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) -> tuple[StagePlan, ...]:
-    return tuple(
-        plan_stage(stage_params(layer, index, network_kind), fan_in) for index, layer in enumerate(spec.layers, start=1)
-    )
 
 
 def _stage_figures(
@@ -283,13 +275,3 @@ def run_workload(
         _stage_figures(workload_plan(spec, network_kind, fan_in), elem, constants),
         schedule or ("time_multiplexed" if fan_in == 1 else "parallel"),
     )
-
-
-def total_synaptic_ops(spec: WorkloadSpec, network_kind: str = "ANN") -> float:
-    """Activity-weighted synaptic operations summed over stages and feature maps."""
-    total = 0.0
-    for index, layer in enumerate(spec.layers, start=1):
-        stage = stage_params(layer, index, network_kind)
-        total += stage.r_a * stage.s_neu * stage.n_out * stage.f_st
-    return total
-

@@ -14,7 +14,7 @@ import pytest
 from neurobench import load_datasets, report
 from neurobench.chip import chip_bench, nominal_config
 from neurobench.topsdown import topsdown_element
-from neurobench.workload import cascade, run_workload, total_synaptic_ops
+from neurobench.workload import cascade, run_workload, workload_plan
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 
@@ -119,7 +119,7 @@ def test_criterion_08_workload_operation_count(registry):
     dims = [784, 256, 128, 10]
     expected = sum(a * b for a, b in zip(dims, dims[1:]))
     spec = registry.workload("mnist_mlp")
-    ops = total_synaptic_ops(spec)
+    ops = sum(stage.active_synapses * stage.f_st for stage in workload_plan(spec, "ANN", 2))
     from neurobench.ade import AdeTriple
     from neurobench.interconnect import ElementBench
 

@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from neurobench import elements, load_datasets, report, topsdown, workload
+from neurobench import derive, elements, load_datasets, report, topsdown, workload
 from neurobench.chip import nominal_config
 from neurobench.interconnect import ElementBench
-from neurobench.registry import ChipRecord, LayerSpec, Registry, Technology, WorkloadSpec
+from neurobench.registry import ChipRecord, LayerSpec, Technology, WorkloadSpec
 
 from conftest import rewrite_json
 
@@ -41,8 +41,7 @@ def test_replaced_registry_starts_with_an_empty_memo():
     registry = load_datasets()
     tech = registry.technology("ANNDCSRAM")
     row = report.bench_technology(tech, registry)
-    c = registry.constants
-    scaled = registry._replace(constants=c._replace(supply_voltage=1.05 * c.supply_voltage))
+    scaled = derive(registry, {"constants.json": {("supply_voltage",): 1.05 * registry.constants.supply_voltage}})
     assert scaled._memo == {}
     scaled_row = report.bench_technology(tech, scaled)
     assert scaled_row != row
@@ -50,17 +49,27 @@ def test_replaced_registry_starts_with_an_empty_memo():
     assert report.bench_technology(tech, registry) is row
 
 
-@pytest.mark.parametrize(
-    "derive", [lambda r: r._replace(), lambda r: r._make(r._asdict().values())], ids=["_replace", "_make"]
-)
-def test_derived_registry_is_equal_and_starts_with_an_empty_memo(derive):
+def test_derived_registry_shares_every_record_and_starts_with_an_empty_memo():
     registry = load_datasets()
     row = report.bench_technology(registry.technology("ANNDCSRAM"), registry)
-    derived = derive(registry)
-    assert type(derived) is Registry and derived._memo == {} and registry._memo
-    assert derived == registry  # equality ignores the memo
-    assert derived._asdict() == registry._asdict() and repr(derived) == repr(registry)
+    derived = derive(registry, {})
+    assert derived._memo == {} and registry._memo
+    assert derived.files == registry.files and derived.constants is registry.constants
+    for mapping in ("primitives", "devices", "technologies", "chips", "workloads"):
+        records = getattr(registry, mapping)
+        assert all(record is records[name] for name, record in getattr(derived, mapping).items())
+        assert list(getattr(derived, mapping)) == list(records)
+    assert derived.fan_in == registry.fan_in and derived.topsdown_params == registry.topsdown_params
     assert report.bench_technology(registry.technology("ANNDCSRAM"), derived) is not row
+
+
+def test_a_registry_cannot_be_changed(registry):
+    for name in ("constants", "_memo", "files", "new"):
+        with pytest.raises(AttributeError):
+            setattr(registry, name, None)
+        with pytest.raises(AttributeError):
+            delattr(registry, name)
+    assert not hasattr(registry, "_replace") and not isinstance(registry, tuple)
 
 
 def test_replaced_spec_starts_without_plans():
@@ -128,15 +137,15 @@ def test_each_raw_element_is_built_once_per_builder_input(monkeypatch):
 
 
 def _scaled_constants(registry):
-    c = registry.constants
-    return registry._replace(constants=c._replace(supply_voltage=1.05 * c.supply_voltage, synapse_levels=4))
+    edits = {("supply_voltage",): 1.05 * registry.constants.supply_voltage, ("synapse_levels",): 4}
+    return derive(registry, {"constants.json": edits})
 
 
-@pytest.mark.parametrize("derive", [lambda r: r, _scaled_constants], ids=["default", "scaled"])
-def test_shared_raw_elements_give_the_unshared_rows(derive):
-    registry = derive(load_datasets())
+@pytest.mark.parametrize("build", [lambda r: r, _scaled_constants], ids=["default", "scaled"])
+def test_shared_raw_elements_give_the_unshared_rows(build):
+    registry = build(load_datasets())
     for tech in registry.enumerate_technologies():
-        alone = report._build_row(tech, registry._replace())  # an empty memo: nothing is shared
+        alone = report._build_row(tech, derive(registry, {}))  # an empty memo: nothing is shared
         assert report.bench_technology(tech, registry) == alone, tech.label
 
 
@@ -155,8 +164,7 @@ def test_replaced_registry_recomputes_topsdown_results():
     registry = load_datasets()
     chip, spec = registry.chip("Loihi"), registry.workload("speech_mlp")
     bench = topsdown.run_workload_on_chip(chip, spec, registry)
-    c = registry.constants
-    scaled = registry._replace(constants=c._replace(core_overhead=2 * c.core_overhead))
+    scaled = derive(registry, {"constants.json": {("overheads", "core"): 2 * registry.constants.core_overhead}})
     assert scaled._memo == {}
     assert topsdown.run_workload_on_chip(chip, spec, scaled).area != bench.area
     assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
@@ -304,7 +312,7 @@ def test_backfilled_chip_gets_its_own_workload_result():
     assert filled.name == chip.name and filled != chip
     filled_bench = topsdown.run_workload_on_chip(filled, spec, registry)
     assert filled_bench != bench
-    assert filled_bench == topsdown._chip_workload(filled, spec, registry._replace())
+    assert filled_bench == topsdown._chip_workload(filled, spec, load_datasets())
     assert topsdown.run_workload_on_chip(filled, spec, registry) is filled_bench
     assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
 

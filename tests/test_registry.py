@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rewrite_json
-from neurobench import cli, load_datasets, report
+from neurobench import cli, derive, load_datasets, report
 from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
     RESISTIVE_FAMILIES,
@@ -119,7 +119,7 @@ def test_label_decomposition(registry):
 
 def test_deterministic_load():
     a, b = load_datasets(), load_datasets()
-    assert a == b
+    assert all(getattr(a, name) == getattr(b, name) for name in ("constants", *_MAPPINGS, "fan_in", "topsdown_params"))
     assert list(a.technologies) == list(b.technologies)
 
 
@@ -546,6 +546,51 @@ def test_a_file_rewritten_in_place_is_read_again(data_copy):
         assert str(exc.value) == "constants.json: supply_voltage: must be finite and positive, got 0.0"
 
 
+# -- derive: a registry from another's bytes, through the same checks ----------
+
+
+def test_derive_rejects_what_the_loader_rejects(registry):
+    with pytest.raises(ValidationError) as exc:
+        derive(registry, {"constants.json": {("supply_voltage",): 0.0}})
+    assert str(exc.value) == "constants.json: supply_voltage: must be finite and positive, got 0.0"
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"constant.json": {("supply_voltage",): 0.9}}, "unknown dataset file 'constant.json'"),
+        ({"constants.json": {("overhead", "core"): 3.0}}, "constants.json: no value at path ('overhead', 'core')"),
+        ({"devices.json": {("devices", 99, "area"): 1.0}}, "devices.json: no value at path ('devices', 99, 'area')"),
+    ],
+)
+def test_derive_names_an_unknown_file_or_path(registry, edits, message):
+    with pytest.raises(UnknownNameError) as exc:
+        derive(registry, edits)
+    assert str(exc.value) == message
+
+
+def test_derive_edits_only_the_named_files(registry):
+    doc = json.loads(registry.files["devices.json"])
+    row = next(i for i, row in enumerate(doc["devices"]) if row["name"] == "ME")
+    derived = derive(registry, {"devices.json": {("devices", row, "energy"): 2 * doc["devices"][row]["energy"]}})
+    assert derived.device("ME").energy_int == 2 * registry.device("ME").energy_int
+    assert derived.device("SOT") == registry.device("SOT")
+    assert derived.constants is registry.constants and derived.chips["Loihi"] is registry.chips["Loihi"]
+    assert json.loads(registry.files["devices.json"]) != json.loads(derived.files["devices.json"])
+    assert {name for name in registry.files if registry.files[name] is not derived.files[name]} == {"devices.json"}
+
+
+def test_derived_feature_size_moves_every_feature_size_multiple(registry):
+    # the loader ties min_ic_resistance to the minimum interconnect length within 2%
+    doc = json.loads(registry.files["constants.json"])
+    edits = {("feature_size",): 2 * doc["feature_size"], ("min_ic_resistance",): 2 * doc["min_ic_resistance"]}
+    before, after = registry.constants, derive(registry, {"constants.json": edits}).constants
+    for field in ("feature_size", "min_ic_length", "digital_transistor_width", "wire_pitch"):
+        assert getattr(after, field) == 2 * getattr(before, field), field
+    for field in ("sense_amp_widths", "ota_widths"):
+        assert getattr(after, field) == tuple(2 * w for w in getattr(before, field)), field
+
+
 def test_a_change_to_devices_alone_reaches_technologies(data_copy):
     registry = load_datasets(data_copy)  # every builder has seen the shipped bytes
     tech = next(t for t in registry.technologies.values() if t.family in RESISTIVE_FAMILIES)
@@ -567,7 +612,8 @@ def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
     other = load_datasets(data_copy)
     assert other.constants.supply_voltage == 0.9
     assert all(other.technologies[label] is tech for label, tech in registry.technologies.items())
-    derived = registry._replace(constants=other.constants)
+    derived = derive(registry, {"constants.json": {("supply_voltage",): 0.9}})
+    assert derived.constants == other.constants
     rows = [report.bench_technology(t, other) for t in other.enumerate_technologies()]
     assert rows == [report.bench_technology(t, derived) for t in derived.enumerate_technologies()]
     assert rows != [report.bench_technology(t, registry) for t in registry.enumerate_technologies()]

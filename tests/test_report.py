@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from neurobench import load_datasets, report
+from neurobench import derive, load_datasets, report
 from neurobench.report import MATRIX_HEADER, ScatterPoint, pareto_front
 
 from conftest import rewrite_json
@@ -222,8 +222,7 @@ def test_scatter_emit_round_trips(registry):
 def test_geometric_mean_sums_logs_left_to_right(registry):
     # with the supply voltage doubled, a compensated sum of the logs (sum() from
     # Python 3.12 on) gives other bits for some network kinds
-    c = registry.constants
-    derived = registry._replace(constants=c._replace(supply_voltage=2 * c.supply_voltage))
+    derived = derive(registry, {"constants.json": {("supply_voltage",): 2 * registry.constants.supply_voltage}})
     for kind in ("ANN", "ONN", "CNN", "SNN"):
         delays = [row.neuron.delay for row in report.element_matrix(derived, kind)]
         total = 0.0

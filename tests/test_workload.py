@@ -1,12 +1,14 @@
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from neurobench import load_datasets
+from neurobench import derive, load_datasets
 from neurobench.ade import AdeTriple
 from neurobench.interconnect import ElementBench
-from neurobench.registry import LayerSpec, WorkloadSpec
+from neurobench.registry import LayerSpec, ValidationError, WorkloadSpec
 from neurobench.report import bench_technology, bench_workload
 from neurobench.workload import (
     StageBench,
@@ -17,7 +19,6 @@ from neurobench.workload import (
     run_workload,
     stage_benches,
     stage_params,
-    total_synaptic_ops,
     workload_plan,
 )
 
@@ -306,12 +307,17 @@ def test_builtin_workload_names(registry):
     }
 
 
+def synaptic_ops(spec):
+    """Activity-weighted synaptic operations, summed over stages and feature maps."""
+    return sum(stage.active_synapses * stage.f_st for stage in workload_plan(spec, "ANN", 2))
+
+
 def test_mnist_total_ops_oracle(registry):
     # independent oracle: sum of layer products
     dims = [784, 256, 128, 10]
     expected = sum(a * b for a, b in zip(dims, dims[1:]))
     assert expected == 234_752
-    assert total_synaptic_ops(registry.workload("mnist_mlp")) == expected
+    assert synaptic_ops(registry.workload("mnist_mlp")) == expected
 
 
 def test_speech_mlp_has_three_weight_stages(registry):
@@ -340,7 +346,7 @@ def test_workload_energy_linear_in_mac_count(registry, constants):
     elem = element(e_syn=1.0, e_neu=0.0)
     for name, spec in registry.workloads.items():
         bench = run_workload(spec, elem, constants, fan_in=2)
-        assert bench.energy == pytest.approx(total_synaptic_ops(spec), rel=1e-12), name
+        assert bench.energy == pytest.approx(synaptic_ops(spec), rel=1e-12), name
 
 
 def test_workload_delay_monotone_in_stage_delay(registry, constants):
@@ -408,20 +414,31 @@ def test_run_workload_equals_stage_oracle_bit_for_bit(
 # -- workload invariants on every shipped technology, nominal and perturbed constants --
 
 
-PERTURBED = ("supply_voltage", "synapse_overhead", "neuron_overhead", "core_overhead", "chip_overhead", "wire_pitch")
+PERTURBED = (  # paths in constants.json
+    ("supply_voltage",),
+    ("overheads", "synapse"),
+    ("overheads", "neuron"),
+    ("overheads", "core"),
+    ("overheads", "chip"),
+    ("wire_pitch_f",),
+)
 scalings = st.one_of(st.none(), st.tuples(*[st.floats(0.5, 2.0)] * len(PERTURBED)))
 
 
 def scaled(registry, factors):
-    """The shipped registry for factors None, else a derived one with the
-    `PERTURBED` constants scaled; draws that break the loader's ordering
-    sense_voltage < supply_voltage are discarded."""
+    """The shipped registry for factors None, else one derived with the
+    `PERTURBED` constants scaled. A draw is discarded only when the loader
+    rejects it for breaking the ordering sense_voltage < supply_voltage."""
     if factors is None:
         return registry
-    c = registry.constants
-    c = c._replace(**{name: getattr(c, name) * f for name, f in zip(PERTURBED, factors)})
-    assume(c.sense_voltage < c.supply_voltage)
-    return registry._replace(constants=c)
+    doc = json.loads(registry.files["constants.json"])
+    edits = {path: reduce(getitem, path, doc) * f for path, f in zip(PERTURBED, factors)}
+    try:
+        return derive(registry, {"constants.json": edits})
+    except ValidationError as e:
+        if not str(e).startswith("constants.json: sense_voltage: must be below supply_voltage "):
+            raise
+        reject()
 
 
 def shipped_rows(registry):
@@ -482,10 +499,13 @@ def test_stage_view_sums_to_the_memoized_workload_bench(registry, factors):
     # the explain path (stage_benches, then aggregate) and the hot path
     # (run_workload, memoized by bench_workload) give the same bits
     if factors is not None:
-        c = registry.constants
+        doc = json.loads(registry.files["constants.json"])
         voltage, overhead = factors
-        c = c._replace(supply_voltage=c.supply_voltage * voltage, core_overhead=c.core_overhead * overhead)
-        registry = registry._replace(constants=c)
+        edits = {
+            ("supply_voltage",): doc["supply_voltage"] * voltage,
+            ("overheads", "core"): doc["overheads"]["core"] * overhead,
+        }
+        registry = derive(registry, {"constants.json": edits})
     c = registry.constants
     for tech, row in shipped_rows(registry):
         fan_in = registry.fan_in[tech.fan_in_class]
@@ -516,7 +536,7 @@ def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, cons
         a, b = first.workload(name), second.workload(name)
         assert a is not b and a == b == spec
         for kind, fan_in in (("ANN", None), ("SNN", 16), ("ANN", 1)):
-            assert workload_plan(a, kind, fan_in) is workload_plan(b, kind, fan_in)
+            assert workload_plan(a, kind, fan_in) == workload_plan(b, kind, fan_in)
             results = [run_workload(s, elem, constants, network_kind=kind, fan_in=fan_in) for s in (a, b, spec)]
             assert results[0] == results[1] == results[2] == oracle(spec, elem, constants, kind, fan_in)
 
