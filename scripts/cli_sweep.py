@@ -7,10 +7,14 @@ At --precision 1, 3, 6, 12 and 17 it runs `devices list`; `bench element`,
 `bench chip --nominal` and `bench workload` (default, parallel and tmux
 schedule, every workload) for every technology; `bench network` for every
 kind; `topsdown` for every chip, with and without `--backfill` and with no
-or every `--workload`; and every valid `export`. OUT receives sorted JSON
-mapping each space-joined argv to [exit code, stdout, stderr, export text or
-null]. Run it on two checkouts and compare the dumps with `cmp`: a refactor
-that keeps the CLI's behaviour leaves them byte-identical.
+or every `--workload`; and every valid `export`. At --precision 17 it also
+runs `bench element`, `bench chip --nominal` and the default `bench workload`
+for every technology on a derived dataset whose constants are off their
+shipped values (`DERIVED_EDITS`), where a reordered product shows although the
+golden files, which pin the shipped values only, may match. OUT receives
+sorted JSON mapping each space-joined argv to [exit code, stdout, stderr,
+export text or null]. Run it on two checkouts and compare the dumps with
+`cmp`: a refactor that keeps the CLI's behaviour leaves them byte-identical.
 """
 
 import contextlib
@@ -21,11 +25,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-from neurobench import load_datasets
+from neurobench import derive, load_datasets
 from neurobench.cli import main as cli_main
 
 PRECISIONS = ("1", "3", "6", "12", "17")  # 1 and 17: the fewest digits and the most a double needs
 EXPORT_NAME = "export"  # relative, so `wrote ...` is the same text in every checkout
+DERIVED_DIR = "derived"  # relative too, so the commands read the same in every checkout
+DERIVED_EDITS = {  # constants.json paths, each off its shipped value
+    ("supply_voltage",): 0.83,
+    ("wire_pitch_f",): 8.5,
+    ("overheads", "core"): 2.3,
+    ("cnn_settling_factor",): 5.7,
+    ("feature_size",): 16.5,  # with min_ic_resistance, which the loader ties to it within 2%
+    ("min_ic_resistance",): 733.7,
+}
 
 
 def commands(registry) -> list[list[str]]:
@@ -54,6 +67,15 @@ def commands(registry) -> list[list[str]]:
     return [["--precision", p, *argv] for p in PRECISIONS for argv in per_precision]
 
 
+def derived_commands(registry) -> list[list[str]]:
+    """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, at 17 digits."""
+    argv = []
+    for label in registry.technologies:
+        argv += [["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]]
+        argv += [["bench", "workload", "--name", name, "--tech", label] for name in sorted(registry.workloads)]
+    return [["--precision", "17", "--data-dir", DERIVED_DIR, *a] for a in argv]
+
+
 def run(argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -80,7 +102,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for command in commands(load_datasets()):
+            registry = load_datasets()
+            Path(DERIVED_DIR).mkdir()
+            for name, data in derive(registry, {"constants.json": DERIVED_EDITS}).files.items():
+                (Path(DERIVED_DIR) / name).write_bytes(data)
+            for command in commands(registry) + derived_commands(registry):
                 results[" ".join(command)] = run(command)
         finally:
             os.chdir(cwd)

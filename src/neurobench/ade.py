@@ -41,7 +41,10 @@ class AdeTriple(_Ade):
     def __add__(self, other: "AdeTriple") -> "AdeTriple":
         a, d, e = self
         oa, od, oe = other
-        return AdeTriple(a + oa, d + od, e + oe)
+        a, d, e = a + oa, d + od, e + oe
+        if 0.0 <= a < _INF and 0.0 <= d < _INF and 0.0 <= e < _INF:  # the check of __new__, without its call
+            return _new(AdeTriple, (a, d, e))
+        return AdeTriple(a, d, e)  # raises, naming the component
 
     def __mul__(self, other):
         raise TypeError("AdeTriple has no scalar multiplication; use scaled()")

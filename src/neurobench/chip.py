@@ -74,10 +74,16 @@ def nominal_config(constants: GlobalConstants, *, spiking: bool = False) -> Chip
     )
 
 
-def chip_area(cfg: ChipConfig, a_neu: float, a_syn: float, constants: GlobalConstants) -> float:
-    """Layout-overhead-corrected chip area, nm^2."""
-    per_neuron = constants.neuron_overhead * a_neu + cfg.synapses_per_neuron * constants.synapse_overhead * a_syn
-    return constants.chip_overhead * cfg.cores * (constants.core_overhead * cfg.neurons_per_core * per_neuron)
+def area_terms(cfg: ChipConfig, c: GlobalConstants) -> tuple[float, float, float, float]:
+    """The factors of `chip_area` that a config and the constants fix, in its order."""
+    synapses = cfg.synapses_per_neuron * c.synapse_overhead
+    return c.chip_overhead * cfg.cores, c.core_overhead * cfg.neurons_per_core, c.neuron_overhead, synapses
+
+
+def chip_area(terms: tuple[float, float, float, float], a_neu: float, a_syn: float) -> float:
+    """Layout-overhead-corrected chip area, nm^2, from the `area_terms` of its config."""
+    chip_cores, core_neurons, neuron_overhead, synapses = terms
+    return chip_cores * (core_neurons * (neuron_overhead * a_neu + synapses * a_syn))
 
 
 def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:
@@ -103,7 +109,7 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
     power = throughput * e_event
     bench = ChipBench(
         total_synapses=cfg.total_synapses,
-        area=chip_area(cfg, elem.neuron.area, elem.synapse.area, constants),
+        area=chip_area(area_terms(cfg, constants), elem.neuron.area, elem.synapse.area),
         firing_rate=f_fire,
         time_step=tau_step,
         energy_per_event=e_event,

@@ -196,14 +196,19 @@ def build_raw_element(tech: Technology, registry: Registry) -> ElementBench:
     return builder(registry, *inputs)
 
 
-def wire_drive(tech: Technology, registry: Registry) -> tuple[float, float, float]:
+def cmos_drive(constants: GlobalConstants) -> float:
+    """On-current of one minimum digital CMOS transistor, A."""
+    return constants.transistors["cmos"].on_current_per_width * constants.digital_transistor_width * units.M_PER_NM
+
+
+def wire_drive(tech: Technology, registry: Registry, i_cmos: float) -> tuple[float, float, float]:
     """(r_eff, i_neu, voltage): the synapse resistance seen by the core wire
     (Ohm), the neuron current that charges the chip wire (A) and the swing of
     both (V; `ic_voltage`, by default the supply). A resistive synapse drives
-    with its cell, every other family with one minimum digital transistor."""
+    with its cell, every other family with one minimum digital transistor (`i_cmos`)."""
     c = registry.constants
     voltage = c.supply_voltage if tech.ic_voltage is None else tech.ic_voltage
     if tech.family in RESISTIVE_FAMILIES:
         device = registry.device(tech.synapse_device)
         return synapse_effective_resistance(device, c), c.supply_voltage / device.r_on, voltage
-    return 0.0, c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * units.M_PER_NM, voltage
+    return 0.0, i_cmos, voltage

@@ -82,11 +82,26 @@ class ElementBench(_Row):
         )
 
 
-def ic_energy(length: float, voltage: float, constants: GlobalConstants) -> float:
+class Wiring(NamedTuple):
+    """The terms of the wire formulas that a registry's constants fix (`wiring`)."""
+
+    wire_pitch: float  # nm
+    rc_wire: float  # 0.38 r_seg c_seg of one minimum segment, s
+    c_seg: float  # C of one minimum segment (`min_ic_capacitance`), F
+    rc_load: float  # r_seg times the load capacitance, s
+    min_ic_length: float  # nm
+    ic_cap_per_length: float  # F/m
+
+
+def wiring(c: GlobalConstants) -> Wiring:
+    r_seg, c_seg = c.min_ic_resistance, c.min_ic_capacitance
+    rc_wire, rc_load = 0.38 * r_seg * c_seg, r_seg * c.load_capacitance
+    return Wiring(c.wire_pitch, rc_wire, c_seg, rc_load, c.min_ic_length, c.ic_cap_per_length)
+
+
+def ic_energy(length: float, voltage: float, wire: Wiring) -> float:
     """Energy to charge `length` nm of interconnect to `voltage`, aJ."""
-    if length < 0:
-        raise ValueError("interconnect length must be >= 0")
-    return units.joules_to_aj(constants.ic_cap_per_length * length * units.M_PER_NM * voltage * voltage)
+    return units.joules_to_aj(wire.ic_cap_per_length * length * units.M_PER_NM * voltage * voltage)
 
 
 def ic_lengths(synapse_block_area: float, chip_area: float) -> tuple[float, float]:
@@ -96,28 +111,22 @@ def ic_lengths(synapse_block_area: float, chip_area: float) -> tuple[float, floa
     return math.sqrt(synapse_block_area), math.sqrt(chip_area)
 
 
-def core_ic_delay(length: float, r_eff: float, constants: GlobalConstants) -> float:
+def core_ic_delay(length: float, r_eff: float, wire: Wiring) -> float:
     """RC-dominated delay of a core-wide wire of `length` nm, ps.
 
     Distributed-wire term plus synapse source resistance plus the lumped load,
     repeated per minimum-length segment. r_eff is zero for non-resistive
     synapse technologies.
     """
-    if length < 0:
-        raise ValueError("interconnect length must be >= 0")
-    c_seg = constants.min_ic_capacitance
-    r_seg = constants.min_ic_resistance
-    per_segment = 0.38 * r_seg * c_seg + r_eff * c_seg + r_seg * constants.load_capacitance  # s
-    return units.seconds_to_ps(per_segment) * (length / constants.min_ic_length)
+    per_segment = wire.rc_wire + r_eff * wire.c_seg + wire.rc_load  # s
+    return units.seconds_to_ps(per_segment) * (length / wire.min_ic_length)
 
 
-def chip_ic_delay(length: float, i_neu: float, voltage: float, constants: GlobalConstants) -> float:
+def chip_ic_delay(length: float, i_neu: float, voltage: float, wire: Wiring) -> float:
     """Charging time of a chip-wide wire driven at constant current, ps."""
     if i_neu <= 0:
         raise ValueError("chip interconnect needs a positive neuron drive current")
-    if length < 0:
-        raise ValueError("interconnect length must be >= 0")
-    t = constants.ic_cap_per_length * length * units.M_PER_NM * voltage / i_neu  # s
+    t = wire.ic_cap_per_length * length * units.M_PER_NM * voltage / i_neu  # s
     return units.seconds_to_ps(t)
 
 
@@ -125,7 +134,7 @@ def assemble_row(
     net: ElementBench,
     synapse_block_area: float,
     chip_area: float,
-    constants: GlobalConstants,
+    wire: Wiring,
     r_eff: float,
     i_neu: float,
     voltage: float,
@@ -133,18 +142,11 @@ def assemble_row(
     """Attach core and chip interconnect triples to a network element bench.
 
     The core wire spans one core's synapse block and the chip wire the whole
-    chip (both areas nm^2). `r_eff`, `i_neu` and `voltage` are the wire
-    drive of the technology (`elements.wire_drive`).
+    chip (both areas nm^2). `wire` holds the registry's `wiring`; `r_eff`,
+    `i_neu` and `voltage` are the technology's `elements.wire_drive`.
     """
     core_len, chip_len = ic_lengths(synapse_block_area, chip_area)
-    core = AdeTriple(
-        area=core_len * constants.wire_pitch,
-        delay=core_ic_delay(core_len, r_eff, constants),
-        energy=ic_energy(core_len, voltage, constants),
-    )
-    chip = AdeTriple(
-        area=chip_len * constants.wire_pitch,
-        delay=chip_ic_delay(chip_len, i_neu, voltage, constants),
-        energy=ic_energy(chip_len, voltage, constants),
-    )
-    return ElementBench(synapse=net.synapse, core_ic=core, neuron=net.neuron, chip_ic=chip)
+    pitch = wire.wire_pitch
+    core = AdeTriple(core_len * pitch, core_ic_delay(core_len, r_eff, wire), ic_energy(core_len, voltage, wire))
+    chip = AdeTriple(chip_len * pitch, chip_ic_delay(chip_len, i_neu, voltage, wire), ic_energy(chip_len, voltage, wire))
+    return ElementBench(net.synapse, net.neuron, core, chip)

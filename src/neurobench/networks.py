@@ -20,31 +20,34 @@ def ann_transform(raw: ElementBench) -> ElementBench:
     return raw
 
 
-def cnn_transform(raw: ElementBench, constants: GlobalConstants) -> ElementBench:
+def transform_terms(constants: GlobalConstants) -> tuple[tuple, tuple, float]:
+    """The factors that the constants fix: the CNN's (m_syn, m_step, m_step m_syn), the SNN's
+    (n_spi, n_spi n_spa, n_spi n_spa n_fire, n_spi n_fire) and the ONN's synchronization periods."""
+    m_syn, m_step = constants.cnn_synapse_factor, constants.cnn_settling_factor
+    n_spi, n_fire = constants.spike_duration_factor, constants.spikes_to_fire
+    n_spi_spa = n_spi * constants.spike_spacing_factor
+    cnn = m_syn, m_step, m_step * m_syn
+    return cnn, (n_spi, n_spi_spa, n_spi_spa * n_fire, n_spi * n_fire), constants.sync_periods
+
+
+def cnn_transform(raw: ElementBench, terms: tuple[float, float, float]) -> ElementBench:
     """Cellular network: more synapses per cell and a longer settling time."""
-    m_syn = constants.cnn_synapse_factor
-    m_step = constants.cnn_settling_factor
-    return ElementBench(
-        synapse=raw.synapse.scaled(area=m_syn, delay=m_step * m_syn, energy=m_step * m_syn),
-        neuron=raw.neuron.scaled(delay=m_step, energy=m_step),
-    )
+    m_syn, m_step, m_step_syn = terms
+    synapse = raw.synapse.scaled(area=m_syn, delay=m_step_syn, energy=m_step_syn)
+    return ElementBench(synapse, raw.neuron.scaled(delay=m_step, energy=m_step))
 
 
-def snn_transform(raw: ElementBench, constants: GlobalConstants) -> ElementBench:
+def snn_transform(raw: ElementBench, terms: tuple[float, float, float, float]) -> ElementBench:
     """Rate-coded spiking network: spike duration and spacing stretch delays;
     the spike count to fire scales the neuron. Areas are unchanged."""
-    n_spi = constants.spike_duration_factor
-    n_spa = constants.spike_spacing_factor
-    n_fire = constants.spikes_to_fire
-    return ElementBench(
-        synapse=raw.synapse.scaled(delay=n_spi * n_spa, energy=n_spi),
-        neuron=raw.neuron.scaled(delay=n_spi * n_spa * n_fire, energy=n_spi * n_fire),
-    )
+    n_spi, n_spi_spa, n_spi_spa_fire, n_spi_fire = terms
+    synapse = raw.synapse.scaled(delay=n_spi_spa, energy=n_spi)
+    return ElementBench(synapse, raw.neuron.scaled(delay=n_spi_spa_fire, energy=n_spi_fire))
 
 
 def onn_transform(
     raw: ElementBench,
-    constants: GlobalConstants,
+    sync_periods: float,
     osc_class: str,
     inv4_delay: Optional[float] = None,
     device_intrinsics: Optional[AdeTriple] = None,
@@ -75,28 +78,25 @@ def onn_transform(
     else:
         raise ValueError(f"unknown oscillator class {osc_class!r}")
 
-    sync_delay = constants.sync_periods / f_osc  # ps
+    sync_delay = sync_periods / f_osc  # ps
     sync_energy = p_osc * sync_delay  # aJ
-    return ElementBench(
-        synapse=AdeTriple(10.0 * raw.synapse.area, sync_delay, sync_energy),
-        neuron=AdeTriple(30.0 * raw.neuron.area, sync_delay, sync_energy),
-    )
+    synapse = AdeTriple(10.0 * raw.synapse.area, sync_delay, sync_energy)
+    return ElementBench(synapse, AdeTriple(30.0 * raw.neuron.area, sync_delay, sync_energy))
 
 
-def network_transform(raw: ElementBench, tech: Technology, registry: Registry) -> ElementBench:
-    """Apply the transform that matches the technology's network kind."""
+def network_transform(raw: ElementBench, tech: Technology, registry: Registry, terms: tuple) -> ElementBench:
+    """Apply the transform of the technology's network kind, with the registry's `transform_terms`."""
     kind = tech.network_kind
     if kind == "ANN":
         return ann_transform(raw)
+    cnn, snn, sync_periods = terms
     if kind == "CNN":
-        return cnn_transform(raw, registry.constants)
+        return cnn_transform(raw, cnn)
     if kind == "SNN":
-        return snn_transform(raw, registry.constants)
+        return snn_transform(raw, snn)
     if kind == "ONN":
         return onn_transform(
-            raw,
-            registry.constants,
-            tech.osc_class,
+            raw, sync_periods, tech.osc_class,
             inv4_delay=registry.primitives[tech.primitive_family].inv4.delay,
             device_intrinsics=None if tech.osc_device is None else registry.device(tech.osc_device).intrinsic,
         )

@@ -14,11 +14,11 @@ import math
 from typing import NamedTuple, Optional
 
 from . import units
-from .chip import ChipConfig, chip_area, nominal_config
-from .elements import build_raw_element, raw_inputs, wire_drive
-from .interconnect import ElementBench, assemble_row
-from .networks import network_transform
-from .registry import Registry, Technology, UnknownNameError, memo_key
+from .chip import ChipConfig, area_terms, chip_area, nominal_config
+from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
+from .interconnect import ElementBench, assemble_row, wiring
+from .networks import network_transform, transform_terms
+from .registry import GlobalConstants, Registry, Technology, UnknownNameError, memo_key
 from .workload import WorkloadBench, run_workload
 
 MATRIX_HEADER = (
@@ -53,19 +53,25 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     return _build_row(tech, registry, cfg)
 
 
+def _row_terms(constants: GlobalConstants) -> tuple:
+    """(nominal config, its `area_terms`, `wiring`, `transform_terms`, `cmos_drive`): what rows read of the constants."""
+    nominal = nominal_config(constants)
+    return nominal, area_terms(nominal, constants), wiring(constants), transform_terms(constants), cmos_drive(constants)
+
+
 def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
-    constants = registry.constants
+    config, area, wire, transform, i_cmos = registry.memoized(("row terms",), _row_terms, registry.constants)
     raw = registry.memoized(("raw element", *raw_inputs(tech)), build_raw_element, tech, registry)
-    net = network_transform(raw, tech, registry)
-    if cfg is None:
-        cfg = registry.memoized(("nominal config",), nominal_config, constants)
+    net = network_transform(raw, tech, registry, transform)
+    if cfg is not None:  # an explicit config has its own area terms
+        config, area = cfg, area_terms(cfg, registry.constants)
     a_syn = net.synapse.area
     return assemble_row(
         net,
-        a_syn * cfg.neurons_per_core * cfg.synapses_per_neuron,  # one core's synapse block
-        chip_area(cfg, net.neuron.area, a_syn, constants),
-        constants,
-        *wire_drive(tech, registry),
+        a_syn * config.neurons_per_core * config.synapses_per_neuron,  # one core's synapse block
+        chip_area(area, net.neuron.area, a_syn),
+        wire,
+        *wire_drive(tech, registry, i_cmos),
     )
 
 

@@ -2,9 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from neurobench import load_datasets
+from neurobench import derive, load_datasets
 from neurobench.ade import AdeTriple
-from neurobench.chip import ChipConfig, chip_area, chip_bench, firing_rate, nominal_config
+from neurobench.chip import ChipConfig, area_terms, chip_area, chip_bench, firing_rate, nominal_config
 from neurobench.interconnect import ElementBench
 
 ZERO = AdeTriple(0.0, 0.0, 0.0)
@@ -24,18 +24,24 @@ def test_power_unit_pinning():
     assert units.W_PER_AJ_PER_PS == 1e-6
 
 
-def test_chip_area_unit_factors(constants):
-    flat = constants._replace(synapse_overhead=1.0, neuron_overhead=1.0, core_overhead=1.0, chip_overhead=1.0)
-    cfg = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1)
-    assert chip_area(cfg, 300.0, 100.0, flat) == pytest.approx(400.0)
+def overheads(registry, value):
+    """The constants of `registry` with all four layout overheads at `value`."""
+    edits = {("overheads", k): value for k in ("synapse", "neuron", "core", "chip")}
+    return derive(registry, {"constants.json": edits}).constants
 
 
-def test_chip_area_overhead_nesting(constants):
+def test_chip_area_unit_factors(registry):
+    flat = overheads(registry, 1.0)
     cfg = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1)
-    flat = constants._replace(synapse_overhead=1.0, neuron_overhead=1.0, core_overhead=1.0, chip_overhead=1.0)
-    doubled = constants._replace(synapse_overhead=2.0, neuron_overhead=2.0, core_overhead=2.0, chip_overhead=2.0)
+    assert chip_area(area_terms(cfg, flat), 300.0, 100.0) == pytest.approx(400.0)
+
+
+def test_chip_area_overhead_nesting(registry):
+    cfg = ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1)
+    flat, doubled = overheads(registry, 1.0), overheads(registry, 2.0)
     # chip, core, and element overheads nest: 2 * 2 * 2 = 8x for fixed inner term
-    assert chip_area(cfg, 1.0, 1.0, doubled) == pytest.approx(8 * chip_area(cfg, 1.0, 1.0, flat))
+    flat_area = chip_area(area_terms(cfg, flat), 1.0, 1.0)
+    assert chip_area(area_terms(cfg, doubled), 1.0, 1.0) == pytest.approx(8 * flat_area)
 
 
 def test_firing_rate_nonspiking_reciprocal():

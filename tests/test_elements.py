@@ -7,6 +7,7 @@ from neurobench.elements import (
     analog_single_device_element,
     analog_transistor_element,
     build_raw_element,
+    cmos_drive,
     digital_mac_element,
     digital_sram_element,
     raw_inputs,
@@ -200,7 +201,7 @@ def test_builders_read_only_the_raw_inputs(registry):
 
 def test_r_eff_zero_for_nonresistive(registry):
     for tech in registry.technologies.values():
-        r = wire_drive(tech, registry)[0]
+        r = wire_drive(tech, registry, cmos_drive(registry.constants))[0]
         if tech.family in ("resistive_digital", "resistive_analog"):
             assert r > 0
         else:
@@ -211,7 +212,7 @@ def test_wire_drive_current_and_voltage(registry):
     c = registry.constants
     transistor = c.transistors["cmos"].on_current_per_width * c.digital_transistor_width * 1e-9
     for tech in registry.technologies.values():
-        r_eff, i_neu, voltage = wire_drive(tech, registry)
+        r_eff, i_neu, voltage = wire_drive(tech, registry, cmos_drive(c))
         if tech.family in ("resistive_digital", "resistive_analog"):
             device = registry.device(tech.synapse_device)
             assert r_eff == synapse_effective_resistance(device, c)
