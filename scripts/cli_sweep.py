@@ -11,7 +11,9 @@ or every `--workload`; and every valid `export`. At --precision 17 it also
 runs `bench element`, `bench chip --nominal` and the default `bench workload`
 for every technology on a derived dataset whose constants are off their
 shipped values (`DERIVED_EDITS`), where a reordered product shows although the
-golden files, which pin the shipped values only, may match. OUT receives
+golden files, which pin the shipped values only, may match, and `bench element`
+for every technology on a second one that moves the constants the circuit
+models read (`CIRCUIT_EDITS`). OUT receives
 sorted JSON mapping each space-joined argv to [exit code, stdout, stderr,
 export text or null]. Run it on two checkouts and compare the dumps with
 `cmp`: a refactor that keeps the CLI's behaviour leaves them byte-identical.
@@ -38,6 +40,22 @@ DERIVED_EDITS = {  # constants.json paths, each off its shipped value
     ("cnn_settling_factor",): 5.7,
     ("feature_size",): 16.5,  # with min_ic_resistance, which the loader ties to it within 2%
     ("min_ic_resistance",): 733.7,
+}
+CIRCUITS_DIR = "derived_circuits"
+CIRCUIT_EDITS = {  # constants.json paths that the circuit and element models read; together they move every row
+    ("sense_voltage",): 0.37,
+    ("vsa_sense_voltage",): 0.13,
+    ("vsa_read_voltage",): 0.47,
+    ("analog_row_voltage",): 0.71,
+    ("analog_read_pulse",): 730,
+    ("cnn_max_weight",): 0.31,
+    ("cnn_weight_sum",): 1.37,
+    ("synapse_bits",): 6,
+    ("synapse_levels",): 27,
+    ("linear_transconductance",): 2.3e-4,
+    ("transistor_on_resistance",): 11700,
+    ("sense_amp_widths_f", "p"): 4.3,
+    ("ota_widths_f", "pullup"): 5.9,
 }
 
 
@@ -68,12 +86,15 @@ def commands(registry) -> list[list[str]]:
 
 
 def derived_commands(registry) -> list[list[str]]:
-    """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, at 17 digits."""
+    """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, and rows on the
+    one in CIRCUITS_DIR, at 17 digits."""
     argv = []
     for label in registry.technologies:
         argv += [["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]]
         argv += [["bench", "workload", "--name", name, "--tech", label] for name in sorted(registry.workloads)]
-    return [["--precision", "17", "--data-dir", DERIVED_DIR, *a] for a in argv]
+    argv = [["--data-dir", DERIVED_DIR, *a] for a in argv]
+    argv += [["--data-dir", CIRCUITS_DIR, "bench", "element", "--tech", label] for label in registry.technologies]
+    return [["--precision", "17", *a] for a in argv]
 
 
 def run(argv: list[str]) -> list:
@@ -103,9 +124,10 @@ def main() -> int:
         os.chdir(tmp)
         try:
             registry = load_datasets()
-            Path(DERIVED_DIR).mkdir()
-            for name, data in derive(registry, {"constants.json": DERIVED_EDITS}).files.items():
-                (Path(DERIVED_DIR) / name).write_bytes(data)
+            for directory, edits in ((DERIVED_DIR, DERIVED_EDITS), (CIRCUITS_DIR, CIRCUIT_EDITS)):
+                Path(directory).mkdir()
+                for name, data in derive(registry, {"constants.json": edits}).files.items():
+                    (Path(directory) / name).write_bytes(data)
             for command in commands(registry) + derived_commands(registry):
                 results[" ".join(command)] = run(command)
         finally:

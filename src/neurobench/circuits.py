@@ -4,7 +4,11 @@ digital resistive memories, pulsed read circuit for analog resistive
 memories, and the OTA pair at the heart of the analog cell.
 
 All functions are pure; inputs are canonical-unit constants and primitive
-tables, outputs carry nm^2 / ps / aJ (documented per field).
+tables, outputs carry nm^2 / ps / aJ (documented per field). Each model
+relies on the loader for its preconditions (positive widths, sense voltage
+below supply, r_off above r_on, row voltage above the cell read voltage,
+on-current above off-current, a positive maximum weight) and checks none
+of them again.
 """
 
 from __future__ import annotations
@@ -14,10 +18,6 @@ from typing import NamedTuple
 
 from . import units
 from .registry import CircuitPrimitiveTable, GlobalConstants, TransistorParams
-
-
-class CircuitDomainError(ValueError):
-    """Inputs outside the physical domain of a circuit model."""
 
 
 class SenseAmpBench(NamedTuple):
@@ -62,13 +62,6 @@ def sense_amp(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> 
     """
     w = constants.sense_amp_widths
     w_dt = constants.digital_transistor_width
-    if w.p <= 0 or w.n <= 0:
-        raise CircuitDomainError("sense amp: p/n transistor widths must be positive")
-    if constants.sense_voltage >= constants.supply_voltage:
-        raise CircuitDomainError(
-            f"sense amp: sense voltage {constants.sense_voltage} V must be below "
-            f"supply {constants.supply_voltage} V"
-        )
     area = primitives.inv1.area * (w.p + w.n + w.iso + w.enable) / w_dt
     g_m = constants.linear_transconductance * (w.p + w.n) / w_dt
     c_load = constants.transistor_cap_per_width * (w.p + w.n) * units.M_PER_NM
@@ -88,13 +81,6 @@ def voltage_sense_amp(
     """Reading circuit for digital resistive memories: 3 n-type + 3 p-type
     minimum-width transistors precharging and sensing a bitline of s_neu cells.
     """
-    if not (r_on > 0):
-        raise CircuitDomainError("voltage sense amp: r_on must be positive")
-    if r_off <= r_on:
-        raise CircuitDomainError(
-            f"voltage sense amp: r_off ({r_off:g} Ohm) must exceed r_on ({r_on:g} Ohm); "
-            "equal resistances leave no drive current"
-        )
     area = 6.0 * primitives.inv1.area
     r_pch = constants.transistor_on_resistance
     c_si = 2.0 * constants.transistor_cap_per_width * constants.digital_transistor_width * units.M_PER_NM
@@ -109,11 +95,6 @@ def voltage_sense_amp(
 def analog_read(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> AnalogReadBench:
     """Pulsed read circuit for analog-valued resistive memories; about 32
     standard inverter cells of periphery per column."""
-    if constants.analog_row_voltage <= constants.vsa_read_voltage:
-        raise CircuitDomainError(
-            f"analog read: row voltage {constants.analog_row_voltage} V must exceed "
-            f"cell read voltage {constants.vsa_read_voltage} V"
-        )
     area = 32.0 * primitives.inv1.area
     v_col = constants.analog_row_voltage - constants.vsa_read_voltage
     delay = constants.analog_read_pulse + 2.0 * constants.synapse_bits * primitives.add1.delay
@@ -130,10 +111,6 @@ def ota_cell(constants: GlobalConstants, transistor: TransistorParams) -> OtaCel
     of the on- and off-state currents.
     """
     i_on, i_off = transistor.on_current_per_width, transistor.off_current_per_width
-    if i_on <= i_off:
-        raise CircuitDomainError(f"OTA cell: on-current {i_on} A/m must exceed off-current {i_off} A/m")
-    if constants.cnn_max_weight <= 0:
-        raise CircuitDomainError("OTA cell: maximum weight must be positive")
     w = constants.ota_widths
     cell_cap = 4.0 * constants.transistor_cap_per_width * w.output * units.M_PER_NM
     swing = transistor.saturation_voltage / math.log10(i_on / i_off)

@@ -43,8 +43,6 @@ def _digital_neuron(constants: GlobalConstants, p: CircuitPrimitiveTable) -> Ade
 def digital_sram_element(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> ElementBench:
     """Synapse of n_b register bits; digital neuron read through per-bit sense amps."""
     n_b = constants.synapse_bits
-    if n_b < 1:
-        raise ValueError("digital SRAM element needs at least one synapse bit")
     p = primitives
     synapse = AdeTriple(
         area=n_b * p.reg.area,
@@ -130,8 +128,6 @@ def resistive_synapse(
     digital: digital-CMOS neuron read through the voltage sense amp.
     analog:  analog-CMOS (OTA) neuron read through the pulsed read circuit.
     """
-    if mode not in ("digital", "analog"):
-        raise ValueError(f"resistive synapse mode must be 'digital' or 'analog', got {mode!r}")
     if device.r_on is None or device.r_off is None:
         raise ValidationError(f"device {device.name} has no on/off resistances")
     v_cc = constants.supply_voltage

@@ -49,7 +49,7 @@ def onn_transform(
     raw: ElementBench,
     sync_periods: float,
     osc_class: str,
-    inv4_delay: Optional[float] = None,
+    inv4_delay: float,
     device_intrinsics: Optional[AdeTriple] = None,
 ) -> ElementBench:
     """Oscillator network: oscillators are built from many simple gates (10x
@@ -61,8 +61,6 @@ def onn_transform(
       piezo            f = 1 / neuron delay,  P = 3 E_neu / tau_neu
     """
     if osc_class == "transistor_ring":
-        if inv4_delay is None:
-            raise ValueError("transistor ring oscillator requires the fan-out-4 inverter delay")
         if device_intrinsics is None:
             raise ValueError("transistor ring oscillator requires transistor device intrinsics for power")
         f_osc = 0.1 / inv4_delay  # 1/ps
@@ -96,8 +94,7 @@ def network_transform(raw: ElementBench, tech: Technology, registry: Registry, t
         return snn_transform(raw, snn)
     if kind == "ONN":
         return onn_transform(
-            raw, sync_periods, tech.osc_class,
-            inv4_delay=registry.primitives[tech.primitive_family].inv4.delay,
+            raw, sync_periods, tech.osc_class, registry.primitives[tech.primitive_family].inv4.delay,
             device_intrinsics=None if tech.osc_device is None else registry.device(tech.osc_device).intrinsic,
         )
     raise ValueError(f"unknown network kind {kind!r}")

@@ -116,7 +116,14 @@ class OtaWidths(NamedTuple):
 
 
 class GlobalConstants(NamedTuple):
-    """Process/architecture constants in canonical units (nm, ps, aJ, V, Ohm, F, A, S)."""
+    """Process/architecture constants in canonical units (nm, ps, aJ, V, Ohm, F, A, S).
+
+    The loader checks every precondition of the model, and the model checks
+    none of them again. A copy made with `_replace` passes no check, so the
+    model's entry points take a `Registry` and pass its constants on; only
+    `chip.chip_bench` and `chip.nominal_config` take a constants record from
+    their callers. Derive a registry with `neurobench.derive` instead.
+    """
 
     feature_size: float  # nm
     synapse_bits: int

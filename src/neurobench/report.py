@@ -92,7 +92,7 @@ def _workload_bench(workload_name: str, tech: Technology, registry: Registry, sc
     return run_workload(
         registry.workload(workload_name),
         bench_technology(tech, registry),
-        registry.constants,
+        registry,
         network_kind=tech.network_kind,
         fan_in=registry.fan_in[tech.fan_in_class],
         schedule=schedule,

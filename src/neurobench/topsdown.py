@@ -196,6 +196,4 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
 def _chip_workload(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:
     elem = topsdown_element(chip, registry).as_element_bench()
     network_kind, fan_in_class = ("ANN", "sequential") if chip.kind == "accelerator" else ("SNN", "snn")
-    return run_workload(
-        spec, elem, registry.constants, network_kind=network_kind, fan_in=registry.fan_in[fan_in_class]
-    )
+    return run_workload(spec, elem, registry, network_kind=network_kind, fan_in=registry.fan_in[fan_in_class])

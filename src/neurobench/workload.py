@@ -30,7 +30,7 @@ from . import units
 
 if TYPE_CHECKING:  # avoid runtime cycles; duck-typed at runtime
     from .interconnect import ElementBench
-    from .registry import GlobalConstants, LayerSpec, WorkloadSpec
+    from .registry import LayerSpec, Registry, WorkloadSpec
 
 
 class StageParams(NamedTuple):
@@ -119,8 +119,6 @@ def stage_params(layer: LayerSpec, stage_index: int, network_kind: str) -> Stage
         raise ValueError(f"unknown layer kind {layer.kind!r}")
     if min(stage.n_in, stage.n_out, stage.s_neu, stage.f_st) < 1:
         raise ValueError("stage counts must be >= 1")
-    if not (0.0 < stage.r_a <= 1.0):
-        raise ValueError(f"activity ratio must be in (0, 1], got {stage.r_a}")
     return stage
 
 
@@ -183,7 +181,7 @@ def workload_plan(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) 
 def _stage_figures(
     plan: tuple[StagePlan, ...],
     elem: "ElementBench",
-    constants: "GlobalConstants",
+    registry: "Registry",
 ) -> Iterator[tuple[float, float, float, int]]:
     """Area (nm^2), delay (ps), energy (aJ) and feature maps of every planned
     stage, in order: the one statement of the stage model.
@@ -197,6 +195,7 @@ def _stage_figures(
     syn = elem.synapse_total
     neu = elem.neuron_total
     t_syn, e_syn, t_neu, e_neu = syn.delay, syn.energy, neu.delay, neu.energy
+    constants = registry.constants
     core_overhead = constants.core_overhead
     neuron_site = constants.neuron_overhead * elem.neuron.area
     synapse_site = constants.synapse_overhead * elem.synapse.area
@@ -215,11 +214,11 @@ def _stage_figures(
 def stage_benches(
     plan: tuple[StagePlan, ...],
     elem: "ElementBench",
-    constants: "GlobalConstants",
+    registry: "Registry",
 ) -> list[StageBench]:
     """The per-stage view of a workload row: one `StageBench` per planned
     stage, with the figures `run_workload` sums."""
-    return list(map(StageBench._make, _stage_figures(plan, elem, constants)))
+    return list(map(StageBench._make, _stage_figures(plan, elem, registry)))
 
 
 def aggregate(stages: Iterable[tuple[float, float, float, int]], schedule: str) -> WorkloadBench:
@@ -260,18 +259,18 @@ def aggregate(stages: Iterable[tuple[float, float, float, int]], schedule: str) 
 def run_workload(
     spec: WorkloadSpec,
     elem: "ElementBench",
-    constants: "GlobalConstants",
+    registry: "Registry",
     *,
     network_kind: str = "ANN",
     fan_in: Optional[int] = None,
     schedule: Optional[str] = None,
 ) -> WorkloadBench:
-    """Evaluate a whole workload on one element bench.
+    """Evaluate a whole workload on one element bench with the registry's constants.
 
     Without an explicit schedule, sequential operation (fan-in 1) reuses one
     core time-multiplexed and every other fan-in runs the stages in parallel.
     """
     return aggregate(
-        _stage_figures(workload_plan(spec, network_kind, fan_in), elem, constants),
+        _stage_figures(workload_plan(spec, network_kind, fan_in), elem, registry),
         schedule or ("time_multiplexed" if fan_in == 1 else "parallel"),
     )

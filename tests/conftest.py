@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from neurobench import load_datasets
+from neurobench import derive, load_datasets
 from neurobench.registry import default_data_dir
 
 
@@ -30,3 +30,9 @@ def rewrite_json(path: Path, mutate):
     doc = json.loads(path.read_text())
     mutate(doc)
     path.write_text(json.dumps(doc))
+
+
+def derived_constants(registry, **values):
+    """The constants of `registry` with top-level constants.json values set,
+    through every loader check."""
+    return derive(registry, {"constants.json": {(key,): value for key, value in values.items()}}).constants

@@ -127,7 +127,7 @@ def test_criterion_08_workload_operation_count(registry):
     elem = ElementBench(
         synapse=AdeTriple(1.0, 1.0, 7.0), core_ic=zero, neuron=AdeTriple(1.0, 1.0, 0.0), chip_ic=zero
     )
-    bench = run_workload(spec, elem, registry.constants, fan_in=2)
+    bench = run_workload(spec, elem, registry, fan_in=2)
     ok = expected == 234_752 and ops == expected and bench.energy == pytest.approx(7.0 * expected, rel=1e-12)
     verdict(8, ok, f"digit-recognition MLP ops = {expected}; energy with zero neuron term = E_syn * ops exactly")
 

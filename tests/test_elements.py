@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import derived_constants
 from neurobench.ade import AdeTriple
 from neurobench.elements import (
     analog_single_device_element,
@@ -49,15 +50,15 @@ def test_sram_synapse_area_matches_reference_row(constants, cmos):
     assert bench.synapse.area == pytest.approx(constants.synapse_bits * cmos.reg.area)
 
 
-def test_sram_unit_primitive_delay(constants):
-    tweaked = constants._replace(synapse_bits=1)
+def test_sram_unit_primitive_delay(registry):
+    tweaked = derived_constants(registry, synapse_bits=1)
     bench = digital_sram_element(tweaked, unit_primitives())
     assert bench.synapse.delay == pytest.approx(3 + 4 + 1 + 1 + 1)
 
 
-def test_sram_scales_linearly_in_bits(constants, cmos):
-    single = digital_sram_element(constants._replace(synapse_bits=4), cmos)
-    double = digital_sram_element(constants._replace(synapse_bits=8), cmos)
+def test_sram_scales_linearly_in_bits(registry, cmos):
+    single = digital_sram_element(derived_constants(registry, synapse_bits=4), cmos)
+    double = digital_sram_element(derived_constants(registry, synapse_bits=8), cmos)
     assert double.synapse.area == pytest.approx(2 * single.synapse.area)
     assert double.synapse.energy == pytest.approx(2 * single.synapse.energy)
 
@@ -124,8 +125,8 @@ def test_single_device_me_neuron_delay(registry, constants):
     assert bench.neuron.delay == pytest.approx(10878.56)
 
 
-def test_single_device_four_levels_is_identity_delay(registry, constants):
-    bench = analog_single_device_element(registry.device("ME"), constants._replace(synapse_levels=4))
+def test_single_device_four_levels_is_identity_delay(registry):
+    bench = analog_single_device_element(registry.device("ME"), derived_constants(registry, synapse_levels=4))
     assert bench.neuron.delay == pytest.approx(registry.device("ME").delay_int)
 
 
@@ -150,16 +151,16 @@ def test_resistive_oxider_settle_time(registry, constants, cmos):
     assert bench.synapse.delay == pytest.approx(552.0, rel=1e-12)
 
 
-def test_resistive_single_level_keeps_on_resistance(registry, constants):
+def test_resistive_single_level_keeps_on_resistance(registry):
     dev = registry.device("OxideR")
-    r = synapse_effective_resistance(dev, constants._replace(synapse_levels=1))
+    r = synapse_effective_resistance(dev, derived_constants(registry, synapse_levels=1))
     assert r == pytest.approx(dev.r_on)
 
 
-def test_resistive_delay_scales_as_sqrt_levels(registry, constants, cmos):
+def test_resistive_delay_scales_as_sqrt_levels(registry, cmos):
     dev = registry.device("OxideR")
-    t16 = resistive_synapse(dev, constants._replace(synapse_levels=16), "digital", cmos).synapse.delay
-    t64 = resistive_synapse(dev, constants._replace(synapse_levels=64), "digital", cmos).synapse.delay
+    t16 = resistive_synapse(dev, derived_constants(registry, synapse_levels=16), "digital", cmos).synapse.delay
+    t64 = resistive_synapse(dev, derived_constants(registry, synapse_levels=64), "digital", cmos).synapse.delay
     assert t64 / t16 == pytest.approx(2.0)
 
 

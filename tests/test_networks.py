@@ -1,7 +1,7 @@
 
 import pytest
 
-from neurobench import derive
+from conftest import derived_constants
 from neurobench.ade import AdeTriple
 from neurobench.elements import build_raw_element
 from neurobench.interconnect import ElementBench
@@ -22,8 +22,7 @@ def terms(constants):
 
 def derived_terms(registry, **factors):
     """The transform terms of `registry` with the named constants set."""
-    edits = {(name,): value for name, value in factors.items()}
-    return transform_terms(derive(registry, {"constants.json": edits}).constants)
+    return transform_terms(derived_constants(registry, **factors))
 
 
 @pytest.fixture()
@@ -77,7 +76,7 @@ def test_snn_unit_factors_are_identity(raw, registry):
 
 
 def test_onn_area_markup(raw, constants):
-    out = onn_transform(raw, constants.sync_periods, "piezo")
+    out = onn_transform(raw, constants.sync_periods, "piezo", inv4_delay=10.0)
     assert out.synapse.area == pytest.approx(10 * raw.synapse.area)
     assert out.neuron.area == pytest.approx(30 * raw.neuron.area)
 
@@ -91,16 +90,16 @@ def test_onn_ring_frequency_arithmetic(raw, constants):
 
 
 def test_onn_neuron_tracks_synapse(raw, constants):
-    out = onn_transform(raw, constants.sync_periods, "spintronic", device_intrinsics=AdeTriple(1.0, 680.0, 1100.0))
+    out = onn_transform(
+        raw, constants.sync_periods, "spintronic", inv4_delay=10.0, device_intrinsics=AdeTriple(1.0, 680.0, 1100.0)
+    )
     assert out.neuron.delay == out.synapse.delay
     assert out.neuron.energy == out.synapse.energy
 
 
 def test_onn_missing_inputs_rejected(raw, constants):
-    with pytest.raises(ValueError, match="fan-out-4"):
-        onn_transform(raw, constants.sync_periods, "transistor_ring", device_intrinsics=AdeTriple(1, 1, 1))
     with pytest.raises(ValueError, match="device intrinsics"):
-        onn_transform(raw, constants.sync_periods, "spintronic")
+        onn_transform(raw, constants.sync_periods, "spintronic", inv4_delay=10.0)
 
 
 # -- dataset-wide invariants ---------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_json
+from conftest import derived_constants, rewrite_json
 from neurobench import cli, derive, load_datasets, report
 from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
@@ -84,9 +84,12 @@ def test_min_ic_length_defaults_to_20_feature_sizes(constants):
 @pytest.mark.parametrize(
     "field, derived", [("feature_size", "min_ic_length"), ("transistor_cap_per_width", "load_capacitance")]
 )
-def test_derived_constants_follow_a_replaced_input(constants, field, derived):
-    doubled = constants._replace(**{field: 2 * getattr(constants, field)})
-    assert getattr(doubled, derived) == 2 * getattr(constants, derived)
+def test_derived_constants_follow_a_replaced_input(registry, field, derived):
+    # the loader ties min_ic_resistance to 20 feature sizes within 2%, so it doubles too
+    fields = (field, "min_ic_resistance") if field == "feature_size" else (field,)
+    doc = json.loads(registry.files["constants.json"])
+    doubled = derived_constants(registry, **{f: 2 * doc[f] for f in fields})
+    assert getattr(doubled, derived) == 2 * getattr(registry.constants, derived)
 
 
 def test_ic_resistance_self_consistency(constants):
@@ -370,6 +373,21 @@ def _edit(doc, path, value):
             "workloads.json", ("workloads", "lenet", "layers", 0, "kernel"), 33,
             ("workloads.json: lenet.layers[0].kernel: exceeds image dimensions",),
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+        ),
+        # preconditions of the circuit and element models, which check none of them again
+        (
+            "constants.json", ("sense_amp_widths_f", "p"), 0,
+            ("constants.json: sense_amp_widths_f.p: must be finite and positive, got 0",),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "constants.json", ("synapse_bits",), 0, ("constants.json: synapse_bits: must be an integer >= 1, got 0",),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+        ),
+        (
+            "constants.json", ("cnn_max_weight",), 0,
+            ("constants.json: cnn_max_weight: must be finite and positive, got 0",),
+            ("bench", "element", "--tech", "ANNAnTAnT"),
         ),
     ],
 )

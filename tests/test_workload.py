@@ -32,13 +32,13 @@ def element(a_syn=100.0, t_syn=10.0, e_syn=5.0, a_neu=300.0, t_neu=20.0, e_neu=7
     )
 
 
-def stage_bench(stage, elem, fan_in, constants):
+def stage_bench(stage, elem, fan_in, registry):
     """One stage through the kernel."""
-    return stage_benches((plan_stage(stage, fan_in),), elem, constants)[0]
+    return stage_benches((plan_stage(stage, fan_in),), elem, registry)[0]
 
 
-def time_energy(stage, elem, fan_in, constants):
-    bench = stage_bench(stage, elem, fan_in, constants)
+def time_energy(stage, elem, fan_in, registry):
+    bench = stage_bench(stage, elem, fan_in, registry)
     return bench.delay, bench.energy
 
 
@@ -173,38 +173,38 @@ def test_cascade_bracketing(fan_in, s_neu):
 # -- core area ------------------------------------------------------------------
 
 
-def test_wire_limited_area_arithmetic(constants):
+def test_wire_limited_area_arithmetic(registry):
     stage = StageParams(n_in=784, n_out=256, s_neu=784, f_st=1, r_a=1.0)
-    area = stage_bench(stage, element(a_syn=1e-3, a_neu=1e-3), 16, constants).area  # circuit below the floor
+    area = stage_bench(stage, element(a_syn=1e-3, a_neu=1e-3), 16, registry).area  # circuit below the floor
     # 784 * 256 * (120 nm)^2
     assert area == pytest.approx(784 * 256 * 14400)
     assert area == pytest.approx(2.8901376e9)
 
 
-def test_convolution_core_area_counts_kernel_synapses(constants):
+def test_convolution_core_area_counts_kernel_synapses(registry):
     layer = LayerSpec(kind="convolution", image_w=35, image_h=35, kernel=5)
     stage = stage_params(layer, 1, "ANN")
     assert (stage.n_in, stage.n_out, stage.s_neu) == (1225, 961, 25)
     elem = element(a_syn=1e7, a_neu=0.0)  # circuit area well above the wire floor
-    area = stage_bench(stage, elem, 16, constants).area
-    c = constants
+    area = stage_bench(stage, elem, 16, registry).area
+    c = registry.constants
     assert area > wire_floor(stage, c)
     assert area == pytest.approx(c.core_overhead * c.synapse_overhead * 1e7 * stage.n_out * stage.s_neu, rel=1e-12)
 
 
-def test_wire_limit_dominates_tiny_synapses(constants):
+def test_wire_limit_dominates_tiny_synapses(registry):
     stage = StageParams(n_in=1000, n_out=1000, s_neu=10, f_st=1, r_a=1.0)
     elem = element(a_syn=1e-3, a_neu=1e-3)
-    assert stage_bench(stage, elem, 16, constants).area == wire_floor(stage, constants)
+    assert stage_bench(stage, elem, 16, registry).area == wire_floor(stage, registry.constants)
 
 
-def test_core_area_counts_cascade_neurons(constants):
+def test_core_area_counts_cascade_neurons(registry):
     stage = StageParams(n_in=256, n_out=1, s_neu=256, f_st=1, r_a=1.0)
     elem = element(a_syn=1e-9, a_neu=1e6)  # circuit area well above the wire floor
     # fan-in 2 needs 255 cascade neurons; unlimited needs 1
-    wide = stage_bench(stage, elem, None, constants).area
-    deep = stage_bench(stage, elem, 2, constants).area
-    c = constants
+    wide = stage_bench(stage, elem, None, registry).area
+    deep = stage_bench(stage, elem, 2, registry).area
+    c = registry.constants
     expected_gap = c.core_overhead * c.neuron_overhead * elem.neuron.area * (255 - 1) * stage.n_out
     assert deep - wide == pytest.approx(expected_gap, rel=1e-6)
 
@@ -212,35 +212,35 @@ def test_core_area_counts_cascade_neurons(constants):
 # -- stage time/energy -----------------------------------------------------------
 
 
-def test_sequential_single_synapse_equals_single_level_cascade(constants):
+def test_sequential_single_synapse_equals_single_level_cascade(registry):
     stage = StageParams(n_in=1, n_out=4, s_neu=1, f_st=1, r_a=1.0)
     elem = element()
-    assert time_energy(stage, elem, 2, constants) == time_energy(stage, elem, 1, constants)
+    assert time_energy(stage, elem, 2, registry) == time_energy(stage, elem, 1, registry)
 
 
-def test_stage_energy_linear_in_outputs(constants):
+def test_stage_energy_linear_in_outputs(registry):
     elem = element()
-    e1 = time_energy(StageParams(10, 10, 10, 1, 1.0), elem, 2, constants)[1]
-    e2 = time_energy(StageParams(10, 20, 10, 1, 1.0), elem, 2, constants)[1]
+    e1 = time_energy(StageParams(10, 10, 10, 1, 1.0), elem, 2, registry)[1]
+    e2 = time_energy(StageParams(10, 20, 10, 1, 1.0), elem, 2, registry)[1]
     assert e2 == pytest.approx(2 * e1)
 
 
-def test_stage_activity_scales_synapse_term_only(constants):
+def test_stage_activity_scales_synapse_term_only(registry):
     elem = element(e_syn=5.0, e_neu=7.0)
-    full = time_energy(StageParams(10, 8, 10, 1, 1.0), elem, 2, constants)[1]
-    half = time_energy(StageParams(10, 8, 10, 1, 0.5), elem, 2, constants)[1]
+    full = time_energy(StageParams(10, 8, 10, 1, 1.0), elem, 2, registry)[1]
+    half = time_energy(StageParams(10, 8, 10, 1, 0.5), elem, 2, registry)[1]
     assert full - half == pytest.approx(0.5 * 10 * 8 * 5.0)
 
 
-def test_sequential_delay_structure(constants):
+def test_sequential_delay_structure(registry):
     stage = StageParams(n_in=100, n_out=10, s_neu=100, f_st=1, r_a=1.0)
-    tau, _ = time_energy(stage, element(t_syn=10.0, t_neu=20.0), 1, constants)
+    tau, _ = time_energy(stage, element(t_syn=10.0, t_neu=20.0), 1, registry)
     assert tau == pytest.approx(100 * 10.0 + 20.0)
 
 
-def test_cascaded_delay_structure(constants):
+def test_cascaded_delay_structure(registry):
     stage = StageParams(n_in=256, n_out=10, s_neu=256, f_st=1, r_a=1.0)
-    tau, _ = time_energy(stage, element(t_syn=10.0, t_neu=20.0), 2, constants)
+    tau, _ = time_energy(stage, element(t_syn=10.0, t_neu=20.0), 2, registry)
     assert tau == pytest.approx(8 * 10.0 + 20.0)
 
 
@@ -332,26 +332,26 @@ def test_conv_workload_feature_maps(registry):
     assert spec.layers[0].feature_maps == 24
 
 
-def test_zero_neuron_energy_isolates_synapse_term(registry, constants):
+def test_zero_neuron_energy_isolates_synapse_term(registry):
     # with no neuron energy and full activity, workload energy is exactly
     # synapse energy times the op count
     elem = element(e_syn=3.25, e_neu=0.0)
-    bench = run_workload(registry.workload("mnist_mlp"), elem, constants, fan_in=2)
+    bench = run_workload(registry.workload("mnist_mlp"), elem, registry, fan_in=2)
     assert bench.energy == pytest.approx(3.25 * 234_752, rel=1e-12)
 
 
-def test_workload_energy_linear_in_mac_count(registry, constants):
+def test_workload_energy_linear_in_mac_count(registry):
     # across all six workloads the energy with zero neuron term is exactly
     # proportional to the activity-weighted MAC count
     elem = element(e_syn=1.0, e_neu=0.0)
     for name, spec in registry.workloads.items():
-        bench = run_workload(spec, elem, constants, fan_in=2)
+        bench = run_workload(spec, elem, registry, fan_in=2)
         assert bench.energy == pytest.approx(synaptic_ops(spec), rel=1e-12), name
 
 
-def test_workload_delay_monotone_in_stage_delay(registry, constants):
-    slow = run_workload(registry.workload("mnist_mlp"), element(t_syn=20.0), constants, fan_in=2)
-    fast = run_workload(registry.workload("mnist_mlp"), element(t_syn=10.0), constants, fan_in=2)
+def test_workload_delay_monotone_in_stage_delay(registry):
+    slow = run_workload(registry.workload("mnist_mlp"), element(t_syn=20.0), registry, fan_in=2)
+    fast = run_workload(registry.workload("mnist_mlp"), element(t_syn=10.0), registry, fan_in=2)
     assert slow.delay >= fast.delay
 
 
@@ -399,14 +399,21 @@ elements = st.builds(ElementBench, synapse=triples, neuron=triples, core_ic=trip
     wire_pitch=st.floats(1.0, 1e3),
 )
 def test_run_workload_equals_stage_oracle_bit_for_bit(
-    constants, spec, elem, kind, fan_in, schedule, overheads, wire_pitch
+    registry, spec, elem, kind, fan_in, schedule, overheads, wire_pitch
 ):
     # overheads and a pitch off the shipped round numbers, so that a
     # reordered product rounds differently
     core, neuron, synapse = overheads
-    c = constants._replace(core_overhead=core, neuron_overhead=neuron, synapse_overhead=synapse, wire_pitch=wire_pitch)
-    assert stage_benches(workload_plan(spec, kind, fan_in), elem, c) == oracle_stages(spec, elem, c, kind, fan_in)
-    got = run_workload(spec, elem, c, network_kind=kind, fan_in=fan_in, schedule=schedule)
+    edits = {
+        ("overheads", "core"): core,
+        ("overheads", "neuron"): neuron,
+        ("overheads", "synapse"): synapse,
+        ("wire_pitch_f",): wire_pitch / registry.constants.feature_size,
+    }
+    derived = derive(registry, {"constants.json": edits})
+    c = derived.constants
+    assert stage_benches(workload_plan(spec, kind, fan_in), elem, derived) == oracle_stages(spec, elem, c, kind, fan_in)
+    got = run_workload(spec, elem, derived, network_kind=kind, fan_in=fan_in, schedule=schedule)
     want = oracle(spec, elem, c, kind, fan_in, schedule)
     assert (got.area, got.delay, got.energy, got.schedule) == (want.area, want.delay, want.energy, want.schedule)
 
@@ -449,11 +456,10 @@ def shipped_rows(registry):
 @given(spec=workloads, factors=scalings)
 def test_schedules_share_energy_and_trade_area_for_delay(registry, spec, factors):
     registry = scaled(registry, factors)
-    c = registry.constants
     for tech, row in shipped_rows(registry):
         policy = {"network_kind": tech.network_kind, "fan_in": registry.fan_in[tech.fan_in_class]}
-        par = run_workload(spec, row, c, schedule="parallel", **policy)
-        tmux = run_workload(spec, row, c, schedule="time_multiplexed", **policy)
+        par = run_workload(spec, row, registry, schedule="parallel", **policy)
+        tmux = run_workload(spec, row, registry, schedule="time_multiplexed", **policy)
         assert par.energy == tmux.energy, tech.label
         assert tmux.area <= par.area, tech.label
         assert tmux.delay >= par.delay, tech.label
@@ -468,10 +474,9 @@ def test_schedules_share_energy_and_trade_area_for_delay(registry, spec, factors
 )
 def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule, factors):
     registry = scaled(registry, factors)
-    c = registry.constants
     for tech, row in shipped_rows(registry):
         delays = [
-            run_workload(spec, row, c, network_kind=tech.network_kind, fan_in=fan_in, schedule=schedule).delay
+            run_workload(spec, row, registry, network_kind=tech.network_kind, fan_in=fan_in, schedule=schedule).delay
             for fan_in in (*sorted(pair), None)  # None: unlimited
         ]
         assert delays[0] >= delays[1] >= delays[2], tech.label
@@ -481,7 +486,6 @@ def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule, factor
 @given(spec=workloads, factors=scalings)
 def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(registry, spec, factors):
     registry = scaled(registry, factors)
-    c = registry.constants
     for tech, row in shipped_rows(registry):
         silent = row._replace(
             neuron=row.neuron._replace(energy=0.0),
@@ -489,7 +493,7 @@ def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(re
         )
         e_syn = row.synapse_total.energy
         plan = workload_plan(spec, tech.network_kind, registry.fan_in[tech.fan_in_class])
-        for index, (layer, bench) in enumerate(zip(spec.layers, stage_benches(plan, silent, c)), start=1):
+        for index, (layer, bench) in enumerate(zip(spec.layers, stage_benches(plan, silent, registry)), start=1):
             s = stage_params(layer, index, tech.network_kind)
             assert bench.energy == s.r_a * s.s_neu * s.n_out * e_syn, (tech.label, index)
 
@@ -506,11 +510,10 @@ def test_stage_view_sums_to_the_memoized_workload_bench(registry, factors):
             ("overheads", "core"): doc["overheads"]["core"] * overhead,
         }
         registry = derive(registry, {"constants.json": edits})
-    c = registry.constants
     for tech, row in shipped_rows(registry):
         fan_in = registry.fan_in[tech.fan_in_class]
         for name, spec in registry.workloads.items():
-            stages = stage_benches(workload_plan(spec, tech.network_kind, fan_in), row, c)
+            stages = stage_benches(workload_plan(spec, tech.network_kind, fan_in), row, registry)
             for schedule in ("parallel", "time_multiplexed"):
                 assert bench_workload(name, tech, registry, schedule) == aggregate(stages, schedule), (tech.label, name)
 
@@ -528,7 +531,7 @@ def _workloads_reserialized(data_copy, indent: int):
     return load_datasets(data_copy)
 
 
-def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, constants, data_copy):
+def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, data_copy):
     # two byte contents that no other test loads, so neither spec holds plans yet
     first, second = _workloads_reserialized(data_copy, indent=3), _workloads_reserialized(data_copy, indent=4)
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
@@ -537,11 +540,11 @@ def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, cons
         assert a is not b and a == b == spec
         for kind, fan_in in (("ANN", None), ("SNN", 16), ("ANN", 1)):
             assert workload_plan(a, kind, fan_in) == workload_plan(b, kind, fan_in)
-            results = [run_workload(s, elem, constants, network_kind=kind, fan_in=fan_in) for s in (a, b, spec)]
-            assert results[0] == results[1] == results[2] == oracle(spec, elem, constants, kind, fan_in)
+            results = [run_workload(s, elem, registry, network_kind=kind, fan_in=fan_in) for s in (a, b, spec)]
+            assert results[0] == results[1] == results[2] == oracle(spec, elem, registry.constants, kind, fan_in)
 
 
-def test_replaced_spec_gets_its_own_plan(registry, constants):
+def test_replaced_spec_gets_its_own_plan(registry):
     spec = registry.workload("mnist_mlp")
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     assert len(workload_plan(spec, "ANN", 2)) == 3
@@ -550,14 +553,14 @@ def test_replaced_spec_gets_its_own_plan(registry, constants):
     assert len(workload_plan(shorter, "ANN", 2)) == 1
     assert workload_plan(wider, "ANN", 2) != workload_plan(spec, "ANN", 2)
     for s in (spec, shorter, wider, spec):
-        assert run_workload(s, elem, constants, fan_in=2) == oracle(s, elem, constants, fan_in=2)
+        assert run_workload(s, elem, registry, fan_in=2) == oracle(s, elem, registry.constants, fan_in=2)
 
 
-def test_network_kinds_and_fan_ins_never_share_a_plan(constants, data_copy):
+def test_network_kinds_and_fan_ins_never_share_a_plan(registry, data_copy):
     spec = _workloads_reserialized(data_copy, indent=5).workload("lenet")  # a spec no other test has planned
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     runs = [(kind, fan_in) for kind in ("ANN", "SNN") for fan_in in (None, 1, 2, 16)]
     for kind, fan_in in runs + runs[::-1]:
-        got = run_workload(spec, elem, constants, network_kind=kind, fan_in=fan_in)
-        assert got == oracle(spec, elem, constants, kind, fan_in), (kind, fan_in)
+        got = run_workload(spec, elem, registry, network_kind=kind, fan_in=fan_in)
+        assert got == oracle(spec, elem, registry.constants, kind, fan_in), (kind, fan_in)
     assert len({workload_plan(spec, kind, fan_in) for kind, fan_in in runs}) == len(runs)
