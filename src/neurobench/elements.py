@@ -26,7 +26,6 @@ from .registry import (
     GlobalConstants,
     Registry,
     Technology,
-    ValidationError,
 )
 
 
@@ -82,10 +81,7 @@ def analog_transistor_element(
 ) -> ElementBench:
     """Two-OTA synapse and opamp neuron; standard-cell area approximated as
     fan-out-4 inverters."""
-    transistor = constants.transistors.get(transistor_family)
-    if transistor is None:
-        raise ValidationError(f"no transistor parameters for family {transistor_family!r}")
-    cell = ota_cell(constants, transistor)
+    cell = ota_cell(constants, constants.transistors[transistor_family])
     w = constants.ota_widths
     width_ratio = (w.input + w.pullup + w.output) / constants.digital_transistor_width
     settle = 8.4 * units.rc_to_ps(cell.effective_resistance, cell.cell_cap)  # ps
@@ -112,8 +108,6 @@ def analog_single_device_element(device: DeviceRecord, constants: GlobalConstant
 
 def synapse_effective_resistance(device: DeviceRecord, constants: GlobalConstants) -> float:
     """Upper-bound resistance of a multi-level resistive cell, Ohm."""
-    if device.r_on is None:
-        raise ValidationError(f"device {device.name} has no on/off resistances")
     return device.r_on * math.sqrt(constants.synapse_levels)
 
 
@@ -128,8 +122,6 @@ def resistive_synapse(
     digital: digital-CMOS neuron read through the voltage sense amp.
     analog:  analog-CMOS (OTA) neuron read through the pulsed read circuit.
     """
-    if device.r_on is None or device.r_off is None:
-        raise ValidationError(f"device {device.name} has no on/off resistances")
     v_cc = constants.supply_voltage
     i_on = v_cc / device.r_on  # A
     r_eff = synapse_effective_resistance(device, constants)
@@ -185,11 +177,7 @@ def raw_inputs(tech: Technology) -> tuple[str, str, str, str]:
 def build_raw_element(tech: Technology, registry: Registry) -> ElementBench:
     """Family dispatch: every technology label maps to exactly one builder."""
     family, *inputs = raw_inputs(tech)
-    try:
-        builder = _BUILDERS[family]
-    except KeyError:
-        raise ValidationError(f"technology {tech.label}: unknown element family {family!r}") from None
-    return builder(registry, *inputs)
+    return _BUILDERS[family](registry, *inputs)
 
 
 def cmos_drive(constants: GlobalConstants) -> float:

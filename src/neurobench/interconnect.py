@@ -106,8 +106,6 @@ def ic_energy(length: float, voltage: float, wire: Wiring) -> float:
 
 def ic_lengths(synapse_block_area: float, chip_area: float) -> tuple[float, float]:
     """Core and chip interconnect lengths (nm) from their block areas (nm^2)."""
-    if synapse_block_area < 0 or chip_area < 0:
-        raise ValueError("block areas must be >= 0")
     return math.sqrt(synapse_block_area), math.sqrt(chip_area)
 
 

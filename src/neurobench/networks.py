@@ -59,22 +59,19 @@ def onn_transform(
       transistor_ring  f = 0.1 / inv4 delay,  P = 3 E_int / tau_int of the transistor
       spintronic       f = 6 / device delay,  P = 6 E_dev / tau_dev
       piezo            f = 1 / neuron delay,  P = 3 E_neu / tau_neu
+
+    `device_intrinsics` is the intrinsic triple of the oscillator device,
+    which the loader requires for every class but piezo; piezo reads none.
     """
     if osc_class == "transistor_ring":
-        if device_intrinsics is None:
-            raise ValueError("transistor ring oscillator requires transistor device intrinsics for power")
         f_osc = 0.1 / inv4_delay  # 1/ps
         p_osc = 3.0 * device_intrinsics.energy / device_intrinsics.delay  # aJ/ps
     elif osc_class == "spintronic":
-        if device_intrinsics is None:
-            raise ValueError("spintronic oscillator requires device intrinsics")
         f_osc = 6.0 / device_intrinsics.delay
         p_osc = 6.0 * device_intrinsics.energy / device_intrinsics.delay
-    elif osc_class == "piezo":
+    else:  # piezo
         f_osc = 1.0 / raw.neuron.delay
         p_osc = 3.0 * raw.neuron.energy / raw.neuron.delay
-    else:
-        raise ValueError(f"unknown oscillator class {osc_class!r}")
 
     sync_delay = sync_periods / f_osc  # ps
     sync_energy = p_osc * sync_delay  # aJ
@@ -92,9 +89,7 @@ def network_transform(raw: ElementBench, tech: Technology, registry: Registry, t
         return cnn_transform(raw, cnn)
     if kind == "SNN":
         return snn_transform(raw, snn)
-    if kind == "ONN":
-        return onn_transform(
-            raw, sync_periods, tech.osc_class, registry.primitives[tech.primitive_family].inv4.delay,
-            device_intrinsics=None if tech.osc_device is None else registry.device(tech.osc_device).intrinsic,
-        )
-    raise ValueError(f"unknown network kind {kind!r}")
+    return onn_transform(  # ONN
+        raw, sync_periods, tech.osc_class, registry.primitives[tech.primitive_family].inv4.delay,
+        device_intrinsics=None if tech.osc_device is None else registry.device(tech.osc_device).intrinsic,
+    )

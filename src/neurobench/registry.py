@@ -17,10 +17,13 @@ A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
 read-only and safe to share between concurrent evaluators. Results derived
 from it are memoized on it, in a memo that every registry starts empty. A
-memo key names the registry's own records (`memo_key`): a technology by its
-label, a chip or workload by its name. Any other record, such as a
-`_replace` copy or a record of a registry built from other bytes, stands
-for itself and is compared by value.
+memo key names the registry's own records: a technology by its label, a
+chip or workload by its name (`memo_key`). A technology reaches the model
+only as the registry's record of its label, or one equal to it; any other
+is rejected, so a changed technology comes from `derive`. A chip or
+workload that is not the registry's own, such as a `_replace` copy or a
+record of a registry built from other bytes, stands for itself and is
+compared by value.
 """
 
 import functools
@@ -342,8 +345,9 @@ def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
 
 def memo_key(records: Mapping[str, T], name: str, record: T):
     """`name` when `record` is the registry's own record of that name (tested
-    by identity), else the record itself. A name is hashed from its cached
-    string hash; a record would hash every field."""
+    by identity), else the record itself: the memo key of a chip or workload
+    spec. A name is hashed from its cached string hash; a record would hash
+    every field."""
     return name if records.get(name) is record else record
 
 
@@ -433,25 +437,7 @@ def _value(doc: dict, key, kind, file: str, record: str = "", default=_REQUIRED)
     A missing or null key yields `default`, and is an error without one.
     Every rejection raises ValidationError naming `file: record.key`.
     """
-    # the common well-formed cases first; _checked does the rest
     value = doc.get(key)
-    cls = value.__class__
-    if cls is kind:
-        if (kind is not float or 0.0 < value <= _FLOAT_MAX) and (kind is not int or 1 <= value <= _FLOAT_MAX):
-            return value
-    elif value is None:
-        if default is not _REQUIRED:
-            return default
-    elif cls is str and kind.__class__ is not type and value in kind:
-        return value
-    elif cls is int and kind is float and 0 < value <= _FLOAT_MAX:
-        return float(value)
-    return _checked(value, key, kind, file, record, default)
-
-
-def _checked(value, key, kind, file: str, record: str, default):
-    """The rest of `_value`, in its own function because a smaller frame
-    makes the common case measurably cheaper."""
     cls = value.__class__
     if value is None:
         if default is _REQUIRED:

@@ -18,7 +18,7 @@ from .chip import ChipConfig, area_terms, chip_area, nominal_config
 from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row, wiring
 from .networks import network_transform, transform_terms
-from .registry import GlobalConstants, Registry, Technology, UnknownNameError, memo_key
+from .registry import GlobalConstants, Registry, Technology, UnknownNameError
 from .workload import WorkloadBench, run_workload
 
 MATRIX_HEADER = (
@@ -46,11 +46,25 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     """Raw element -> network transform -> interconnect merge for one technology.
 
     Rows for the nominal chip (`cfg` None) are built once per registry; a row
-    for an explicit `cfg` is built on every call.
+    for an explicit `cfg` is built on every call. `tech` must be the
+    registry's record of its label, or equal to it.
     """
+    label = _own_label(tech, registry)
     if cfg is None:
-        return registry.memoized(("row", memo_key(registry.technologies, tech.label, tech)), _build_row, tech, registry)
+        return registry.memoized(("row", label), _build_row, tech, registry)
     return _build_row(tech, registry, cfg)
+
+
+def _own_label(tech: Technology, registry: Registry) -> str:
+    """The label of `tech`, the memo's key for it, once `tech` is (or equals) the registry's record
+    of that label: a technology reaches the model only as one the loader checked."""
+    label = tech.label
+    own = registry.technologies.get(label)
+    if own is not tech and own != tech:
+        raise UnknownNameError(
+            f"technology {label!r} is not this registry's record of that label; change a technology with derive"
+        )
+    return label
 
 
 def _row_terms(constants: GlobalConstants) -> tuple:
@@ -84,7 +98,7 @@ def bench_workload(
     """Run a named workload on one technology at the fan-in of its class
     (`Registry.fan_in`), which also picks the default schedule. The result
     is built once per registry."""
-    key = ("workload", workload_name, memo_key(registry.technologies, tech.label, tech), schedule)
+    key = ("workload", workload_name, _own_label(tech, registry), schedule)
     return registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
 
 
@@ -100,14 +114,10 @@ def _workload_bench(workload_name: str, tech: Technology, registry: Registry, sc
 
 
 def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
-    """The 12 element-matrix columns; areas in um^2, matching the reference matrix."""
-    syn, neu, lic, gic = bench[:4]
+    """`ElementBench.columns` with the four areas in um^2, matching the reference matrix."""
+    a_syn, a_lic, a_neu, a_gic, *rest = bench.columns()
     um2 = units.AREA_TO_NM2["um^2"]
-    return (
-        syn.area / um2, lic.area / um2, neu.area / um2, gic.area / um2,
-        syn.delay, lic.delay, neu.delay, gic.delay,
-        syn.energy, lic.energy, neu.energy, gic.energy,
-    )
+    return (a_syn / um2, a_lic / um2, a_neu / um2, a_gic / um2, *rest)
 
 
 def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> list[ElementBench]:

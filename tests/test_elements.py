@@ -164,13 +164,6 @@ def test_resistive_delay_scales_as_sqrt_levels(registry, cmos):
     assert t64 / t16 == pytest.approx(2.0)
 
 
-def test_resistive_requires_resistances(registry, constants, cmos):
-    from neurobench.registry import ValidationError
-
-    with pytest.raises(ValidationError, match="ME"):
-        resistive_synapse(registry.device("ME"), constants, "digital", cmos)
-
-
 def test_resistive_modes_pick_different_neurons(registry, constants, cmos):
     dev = registry.device("OxideR")
     digital = resistive_synapse(dev, constants, "digital", cmos)

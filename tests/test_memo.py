@@ -8,7 +8,7 @@ import pytest
 from neurobench import derive, elements, load_datasets, report, topsdown, workload
 from neurobench.chip import nominal_config
 from neurobench.interconnect import ElementBench
-from neurobench.registry import ChipRecord, LayerSpec, Technology, WorkloadSpec
+from neurobench.registry import ChipRecord, LayerSpec, Technology, UnknownNameError, WorkloadSpec
 
 from conftest import rewrite_json
 
@@ -271,18 +271,24 @@ def test_warm_pass_hashes_no_record_of_the_registry(monkeypatch, record):
     assert hashed[record] == 0
 
 
-def test_replaced_technology_keeps_its_label_and_gets_its_own_row():
+def test_only_the_registrys_own_technology_reaches_the_model():
     registry = load_datasets()
     tech = registry.technology("ANNDCSRAM")
     row = report.bench_technology(tech, registry)
-    boosted = tech._replace(ic_voltage=1.5 * registry.constants.supply_voltage)
-    assert boosted.label == tech.label
-    boosted_row = report.bench_technology(boosted, registry)
-    assert boosted_row != row
-    assert boosted_row == uncached_row(boosted, registry)
-    assert report.bench_technology(boosted, registry) is boosted_row
-    assert report.bench_technology(tech, registry) is row
-    assert report.bench_workload("lenet", boosted, registry) != report.bench_workload("lenet", tech, registry)
+    supply = registry.constants.supply_voltage
+    boosted = tech._replace(ic_voltage=1.5 * supply)
+    memo = dict(registry._memo)
+    for bench in (
+        lambda: report.bench_technology(boosted, registry),
+        lambda: report.bench_technology(boosted, registry, nominal_config(registry.constants)),
+        lambda: report.bench_workload("lenet", boosted, registry),
+    ):
+        with pytest.raises(UnknownNameError, match="ANNDCSRAM.*derive"):
+            bench()
+        assert registry._memo == memo
+    assert report.bench_technology(Technology(*tech), registry) is row
+    derived = derive(registry, {"technologies.json": {("combos", 0, "ic_voltage"): 1.5 * supply}})
+    assert report.bench_technology(derived.technology("ANNDCSRAM"), derived) != row
 
 
 def test_chip_named_like_a_technology_keeps_its_own_entries(data_copy):

@@ -97,11 +97,6 @@ def test_onn_neuron_tracks_synapse(raw, constants):
     assert out.neuron.energy == out.synapse.energy
 
 
-def test_onn_missing_inputs_rejected(raw, constants):
-    with pytest.raises(ValueError, match="device intrinsics"):
-        onn_transform(raw, constants.sync_periods, "spintronic", inv4_delay=10.0)
-
-
 # -- dataset-wide invariants ---------------------------------------------------
 
 

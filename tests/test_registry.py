@@ -244,150 +244,230 @@ def _edit(doc, path, value):
         doc[last] = value
 
 
+# Each case carries its own id, so a case inserted anywhere renames no other test. The first 39
+# keep the ids that pytest once numbered by table position; a new case is named `<file>:<path>`.
 @pytest.mark.parametrize(
     "file, path, value, named, argv",
     [
-        ("devices.json", ("devices", "CMOSdig", "delay"), _DELETE, ("CMOSdig.delay",), ("devices", "list")),
-        (
+        pytest.param(
+            "devices.json", ("devices", "CMOSdig", "delay"), _DELETE, ("CMOSdig.delay",), ("devices", "list"),
+            id="devices.json-path0-<delete the key>-named0-argv0",
+        ),
+        pytest.param(
             "circuit_primitives.json", ("units", "area"), "furlong^2", ("units.area", "furlong^2"),
             ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="circuit_primitives.json-path1-furlong^2-named1-argv1",
         ),
-        ("constants.json", ("supply_voltage",), math.inf, ("supply_voltage", "inf"), ("bench", "chip", "--nominal", "--tech", "ANNMEME")),
-        ("constants.json", ("synapse_bits",), 2.7, ("synapse_bits", "2.7"), ("bench", "element", "--tech", "ANNDCSRAM")),
-        (
+        pytest.param(
+            "constants.json", ("supply_voltage",), math.inf, ("supply_voltage", "inf"),
+            ("bench", "chip", "--nominal", "--tech", "ANNMEME"),
+            id="constants.json-path2-inf-named2-argv2",
+        ),
+        pytest.param(
+            "constants.json", ("synapse_bits",), 2.7, ("synapse_bits", "2.7"),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="constants.json-path3-2.7-named3-argv3",
+        ),
+        pytest.param(
             "workloads.json", ("workloads", "lenet", "layers", 0, "stride"), 0.001, ("lenet.layers[0].stride",),
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            id="workloads.json-path4-0.001-named4-argv4",
         ),
-        (
+        pytest.param(
             "chips_accelerators.json", ("chips", "Diannao", "syn_throughput"), 0, ("Diannao.syn_throughput",),
             ("topsdown", "--chip", "Diannao", "--backfill"),
+            id="chips_accelerators.json-path5-0-named5-argv5",
         ),
-        (
+        pytest.param(
             "chips_neuromorphic.json", ("neuron_area_fraction",), 1.5, ("neuron_area_fraction", "1.5"),
             ("topsdown", "--chip", "TrueNorth"),
+            id="chips_neuromorphic.json-path6-1.5-named6-argv6",
         ),
-        ("devices.json", ("devices", "CMOSdig", "name"), 2.5, ("devices.0.name", "2.5"), ("devices", "list")),
-        ("constants.json", ("units", "time"), "ns", ("units.time", "'ns'"), ("devices", "list")),
-        ("technologies.json", ("fan_in", "snn"), _DELETE, ("fan_in.snn",), ("devices", "list")),
-        ("technologies.json", ("fan_in", "sequential"), _DELETE, ("fan_in.sequential",), ("devices", "list")),
-        ("technologies.json", ("fan_in",), _DELETE, ("missing field fan_in",), ("devices", "list")),
-        (
+        pytest.param(
+            "devices.json", ("devices", "CMOSdig", "name"), 2.5, ("devices.0.name", "2.5"), ("devices", "list"),
+            id="devices.json-path7-2.5-named7-argv7",
+        ),
+        pytest.param(
+            "constants.json", ("units", "time"), "ns", ("units.time", "'ns'"), ("devices", "list"),
+            id="constants.json-path8-ns-named8-argv8",
+        ),
+        pytest.param(
+            "technologies.json", ("fan_in", "snn"), _DELETE, ("fan_in.snn",), ("devices", "list"),
+            id="technologies.json-path9-<delete the key>-named9-argv9",
+        ),
+        pytest.param(
+            "technologies.json", ("fan_in", "sequential"), _DELETE, ("fan_in.sequential",), ("devices", "list"),
+            id="technologies.json-path10-<delete the key>-named10-argv10",
+        ),
+        pytest.param(
+            "technologies.json", ("fan_in",), _DELETE, ("missing field fan_in",), ("devices", "list"),
+            id="technologies.json-path11-<delete the key>-named11-argv11",
+        ),
+        pytest.param(
             "workloads.json", ("workloads", "lenet", "layers"), [], ("lenet.layers",),
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            id="workloads.json-path12-value12-named12-argv12",
         ),
-        (
+        pytest.param(
             "chips_neuromorphic.json", ("chips", "HICANN", "derived"), ["bogus"], ("HICANN.derived.0", "'bogus'"),
             ("topsdown", "--chip", "HICANN", "--backfill"),
+            id="chips_neuromorphic.json-path13-value13-named13-argv13",
         ),
-        (
+        pytest.param(
             "chips_accelerators.json", ("chips", "Diannao", "derived"), ["fire_rate"], ("Diannao.derived.0", "'fire_rate'"),
             ("topsdown", "--chip", "Diannao", "--backfill"),
+            id="chips_accelerators.json-path14-value14-named14-argv14",
         ),
-        (  # DCOxme is resistive_digital; ME has no on/off resistances
+        pytest.param(  # DCOxme is resistive_digital; ME has no on/off resistances
             "technologies.json", ("combos", 2, "synapse_device"), "ME", ("DCOxme.synapse_device", "got 'ME'"),
             ("bench", "element", "--tech", "ANNDCOxme"),
+            id="technologies.json-path15-ME-named15-argv15",
         ),
-        (  # FETFET is analog_single_device; digital_cmos is a primitive family, not a device
+        pytest.param(  # FETFET is analog_single_device; digital_cmos is a primitive family, not a device
             "technologies.json", ("combos", 13, "synapse_device"), "digital_cmos",
             ("FETFET.synapse_device", "got 'digital_cmos'"), ("bench", "element", "--tech", "ANNFETFET"),
+            id="technologies.json-path16-digital_cmos-named16-argv16",
         ),
         # cross-field constraints of the circuit models
-        (
+        pytest.param(
             "devices.json", ("devices", "OxideR", "r_off"), 200, ("OxideR.r_off", "must exceed r_on"),
             ("bench", "element", "--tech", "ANNDCOxme"),
+            id="devices.json-path17-200-named17-argv17",
         ),
-        (
+        pytest.param(
             "constants.json", ("sense_voltage",), 0.9, ("sense_voltage: must be below supply_voltage",),
             ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="constants.json-path18-0.9-named18-argv18",
         ),
-        (
+        pytest.param(
             "constants.json", ("analog_row_voltage",), 0.4, ("vsa_read_voltage: must be below analog_row_voltage",),
             ("bench", "element", "--tech", "ANNAnCOxme"),
+            id="constants.json-path19-0.4-named19-argv19",
         ),
-        (
+        pytest.param(
             "constants.json", ("transistors", "tfet", "off_current_per_width"), 500,
             ("transistors.tfet.off_current_per_width: must be below on_current_per_width",),
             ("bench", "element", "--tech", "ANNAnTAnT"),
+            id="constants.json-path20-500-named20-argv20",
         ),
-        (  # finite in mm^2, beyond the float range in nm^2
+        pytest.param(  # finite in mm^2, beyond the float range in nm^2
             "chips_neuromorphic.json", ("chips", "TrueNorth", "area"), 1e300, ("TrueNorth.area", "1e+300"),
             ("topsdown", "--chip", "TrueNorth"),
+            id="chips_neuromorphic.json-path21-1e+300-named21-argv21",
         ),
         # required values that once had a code default
-        (
+        pytest.param(
             "circuit_primitives.json", ("families", "digital_cmos", "ram"), _DELETE, ("missing field digital_cmos.ram",),
             ("bench", "element", "--tech", "ANNDCCMAC"),
+            id="circuit_primitives.json-path22-<delete the key>-named22-argv22",
         ),
-        (
+        pytest.param(
             "chips_neuromorphic.json", ("neuron_area_fraction",), _DELETE, ("missing field neuron_area_fraction",),
             ("topsdown", "--chip", "TrueNorth"),
+            id="chips_neuromorphic.json-path23-<delete the key>-named23-argv23",
         ),
-        (  # a ring oscillator needs a device, and DCSRAM's synapse is a primitive family
+        pytest.param(  # a ring oscillator needs a device, and DCSRAM's synapse is a primitive family
             "technologies.json", ("oscillators", 2),
             {"label": "OscMOSring", "osc_class": "transistor_ring", "base_combo": "DCSRAM", "fan_in_class": "analog_cmos"},
             ("missing field OscMOSring.osc_device",), ("bench", "element", "--tech", "OscMOSring"),
+            id="technologies.json-path24-value24-named24-argv24",
+        ),
+        pytest.param(  # its spintronic twin
+            "technologies.json", ("oscillators", 1),
+            {"label": "OscSOT", "osc_class": "spintronic", "base_combo": "DCSRAM", "fan_in_class": "spintronic"},
+            ("missing field OscSOT.osc_device",), ("bench", "element", "--tech", "OscSOT"),
+            id="technologies.json:oscillators.1",
         ),
         # feature-size multiples beyond the float range in nm
-        (
+        pytest.param(
             "constants.json", ("wire_pitch_f",), 1e308, ("constants.json: wire_pitch_f", "1e+308"),
             ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="constants.json-path25-1e+308-named25-argv25",
         ),
-        (
+        pytest.param(
             "constants.json", ("digital_transistor_width_f",), 1e308, ("constants.json: digital_transistor_width_f",),
             ("devices", "list"),
+            id="constants.json-path26-1e+308-named26-argv26",
         ),
-        (
+        pytest.param(
             "constants.json", ("sense_amp_widths_f", "iso"), 1e308, ("constants.json: sense_amp_widths_f.iso",),
             ("devices", "list"),
+            id="constants.json-path27-1e+308-named27-argv27",
         ),
-        (
+        pytest.param(
             "constants.json", ("ota_widths_f", "input"), 1e308, ("constants.json: ota_widths_f.input",),
             ("bench", "element", "--tech", "ANNAnCOxme"),
+            id="constants.json-path28-1e+308-named28-argv28",
         ),
-        (  # 20 feature sizes, the minimum interconnect length
+        pytest.param(  # 20 feature sizes, the minimum interconnect length
             "constants.json", ("feature_size",), 1e307, ("constants.json: feature_size", "1e+307"),
             ("devices", "list"),
+            id="constants.json-path29-1e+307-named29-argv29",
         ),
         # cross-record checks of the loader
-        (
+        pytest.param(
             "constants.json", ("transistors", "cmos"), _DELETE, ("constants.json: transistors", "'cmos'"),
             ("devices", "list"),
+            id="constants.json-path30-<delete the key>-named30-argv30",
         ),
-        (  # ic_res_per_length * 20 feature sizes is 667 Ohm
+        pytest.param(  # ic_res_per_length * 20 feature sizes is 667 Ohm
             "constants.json", ("min_ic_resistance",), 700.0, ("min_ic_resistance = 700.0 Ohm", "more than 2%"),
             ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="constants.json-path31-700.0-named31-argv31",
         ),
-        (
+        pytest.param(
             "circuit_primitives.json", ("families", "digital_tfet"), _DELETE,
             ("circuit_primitives.json: missing primitive family 'digital_tfet'",), ("devices", "list"),
+            id="circuit_primitives.json-path32-<delete the key>-named32-argv32",
         ),
-        (
+        pytest.param(
             "devices.json", ("devices", "OxideR", "r_off"), _DELETE, ("devices.json: OxideR: r_on and r_off",),
             ("devices", "list"),
+            id="devices.json-path33-<delete the key>-named33-argv33",
         ),
-        (
+        pytest.param(
             "technologies.json", ("combos", 0, "neuron_code"), "DX",
             ("technologies.json: DCSRAM: label does not decompose",), ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="technologies.json-path34-DX-named34-argv34",
         ),
-        (
+        pytest.param(
             "workloads.json", ("workloads", "lenet", "layers", 0, "kernel"), 33,
             ("workloads.json: lenet.layers[0].kernel: exceeds image dimensions",),
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            id="workloads.json-path35-33-named35-argv35",
         ),
         # preconditions of the circuit and element models, which check none of them again
-        (
+        pytest.param(
             "constants.json", ("sense_amp_widths_f", "p"), 0,
             ("constants.json: sense_amp_widths_f.p: must be finite and positive, got 0",),
             ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="constants.json-path36-0-named36-argv36",
         ),
-        (
+        pytest.param(
             "constants.json", ("synapse_bits",), 0, ("constants.json: synapse_bits: must be an integer >= 1, got 0",),
             ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="constants.json-path37-0-named37-argv37",
         ),
-        (
+        pytest.param(
             "constants.json", ("cnn_max_weight",), 0,
             ("constants.json: cnn_max_weight: must be finite and positive, got 0",),
             ("bench", "element", "--tech", "ANNAnTAnT"),
+            id="constants.json-path38-0-named38-argv38",
+        ),
+        pytest.param(
+            "technologies.json", ("combos", 0, "family"), "bogus", ("technologies.json: DCSRAM.family: must be one of [",),
+            ("bench", "element", "--tech", "ANNDCSRAM"),
+            id="technologies.json:combos.0.family",
+        ),
+        pytest.param(
+            "technologies.json", ("oscillators", 0, "osc_class"), "bogus",
+            ("technologies.json: OscSTT.osc_class: must be one of [",), ("bench", "element", "--tech", "OscSTT"),
+            id="technologies.json:oscillators.0.osc_class",
+        ),
+        pytest.param(
+            "technologies.json", ("combos", 0, "networks"), ["ANN", "XNN"],
+            ("technologies.json: DCSRAM.networks.1: must be one of [",), ("bench", "element", "--tech", "CNNDCSRAM"),
+            id="technologies.json:combos.0.networks",
         ),
     ],
 )
