@@ -4,16 +4,19 @@
     python3 scripts/cli_sweep.py OUT
 
 At --precision 1, 3, 6, 12 and 17 it runs `devices list`; `bench element`,
-`bench chip --nominal` and `bench workload` (default, parallel and tmux
-schedule, every workload) for every technology; `bench network` for every
-kind; `topsdown` for every chip, with and without `--backfill` and with no
-or every `--workload`; and every valid `export`. At --precision 17 it also
-runs `bench element`, `bench chip --nominal` and the default `bench workload`
-for every technology on a derived dataset whose constants are off their
-shipped values (`DERIVED_EDITS`), where a reordered product shows although the
-golden files, which pin the shipped values only, may match, and `bench element`
-for every technology on a second one that moves the constants the circuit
-models read (`CIRCUIT_EDITS`). OUT receives
+`bench chip --nominal`, `bench chip --config` (each of `CONFIGS`) and `bench
+workload` (default, parallel and tmux schedule, every workload) for every
+technology; `bench network` for every kind; `topsdown` for every chip, with
+and without `--backfill` and with no or every `--workload`; and every valid
+`export`. At --precision 17 it also runs `bench element`, `bench chip
+--nominal` and the default `bench workload` for every technology on a derived
+dataset whose constants are off their shipped values (`DERIVED_EDITS`), where
+a reordered product shows although the golden files, which pin the shipped
+values only, may match; `bench element` for every technology on a second one
+that moves the constants the circuit models read (`CIRCUIT_EDITS`); and
+`bench element` and the default `bench workload` for every technology on a
+third one whose device and primitive values are off theirs (`VALUE_EDITS`).
+OUT receives
 sorted JSON mapping each space-joined argv to [exit code, stdout, stderr,
 export text or null]. Run it on two checkouts and compare the dumps with
 `cmp`: a refactor that keeps the CLI's behaviour leaves them byte-identical.
@@ -58,6 +61,27 @@ CIRCUIT_EDITS = {  # constants.json paths that the circuit and element models re
     ("ota_widths_f", "pullup"): 5.9,
 }
 
+VALUES_DIR = "derived_values"
+VALUE_EDITS = {  # devices.json and circuit_primitives.json paths, each off its shipped value
+    "devices.json": {
+        ("devices", 4, "delay"): 87.3,  # FEFET
+        ("devices", 6, "energy"): 21700.0,  # SOT
+        ("devices", 8, "area"): 6100,  # ME
+        ("devices", 9, "r_on"): 170,  # OxideR
+        ("devices", 14, "r_off"): 27000,  # FER
+    },
+    "circuit_primitives.json": {
+        ("families", "digital_cmos", "add", "energy"): 371.9,
+        ("families", "digital_cmos", "reg", "delay"): 27.3,
+        ("families", "digital_cmos", "inv4", "area"): 29900,
+        ("families", "digital_tfet", "add", "delay"): 3310.0,
+    },
+}
+CONFIGS = {  # chip configs for `bench chip --config`, written by relative name like EXPORT_NAME
+    "small.json": {"cores": 2, "neurons_per_core": 16, "synapses_per_neuron": 8},
+    "spiking.json": {"cores": 16, "neurons_per_core": 128, "synapses_per_neuron": 64, "spiking": True, "activity": 0.5},
+}
+
 
 def commands(registry) -> list[list[str]]:
     labels = list(registry.technologies)
@@ -66,6 +90,8 @@ def commands(registry) -> list[list[str]]:
     for label in labels:
         per_precision.append(["bench", "element", "--tech", label])
         per_precision.append(["bench", "chip", "--nominal", "--tech", label])
+        for config in ("nominal.json", *CONFIGS):
+            per_precision.append(["bench", "chip", "--config", config, "--tech", label])
         for name in workloads:
             for schedule in ([], ["--schedule", "parallel"], ["--schedule", "tmux"]):
                 per_precision.append(["bench", "workload", "--name", name, "--tech", label, *schedule])
@@ -86,14 +112,14 @@ def commands(registry) -> list[list[str]]:
 
 
 def derived_commands(registry) -> list[list[str]]:
-    """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, and rows on the
-    one in CIRCUITS_DIR, at 17 digits."""
+    """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, rows on the one in
+    CIRCUITS_DIR, and rows and default workloads on the one in VALUES_DIR, at 17 digits."""
     argv = []
     for label in registry.technologies:
-        argv += [["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]]
-        argv += [["bench", "workload", "--name", name, "--tech", label] for name in sorted(registry.workloads)]
-    argv = [["--data-dir", DERIVED_DIR, *a] for a in argv]
-    argv += [["--data-dir", CIRCUITS_DIR, "bench", "element", "--tech", label] for label in registry.technologies]
+        row, chip = ["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]
+        workloads = [["bench", "workload", "--name", name, "--tech", label] for name in sorted(registry.workloads)]
+        argv += [["--data-dir", DERIVED_DIR, *a] for a in (row, chip, *workloads)]
+        argv += [["--data-dir", CIRCUITS_DIR, *row], *(["--data-dir", VALUES_DIR, *a] for a in (row, *workloads))]
     return [["--precision", "17", *a] for a in argv]
 
 
@@ -124,9 +150,22 @@ def main() -> int:
         os.chdir(tmp)
         try:
             registry = load_datasets()
-            for directory, edits in ((DERIVED_DIR, DERIVED_EDITS), (CIRCUITS_DIR, CIRCUIT_EDITS)):
+            constants = registry.constants
+            nominal = {
+                "cores": constants.nominal_cores,
+                "neurons_per_core": constants.nominal_neurons_per_core,
+                "synapses_per_neuron": constants.nominal_synapses_per_neuron,
+            }
+            for name, config in {"nominal.json": nominal, **CONFIGS}.items():
+                Path(name).write_text(json.dumps(config), encoding="utf-8")
+            derived = (
+                (DERIVED_DIR, {"constants.json": DERIVED_EDITS}),
+                (CIRCUITS_DIR, {"constants.json": CIRCUIT_EDITS}),
+                (VALUES_DIR, VALUE_EDITS),
+            )
+            for directory, edits in derived:
                 Path(directory).mkdir()
-                for name, data in derive(registry, {"constants.json": edits}).files.items():
+                for name, data in derive(registry, edits).files.items():
                     (Path(directory) / name).write_bytes(data)
             for command in commands(registry) + derived_commands(registry):
                 results[" ".join(command)] = run(command)

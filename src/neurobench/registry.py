@@ -8,10 +8,11 @@ canonical units (nm^2, ps, aJ, V, Ohm, F) exactly once at load time, and
 every value passes one validator, `_value`, which names `file: record.field`
 in each rejection.
 
-Each file is validated once per distinct content: the builders are pure
-functions of the file bytes, memoized by those bytes, so loads of identical
-bytes share the same validated, read-only records. A file rewritten in
-place is always read again, and a rejected file fails on every load.
+Each file is validated once per distinct content: each builder is a pure
+function of one file's bytes and the names that file may reference,
+memoized by them, so loads of identical bytes share the same validated,
+read-only records. A file rewritten in place is always read again, and a
+rejected file fails on every load.
 
 A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
@@ -343,11 +344,12 @@ def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
         raise UnknownNameError(f"unknown {what} {name!r}") from None
 
 
-def memo_key(records: Mapping[str, T], name: str, record: T):
-    """`name` when `record` is the registry's own record of that name (tested
-    by identity), else the record itself: the memo key of a chip or workload
-    spec. A name is hashed from its cached string hash; a record would hash
-    every field."""
+def memo_key(records: Mapping[str, T], record: T):
+    """The name of `record` when it is the registry's own record of that name
+    (tested by identity), else the record itself: the memo key of a chip or
+    workload spec. A name is hashed from its cached string hash; a record
+    would hash every field."""
+    name = record.name
     return name if records.get(name) is record else record
 
 
@@ -419,7 +421,8 @@ class Registry:
 
 
 _REQUIRED = object()
-_FLOAT_MAX = sys.float_info.max
+_FLOAT_MAX, _INF = sys.float_info.max, float("inf")
+_COUNT_MAX = 2**53  # every integer up to it is exactly a float, so no count overflows a conversion
 _NOUNS = {str: "a string", bool: "true or false", dict: "an object"}
 
 
@@ -428,7 +431,7 @@ def _value(doc: dict, key, kind, file: str, record: str = "", default=_REQUIRED)
 
     kind is one of
       float          a finite number > 0
-      int            an integral number >= 1 (2.0 passes, 2.7 does not)
+      int            an integral number in [1, 2**53] (2.0 passes, 2.7 does not)
       Fraction       a finite number in (0, 1]
       str, bool      a value of exactly that JSON type
       dict           an object (a record)
@@ -465,9 +468,9 @@ def _value(doc: dict, key, kind, file: str, record: str = "", default=_REQUIRED)
                 return float(value)
             problem = "must be finite and positive"
         elif kind is int:
-            if 1 <= value <= _FLOAT_MAX and (cls is int or value.is_integer()):
+            if 1 <= value <= _COUNT_MAX and (cls is int or value.is_integer()):
                 return int(value)
-            problem = "must be an integer >= 1"
+            problem = "must be an integer <= 2**53" if _COUNT_MAX < value < _INF else "must be an integer >= 1"
         else:
             if 0.0 < value <= 1.0:
                 return float(value)
@@ -568,9 +571,10 @@ def _parsed(data: bytes, name: str) -> dict:
     return doc
 
 
-# Each builder below is a pure function of the bytes of its file, and of the
-# files it cross-checks, memoized by those bytes: never by path or mtime, so a
-# file rewritten in place is read again. lru_cache stores no exception.
+# Each builder below is a pure function of the bytes of one file, and of the
+# names that file may reference, memoized by them: never by path or mtime, so
+# a file rewritten in place is read again. No builder calls another; `_build`
+# passes the names on and checks what spans files. lru_cache stores no exception.
 _CACHE_ENTRIES = 32  # per builder
 _by_content = functools.lru_cache(maxsize=_CACHE_ENTRIES)
 
@@ -679,11 +683,11 @@ def _devices(data: bytes) -> dict[str, DeviceRecord]:
 
 @_by_content
 def _technologies(
-    data: bytes, transistor_families: tuple[str, ...], primitives_data: bytes, devices_data: bytes
+    data: bytes, transistor_families: tuple, primitive_families: tuple, devices: tuple, resistive_devices: tuple
 ) -> tuple[dict[str, Technology], dict]:
-    """Technologies and fan-in limits; the key holds what they read of the
-    files they reference: the transistor family names, primitives and devices."""
-    primitives, devices = _primitives(primitives_data), _devices(devices_data)
+    """Technologies and fan-in limits, checked against the names they may
+    reference: transistor and primitive families, devices, and the devices
+    with r_on/r_off. The key holds those names, not the other files' bytes."""
     name = "technologies.json"
     doc = _parsed(data, name)
     _units(doc, name)
@@ -692,14 +696,13 @@ def _technologies(
     limits = {c: None if fan_in[c] == "unlimited" else _value(fan_in, c, int, name, "fan_in") for c in fan_in}
     known = {
         "family": ELEMENT_FAMILIES,
-        "synapse_device": devices.keys() | primitives.keys(),
-        "primitive_family": primitives.keys(),
+        "synapse_device": {*devices, *primitive_families},
+        "primitive_family": primitive_families,
         "transistor_family": transistor_families,
         "fan_in_class": limits.keys(),
     }
     # a family built from the synapse device needs its record, a resistive one also its r_on/r_off
-    resistive = {d for d, record in devices.items() if record.r_on is not None}
-    device_of = {"analog_single_device": devices.keys(), **dict.fromkeys(RESISTIVE_FAMILIES, resistive)}
+    device_of = {"analog_single_device": devices, **dict.fromkeys(RESISTIVE_FAMILIES, resistive_devices)}
 
     def device_checked(options: dict, record: str) -> dict:
         if options["family"] in device_of:
@@ -731,7 +734,7 @@ def _technologies(
         code = _value(row, "base_combo", combos.keys(), name, label)
         inherited = _read(Technology, row, name, label, defaults=combos[code][0], kinds=known)
         device = inherited["synapse_device"] = _value(
-            row, "element_device", devices.keys(), name, label, default=inherited["synapse_device"]
+            row, "element_device", devices, name, label, default=inherited["synapse_device"]
         )
         osc_class = _value(row, "osc_class", ("transistor_ring", "spintronic", "piezo"), name, label)
         # a ring or spintronic oscillator takes its rate and power from a device,
@@ -742,16 +745,24 @@ def _technologies(
             network_kind="ONN",
             combo=code,
             osc_class=osc_class,
-            osc_device=_value(row, "osc_device", devices.keys(), name, label, default=default),
+            osc_device=_value(row, "osc_device", devices, name, label, default=default),
             **device_checked(inherited, label),
         )
         _insert(technologies, label, tech, name, "technology")
     return technologies, limits
 
 
-def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -> None:
-    """Add the chips of one file to `chips`, which holds those of the files read before."""
-    factors = _units(doc, name, _units_of(ChipRecord))
+_NEUROMORPHIC, _ACCELERATORS = "chips_neuromorphic.json", "chips_accelerators.json"
+_CHIP_KINDS = {_NEUROMORPHIC: "neuromorphic", _ACCELERATORS: "accelerator"}
+_TOPSDOWN_PARAMS = ("neuron_area_fraction", "accelerator_compute_fraction")
+
+
+def _chip_file(data: bytes, name: str) -> tuple[dict[str, ChipRecord], dict]:
+    """The chips of the chip file `name`, and the tops-down parameters as
+    written, which `_build` checks after both chip files."""
+    doc = _parsed(data, name)
+    kind, factors = _CHIP_KINDS[name], _units(doc, name, _units_of(ChipRecord))
+    chips: dict[str, ChipRecord] = {}
     for i, row in enumerate(_value(doc, "chips", [dict], name)):
         cname = _value(row, "name", str, name, f"chips.{i}")
         record = ChipRecord(
@@ -760,29 +771,11 @@ def _load_chips(doc: dict, name: str, kind: str, chips: dict[str, ChipRecord]) -
             **_read(ChipRecord, row, name, cname, factors),
         )
         _insert(chips, cname, record, name, "chip")
-
-
-_NEUROMORPHIC, _ACCELERATORS = "chips_neuromorphic.json", "chips_accelerators.json"
-_TOPSDOWN_PARAMS = ("neuron_area_fraction", "accelerator_compute_fraction")
-
-
-@_by_content
-def _neuromorphic_chips(data: bytes) -> tuple[dict[str, ChipRecord], dict]:
-    """The neuromorphic chips, and the tops-down parameters as written, which
-    `_chips` checks after the accelerator chips."""
-    doc = _parsed(data, _NEUROMORPHIC)
-    chips: dict[str, ChipRecord] = {}
-    _load_chips(doc, _NEUROMORPHIC, "neuromorphic", chips)
     return chips, {key: doc.get(key) for key in _TOPSDOWN_PARAMS}
 
 
-@_by_content
-def _chips(neuromorphic_data: bytes, accelerators_data: bytes) -> tuple[dict[str, ChipRecord], dict[str, float]]:
-    """The chips of both files, and the tops-down parameters."""
-    neuromorphic, params = _neuromorphic_chips(neuromorphic_data)
-    chips = dict(neuromorphic)
-    _load_chips(_parsed(accelerators_data, _ACCELERATORS), _ACCELERATORS, "accelerator", chips)
-    return chips, {key: _value(params, key, Fraction, _NEUROMORPHIC) for key in _TOPSDOWN_PARAMS}
+# one builder per chip file, each with its own cache
+_CHIP_BUILDERS = {name: _by_content(functools.partial(_chip_file, name=name)) for name in _CHIP_KINDS}
 
 
 @_by_content
@@ -825,8 +818,10 @@ def default_data_dir() -> Path:
 
 def _build(read: Callable[[str], bytes]) -> Registry:
     """The registry of the files whose bytes `read(name)` returns. Each file
-    is read right before the builder that checks it, so the first fault in
-    this order is reported. Records are shared by builds from the same bytes."""
+    is read right before its builder checks it, so the first fault in this
+    order is reported; a builder gets the names its file may reference, and
+    a chip name in both chip files and the tops-down parameters are checked
+    after both. Records are shared by builds from the same bytes."""
     files: dict[str, bytes] = {}
 
     def data(name: str) -> bytes:
@@ -835,11 +830,15 @@ def _build(read: Callable[[str], bytes]) -> Registry:
     constants = _constants(data("constants.json"))
     primitives = _primitives(data("circuit_primitives.json"))
     devices = _devices(data("devices.json"))
+    resistive = tuple(d for d, record in devices.items() if record.r_on is not None)
     technologies, limits = _technologies(
-        data("technologies.json"), tuple(constants.transistors), files["circuit_primitives.json"], files["devices.json"]
+        data("technologies.json"), tuple(constants.transistors), tuple(primitives), tuple(devices), resistive
     )
-    _neuromorphic_chips(data(_NEUROMORPHIC))  # its faults come before a missing accelerator file
-    chips, topsdown_params = _chips(files[_NEUROMORPHIC], data(_ACCELERATORS))
+    (neuromorphic, params), (accelerators, _) = (_CHIP_BUILDERS[name](data(name)) for name in _CHIP_KINDS)
+    chips = dict(neuromorphic)
+    for cname, record in accelerators.items():
+        _insert(chips, cname, record, _ACCELERATORS, "chip")
+    topsdown_params = {key: _value(params, key, Fraction, _NEUROMORPHIC) for key in _TOPSDOWN_PARAMS}
     workloads = _workloads(data("workloads.json"))
     return Registry(files, constants, primitives, devices, technologies, chips, workloads, limits, topsdown_params)
 

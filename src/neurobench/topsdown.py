@@ -62,7 +62,7 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     activity. The element is computed once per registry and chip (`memo_key`);
     an incomputable chip, or a figure that overflows, raises on every call.
     """
-    return registry.memoized(("chip element", memo_key(registry.chips, chip.name, chip)), _element, chip, registry)
+    return registry.memoized(("chip element", memo_key(registry.chips, chip)), _element, chip, registry)
 
 
 def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
@@ -187,8 +187,8 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
     """
     key = (
         "chip workload",
-        memo_key(registry.chips, chip.name, chip),
-        memo_key(registry.workloads, spec.name, spec),
+        memo_key(registry.chips, chip),
+        memo_key(registry.workloads, spec),
     )
     return registry.memoized(key, _chip_workload, chip, spec, registry)
 

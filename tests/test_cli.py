@@ -65,6 +65,10 @@ def test_bench_chip_config_file(capsys, tmp_path):
         ({"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3, "activity": 1.5}, "activity"),
         (b"{not json", "parse failure"),  # raw bytes are written as they are
         (b'\xff{"cores": 4}', "parse failure"),
+        (
+            {"cores": 4, "neurons_per_core": 1e300, "synapses_per_neuron": 3},
+            "neurons_per_core: must be an integer <= 2**53, got 1e+300",
+        ),
     ],
 )
 def test_bench_chip_config_key_error_is_data_error(capsys, tmp_path, doc, key):
@@ -134,6 +138,13 @@ def _lenet_feature_maps(count):
     return mutate
 
 
+def _digital_cmos_reg(field, value):
+    def mutate(doc):
+        doc["families"]["digital_cmos"]["reg"][field] = value
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "file, mutate, argv, line",
     [
@@ -142,30 +153,50 @@ def _lenet_feature_maps(count):
             "AdeTriple.energy must be finite and >= 0, got inf",
             id="constants.json-<lambda>-argv0",
         ),
+        # a count above 2**53 is rejected when loaded, before any product of counts
         pytest.param(
             "constants.json", lambda doc: doc["nominal_chip"].update(cores=1e300),
             ("bench", "chip", "--nominal", "--tech", "ANNDCSRAM"),
-            "AdeTriple.area must be finite and >= 0, got inf",
+            "constants.json: nominal_chip.cores: must be an integer <= 2**53, got 1e+300",
             id="constants.json-<lambda>-argv1",
         ),
         pytest.param(
             "workloads.json", _lenet_feature_maps(1e300),
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
-            "workload figures must be finite: "
-            "WorkloadBench(area=inf, delay=367432.88488230633, energy=inf, schedule='parallel')",
+            "workloads.json: lenet.layers[0].feature_maps: must be an integer <= 2**53, got 1e+300",
             id="workloads.json-_lenet_feature_maps-argv2",
         ),
         pytest.param(
-            # area and delay are finite, their product is not: the throughput is 0
             "workloads.json", _lenet_feature_maps(1e296),
             ("export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet"),
-            "scatter point ANNDCSRAM: coordinates must be finite and positive",
+            "workloads.json: lenet.layers[0].feature_maps: must be an integer <= 2**53, got 1e+296",
             id="workloads.json-_lenet_feature_maps-export-scatter",
+        ),
+        # figures that overflow from large per-cell values
+        pytest.param(
+            "constants.json", lambda doc: doc["overheads"].update(chip=1e300),
+            ("bench", "chip", "--nominal", "--tech", "ANNDCSRAM"),
+            "AdeTriple.area must be finite and >= 0, got inf",
+            id="constants.json:overheads.chip",
+        ),
+        pytest.param(  # the row is finite, the workload energy is not
+            "circuit_primitives.json", _digital_cmos_reg("energy", 1e305),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            "workload figures must be finite: "
+            "WorkloadBench(area=24762174931200.0, delay=367432.88488230633, energy=inf, schedule='parallel')",
+            id="circuit_primitives.json:families.digital_cmos.reg.energy",
+        ),
+        pytest.param(
+            # area and delay are finite, their product is not: the throughput is 0
+            "circuit_primitives.json", _digital_cmos_reg("area", 1e290),
+            ("export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet"),
+            "scatter point ANNDCSRAM: coordinates must be finite and positive",
+            id="circuit_primitives.json:families.digital_cmos.reg.area",
         ),
     ],
 )
 def test_overflowing_figure_is_data_error(capsys, tmp_path, data_copy, file, mutate, argv, line):
-    # every input is finite, but a product overflows
+    # every input is finite, but a product of them would overflow
     rewrite_json(data_copy / file, mutate)
     out_path = tmp_path / "out.csv"
     if argv[0] == "export":

@@ -126,15 +126,11 @@ def test_deterministic_load():
     assert list(a.technologies) == list(b.technologies)
 
 
-def test_validation_rejects_swapped_resistances(data_copy):
-    def corrupt(doc):
-        for row in doc["devices"]:
-            if row["name"] == "OxideR":
-                row["r_on"], row["r_off"] = 1000, 200
-
-    rewrite_json(data_copy / "devices.json", corrupt)
+def test_validation_rejects_swapped_resistances(registry):
+    doc = json.loads(registry.files["devices.json"])
+    row = next(i for i, row in enumerate(doc["devices"]) if row["name"] == "OxideR")
     with pytest.raises(ValidationError, match="OxideR"):
-        load_datasets(data_copy)
+        derive(registry, {"devices.json": {("devices", row, "r_on"): 1000, ("devices", row, "r_off"): 200}})
 
 
 def test_missing_supply_voltage_is_named(data_copy):
@@ -155,13 +151,9 @@ def test_malformed_file_reports_parse_failure(data_copy):
         load_datasets(data_copy)
 
 
-def test_dangling_device_reference_is_named(data_copy):
-    def corrupt(doc):
-        doc["combos"][2]["synapse_device"] = "Vapourware"
-
-    rewrite_json(data_copy / "technologies.json", corrupt)
+def test_dangling_device_reference_is_named(registry):
     with pytest.raises(ValidationError, match="Vapourware"):
-        load_datasets(data_copy)
+        derive(registry, {"technologies.json": {("combos", 2, "synapse_device"): "Vapourware"}})
 
 
 def test_unit_round_trip_devices(registry):
@@ -186,13 +178,9 @@ def test_chip_records_store_missing_fields_as_absent(registry):
     assert dyn.activity is None
 
 
-def test_activity_bounds_enforced(data_copy):
-    def corrupt(doc):
-        doc["chips"][5]["activity"] = 1.5
-
-    rewrite_json(data_copy / "chips_neuromorphic.json", corrupt)
+def test_activity_bounds_enforced(registry):
     with pytest.raises(ValidationError, match="activity"):
-        load_datasets(data_copy)
+        derive(registry, {"chips_neuromorphic.json": {("chips", 5, "activity"): 1.5}})
 
 
 @pytest.mark.parametrize(
@@ -469,6 +457,19 @@ def _edit(doc, path, value):
             ("technologies.json: DCSRAM.networks.1: must be one of [",), ("bench", "element", "--tech", "CNNDCSRAM"),
             id="technologies.json:combos.0.networks",
         ),
+        # a count above 2**53 is not exactly a float, and a larger one overflows its conversion
+        pytest.param(
+            "chips_neuromorphic.json", ("chips", "Loihi", "neurons_per_core"), 1e306,
+            ("chips_neuromorphic.json: Loihi.neurons_per_core: must be an integer <= 2**53, got 1e+306",),
+            ("topsdown", "--chip", "Loihi"),
+            id="chips_neuromorphic.json:chips.Loihi.neurons_per_core",
+        ),
+        pytest.param(  # the shipped image_w times 1e300
+            "workloads.json", ("workloads", "lenet", "layers", 0, "image_w"), 32 * 1e300,
+            ("workloads.json: lenet.layers[0].image_w: must be an integer <= 2**53, got 3.2e+301",),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            id="workloads.json:workloads.lenet.layers.0.image_w",
+        ),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):
@@ -494,6 +495,36 @@ def _leaves(node, path=()):
 
 _SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(default_data_dir().glob("*.json"))}
 _LEAVES = [(file, path) for file, doc in _SHIPPED.items() for path in _leaves(doc)]
+
+
+def _rejection(registry, file, path, value):
+    try:
+        derive(registry, {file: {path: value}})
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+def test_every_count_times_1e300_is_rejected_by_name(registry):
+    # a count is an integral leaf where the loader rejects -1 as "not an integer >= 1" (a leaf
+    # it does not read loads); the rejection of the scaled count names the same field
+    fields = set()
+    for file, path in _LEAVES:
+        value = _SHIPPED[file]
+        for step in path:
+            value = value[step]
+        negative = _rejection(registry, file, path, -1) if type(value) is int else None
+        if negative is None or not negative.endswith(": must be an integer >= 1, got -1"):
+            continue
+        field = negative.removesuffix(": must be an integer >= 1, got -1")
+        scaled = value * 1e300
+        assert _rejection(registry, file, path, scaled) == f"{field}: must be an integer <= 2**53, got {scaled!r}"
+        fields.add(path[-1])
+    assert fields == {
+        "synapse_bits", "synapse_levels", "cores", "neurons_per_core", "synapses_per_neuron", "digital_cmos",
+        "analog_cmos", "spintronic", "sequential", "inputs", "outputs", "image_w", "image_h", "in_channels", "kernel",
+        "feature_maps", "stride",
+    }
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -704,17 +735,42 @@ def test_a_change_to_devices_alone_reaches_technologies(data_copy):
     assert repr(tech.synapse_device) in str(exc.value)
 
 
-def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
-    # technologies read only the transistor family names of the constants
-    rewrite_json(data_copy / "constants.json", lambda doc: doc.update(supply_voltage=0.9))
-    other = load_datasets(data_copy)
-    assert other.constants.supply_voltage == 0.9
-    assert all(other.technologies[label] is tech for label, tech in registry.technologies.items())
-    derived = derive(registry, {"constants.json": {("supply_voltage",): 0.9}})
-    assert derived.constants == other.constants
+def _shares_technologies(registry, data_copy, file, path, value):
+    """A load and a derive of `file` with `value` at `path`: each shares every
+    technology record of `registry`, and their rows are equal to each other
+    and differ from those of `registry`."""
+    rewrite_json(data_copy / file, lambda doc: _edit(doc, path, value))
+    other, derived = load_datasets(data_copy), derive(registry, {file: {path: value}})
+    for reg in (other, derived):
+        assert all(reg.technologies[label] is tech for label, tech in registry.technologies.items())
     rows = [report.bench_technology(t, other) for t in other.enumerate_technologies()]
     assert rows == [report.bench_technology(t, derived) for t in derived.enumerate_technologies()]
     assert rows != [report.bench_technology(t, registry) for t in registry.enumerate_technologies()]
+    return other, derived
+
+
+def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
+    # technologies read only the transistor family names of the constants
+    other, derived = _shares_technologies(registry, data_copy, "constants.json", ("supply_voltage",), 0.9)
+    assert other.constants.supply_voltage == 0.9
+    assert derived.constants == other.constants
+
+
+@pytest.mark.parametrize(
+    "file, path, value",
+    [
+        pytest.param("devices.json", ("devices", 8, "energy"), 90.0, id="devices.json:devices.ME.energy"),
+        pytest.param("devices.json", ("devices", 9, "r_on"), 150, id="devices.json:devices.OxideR.r_on"),
+        pytest.param(
+            "circuit_primitives.json", ("families", "digital_cmos", "add", "energy"), 1500.0,
+            id="circuit_primitives.json:families.digital_cmos.add.energy",
+        ),
+    ],
+)
+def test_a_value_change_to_devices_or_primitives_shares_technologies(registry, data_copy, file, path, value):
+    # technologies read only the names of the devices and primitive families, and which devices have r_on
+    other, derived = _shares_technologies(registry, data_copy, file, path, value)
+    assert (other.devices, other.primitives) == (derived.devices, derived.primitives)
 
 
 def test_a_constants_file_without_a_used_transistor_family_fails_on_technologies(registry, data_copy):
