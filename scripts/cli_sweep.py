@@ -64,11 +64,11 @@ CIRCUIT_EDITS = {  # constants.json paths that the circuit and element models re
 VALUES_DIR = "derived_values"
 VALUE_EDITS = {  # devices.json and circuit_primitives.json paths, each off its shipped value
     "devices.json": {
-        ("devices", 4, "delay"): 87.3,  # FEFET
-        ("devices", 6, "energy"): 21700.0,  # SOT
-        ("devices", 8, "area"): 6100,  # ME
-        ("devices", 9, "r_on"): 170,  # OxideR
-        ("devices", 14, "r_off"): 27000,  # FER
+        ("devices", "FEFET", "delay"): 87.3,
+        ("devices", "SOT", "energy"): 21700.0,
+        ("devices", "ME", "area"): 6100,
+        ("devices", "OxideR", "r_on"): 170,
+        ("devices", "FER", "r_off"): 27000,
     },
     "circuit_primitives.json": {
         ("families", "digital_cmos", "add", "energy"): 371.9,

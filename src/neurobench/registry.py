@@ -17,9 +17,10 @@ rejected file fails on every load.
 A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
 read-only and safe to share between concurrent evaluators. Results derived
-from it are memoized on it, in a memo that every registry starts empty. A
-memo key names the registry's own records: a technology by its label, a
-chip or workload by its name (`memo_key`). A technology reaches the model
+from it are memoized in the memo of its content: registries built from
+byte-identical files share one memo, bounded at 32 contents. A memo key
+names the registry's own records: a technology by its label, a chip or
+workload by its name (`memo_key`). A technology reaches the model
 only as the registry's record of its label, or one equal to it; any other
 is rejected, so a changed technology comes from `derive`. A chip or
 workload that is not the registry's own, such as a `_replace` copy or a
@@ -29,7 +30,6 @@ compared by value.
 
 import functools
 import json
-import operator
 import os
 import sys
 from collections.abc import Mapping
@@ -356,7 +356,8 @@ def memo_key(records: Mapping[str, T], record: T):
 class Registry:
     """The validated datasets, by kind, and the bytes of the seven files they
     were built from, by file name (`files`). Only `load_datasets` and `derive`
-    build one, it cannot be changed, and it starts with an empty memo, `_memo`."""
+    build one, and it cannot be changed. Registries built from byte-identical
+    files share one memo, `_memo`, bounded at 32 contents."""
 
     __slots__ = (
         "files", "constants", "primitives", "devices", "technologies", "chips", "workloads", "fan_in",
@@ -372,8 +373,8 @@ class Registry:
     fan_in: Mapping[str, Optional[int]]  # fan-in class -> parallel fan-in; None = unlimited, 1 = sequential
     topsdown_params: Mapping[str, float]
 
-    def __init__(self, files: dict, constants: GlobalConstants, *mappings: dict) -> None:
-        values = MappingProxyType(files), constants, *map(MappingProxyType, mappings), {}
+    def __init__(self, files: dict, constants: GlobalConstants, *mappings: dict, memo: dict) -> None:
+        values = MappingProxyType(files), constants, *map(MappingProxyType, mappings), memo
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -383,7 +384,8 @@ class Registry:
     __delattr__ = __setattr__
 
     def memoized(self, key, compute: Callable[..., T], *args) -> T:
-        """compute(*args) once per key for this registry; later calls return the same object.
+        """compute(*args) once per key for this registry's content; later calls,
+        on it or on any registry of the same bytes, return the same object.
 
         A hit calls nothing, so callers pass the function and its arguments
         rather than a closure. A key is a tuple whose first item is a constant
@@ -575,7 +577,7 @@ def _parsed(data: bytes, name: str) -> dict:
 # names that file may reference, memoized by them: never by path or mtime, so
 # a file rewritten in place is read again. No builder calls another; `_build`
 # passes the names on and checks what spans files. lru_cache stores no exception.
-_CACHE_ENTRIES = 32  # per builder
+_CACHE_ENTRIES = 32  # per builder, and the registry contents whose memo is kept
 _by_content = functools.lru_cache(maxsize=_CACHE_ENTRIES)
 
 
@@ -809,6 +811,16 @@ def _workloads(data: bytes) -> dict[str, WorkloadSpec]:
     return specs
 
 
+@_by_content
+def _memo(files: tuple) -> dict:
+    """The memo of every registry built from these (file name, bytes) pairs:
+    one mutable dict, handed to each of them on purpose. Sharing is sound
+    because each memoized result is a pure function of the bytes and its
+    key, and a name key stands for records equal by value in every such
+    registry."""
+    return {}
+
+
 def default_data_dir() -> Path:
     override = os.environ.get(ENV_DATA_DIR)
     if override:
@@ -840,7 +852,10 @@ def _build(read: Callable[[str], bytes]) -> Registry:
         _insert(chips, cname, record, _ACCELERATORS, "chip")
     topsdown_params = {key: _value(params, key, Fraction, _NEUROMORPHIC) for key in _TOPSDOWN_PARAMS}
     workloads = _workloads(data("workloads.json"))
-    return Registry(files, constants, primitives, devices, technologies, chips, workloads, limits, topsdown_params)
+    return Registry(
+        files, constants, primitives, devices, technologies, chips, workloads, limits, topsdown_params,
+        memo=_memo(tuple(files.items())),
+    )
 
 
 def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
@@ -848,20 +863,33 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
     return _build(functools.partial(_file_bytes, Path(data_dir) if data_dir is not None else default_data_dir()))
 
 
+def _json_key(node, step):
+    """`step` as a key of the JSON `node`: a string step into a list is the
+    index of the row whose `name` it is."""
+    if isinstance(node, list) and isinstance(step, str):
+        return next(i for i, row in enumerate(node) if isinstance(row, dict) and row.get("name") == step)
+    return step
+
+
 def derive(registry: Registry, edits: Mapping[str, Mapping[tuple, object]]) -> Registry:
     """A registry from `registry.files` with `edits` applied, through every
     check of `load_datasets`. `edits` maps a file name to `{path: value}`,
-    where a path is a tuple of JSON keys and list indices and a value is in
-    the file's units: `{"constants.json": {("supply_voltage",): 0.9}}`. A file
-    without edits keeps its bytes, and so shares its records with `registry`."""
+    where a path is a tuple of JSON keys, list indices and, into a list, row
+    names, and a value is in the file's units:
+    `{"constants.json": {("supply_voltage",): 0.9}, "devices.json": {("devices", "ME", "area"): 6100}}`.
+    A file without edits keeps its bytes, and so shares its records with
+    `registry`; with none at all, the derived registry shares its memo too."""
     files = dict(registry.files)
     for name, changes in edits.items():
         doc = json.loads(_lookup(files, name, "dataset file"))
         for path, value in changes.items():
             try:
-                *keys, last = path
-                functools.reduce(operator.getitem, keys, doc)[last] = value
-            except (KeyError, IndexError, TypeError, ValueError):
+                *steps, last = path
+                node = doc
+                for step in steps:
+                    node = node[_json_key(node, step)]
+                node[_json_key(node, last)] = value
+            except (KeyError, IndexError, TypeError, ValueError, StopIteration):
                 raise UnknownNameError(f"{name}: no value at path {path!r}") from None
         files[name] = json.dumps(doc).encode()
     return _build(files.__getitem__)

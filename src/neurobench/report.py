@@ -45,7 +45,7 @@ def _point(label: str, x: float, y: float, series: str) -> ScatterPoint:
 def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
     """Raw element -> network transform -> interconnect merge for one technology.
 
-    Rows for the nominal chip (`cfg` None) are built once per registry; a row
+    Rows for the nominal chip (`cfg` None) are built once per registry content; a row
     for an explicit `cfg` is built on every call. `tech` must be the
     registry's record of its label, or equal to it.
     """
@@ -97,7 +97,7 @@ def bench_workload(
 ) -> WorkloadBench:
     """Run a named workload on one technology at the fan-in of its class
     (`Registry.fan_in`), which also picks the default schedule. The result
-    is built once per registry."""
+    is built once per registry content."""
     key = ("workload", workload_name, _own_label(tech, registry), schedule)
     return registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
 

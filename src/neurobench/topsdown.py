@@ -59,8 +59,9 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     and runs one synaptic event every 1/(fire_rate * activity * s_neu); an
     accelerator splits only its compute fraction of the area, runs one MAC
     per clock and, unless the record quotes an activity, runs at full
-    activity. The element is computed once per registry and chip (`memo_key`);
-    an incomputable chip, or a figure that overflows, raises on every call.
+    activity. The element is computed once per registry content and chip
+    (`memo_key`); an incomputable chip, or a figure that overflows, raises on
+    every call.
     """
     return registry.memoized(("chip element", memo_key(registry.chips, chip)), _element, chip, registry)
 
@@ -182,8 +183,8 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
 
     Accelerators run as ANN at the "sequential" fan-in; neuromorphic chips
     run with spiking semantics (activity decaying per stage) at the "snn"
-    fan-in. The result is computed once per registry, chip and workload
-    (`memo_key`).
+    fan-in. The result is computed once per registry content, chip and
+    workload (`memo_key`).
     """
     key = (
         "chip workload",

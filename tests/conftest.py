@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -36,3 +37,23 @@ def derived_constants(registry, **values):
     """The constants of `registry` with top-level constants.json values set,
     through every loader check."""
     return derive(registry, {"constants.json": {(key,): value for key, value in values.items()}}).constants
+
+
+_tails = itertools.count(1)
+
+
+def load_new(directory: Path, files=None):
+    """A registry of the values of `files` (default: the shipped dataset)
+    whose memo is new. `files` is written to `directory`, one file with a
+    whitespace tail that no earlier call gave, so the bytes differ from every
+    other load's in this process. The tails rotate over the seven files, so
+    no builder's cache fills with them."""
+    if files is None:
+        files = {path.name: path.read_bytes() for path in default_data_dir().glob("*.json")}
+    n = next(_tails)
+    padded = sorted(files)[n % len(files)]
+    for name, data in files.items():
+        (directory / name).write_bytes(data + b" " * n if name == padded else data)
+    registry = load_datasets(directory)
+    assert registry._memo == {}
+    return registry

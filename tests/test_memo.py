@@ -1,5 +1,7 @@
-"""Memoized results belong to the Registry that produced them."""
+"""Memoized results belong to the content of the Registry that produced them:
+registries built from byte-identical files share one memo."""
 
+import json
 import sys
 from collections import Counter
 
@@ -10,7 +12,7 @@ from neurobench.chip import nominal_config
 from neurobench.interconnect import ElementBench
 from neurobench.registry import ChipRecord, LayerSpec, Technology, UnknownNameError, WorkloadSpec
 
-from conftest import rewrite_json
+from conftest import load_new, rewrite_json
 
 
 def uncached_row(tech, registry):
@@ -49,18 +51,18 @@ def test_replaced_registry_starts_with_an_empty_memo():
     assert report.bench_technology(tech, registry) is row
 
 
-def test_derived_registry_shares_every_record_and_starts_with_an_empty_memo():
+def test_derived_registry_shares_every_record_and_the_memo():
     registry = load_datasets()
     row = report.bench_technology(registry.technology("ANNDCSRAM"), registry)
     derived = derive(registry, {})
-    assert derived._memo == {} and registry._memo
+    assert derived._memo is registry._memo
     assert derived.files == registry.files and derived.constants is registry.constants
     for mapping in ("primitives", "devices", "technologies", "chips", "workloads"):
         records = getattr(registry, mapping)
         assert all(record is records[name] for name, record in getattr(derived, mapping).items())
         assert list(getattr(derived, mapping)) == list(records)
     assert derived.fan_in == registry.fan_in and derived.topsdown_params == registry.topsdown_params
-    assert report.bench_technology(registry.technology("ANNDCSRAM"), derived) is not row
+    assert report.bench_technology(registry.technology("ANNDCSRAM"), derived) is row
 
 
 def test_a_registry_cannot_be_changed(registry):
@@ -104,8 +106,8 @@ def _touch_every_row(registry):
         report.emit_matrix(registry, "workload", workload=name)
 
 
-def test_each_row_is_built_once_per_registry(monkeypatch):
-    registry = load_datasets()
+def test_each_row_is_built_once_per_registry(monkeypatch, tmp_path):
+    registry = load_new(tmp_path)
     built = Counter()
     original = report._build_row
 
@@ -115,12 +117,13 @@ def test_each_row_is_built_once_per_registry(monkeypatch):
 
     monkeypatch.setattr(report, "_build_row", counting)
     _touch_every_row(registry)
+    _touch_every_row(load_datasets(tmp_path))  # the same bytes: the same memo
     assert set(built) == set(registry.technologies)
     assert set(built.values()) == {1}
 
 
-def test_each_raw_element_is_built_once_per_builder_input(monkeypatch):
-    registry = load_datasets()
+def test_each_raw_element_is_built_once_per_builder_input(monkeypatch, tmp_path):
+    registry = load_new(tmp_path)
     built = Counter()
     original = report.build_raw_element
 
@@ -132,6 +135,7 @@ def test_each_raw_element_is_built_once_per_builder_input(monkeypatch):
     _touch_every_row(registry)
     for tech in registry.enumerate_technologies():  # explicit configs share the raw elements too
         uncached_row(tech, registry)
+    _touch_every_row(derive(registry, {}))  # the same bytes: the same memo
     assert len(built) == 18 < len(registry.technologies)
     assert set(built.values()) == {1}
 
@@ -142,11 +146,13 @@ def _scaled_constants(registry):
 
 
 @pytest.mark.parametrize("build", [lambda r: r, _scaled_constants], ids=["default", "scaled"])
-def test_shared_raw_elements_give_the_unshared_rows(build):
+def test_shared_raw_elements_give_the_unshared_rows(build, tmp_path):
     registry = build(load_datasets())
+    alone = load_new(tmp_path, registry.files)  # the same values, a memo of its own
     for tech in registry.enumerate_technologies():
-        alone = report._build_row(tech, derive(registry, {}))  # an empty memo: nothing is shared
-        assert report.bench_technology(tech, registry) == alone, tech.label
+        alone._memo.clear()  # nothing is shared: each row is built from an empty memo
+        unshared = report._build_row(alone.technology(tech.label), alone)
+        assert report.bench_technology(tech, registry) == unshared, tech.label
 
 
 def test_second_topsdown_call_returns_the_identical_result():
@@ -180,8 +186,8 @@ def test_replaced_chip_gets_its_own_topsdown_element():
     assert topsdown.topsdown_element(chip, registry) is element
 
 
-def test_each_topsdown_result_is_computed_once_per_registry(monkeypatch):
-    registry = load_datasets()
+def test_each_topsdown_result_is_computed_once_per_registry(monkeypatch, tmp_path):
+    registry = load_new(tmp_path)
     elements, benches = Counter(), Counter()
     element, chip_workload = topsdown._element, topsdown._chip_workload
 
@@ -206,6 +212,7 @@ def test_each_topsdown_result_is_computed_once_per_registry(monkeypatch):
         for spec in registry.workloads.values():
             topsdown.run_workload_on_chip(chip, spec, registry)
     report.speech_comparison(registry)
+    report.emit_matrix(load_datasets(tmp_path), "chips")  # the same bytes: the same memo
     assert 0 < len(computable) < len(registry.chips)
     assert [elements[name] for name in computable] == [1] * len(computable)
     assert set(benches) == {(name, w) for name in computable for w in registry.workloads}
@@ -340,8 +347,8 @@ def _wrap_everywhere(monkeypatch, module, name, calls):
                 monkeypatch.setattr(holder, attr, counting)
 
 
-def test_memo_misses_call_the_wrapped_layers(monkeypatch):
-    registry = load_datasets()
+def test_memo_misses_call_the_wrapped_layers(monkeypatch, tmp_path):
+    registry = load_new(tmp_path)
     calls = Counter()
     _wrap_everywhere(monkeypatch, report, "bench_technology", calls)
     _wrap_everywhere(monkeypatch, topsdown, "topsdown_element", calls)
@@ -383,3 +390,59 @@ def test_memo_hits_after_the_layers_are_wrapped(monkeypatch):
     for tech in registry.enumerate_technologies():  # explicit configs read the shared raw elements
         uncached_row(tech, registry)
     assert calls["_build_row"] == 56 and calls["build_raw_element"] == 0
+
+
+# -- one memo per content: registries of byte-identical files share it -----------
+
+
+def _results(registry):
+    """Every element row, and every workload's bench on every technology."""
+    techs = registry.enumerate_technologies()
+    rows = [report.bench_technology(tech, registry) for tech in techs]
+    return rows, [report.bench_workload(name, tech, registry) for name in registry.workloads for tech in techs]
+
+
+def test_a_memo_is_shared_exactly_when_all_seven_files_are_byte_equal(data_copy):
+    shipped = load_datasets(data_copy)
+    assert load_datasets(data_copy)._memo is shipped._memo and derive(shipped, {})._memo is shipped._memo
+    want = _results(shipped)
+    memos = [shipped._memo]
+    for name, data in shipped.files.items():
+        (data_copy / name).write_text(json.dumps(json.loads(data)))  # the same values in new bytes
+        other = load_datasets(data_copy)
+        assert all(other._memo is not memo for memo in memos), name
+        assert _results(other) == want, name
+        memos.append(other._memo)
+        (data_copy / name).write_bytes(data)
+    assert len(memos) == 1 + 7
+    assert load_datasets(data_copy)._memo is shipped._memo
+
+
+def test_an_incomputable_chip_stores_nothing_in_the_shared_memo(tmp_path):
+    registry = load_new(tmp_path)
+    for reg in (registry, load_datasets(tmp_path), derive(registry, {})):
+        for _ in range(2):
+            with pytest.raises(topsdown.IncomputableError, match="area required"):
+                topsdown.topsdown_element(reg.chip("Parker"), reg)
+            with pytest.raises(topsdown.IncomputableError, match="area required"):
+                topsdown.run_workload_on_chip(reg.chip("Parker"), reg.workload("lenet"), reg)
+    assert registry._memo == {}
+
+
+def test_the_memos_of_the_32_latest_contents_are_kept(tmp_path):
+    first = load_new(tmp_path)
+    files, want = dict(first.files), _results(first)
+
+    def reload_first():
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        return load_datasets(tmp_path)
+
+    for _ in range(31):  # 32 contents in all: the first is kept, and a reload makes it the latest
+        load_new(tmp_path)
+    assert reload_first()._memo is first._memo
+    for _ in range(32):  # 33 contents since the first was last loaded: it is evicted
+        load_new(tmp_path)
+    again = reload_first()
+    assert again._memo is not first._memo and again._memo == {}
+    assert _results(again) == want

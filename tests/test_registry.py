@@ -18,6 +18,7 @@ from neurobench.registry import (
     UnknownNameError,
     ValidationError,
     _WALKS,
+    _json_key,
     default_data_dir,
 )
 
@@ -127,10 +128,8 @@ def test_deterministic_load():
 
 
 def test_validation_rejects_swapped_resistances(registry):
-    doc = json.loads(registry.files["devices.json"])
-    row = next(i for i, row in enumerate(doc["devices"]) if row["name"] == "OxideR")
     with pytest.raises(ValidationError, match="OxideR"):
-        derive(registry, {"devices.json": {("devices", row, "r_on"): 1000, ("devices", row, "r_off"): 200}})
+        derive(registry, {"devices.json": {("devices", "OxideR", "r_on"): 1000, ("devices", "OxideR", "r_off"): 200}})
 
 
 def test_missing_supply_voltage_is_named(data_copy):
@@ -180,7 +179,7 @@ def test_chip_records_store_missing_fields_as_absent(registry):
 
 def test_activity_bounds_enforced(registry):
     with pytest.raises(ValidationError, match="activity"):
-        derive(registry, {"chips_neuromorphic.json": {("chips", 5, "activity"): 1.5}})
+        derive(registry, {"chips_neuromorphic.json": {("chips", "TrueNorth", "activity"): 1.5}})
 
 
 @pytest.mark.parametrize(
@@ -218,18 +217,15 @@ _DELETE = "<delete the key>"  # readable in a falsifying example
 
 
 def _edit(doc, path, value):
-    """Set the leaf at `path`, or remove it for _DELETE; a string step into a
-    list picks the row of that name."""
+    """Set the leaf at `path`, or remove it for _DELETE; a step is read as
+    `derive` reads it, so a string step into a list picks the row of that name."""
     *steps, last = path
     for step in steps:
-        if isinstance(doc, list) and isinstance(step, str):
-            doc = next(row for row in doc if row["name"] == step)
-        else:
-            doc = doc[step]
+        doc = doc[_json_key(doc, step)]
     if value == _DELETE:
-        del doc[last]
+        del doc[_json_key(doc, last)]
     else:
-        doc[last] = value
+        doc[_json_key(doc, last)] = value
 
 
 # Each case carries its own id, so a case inserted anywhere renames no other test. The first 39
@@ -622,11 +618,12 @@ def test_rewriting_units_leaves_every_result_unchanged(registry, data_copy, file
 _MAPPINGS = ("primitives", "devices", "technologies", "chips", "workloads")
 
 
-def test_loads_of_the_same_bytes_share_records_but_not_the_memo(registry, data_copy):
-    first, second = load_datasets(data_copy), load_datasets(data_copy)
-    assert first is not second and first._memo is not second._memo
-    for reg in (first, second, registry):  # a byte-identical copy at another path shares them too
-        assert reg.constants is first.constants
+def test_loads_of_the_same_bytes_share_records_and_the_memo(data_copy):
+    # each load is made here, back to back, so no earlier test's loads can have evicted these bytes
+    first, second, shipped = load_datasets(data_copy), load_datasets(data_copy), load_datasets()
+    assert first is not second
+    for reg in (first, second, shipped):  # a byte-identical copy at another path shares them too
+        assert reg.constants is first.constants and reg._memo is first._memo
         for mapping in _MAPPINGS:
             assert getattr(reg, mapping) == getattr(first, mapping)
             assert all(record is getattr(first, mapping)[name] for name, record in getattr(reg, mapping).items())
@@ -634,12 +631,11 @@ def test_loads_of_the_same_bytes_share_records_but_not_the_memo(registry, data_c
         assert getattr(first, mapping) is not getattr(second, mapping)
 
     tech = first.technology("ANNDCSRAM")
-    report.bench_technology(tech, first)
-    assert first._memo and second._memo == {}
-    assert report.bench_technology(tech, second) == report.bench_technology(tech, first)
+    assert report.bench_technology(tech, second) is report.bench_technology(tech, first)
 
 
-def test_other_bytes_of_the_same_values_give_equal_records(registry, data_copy):
+def test_other_bytes_of_the_same_values_give_equal_records(data_copy):
+    registry = load_datasets(data_copy)
     rewrite_json(data_copy / "constants.json", lambda doc: None)  # re-serialized
     other = load_datasets(data_copy)
     assert other.constants is not registry.constants and other.constants == registry.constants
@@ -690,6 +686,14 @@ def test_derive_rejects_what_the_loader_rejects(registry):
         ({"constant.json": {("supply_voltage",): 0.9}}, "unknown dataset file 'constant.json'"),
         ({"constants.json": {("overhead", "core"): 3.0}}, "constants.json: no value at path ('overhead', 'core')"),
         ({"devices.json": {("devices", 99, "area"): 1.0}}, "devices.json: no value at path ('devices', 99, 'area')"),
+        (
+            {"devices.json": {("devices", "Vapourware", "area"): 1.0}},
+            "devices.json: no value at path ('devices', 'Vapourware', 'area')",
+        ),
+        (  # a combo row has a code, not a name
+            {"technologies.json": {("combos", "DCSRAM", "family"): "digital_mac"}},
+            "technologies.json: no value at path ('combos', 'DCSRAM', 'family')",
+        ),
     ],
 )
 def test_derive_names_an_unknown_file_or_path(registry, edits, message):
@@ -698,15 +702,25 @@ def test_derive_names_an_unknown_file_or_path(registry, edits, message):
     assert str(exc.value) == message
 
 
-def test_derive_edits_only_the_named_files(registry):
-    doc = json.loads(registry.files["devices.json"])
-    row = next(i for i, row in enumerate(doc["devices"]) if row["name"] == "ME")
-    derived = derive(registry, {"devices.json": {("devices", row, "energy"): 2 * doc["devices"][row]["energy"]}})
+def test_derive_edits_only_the_named_files():
+    registry = load_datasets()
+    me = next(row for row in json.loads(registry.files["devices.json"])["devices"] if row["name"] == "ME")
+    derived = derive(registry, {"devices.json": {("devices", "ME", "energy"): 2 * me["energy"]}})
     assert derived.device("ME").energy_int == 2 * registry.device("ME").energy_int
     assert derived.device("SOT") == registry.device("SOT")
     assert derived.constants is registry.constants and derived.chips["Loihi"] is registry.chips["Loihi"]
     assert json.loads(registry.files["devices.json"]) != json.loads(derived.files["devices.json"])
     assert {name for name in registry.files if registry.files[name] is not derived.files[name]} == {"devices.json"}
+
+
+def test_derive_picks_a_list_row_by_its_name(registry):
+    doc = json.loads(registry.files["chips_neuromorphic.json"])
+    row = next(i for i, row in enumerate(doc["chips"]) if row["name"] == "Loihi")
+    by_name, by_index = (
+        derive(registry, {"chips_neuromorphic.json": {("chips", step, "activity"): 0.5}}) for step in ("Loihi", row)
+    )
+    assert by_name.files == by_index.files
+    assert by_name.chip("Loihi").activity == 0.5 and by_name.chip("Loihi") != registry.chip("Loihi")
 
 
 def test_derived_feature_size_moves_every_feature_size_multiple(registry):
@@ -749,8 +763,9 @@ def _shares_technologies(registry, data_copy, file, path, value):
     return other, derived
 
 
-def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
+def test_a_change_to_constants_alone_shares_technologies(data_copy):
     # technologies read only the transistor family names of the constants
+    registry = load_datasets(data_copy)
     other, derived = _shares_technologies(registry, data_copy, "constants.json", ("supply_voltage",), 0.9)
     assert other.constants.supply_voltage == 0.9
     assert derived.constants == other.constants
@@ -759,16 +774,17 @@ def test_a_change_to_constants_alone_shares_technologies(registry, data_copy):
 @pytest.mark.parametrize(
     "file, path, value",
     [
-        pytest.param("devices.json", ("devices", 8, "energy"), 90.0, id="devices.json:devices.ME.energy"),
-        pytest.param("devices.json", ("devices", 9, "r_on"), 150, id="devices.json:devices.OxideR.r_on"),
+        pytest.param("devices.json", ("devices", "ME", "energy"), 90.0, id="devices.json:devices.ME.energy"),
+        pytest.param("devices.json", ("devices", "OxideR", "r_on"), 150, id="devices.json:devices.OxideR.r_on"),
         pytest.param(
             "circuit_primitives.json", ("families", "digital_cmos", "add", "energy"), 1500.0,
             id="circuit_primitives.json:families.digital_cmos.add.energy",
         ),
     ],
 )
-def test_a_value_change_to_devices_or_primitives_shares_technologies(registry, data_copy, file, path, value):
+def test_a_value_change_to_devices_or_primitives_shares_technologies(data_copy, file, path, value):
     # technologies read only the names of the devices and primitive families, and which devices have r_on
+    registry = load_datasets(data_copy)
     other, derived = _shares_technologies(registry, data_copy, file, path, value)
     assert (other.devices, other.primitives) == (derived.devices, derived.primitives)
 
