@@ -24,20 +24,21 @@ def main(argv=None):
 
     registry = load_datasets()
 
-    (args.out / "element_matrix.csv").write_text(report.emit_matrix(registry, "elements"))
+    def write(name: str, text: str) -> None:
+        (args.out / name).write_text(text, encoding="utf-8")  # dataset names need not fit the locale's encoding
+
+    write("element_matrix.csv", report.emit_matrix(registry, "elements"))
     for name in sorted(registry.workloads):
-        text = report.emit_matrix(registry, "workload", workload=name)
-        (args.out / f"workload_{name}.csv").write_text(text)
-    (args.out / "chips_topsdown.csv").write_text(report.emit_matrix(registry, "chips"))
+        write(f"workload_{name}.csv", report.emit_matrix(registry, "workload", workload=name))
+    write("chips_topsdown.csv", report.emit_matrix(registry, "chips"))
 
     for what in ("synapse", "neuron"):
         points = report.scatter_dataset(registry, what)
-        (args.out / f"scatter_{what}.csv").write_text(report.emit_scatter(points))
-        front = report.pareto_front(points)
-        (args.out / f"pareto_{what}.csv").write_text(report.emit_scatter(front))
+        write(f"scatter_{what}.csv", report.emit_scatter(points))
+        write(f"pareto_{what}.csv", report.emit_scatter(report.pareto_front(points)))
 
     comparison = report.speech_comparison(registry)
-    (args.out / "speech_comparison.json").write_text(json.dumps(comparison, indent=1, sort_keys=True) + "\n")
+    write("speech_comparison.json", json.dumps(comparison, indent=1, sort_keys=True) + "\n")
 
     kinds = {tech.network_kind for tech in registry.technologies.values()}
     ordering = {k: report.geometric_mean_neuron_delay(registry, k) for k in ("ANN", "ONN", "CNN", "SNN") if k in kinds}

@@ -66,12 +66,8 @@ class ChipBench(NamedTuple):
 
 
 def nominal_config(constants: GlobalConstants, *, spiking: bool = False) -> ChipConfig:
-    return ChipConfig(
-        cores=constants.nominal_cores,
-        neurons_per_core=constants.nominal_neurons_per_core,
-        synapses_per_neuron=constants.nominal_synapses_per_neuron,
-        spiking=spiking,
-    )
+    counts = constants.nominal_cores, constants.nominal_neurons_per_core, constants.nominal_synapses_per_neuron
+    return ChipConfig(*counts, 1.0, spiking)  # at full activity
 
 
 def area_terms(cfg: ChipConfig, c: GlobalConstants) -> tuple[float, float, float, float]:
@@ -105,18 +101,11 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
     f_fire = firing_rate(cfg, elem)
     tau_step = 1.0 / f_fire + neu.delay
     e_event = syn.energy + neu.energy / (cfg.activity * cfg.synapses_per_neuron)
-    throughput = f_fire * cfg.activity * cfg.total_synapses
+    synapses = cfg.total_synapses
+    throughput = f_fire * cfg.activity * synapses
     power = throughput * e_event
-    bench = ChipBench(
-        total_synapses=cfg.total_synapses,
-        area=chip_area(area_terms(cfg, constants), elem.neuron.area, elem.synapse.area),
-        firing_rate=f_fire,
-        time_step=tau_step,
-        energy_per_event=e_event,
-        syn_throughput=throughput,
-        power=power,
-        energy_per_step=power * tau_step,
-    )
+    area = chip_area(area_terms(cfg, constants), elem.neuron.area, elem.synapse.area)
+    bench = ChipBench(synapses, area, f_fire, tau_step, e_event, throughput, power, power * tau_step)
     if not all(map(math.isfinite, bench)):
         raise ValueError(f"chip figures must be finite: {bench}")
     return bench

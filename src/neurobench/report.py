@@ -49,7 +49,7 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     for an explicit `cfg` is built on every call. `tech` must be the
     registry's record of its label, or equal to it.
     """
-    label = _own_label(tech, registry)
+    label = tech.label if registry.technologies.get(tech.label) is tech else _own_label(tech, registry)
     if cfg is None:
         return registry.memoized(("row", label), _build_row, tech, registry)
     return _build_row(tech, registry, cfg)
@@ -98,8 +98,9 @@ def bench_workload(
     """Run a named workload on one technology at the fan-in of its class
     (`Registry.fan_in`), which also picks the default schedule. The result
     is built once per registry content."""
-    key = ("workload", workload_name, _own_label(tech, registry), schedule)
-    return registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
+    label = tech.label if registry.technologies.get(tech.label) is tech else _own_label(tech, registry)
+    key = ("workload", workload_name, label, schedule)
+    return registry._memo.get(key) or registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
 
 
 def _workload_bench(workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]) -> WorkloadBench:
@@ -131,9 +132,12 @@ def _text(cell: str) -> str:
     return cell
 
 
-def _csv_lines(header: tuple, rows: list[tuple[str, tuple]]) -> str:
-    """CSV of (template, cells) rows whose first cell is dataset text."""
-    return "".join([",".join(header) + "\n", *[t % (_text(cells[0]), *cells[1:]) for t, cells in rows]])
+def _csv_lines(header: tuple, template: str, cells: list) -> str:
+    """CSV of one document: `template` holds the formats of its rows and `cells`, flat, their
+    cells, each row's first cell dataset text."""
+    width = len(header)
+    cells[::width] = map(_text, cells[::width])
+    return ",".join(header) + "\n" + template % tuple(cells)
 
 
 def emit_matrix(
@@ -145,26 +149,30 @@ def emit_matrix(
     precision: int = 6,
     fmt: str = "csv",
 ) -> str:
-    """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'. A row is
-    (template, cells); the template joins with commas one format per column, "%s" or "%.<precision>g"."""
+    """Tabular document for one scope: 'elements', 'workload' (named), or 'chips'. Each cell has a
+    format, "%s" or "%.<precision>g"; a row joins its formats with commas, the template its rows."""
     figure = f"%.{precision}g"
+    cells: list = []
     if scope == "elements":
         header = MATRIX_HEADER
+        techs = registry.enumerate_technologies(network_kind)
         template = ",".join(["%s", *[figure] * 12]) + "\n"
-        rows = [
-            (template, (tech.label, *matrix_columns(bench_technology(tech, registry))))
-            for tech in registry.enumerate_technologies(network_kind)
-        ]
+        template *= len(techs)
+        for tech in techs:
+            cells.append(tech.label)
+            cells += matrix_columns(bench_technology(tech, registry))
     elif scope == "workload":
         if workload is None:
             raise UnknownNameError("workload scope requires a workload name")
         registry.workload(workload)  # raise early on unknown names
         header = ("technology", "area_nm2", "delay_ps", "energy_aJ", "power_W", "inferences_per_s", "schedule")
+        techs = registry.enumerate_technologies(network_kind)
         template = ",".join(["%s", *[figure] * 5, "%s"]) + "\n"
-        rows = []
-        for tech in registry.enumerate_technologies(network_kind):
-            b = bench_workload(workload, tech, registry)
-            rows.append((template, (tech.label, b.area, b.delay, b.energy, b.power_w, b.inferences_per_s, b.schedule)))
+        template *= len(techs)
+        for tech in techs:
+            area, delay, energy, schedule = bench_workload(workload, tech, registry)
+            power_w = energy / delay * units.W_PER_AJ_PER_PS  # as WorkloadBench.power_w and .inferences_per_s
+            cells += tech.label, area, delay, energy, power_w, units.PS_PER_S / delay, schedule
     elif scope == "chips":
         from .topsdown import IncomputableError, topsdown_element  # the other scopes never load tops-down
 
@@ -172,23 +180,28 @@ def emit_matrix(
             "chip", "kind", "synapse_area_nm2", "neuron_area_nm2",
             "synapse_delay_ps", "synapse_energy_aJ", "neuron_energy_aJ",
         )
-        template, blank = ",".join(["%s", "%s", *[figure] * 5]) + "\n", ",".join(["%s"] * 7) + "\n"
-        rows = []
+        row, blank = ",".join(["%s", "%s", *[figure] * 5]) + "\n", ",".join(["%s"] * 7) + "\n"
+        template = ""
         for name in sorted(registry.chips):
             chip = registry.chips[name]
             try:
                 e = topsdown_element(chip, registry)
-                figures = (e.synapse_area, e.neuron_area, e.synapse_delay, e.synapse_energy, e.neuron_energy)
-                rows.append((template, (name, chip.kind, *figures)))
             except IncomputableError:
-                rows.append((blank, (name, chip.kind, "", "", "", "", "")))
+                cells += name, chip.kind, "", "", "", "", ""
+                template += blank
+            else:
+                figures = e.synapse_area, e.neuron_area, e.synapse_delay, e.synapse_energy, e.neuron_energy
+                cells += name, chip.kind, *figures
+                template += row
     else:
         raise UnknownNameError(f"unknown matrix scope {scope!r}")
 
     if fmt == "csv":
-        return _csv_lines(header, rows)
+        return _csv_lines(header, template, cells)
     if fmt == "json":
-        table = [{h: f % c for h, f, c in zip(header, t[:-1].split(","), cells)} for t, cells in rows]
+        texts = [f % c for f, c in zip(template.replace("\n", ",").split(","), cells)]
+        width = len(header)
+        table = [dict(zip(header, texts[i : i + width])) for i in range(0, len(texts), width)]
         return json.dumps(table, indent=1, sort_keys=True) + "\n"
     raise UnknownNameError(f"unknown export format {fmt!r}")
 
@@ -238,8 +251,8 @@ def pareto_front(points: list[ScatterPoint]) -> list[ScatterPoint]:
 
 
 def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
-    template = f"%s,%.{precision}g,%.{precision}g,%s\n"
-    return _csv_lines(ScatterPoint._fields, [(template, p) for p in points])
+    template = f"%s,%.{precision}g,%.{precision}g,%s\n" * len(points)
+    return _csv_lines(ScatterPoint._fields, template, [cell for p in points for cell in p])
 
 
 def geometric_mean_neuron_delay(registry: Registry, network_kind: str) -> float:

@@ -127,6 +127,12 @@ def _solve_power(chip: ChipRecord, unknown: str) -> float:
     raise AssertionError(unknown)
 
 
+_IDENTITIES = (  # (name, its fields, the solver of any one of them)
+    (THROUGHPUT_IDENTITY, ("syn_throughput", "fire_rate", "activity"), _solve_throughput),
+    (POWER_IDENTITY, ("power", "syn_throughput", "energy_per_event"), _solve_power),
+)
+
+
 def backfill_derived(chip: ChipRecord) -> BackfillResult:
     """Re-derive every field flagged as derived from the consistency identities.
 
@@ -134,12 +140,8 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
     identity can reach with a single unknown raises; nothing is guessed. So
     does a back-filled activity outside (0, 1].
     """
-    identities = [
-        (THROUGHPUT_IDENTITY, ("syn_throughput", "fire_rate", "activity"), _solve_throughput),
-        (POWER_IDENTITY, ("power", "syn_throughput", "energy_per_event"), _solve_power),
-    ]
-    if chip.kind == "accelerator":
-        identities = identities[1:]  # clock-driven parts have no firing-rate identity
+    # clock-driven parts have no firing-rate identity
+    identities = _IDENTITIES[1:] if chip.kind == "accelerator" else _IDENTITIES
 
     flagged = set(chip.derived_fields)
     unknown_fields = {
@@ -186,12 +188,8 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
     fan-in. The result is computed once per registry content, chip and
     workload (`memo_key`).
     """
-    key = (
-        "chip workload",
-        memo_key(registry.chips, chip),
-        memo_key(registry.workloads, spec),
-    )
-    return registry.memoized(key, _chip_workload, chip, spec, registry)
+    key = ("chip workload", memo_key(registry.chips, chip), memo_key(registry.workloads, spec))
+    return registry._memo.get(key) or registry.memoized(key, _chip_workload, chip, spec, registry)
 
 
 def _chip_workload(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:

@@ -289,13 +289,26 @@ def test_only_the_registrys_own_technology_reaches_the_model():
         lambda: report.bench_technology(boosted, registry),
         lambda: report.bench_technology(boosted, registry, nominal_config(registry.constants)),
         lambda: report.bench_workload("lenet", boosted, registry),
+        lambda: report.bench_workload("lenet", boosted, registry, schedule="parallel"),
     ):
         with pytest.raises(UnknownNameError, match="ANNDCSRAM.*derive"):
             bench()
         assert registry._memo == memo
-    assert report.bench_technology(Technology(*tech), registry) is row
+    same = Technology(*tech)
+    assert same is not tech
+    assert report.bench_technology(same, registry) is row
+    assert report.bench_workload("lenet", same, registry) is report.bench_workload("lenet", tech, registry)
     derived = derive(registry, {"technologies.json": {("combos", 0, "ic_voltage"): 1.5 * supply}})
     assert report.bench_technology(derived.technology("ANNDCSRAM"), derived) != row
+    # a chip equal to the registry's own, but not it, is keyed by value
+    chip, spec = registry.chip("Loihi"), registry.workload("lenet")
+    own, copy = topsdown.run_workload_on_chip(chip, spec, registry), chip._replace()
+    assert copy is not chip
+    copied = topsdown.run_workload_on_chip(copy, spec, registry)
+    assert copied == own and copied is not own
+    assert registry._memo[("chip workload", copy, "lenet")] is copied
+    assert topsdown.run_workload_on_chip(copy, spec, registry) is copied
+    assert topsdown.run_workload_on_chip(chip, spec, registry) is own
 
 
 def test_chip_named_like_a_technology_keeps_its_own_entries(data_copy):

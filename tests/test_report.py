@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from neurobench import derive, load_datasets, report
+from neurobench import derive, load_datasets, report, topsdown
 from neurobench.report import MATRIX_HEADER, ScatterPoint, pareto_front
 
 from conftest import rewrite_json
@@ -175,23 +175,42 @@ def test_json_cells_equal_csv_cells(registry, precision):
         assert json.loads(json_text) == list(csv.DictReader(io.StringIO(csv_text, newline=""))), scope
 
 
-def test_csv_quotes_dataset_names(data_copy):
-    # csv.writer leaves a bare CR unquoted before Python 3.13, which splits the row for a reader
-    awkward = {"TrueNorth": "True\rNorth", "Neurogrid": "Neuro\ngrid", "IFAT": "I,FAT", "ROLLS": 'R,"O"\r\nLLS'}
+# csv.writer leaves a bare CR unquoted before Python 3.13, which splits the row for a reader;
+# a name holding "%" is never part of a template
+AWKWARD_CHIPS = {
+    "TrueNorth": "True\rNorth", "Neurogrid": "Neuro\ngrid", "IFAT": "I,FAT", "ROLLS": 'R,"O"\r\nLLS',
+    "HICANN": "HI%CA%sNN%%", "DYNAPSEL": "DYNAP%sSEL",
+}
+AWKWARD_COMBOS = {  # code -> (neuron code, synapse code)
+    "DCSRAM": ("D,C", "SRAM"),
+    "DCCMAC": ("D%C", "%sMAC%%"),
+}
+
+
+@pytest.fixture()
+def awkward_registry(data_copy):
+    """The shipped dataset with the chips of AWKWARD_CHIPS and the combos of AWKWARD_COMBOS renamed."""
 
     def rename_chips(doc):
         for row in doc["chips"]:
-            row["name"] = awkward.get(row["name"], row["name"])
+            row["name"] = AWKWARD_CHIPS.get(row["name"], row["name"])
 
-    def rename_combo(doc):
-        row = next(row for row in doc["combos"] if row["code"] == "DCSRAM")
-        row.update(code="D,CSRAM", neuron_code="D,C")
+    def rename_combos(doc):
+        for row in doc["combos"]:
+            if row["code"] in AWKWARD_COMBOS:
+                neuron_code, synapse_code = AWKWARD_COMBOS[row["code"]]
+                row.update(code=neuron_code + synapse_code, neuron_code=neuron_code, synapse_code=synapse_code)
 
     rewrite_json(data_copy / "chips_neuromorphic.json", rename_chips)
-    rewrite_json(data_copy / "technologies.json", rename_combo)
-    registry = load_datasets(data_copy)
+    rewrite_json(data_copy / "technologies.json", rename_combos)
+    return load_datasets(data_copy)
+
+
+def test_csv_quotes_dataset_names(awkward_registry):
+    registry = awkward_registry
     labels = [t.label for t in registry.enumerate_technologies()]
-    assert set(awkward.values()) <= registry.chips.keys() and "ANND,CSRAM" in labels
+    assert set(AWKWARD_CHIPS.values()) <= registry.chips.keys()
+    assert {"ANND,CSRAM", "ANND%C%sMAC%%", "CNND%C%sMAC%%"} <= set(labels)
     points = report.scatter_dataset(registry, "neuron")
     for text, names in [
         (report.emit_matrix(registry, "chips"), sorted(registry.chips)),
@@ -201,6 +220,62 @@ def test_csv_quotes_dataset_names(data_copy):
         header, *rows = csv.reader(io.StringIO(text, newline=""))
         assert [row[0] for row in rows] == names
         assert all(len(row) == len(header) for row in rows)
+
+
+def reference_rows(registry, scope, workload, precision):
+    """The header and (template, cells) rows of an `emit_matrix` document, one row at a time."""
+    figure = f"%.{precision}g"
+    if scope == "elements":
+        row = ",".join(["%s", *[figure] * 12]) + "\n"
+        techs = registry.enumerate_technologies()
+        rows = [(t.label, *report.matrix_columns(report.bench_technology(t, registry))) for t in techs]
+        return MATRIX_HEADER, [(row, cells) for cells in rows]
+    if scope == "workload":
+        header = ("technology", "area_nm2", "delay_ps", "energy_aJ", "power_W", "inferences_per_s", "schedule")
+        row = ",".join(["%s", *[figure] * 5, "%s"]) + "\n"
+        rows = []
+        for t in registry.enumerate_technologies():
+            b = report.bench_workload(workload, t, registry)
+            rows.append((row, (t.label, b.area, b.delay, b.energy, b.power_w, b.inferences_per_s, b.schedule)))
+        return header, rows
+    header = ("chip", "kind", "synapse_area_nm2", "neuron_area_nm2")
+    header += ("synapse_delay_ps", "synapse_energy_aJ", "neuron_energy_aJ")
+    rows = []
+    for name in sorted(registry.chips):
+        chip = registry.chips[name]
+        try:
+            e = topsdown.topsdown_element(chip, registry)
+        except topsdown.IncomputableError:
+            rows.append((",".join(["%s"] * 7) + "\n", (name, chip.kind, "", "", "", "", "")))
+            continue
+        figures = (e.synapse_area, e.neuron_area, e.synapse_delay, e.synapse_energy, e.neuron_energy)
+        rows.append((",".join(["%s", "%s", *[figure] * 5]) + "\n", (name, chip.kind, *figures)))
+    return header, rows
+
+
+def reference_csv(header, rows):
+    return ",".join(header) + "\n" + "".join(t % (report._text(cells[0]), *cells[1:]) for t, cells in rows)
+
+
+@pytest.mark.parametrize("precision", [1, 6, 17, 767])
+@pytest.mark.parametrize("which", ["registry", "awkward_registry"])
+def test_each_document_equals_its_rows_formatted_one_at_a_time(request, which, precision):
+    registry = request.getfixturevalue(which)
+    names = sorted(registry.workloads)
+    for scope, workload in [("elements", None), ("chips", None), *(("workload", name) for name in names)]:
+        header, rows = reference_rows(registry, scope, workload, precision)
+        csv_text = report.emit_matrix(registry, scope, workload=workload, precision=precision)
+        assert csv_text == reference_csv(header, rows), (scope, workload)
+        table = [{h: f % c for h, f, c in zip(header, t[:-1].split(","), cells)} for t, cells in rows]
+        json_text = report.emit_matrix(registry, scope, workload=workload, precision=precision, fmt="json")
+        assert json_text == json.dumps(table, indent=1, sort_keys=True) + "\n", (scope, workload)
+    kinds = [("synapse", None), ("neuron", None), *((kind, name) for kind in ("workload", "power") for name in names)]
+    row = f"%s,%.{precision}g,%.{precision}g,%s\n"
+    for what, workload in kinds:
+        points = report.scatter_dataset(registry, what, workload)
+        for subset in (points, report.pareto_front(points)):
+            reference = reference_csv(ScatterPoint._fields, [(row, p) for p in subset])
+            assert report.emit_scatter(subset, precision) == reference, (what, workload)
 
 
 def test_scatter_points_are_plottable(registry):

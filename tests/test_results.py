@@ -15,10 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "results.json").read_text(encoding="utf-8"))
 
 
-def run_benchmarks(out: Path, data_dir=None) -> subprocess.CompletedProcess:
+def run_benchmarks(out: Path, data_dir=None, *, ascii_locale=False) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "NEUROBENCH_DATA_DIR"}
     if data_dir is not None:
         env["NEUROBENCH_DATA_DIR"] = str(data_dir)
+    if ascii_locale:  # neither locale coercion nor UTF-8 mode: the locale encoding is ASCII
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     src = str(Path(neurobench.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     script = ROOT / "scripts" / "run_benchmarks.py"
@@ -32,6 +34,16 @@ def test_run_benchmarks_output_matches_golden(tmp_path):
     assert sorted(written) == sorted(GOLDEN)
     for name, text in GOLDEN.items():
         assert written[name] == text, name
+
+
+def test_run_benchmarks_writes_utf8_whatever_the_locale(tmp_path, data_copy):
+    def rename_loihi(doc):
+        next(row for row in doc["chips"] if row["name"] == "Loihi")["name"] = "Loïhi"
+
+    rewrite_json(data_copy / "chips_neuromorphic.json", rename_loihi)
+    out = tmp_path / "results"
+    run_benchmarks(out, data_copy, ascii_locale=True)
+    assert "\nLoïhi,neuromorphic," in (out / "chips_topsdown.csv").read_text(encoding="utf-8")
 
 
 def test_run_benchmarks_orders_only_the_kinds_present(tmp_path, data_copy):
