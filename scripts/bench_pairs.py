@@ -23,8 +23,10 @@ nine tenths of the pairs (a tie counts for neither side) and its median
 beat the parent's by more than the parent's interquartile range. `host`
 records PYTHONDONTWRITEBYTECODE and whether each side has bytecode cached
 in src/neurobench/__pycache__, since both move `import.ms` and `setup_s`.
-`--trace W` adds one `--trace 1` run per side of W, whose
-per-layer figures go under `per_layer_trace`. Progress goes to stderr.
+`--trace W` adds TRACED_PAIRS `--trace 1` runs per side of W, on the seeds
+after the last pair, alternating which side runs first as the pairs do; the
+median of each per-layer figure goes under `per_layer_trace`. Progress goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACED_PAIRS = 3  # traced runs per side of each --trace workload; one run can hide or invent a per-layer change
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -67,6 +70,16 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     if proc.returncode not in (0, 1) or not lines:
         raise SystemExit(f"error: {checkout}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def run_order(seed: int) -> tuple[str, ...]:
+    """The sides in the order they run at `seed`: the parent first on odd seeds, the change on even ones."""
+    return SIDES if seed % 2 else SIDES[::-1]
+
+
+def median_figures(runs: list[dict]) -> dict:
+    """The median of each metric over `runs`, each the `metrics` of one result line, rounded to 4 places."""
+    return {m: round(statistics.median(run[m]["value"] for run in runs), 4) for m in runs[0]}
 
 
 def quartiles(runs: list[float]) -> tuple[float, float, float]:
@@ -153,7 +166,7 @@ def main(argv=None) -> int:
             seeds_text.append(f"{name} seeds {seeds[0]}-{seeds[-1]} ({pairs} pairs)")
             lines = {side: [] for side in SIDES}
             for s in seeds:
-                for side in SIDES if s % 2 else SIDES[::-1]:
+                for side in run_order(s):
                     line = run(checkouts[side], name, s, args.seconds, 0)
                     lines[side].append(line)
                     p50 = line["metrics"]["op_p50_ms"]["value"]
@@ -173,19 +186,22 @@ def main(argv=None) -> int:
                 },
             }
         traces = {}
+        trace_seeds = range(seed, seed + TRACED_PAIRS)
         for name in args.trace:
-            traced = {side: run(checkouts[side], name, seed, args.trace_seconds, 1)["metrics"] for side in SIDES}
-            traces[name] = {
-                m: {side: round(traced[side][m]["value"], 4) for side in SIDES} for m in traced["parent"]
-            }
-            print(f"{name} traced at seed {seed}", file=sys.stderr)
+            traced = {side: [] for side in SIDES}
+            for s in trace_seeds:
+                for side in run_order(s):
+                    traced[side].append(run(checkouts[side], name, s, args.trace_seconds, 1)["metrics"])
+                print(f"{name} traced at seed {s}", file=sys.stderr)
+            medians = {side: median_figures(traced[side]) for side in SIDES}
+            traces[name] = {m: {side: medians[side][m] for side in SIDES} for m in medians["parent"]}
 
     result["method"] = (
         f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 in an archive of the "
         "parent commit and in the working tree with this change, one run per side per seed, parent first on odd "
         f"seeds and change first on even seeds (scripts/bench_pairs.py). {'; '.join(seeds_text)}. "
-        + (f"Per-layer figures come from one --trace 1 run of {args.trace_seconds:g} s per side at seed {seed}. "
-           if args.trace else "")
+        + (f"Per-layer figures are the medians of {TRACED_PAIRS} --trace 1 runs of {args.trace_seconds:g} s per side "
+           f"at seeds {seed}-{seed + TRACED_PAIRS - 1}, in the same alternating order. " if args.trace else "")
         + "Each entry gives each side's median and quartiles (statistics.quantiles, n=4), its runs in seed order, "
         "the pairs the change won, the parent's interquartile range, the relative change of the median and "
         "whether it is within the bound of BENCHMARK.json."

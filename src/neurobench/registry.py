@@ -18,14 +18,11 @@ A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
 read-only and safe to share between concurrent evaluators. Results derived
 from it are memoized in the memo of its content: registries built from
-byte-identical files share one memo, bounded at 32 contents. A memo key
-names the registry's own records: a technology by its label, a chip or
-workload by its name (`memo_key`). A technology reaches the model
-only as the registry's record of its label, or one equal to it; any other
-is rejected, so a changed technology comes from `derive`. A chip or
-workload that is not the registry's own, such as a `_replace` copy or a
-record of a registry built from other bytes, stands for itself and is
-compared by value.
+byte-identical files share one memo, bounded at 32 contents. A technology,
+chip or workload spec reaches the model only as the registry's record of
+its name, or one equal to it, and the memo keys it by that name
+(`own_name`); any other raises, so a changed record comes from `derive`.
+No memo key holds a record.
 """
 
 import functools
@@ -311,27 +308,11 @@ class LayerSpec(NamedTuple):
     padding: str = "valid"
 
 
-class _Workload(NamedTuple):
+class WorkloadSpec(NamedTuple):
+    """A named workload, its weight layers in order."""
+
     name: str
     layers: tuple[LayerSpec, ...]
-
-
-class WorkloadSpec(_Workload):
-    """A named workload, its weight layers in order.
-
-    Its stage plans by (network kind, fan-in), filled by
-    `workload.workload_plan`, live in `_plans`: each spec starts without
-    plans, a `_replace` copy too, and equality ignores them.
-    """
-
-    def __new__(cls, *args, **kwargs) -> "WorkloadSpec":
-        spec = super().__new__(cls, *args, **kwargs)
-        spec._plans = {}
-        return spec
-
-    @classmethod
-    def _make(cls, iterable) -> "WorkloadSpec":
-        return cls(*iterable)
 
 
 T = TypeVar("T")
@@ -344,13 +325,23 @@ def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
         raise UnknownNameError(f"unknown {what} {name!r}") from None
 
 
-def memo_key(records: Mapping[str, T], record: T):
-    """The name of `record` when it is the registry's own record of that name
-    (tested by identity), else the record itself: the memo key of a chip or
-    workload spec. A name is hashed from its cached string hash; a record
-    would hash every field."""
-    name = record.name
-    return name if records.get(name) is record else record
+_OWNERS = {  # record class -> what it is, its Registry mapping
+    Technology: ("technology", "technologies"), ChipRecord: ("chip", "chips"), WorkloadSpec: ("workload", "workloads")
+}
+
+
+def own_name(registry: "Registry", record) -> str:
+    """The name of a technology (its label), chip or workload spec, the memo's key
+    for it, once `record` is (or equals) the registry's record of that name: each
+    reaches the model only as one the loader checked. Any other raises."""
+    what, mapping = _OWNERS[record.__class__]
+    name = record[0]  # a label or a name
+    own = getattr(registry, mapping).get(name)
+    if own is not record and own != record:
+        raise UnknownNameError(
+            f"{what} {name!r} is not this registry's record of that name; change a {what} with derive"
+        )
+    return name
 
 
 class Registry:

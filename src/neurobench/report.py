@@ -18,7 +18,7 @@ from .chip import ChipConfig, area_terms, chip_area, nominal_config
 from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row, wiring
 from .networks import network_transform, transform_terms
-from .registry import GlobalConstants, Registry, Technology, UnknownNameError
+from .registry import GlobalConstants, Registry, Technology, UnknownNameError, own_name
 from .workload import WorkloadBench, run_workload
 
 MATRIX_HEADER = (
@@ -49,22 +49,10 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     for an explicit `cfg` is built on every call. `tech` must be the
     registry's record of its label, or equal to it.
     """
-    label = tech.label if registry.technologies.get(tech.label) is tech else _own_label(tech, registry)
+    label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
     if cfg is None:
         return registry.memoized(("row", label), _build_row, tech, registry)
     return _build_row(tech, registry, cfg)
-
-
-def _own_label(tech: Technology, registry: Registry) -> str:
-    """The label of `tech`, the memo's key for it, once `tech` is (or equals) the registry's record
-    of that label: a technology reaches the model only as one the loader checked."""
-    label = tech.label
-    own = registry.technologies.get(label)
-    if own is not tech and own != tech:
-        raise UnknownNameError(
-            f"technology {label!r} is not this registry's record of that label; change a technology with derive"
-        )
-    return label
 
 
 def _row_terms(constants: GlobalConstants) -> tuple:
@@ -98,7 +86,7 @@ def bench_workload(
     """Run a named workload on one technology at the fan-in of its class
     (`Registry.fan_in`), which also picks the default schedule. The result
     is built once per registry content."""
-    label = tech.label if registry.technologies.get(tech.label) is tech else _own_label(tech, registry)
+    label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
     key = ("workload", workload_name, label, schedule)
     return registry._memo.get(key) or registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
 

@@ -11,6 +11,13 @@ back-filled from the two consistency identities
     power      = throughput * event_energy
 
 and quoted values are never overwritten.
+
+A chip or workload spec reaches the model only as its registry's record,
+or one equal to it (`registry.own_name`), and the memo keys it by name.
+The one other chip accepted is that record back-filled, the chip of
+`topsdown --backfill`: a pure function of the record, keyed
+`("backfill", name)`. Any other chip or spec raises `UnknownNameError`
+before any memo lookup, so a changed chip comes from `neurobench.derive`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import NamedTuple
 from . import units
 from .ade import AdeTriple
 from .interconnect import ElementBench
-from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec, memo_key
+from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec, own_name
 from .workload import WorkloadBench, run_workload
 
 
@@ -59,11 +66,25 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     and runs one synaptic event every 1/(fire_rate * activity * s_neu); an
     accelerator splits only its compute fraction of the area, runs one MAC
     per clock and, unless the record quotes an activity, runs at full
-    activity. The element is computed once per registry content and chip
-    (`memo_key`); an incomputable chip, or a figure that overflows, raises on
-    every call.
+    activity. The element is computed once per registry content and chip;
+    an incomputable chip, or a figure that overflows, raises on every call.
     """
-    return registry.memoized(("chip element", memo_key(registry.chips, chip)), _element, chip, registry)
+    key = chip.name if registry.chips.get(chip.name) is chip else _chip_key(chip, registry)
+    return registry.memoized(("chip element", key), _element, chip, registry)
+
+
+def _chip_key(chip: ChipRecord, registry: Registry):
+    """The memo's key for a chip that is not the very record the registry holds
+    under its name: `("backfill", name)` when it equals that record back-filled,
+    else the name of a chip equal to the record (`own_name`); any other raises."""
+    own = registry.chips.get(chip.name)
+    if own is not None and own != chip:
+        try:
+            if chip == backfill_derived(own).chip:
+                return "backfill", chip.name
+        except IncomputableError:  # a record that cannot be back-filled has no back-filled chip
+            pass
+    return own_name(registry, chip)
 
 
 def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
@@ -186,9 +207,11 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
     Accelerators run as ANN at the "sequential" fan-in; neuromorphic chips
     run with spiking semantics (activity decaying per stage) at the "snn"
     fan-in. The result is computed once per registry content, chip and
-    workload (`memo_key`).
+    workload.
     """
-    key = ("chip workload", memo_key(registry.chips, chip), memo_key(registry.workloads, spec))
+    chip_key = chip.name if registry.chips.get(chip.name) is chip else _chip_key(chip, registry)
+    spec_key = spec.name if registry.workloads.get(spec.name) is spec else own_name(registry, spec)
+    key = "chip workload", chip_key, spec_key
     return registry._memo.get(key) or registry.memoized(key, _chip_workload, chip, spec, registry)
 
 

@@ -11,22 +11,26 @@ also picks the default schedule.
 
 Evaluation is split in two. `workload_plan` compiles a workload at one
 network kind and fan-in into `StagePlan` entries, the counts that no
-technology changes, once per spec object. One generator,
-`_stage_figures`, then evaluates every planned stage of one element row,
-and `aggregate` sums what it yields in one pass, so `run_workload` builds
-no per-stage object. `stage_benches` is the per-stage view of the same
-generator. Loads of the same workloads.json bytes share spec objects, and
-so their plans.
+technology changes, once per distinct spec value in a bounded cache. One
+generator, `_stage_figures`, then evaluates every planned stage of one
+element row, and `aggregate` sums what it yields in one pass, so
+`run_workload` builds no per-stage object. `stage_benches` is the
+per-stage view of the same generator.
 
-Only type-checking imports reference other modules.
+A spec reaches `run_workload` only as its registry's record, so the
+loader's checks of workloads.json hold for every planned layer: a known
+kind, counts of at least 1, a kernel within the image under valid padding
+and at least one layer. The model checks none of them again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from . import units
+from .registry import own_name
 
 if TYPE_CHECKING:  # avoid runtime cycles; duck-typed at runtime
     from .interconnect import ElementBench
@@ -86,40 +90,28 @@ class WorkloadBench(NamedTuple):
 
 
 def stage_params(layer: LayerSpec, stage_index: int, network_kind: str) -> StageParams:
-    """Core-level counts for one layer.
+    """Core-level counts for one layer, the `stage_index`-th (from 1).
 
     Spiking activity decays as 1/stage down the network; everything else runs
     at full activity. Convolutions count every contributing input-map pixel
     as an input neuron.
     """
-    if stage_index < 1:
-        raise ValueError("stage_index is 1-based")
     r_a = 1.0 / stage_index if network_kind == "SNN" else 1.0
     if layer.kind == "fully_connected":
-        stage = StageParams(n_in=layer.inputs, n_out=layer.outputs, s_neu=layer.inputs, f_st=1, r_a=r_a)
-    elif layer.kind == "convolution":
-        if layer.padding == "valid":
-            if layer.kernel > layer.image_w or layer.kernel > layer.image_h:
-                raise ValueError(
-                    f"kernel {layer.kernel} exceeds image {layer.image_w}x{layer.image_h} under valid padding"
-                )
-            out_w = (layer.image_w - layer.kernel) // layer.stride + 1
-            out_h = (layer.image_h - layer.kernel) // layer.stride + 1
-        else:  # same
-            out_w = math.ceil(layer.image_w / layer.stride)
-            out_h = math.ceil(layer.image_h / layer.stride)
-        stage = StageParams(
-            n_in=layer.image_w * layer.image_h * layer.in_channels,
-            n_out=out_w * out_h,
-            s_neu=layer.kernel * layer.kernel * layer.in_channels,
-            f_st=layer.feature_maps,
-            r_a=r_a,
-        )
-    else:
-        raise ValueError(f"unknown layer kind {layer.kind!r}")
-    if min(stage.n_in, stage.n_out, stage.s_neu, stage.f_st) < 1:
-        raise ValueError("stage counts must be >= 1")
-    return stage
+        return StageParams(n_in=layer.inputs, n_out=layer.outputs, s_neu=layer.inputs, f_st=1, r_a=r_a)
+    if layer.padding == "valid":  # a convolution
+        out_w = (layer.image_w - layer.kernel) // layer.stride + 1
+        out_h = (layer.image_h - layer.kernel) // layer.stride + 1
+    else:  # same
+        out_w = math.ceil(layer.image_w / layer.stride)
+        out_h = math.ceil(layer.image_h / layer.stride)
+    return StageParams(
+        n_in=layer.image_w * layer.image_h * layer.in_channels,
+        n_out=out_w * out_h,
+        s_neu=layer.kernel * layer.kernel * layer.in_channels,
+        f_st=layer.feature_maps,
+        r_a=r_a,
+    )
 
 
 def cascade(fan_in: Optional[int], s_neu: int) -> tuple[int, int]:
@@ -129,8 +121,6 @@ def cascade(fan_in: Optional[int], s_neu: int) -> tuple[int, int]:
     the sequential mode: one neuron absorbs one input per level. Integer
     arithmetic throughout; no float logs.
     """
-    if s_neu < 1:
-        raise ValueError("s_neu must be >= 1")
     if fan_in is None:
         return 1, 1
     if fan_in < 1:
@@ -166,16 +156,13 @@ def plan_stage(stage: StageParams, fan_in: Optional[int]) -> StagePlan:
     )
 
 
+# the shipped workloads need 66 plans: 6 workloads x 11 (network kind, fan-in) pairs
+@functools.lru_cache(maxsize=128)
 def workload_plan(spec: WorkloadSpec, network_kind: str, fan_in: Optional[int]) -> tuple[StagePlan, ...]:
-    """The plan of every layer, in order; built once per spec object, network
-    kind and fan-in, and kept in the spec's `_plans`."""
-    key = network_kind, fan_in
-    plan = spec._plans.get(key)
-    if plan is None:
-        layers = enumerate(spec.layers, start=1)
-        plan = tuple(plan_stage(stage_params(layer, index, network_kind), fan_in) for index, layer in layers)
-        plan = spec._plans.setdefault(key, plan)
-    return plan
+    """The plan of every layer, in order; built once per spec value, network
+    kind and fan-in, so specs equal in value share it."""
+    layers = enumerate(spec.layers, start=1)
+    return tuple(plan_stage(stage_params(layer, index, network_kind), fan_in) for index, layer in layers)
 
 
 def _stage_figures(
@@ -237,9 +224,7 @@ def aggregate(stages: Iterable[tuple[float, float, float, int]], schedule: str) 
         raise ValueError(f"unknown schedule {schedule!r}")
     parallel = schedule == "parallel"
     area = delay = energy = 0.0
-    count = 0
     for s_area, s_delay, s_energy, f_st in stages:
-        count += 1
         energy += s_energy * f_st
         if parallel:
             area += s_area * f_st
@@ -248,8 +233,6 @@ def aggregate(stages: Iterable[tuple[float, float, float, int]], schedule: str) 
             if s_area > area:  # max(area, s_area)
                 area = s_area
             delay += s_delay * f_st
-    if not count:
-        raise ValueError("workload needs at least one stage")
     bench = WorkloadBench(area, delay, energy, schedule)
     if not (math.isfinite(area) and math.isfinite(delay) and math.isfinite(energy)):
         raise ValueError(f"workload figures must be finite: {bench}")
@@ -269,7 +252,9 @@ def run_workload(
 
     Without an explicit schedule, sequential operation (fan-in 1) reuses one
     core time-multiplexed and every other fan-in runs the stages in parallel.
+    `spec` must be the registry's record of its name, or equal to it.
     """
+    own_name(registry, spec)
     return aggregate(
         _stage_figures(workload_plan(spec, network_kind, fan_in), elem, registry),
         schedule or ("time_multiplexed" if fan_in == 1 else "parallel"),

@@ -34,3 +34,20 @@ def test_claim_is_lost_on_iqr():
     change = [v - 0.5 for v in parent]  # wins every pair by less than the spread
     assert bench_pairs.change_wins(parent, change, "lower") == 10
     assert not bench_pairs.claim_met(parent, change, "lower")
+
+
+def test_sides_alternate_which_runs_first():
+    assert [bench_pairs.run_order(seed) for seed in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"),
+    ]
+
+
+def test_per_layer_figures_are_medians_of_the_traced_runs():
+    runs = [
+        {"report.emit_matrix.self_ms": {"value": 1.77}, "cli.main.calls": {"value": 1.0}},
+        {"report.emit_matrix.self_ms": {"value": 1.45312}, "cli.main.calls": {"value": 1.0}},
+        {"report.emit_matrix.self_ms": {"value": 1.62}, "cli.main.calls": {"value": 1.0}},
+    ]
+    assert bench_pairs.TRACED_PAIRS == len(runs)
+    assert bench_pairs.median_figures(runs) == {"report.emit_matrix.self_ms": 1.62, "cli.main.calls": 1.0}
+    assert bench_pairs.median_figures(runs[1:2]) == {"report.emit_matrix.self_ms": 1.4531, "cli.main.calls": 1.0}

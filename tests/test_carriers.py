@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from neurobench import load_datasets, topsdown
+from neurobench import derive, load_datasets, topsdown
 from neurobench.ade import ZERO, AdeTriple
 from neurobench.chip import ChipBench, chip_bench, nominal_config
 from neurobench.circuits import AnalogReadBench, OtaCellBench, SenseAmpBench, VoltageSenseAmpBench
@@ -139,8 +139,9 @@ def test_chip_figures_that_overflow_raise():
 
 
 def test_topsdown_figures_that_overflow_raise():
-    registry = load_datasets()
-    chip = registry.chip("Loihi")._replace(energy_per_event=1e307)
+    edits = {("chips", "Loihi", "energy_per_event"): 1e301}  # pJ: 1e307 aJ
+    registry = derive(load_datasets(), {"chips_neuromorphic.json": edits})
+    chip = registry.chip("Loihi")
     message = r"^tops-down figures must be finite: TopsDownElement\(.*neuron_energy=inf\)$"
     with pytest.raises(ValueError, match=message):
         topsdown.topsdown_element(chip, registry)

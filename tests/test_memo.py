@@ -10,7 +10,7 @@ import pytest
 from neurobench import derive, elements, load_datasets, report, topsdown, workload
 from neurobench.chip import nominal_config
 from neurobench.interconnect import ElementBench
-from neurobench.registry import ChipRecord, LayerSpec, Technology, UnknownNameError, WorkloadSpec
+from neurobench.registry import ChipRecord, LayerSpec, Technology, UnknownNameError, WorkloadSpec, own_name
 
 from conftest import load_new, rewrite_json
 
@@ -72,15 +72,6 @@ def test_a_registry_cannot_be_changed(registry):
         with pytest.raises(AttributeError):
             delattr(registry, name)
     assert not hasattr(registry, "_replace") and not isinstance(registry, tuple)
-
-
-def test_replaced_spec_starts_without_plans():
-    registry = load_datasets()
-    spec = registry.workload("mnist_mlp")
-    workload.workload_plan(spec, "ANN", 2)
-    for copy in (spec._replace(), spec._make(spec), WorkloadSpec(*spec)):
-        assert type(copy) is WorkloadSpec and copy._plans == {} and spec._plans
-        assert copy == spec and hash(copy) == hash(spec)  # equality and hash ignore the plans
 
 
 def test_perturbed_dataset_does_not_read_the_default_rows(registry, data_copy):
@@ -155,6 +146,12 @@ def test_shared_raw_elements_give_the_unshared_rows(build, tmp_path):
         assert report.bench_technology(tech, registry) == unshared, tech.label
 
 
+def _row(registry, file, name):
+    """The row of the chip or workload `name` in `file`, as the registry's bytes hold it."""
+    rows = next(v for k, v in json.loads(registry.files[file]).items() if k in ("chips", "workloads"))
+    return next(row for row in rows if row["name"] == name)
+
+
 def test_second_topsdown_call_returns_the_identical_result():
     registry = load_datasets()
     chip, spec = registry.chip("Loihi"), registry.workload("speech_mlp")
@@ -162,8 +159,9 @@ def test_second_topsdown_call_returns_the_identical_result():
     assert topsdown.topsdown_element(chip, registry) is element
     bench = topsdown.run_workload_on_chip(chip, spec, registry)
     assert topsdown.run_workload_on_chip(chip, spec, registry) is bench
-    first_layer = spec._replace(layers=spec.layers[:1])
-    assert topsdown.run_workload_on_chip(chip, first_layer, registry).energy < bench.energy
+    layers = _row(registry, "workloads.json", "speech_mlp")["layers"]
+    first = derive(registry, {"workloads.json": {("workloads", "speech_mlp", "layers"): layers[:1]}})
+    assert topsdown.run_workload_on_chip(first.chip("Loihi"), first.workload("speech_mlp"), first).energy < bench.energy
 
 
 def test_replaced_registry_recomputes_topsdown_results():
@@ -180,7 +178,9 @@ def test_replaced_chip_gets_its_own_topsdown_element():
     registry = load_datasets()
     chip = registry.chip("TrueNorth")
     element = topsdown.topsdown_element(chip, registry)
-    doubled = topsdown.topsdown_element(chip._replace(area=2 * chip.area), registry)
+    area = _row(registry, "chips_neuromorphic.json", "TrueNorth")["area"]
+    larger = derive(registry, {"chips_neuromorphic.json": {("chips", "TrueNorth", "area"): 2 * area}})
+    doubled = topsdown.topsdown_element(larger.chip("TrueNorth"), larger)
     assert doubled.synapse_area == pytest.approx(2 * element.synapse_area)
     assert doubled.neuron_area == pytest.approx(2 * element.neuron_area)
     assert topsdown.topsdown_element(chip, registry) is element
@@ -240,7 +240,7 @@ def test_fan_in_limits_are_read_only(registry):
         registry.fan_in["digital_cmos"] = 2
 
 
-# -- memo keys: a registry's own records by name, any other record by value ------
+# -- memo keys: a registry's own records, by name ------------------------------
 
 
 def _surface_pass(registry):
@@ -278,6 +278,27 @@ def test_warm_pass_hashes_no_record_of_the_registry(monkeypatch, record):
     assert hashed[record] == 0
 
 
+def test_no_memo_key_holds_a_record(tmp_path):
+    registry = load_new(tmp_path)
+    _surface_pass(registry)
+    filled = topsdown.backfill_derived(registry.chip("Diannao")).chip
+    topsdown.run_workload_on_chip(filled, registry.workload("lenet"), registry)
+
+    def records(key):
+        if isinstance(key, (Technology, ChipRecord, WorkloadSpec, LayerSpec)):
+            yield key
+        elif isinstance(key, tuple):
+            for item in key:
+                yield from records(item)
+
+    tags = {"row", "raw element", "row terms", "workload", "chip element", "chip workload"}
+    assert {key[0] for key in registry._memo} == tags
+    assert [key for key in registry._memo if any(records(key))] == []
+    plans = workload.workload_plan.cache_info()
+    _surface_pass(registry)
+    assert workload.workload_plan.cache_info() == plans  # a warm pass makes no plan lookup
+
+
 def test_only_the_registrys_own_technology_reaches_the_model():
     registry = load_datasets()
     tech = registry.technology("ANNDCSRAM")
@@ -300,15 +321,57 @@ def test_only_the_registrys_own_technology_reaches_the_model():
     assert report.bench_workload("lenet", same, registry) is report.bench_workload("lenet", tech, registry)
     derived = derive(registry, {"technologies.json": {("combos", 0, "ic_voltage"): 1.5 * supply}})
     assert report.bench_technology(derived.technology("ANNDCSRAM"), derived) != row
-    # a chip equal to the registry's own, but not it, is keyed by value
-    chip, spec = registry.chip("Loihi"), registry.workload("lenet")
-    own, copy = topsdown.run_workload_on_chip(chip, spec, registry), chip._replace()
-    assert copy is not chip
-    copied = topsdown.run_workload_on_chip(copy, spec, registry)
-    assert copied == own and copied is not own
-    assert registry._memo[("chip workload", copy, "lenet")] is copied
-    assert topsdown.run_workload_on_chip(copy, spec, registry) is copied
-    assert topsdown.run_workload_on_chip(chip, spec, registry) is own
+    # so do a chip and a workload spec: a changed one raises before any memo lookup
+    chip, spec, spiking = registry.chip("Loihi"), registry.workload("lenet"), registry.technology("SpiMEME")
+    element, own = topsdown.topsdown_element(chip, registry), topsdown.run_workload_on_chip(chip, spec, registry)
+    row = report.bench_technology(spiking, registry)
+    larger, shorter = chip._replace(area=2 * chip.area), spec._replace(layers=spec.layers[:1])
+    memo = dict(registry._memo)
+    for name, bench in (
+        ("Loihi", lambda: topsdown.topsdown_element(larger, registry)),
+        ("Loihi", lambda: topsdown.run_workload_on_chip(larger, spec, registry)),
+        ("lenet", lambda: topsdown.run_workload_on_chip(chip, shorter, registry)),
+        ("lenet", lambda: workload.run_workload(shorter, row, registry)),
+    ):
+        with pytest.raises(UnknownNameError, match=f"{name}.*derive"):
+            bench()
+        assert registry._memo == memo
+    same_chip, same_spec = ChipRecord(*chip), WorkloadSpec(*spec)
+    assert same_chip is not chip and same_spec is not spec
+    assert topsdown.topsdown_element(same_chip, registry) is element
+    assert topsdown.run_workload_on_chip(same_chip, same_spec, registry) is own
+    assert workload.run_workload(same_spec, row, registry) == workload.run_workload(spec, row, registry)
+    # the back-filled chip, a pure function of the registry's record, has entries of its own
+    diannao = registry.chip("Diannao")
+    filled = topsdown.backfill_derived(diannao).chip
+    assert filled != diannao
+    filled_element = topsdown.topsdown_element(filled, registry)
+    filled_bench = topsdown.run_workload_on_chip(filled, spec, registry)
+    assert registry._memo[("chip element", ("backfill", "Diannao"))] is filled_element
+    assert registry._memo[("chip workload", ("backfill", "Diannao"), "lenet")] is filled_bench
+    assert topsdown.run_workload_on_chip(topsdown.backfill_derived(diannao).chip, spec, registry) is filled_bench
+    assert topsdown.run_workload_on_chip(diannao, spec, registry) != filled_bench
+    with pytest.raises(UnknownNameError, match="Diannao.*derive"):
+        topsdown.topsdown_element(filled._replace(area=2 * filled.area), registry)
+    with pytest.raises(UnknownNameError, match="DYNAPSEL.*derive"):  # a record with no back-filled chip
+        topsdown.topsdown_element(registry.chip("DYNAPSEL")._replace(cores=1), registry)
+
+
+@pytest.mark.parametrize(
+    "mapping, name, changes",
+    [
+        ("technologies", "ANNDCSRAM", {"ic_voltage": 2.0}),
+        ("chips", "Loihi", {"cores": 1}),
+        ("workloads", "lenet", {"layers": ()}),
+    ],
+)
+def test_own_name_accepts_the_registrys_record_or_an_equal_one(registry, mapping, name, changes):
+    record = getattr(registry, mapping)[name]
+    assert own_name(registry, record) == name
+    assert own_name(registry, type(record)(*record)) == name
+    for other in (record._replace(**changes), record._replace(**{record._fields[0]: "nothing"})):
+        with pytest.raises(UnknownNameError, match=f"{other[0]}.*not this registry's record.*derive"):
+            own_name(registry, other)
 
 
 def test_chip_named_like_a_technology_keeps_its_own_entries(data_copy):

@@ -466,6 +466,19 @@ def _edit(doc, path, value):
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
             id="workloads.json:workloads.lenet.layers.0.image_w",
         ),
+        # the workload model checks no layer again: an unknown kind and a zero count stop here
+        pytest.param(
+            "workloads.json", ("workloads", "lenet", "layers", 0, "kind"), "pooling",
+            ("workloads.json: lenet.layers[0].kind: must be one of ['convolution', 'fully_connected'], got 'pooling'",),
+            ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
+            id="workloads.json:workloads.lenet.layers.0.kind",
+        ),
+        pytest.param(
+            "workloads.json", ("workloads", "mnist_mlp", "layers", 0, "outputs"), 0,
+            ("workloads.json: mnist_mlp.layers[0].outputs: must be an integer >= 1, got 0",),
+            ("topsdown", "--chip", "Loihi", "--workload", "mnist_mlp"),
+            id="workloads.json:workloads.mnist_mlp.layers.0.outputs",
+        ),
     ],
 )
 def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value, named, argv):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from neurobench.registry import ChipRecord, WorkloadSpec
+from neurobench import derive
 from neurobench.topsdown import (
     IncomputableError,
     backfill_derived,
@@ -73,18 +73,22 @@ def test_accelerator_time_step_is_clock(registry):
     assert eyeriss.synapse_delay == pytest.approx(1e12 / 200e6)  # 200 MHz in ps
 
 
+def without(registry, chip, *fields):
+    """`registry` derived with the accelerator `chip` lacking `fields`, and that chip."""
+    derived = derive(registry, {"chips_accelerators.json": {("chips", chip, f): None for f in fields}})
+    return derived, derived.chip(chip)
+
+
 def test_accelerator_missing_clock(registry):
-    chip = ChipRecord(name="X", kind="accelerator", cores=1, neurons_per_core=1, synapses_per_neuron=1,
-                      area=1e12, power=1.0, syn_throughput=1e9)
+    derived, chip = without(registry, "Eyeriss", "clock")
     with pytest.raises(IncomputableError, match="clock"):
-        topsdown_element(chip, registry)
+        topsdown_element(chip, derived)
 
 
 def test_accelerator_missing_energy_sources(registry):
-    chip = ChipRecord(name="X", kind="accelerator", cores=1, neurons_per_core=1, synapses_per_neuron=1,
-                      area=1e12, clock=1e9)
+    derived, chip = without(registry, "Eyeriss", "power", "syn_throughput", "energy_per_event")
     with pytest.raises(IncomputableError, match="energy_per_event"):
-        topsdown_element(chip, registry)
+        topsdown_element(chip, derived)
 
 
 # -- back-fill -----------------------------------------------------------------
@@ -153,12 +157,6 @@ def test_accelerator_runs_time_multiplexed(registry):
     # sequential: first stage pays one clock per synapse
     clock_ps = 1e12 / 800e6
     assert bench.delay == pytest.approx(((390 + 1) + (256 + 1) + (256 + 1)) * clock_ps)
-
-
-def test_zero_stage_workload_rejected(registry):
-    empty = WorkloadSpec(name="nothing", layers=())
-    with pytest.raises(ValueError):
-        run_workload_on_chip(registry.chip("Loihi"), empty, registry)
 
 
 def test_chip_without_area_cannot_run_workloads(registry):

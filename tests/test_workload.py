@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 from neurobench import derive, load_datasets
 from neurobench.ade import AdeTriple
 from neurobench.interconnect import ElementBench
-from neurobench.registry import LayerSpec, ValidationError, WorkloadSpec
+from neurobench.registry import LayerSpec, ValidationError
 from neurobench.report import bench_technology, bench_workload
 from neurobench.workload import (
     StageBench,
@@ -107,12 +107,6 @@ def test_degenerate_1x1_kernel():
     stage = stage_params(layer, 1, "ANN")
     assert stage.s_neu == 3
     assert stage.n_out == 64
-
-
-def test_kernel_larger_than_image_rejected():
-    layer = LayerSpec(kind="convolution", image_w=4, image_h=4, in_channels=1, kernel=5, feature_maps=1)
-    with pytest.raises(ValueError, match="kernel"):
-        stage_params(layer, 1, "ANN")
 
 
 def test_snn_activity_decays_with_stage():
@@ -254,18 +248,11 @@ def test_single_stage_schedules_coincide():
     assert (par.area, par.delay, par.energy) == (tmux.area, tmux.delay, tmux.energy)
 
 
-def test_aggregate_rejects_empty():
-    with pytest.raises(ValueError):
-        aggregate([], "parallel")
-
-
 def test_aggregate_takes_one_pass_over_any_iterable_of_figures():
     figures = [(5.0, 7.0, 11.0, 2), (3.0, 1.0, 4.0, 1)]
     for schedule in ("parallel", "time_multiplexed"):
         from_benches = aggregate([StageBench(*f) for f in figures], schedule)
         assert aggregate(iter(figures), schedule) == aggregate((f for f in figures), schedule) == from_benches
-    with pytest.raises(ValueError, match="^workload needs at least one stage$"):
-        aggregate(iter(()), "parallel")
     with pytest.raises(ValueError, match="^unknown schedule 'both'$"):
         aggregate(iter(figures), "both")
 
@@ -358,29 +345,38 @@ def test_workload_delay_monotone_in_stage_delay(registry):
 # -- the stage kernel against the per-stage oracle ----------------------------------
 
 
-fully_connected = st.builds(
-    LayerSpec, kind=st.just("fully_connected"), inputs=st.integers(1, 2048), outputs=st.integers(1, 2048)
+# layers as workloads.json rows: a spec reaches the model only through the loader
+fully_connected = st.fixed_dictionaries(
+    {"kind": st.just("fully_connected"), "inputs": st.integers(1, 2048), "outputs": st.integers(1, 2048)}
 )
 
 
 @st.composite
 def convolutions(draw):
     image_w, image_h = draw(st.integers(1, 64)), draw(st.integers(1, 64))
-    return LayerSpec(
-        kind="convolution",
-        image_w=image_w,
-        image_h=image_h,
-        in_channels=draw(st.integers(1, 8)),
-        kernel=draw(st.integers(1, min(image_w, image_h, 11))),
-        feature_maps=draw(st.integers(1, 64)),
-        stride=draw(st.integers(1, 4)),
-        padding=draw(st.sampled_from(["valid", "same"])),
-    )
+    return {
+        "kind": "convolution",
+        "image_w": image_w,
+        "image_h": image_h,
+        "in_channels": draw(st.integers(1, 8)),
+        "kernel": draw(st.integers(1, min(image_w, image_h, 11))),
+        "feature_maps": draw(st.integers(1, 64)),
+        "stride": draw(st.integers(1, 4)),
+        "padding": draw(st.sampled_from(["valid", "same"])),
+    }
 
 
-workloads = st.lists(st.one_of(fully_connected, convolutions()), min_size=1, max_size=8).map(
-    lambda layers: WorkloadSpec(name="generated", layers=tuple(layers))
-)
+workloads = st.lists(st.one_of(fully_connected, convolutions()), min_size=1, max_size=8)
+
+
+def with_layers(registry, layers, constants=None, name="lenet"):
+    """`registry` derived with `layers` as the rows of workload `name` and with the
+    constants.json edits `constants`, and the spec the loader read from them."""
+    edits = {"workloads.json": {("workloads", name, "layers"): layers}}
+    if constants:
+        edits["constants.json"] = constants
+    derived = derive(registry, edits)
+    return derived, derived.workload(name)
 fan_ins = st.one_of(st.none(), st.just(1), st.integers(2, 64))
 schedules = st.sampled_from([None, "parallel", "time_multiplexed"])
 figures = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
@@ -390,7 +386,7 @@ elements = st.builds(ElementBench, synapse=triples, neuron=triples, core_ic=trip
 
 @settings(max_examples=300, deadline=None)
 @given(
-    spec=workloads,
+    layers=workloads,
     elem=elements,
     kind=st.sampled_from(["ANN", "SNN"]),
     fan_in=fan_ins,
@@ -399,7 +395,7 @@ elements = st.builds(ElementBench, synapse=triples, neuron=triples, core_ic=trip
     wire_pitch=st.floats(1.0, 1e3),
 )
 def test_run_workload_equals_stage_oracle_bit_for_bit(
-    registry, spec, elem, kind, fan_in, schedule, overheads, wire_pitch
+    registry, layers, elem, kind, fan_in, schedule, overheads, wire_pitch
 ):
     # overheads and a pitch off the shipped round numbers, so that a
     # reordered product rounds differently
@@ -410,7 +406,7 @@ def test_run_workload_equals_stage_oracle_bit_for_bit(
         ("overheads", "synapse"): synapse,
         ("wire_pitch_f",): wire_pitch / registry.constants.feature_size,
     }
-    derived = derive(registry, {"constants.json": edits})
+    derived, spec = with_layers(registry, layers, edits)
     c = derived.constants
     assert stage_benches(workload_plan(spec, kind, fan_in), elem, derived) == oracle_stages(spec, elem, c, kind, fan_in)
     got = run_workload(spec, elem, derived, network_kind=kind, fan_in=fan_in, schedule=schedule)
@@ -432,16 +428,17 @@ PERTURBED = (  # paths in constants.json
 scalings = st.one_of(st.none(), st.tuples(*[st.floats(0.5, 2.0)] * len(PERTURBED)))
 
 
-def scaled(registry, factors):
-    """The shipped registry for factors None, else one derived with the
-    `PERTURBED` constants scaled. A draw is discarded only when the loader
-    rejects it for breaking the ordering sense_voltage < supply_voltage."""
-    if factors is None:
-        return registry
-    doc = json.loads(registry.files["constants.json"])
-    edits = {path: reduce(getitem, path, doc) * f for path, f in zip(PERTURBED, factors)}
+def scaled(registry, factors, layers):
+    """`registry` derived with `layers` as the lenet workload's rows and, unless
+    factors is None, the `PERTURBED` constants scaled; and its lenet spec. A draw
+    is discarded only when the loader rejects it for breaking the ordering
+    sense_voltage < supply_voltage."""
+    edits = None
+    if factors is not None:
+        doc = json.loads(registry.files["constants.json"])
+        edits = {path: reduce(getitem, path, doc) * f for path, f in zip(PERTURBED, factors)}
     try:
-        return derive(registry, {"constants.json": edits})
+        return with_layers(registry, layers, edits)
     except ValidationError as e:
         if not str(e).startswith("constants.json: sense_voltage: must be below supply_voltage "):
             raise
@@ -453,9 +450,9 @@ def shipped_rows(registry):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workloads, factors=scalings)
-def test_schedules_share_energy_and_trade_area_for_delay(registry, spec, factors):
-    registry = scaled(registry, factors)
+@given(layers=workloads, factors=scalings)
+def test_schedules_share_energy_and_trade_area_for_delay(registry, layers, factors):
+    registry, spec = scaled(registry, factors, layers)
     for tech, row in shipped_rows(registry):
         policy = {"network_kind": tech.network_kind, "fan_in": registry.fan_in[tech.fan_in_class]}
         par = run_workload(spec, row, registry, schedule="parallel", **policy)
@@ -467,13 +464,13 @@ def test_schedules_share_energy_and_trade_area_for_delay(registry, spec, factors
 
 @settings(max_examples=30, deadline=None)
 @given(
-    spec=workloads,
+    layers=workloads,
     pair=st.lists(st.integers(1, 64), min_size=2, max_size=2, unique=True),
     schedule=schedules,
     factors=scalings,
 )
-def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule, factors):
-    registry = scaled(registry, factors)
+def test_larger_fan_in_never_raises_delay(registry, layers, pair, schedule, factors):
+    registry, spec = scaled(registry, factors, layers)
     for tech, row in shipped_rows(registry):
         delays = [
             run_workload(spec, row, registry, network_kind=tech.network_kind, fan_in=fan_in, schedule=schedule).delay
@@ -483,9 +480,9 @@ def test_larger_fan_in_never_raises_delay(registry, spec, pair, schedule, factor
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=workloads, factors=scalings)
-def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(registry, spec, factors):
-    registry = scaled(registry, factors)
+@given(layers=workloads, factors=scalings)
+def test_stage_synapse_energy_is_activity_times_synapses_times_synapse_energy(registry, layers, factors):
+    registry, spec = scaled(registry, factors, layers)
     for tech, row in shipped_rows(registry):
         silent = row._replace(
             neuron=row.neuron._replace(energy=0.0),
@@ -532,14 +529,14 @@ def _workloads_reserialized(data_copy, indent: int):
 
 
 def test_value_equal_specs_from_two_loads_share_plans_and_results(registry, data_copy):
-    # two byte contents that no other test loads, so neither spec holds plans yet
+    # two byte contents that no other test loads, so their specs are other objects
     first, second = _workloads_reserialized(data_copy, indent=3), _workloads_reserialized(data_copy, indent=4)
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     for name, spec in registry.workloads.items():
         a, b = first.workload(name), second.workload(name)
         assert a is not b and a == b == spec
         for kind, fan_in in (("ANN", None), ("SNN", 16), ("ANN", 1)):
-            assert workload_plan(a, kind, fan_in) == workload_plan(b, kind, fan_in)
+            assert workload_plan(a, kind, fan_in) is workload_plan(b, kind, fan_in)
             results = [run_workload(s, elem, registry, network_kind=kind, fan_in=fan_in) for s in (a, b, spec)]
             assert results[0] == results[1] == results[2] == oracle(spec, elem, registry.constants, kind, fan_in)
 
@@ -548,16 +545,27 @@ def test_replaced_spec_gets_its_own_plan(registry):
     spec = registry.workload("mnist_mlp")
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     assert len(workload_plan(spec, "ANN", 2)) == 3
-    shorter = spec._replace(layers=spec.layers[:1])
-    wider = spec._replace(layers=(spec.layers[0]._replace(outputs=512), *spec.layers[1:]))
-    assert len(workload_plan(shorter, "ANN", 2)) == 1
-    assert workload_plan(wider, "ANN", 2) != workload_plan(spec, "ANN", 2)
-    for s in (spec, shorter, wider, spec):
-        assert run_workload(s, elem, registry, fan_in=2) == oracle(s, elem, registry.constants, fan_in=2)
+    doc = json.loads(registry.files["workloads.json"])
+    rows = next(w["layers"] for w in doc["workloads"] if w["name"] == "mnist_mlp")
+    shorter = with_layers(registry, rows[:1], name="mnist_mlp")
+    wider = with_layers(registry, [{**rows[0], "outputs": 512}, *rows[1:]], name="mnist_mlp")
+    assert len(workload_plan(shorter[1], "ANN", 2)) == 1
+    assert workload_plan(wider[1], "ANN", 2) != workload_plan(spec, "ANN", 2)
+    for reg, s in ((registry, spec), shorter, wider, (registry, spec)):
+        assert run_workload(s, elem, reg, fan_in=2) == oracle(s, elem, reg.constants, fan_in=2)
+
+
+def test_the_plan_cache_holds_every_plan_of_the_shipped_data(registry):
+    runs = {(tech.network_kind, registry.fan_in[tech.fan_in_class]) for tech in registry.technologies.values()}
+    runs |= {("ANN", registry.fan_in["sequential"]), ("SNN", registry.fan_in["snn"])}  # the chips' runs
+    keys = [(spec, kind, fan_in) for spec in registry.workloads.values() for kind, fan_in in runs]
+    assert len(keys) == 66
+    plans = [workload_plan(*key) for key in keys]
+    assert all(workload_plan(*key) is plan for key, plan in zip(keys, plans))  # none evicted
 
 
 def test_network_kinds_and_fan_ins_never_share_a_plan(registry, data_copy):
-    spec = _workloads_reserialized(data_copy, indent=5).workload("lenet")  # a spec no other test has planned
+    spec = _workloads_reserialized(data_copy, indent=5).workload("lenet")  # equal to the registry's own lenet
     elem = element(a_syn=3.7, t_syn=1.3, e_syn=0.7)
     runs = [(kind, fan_in) for kind in ("ANN", "SNN") for fan_in in (None, 1, 2, 16)]
     for kind, fan_in in runs + runs[::-1]:
