@@ -24,7 +24,6 @@ from run_benchmarks import main as run_benchmarks
 
 from neurobench import load_datasets, report
 from neurobench.cli import main as cli_main
-from neurobench.chip import nominal_config, chip_bench
 from neurobench.topsdown import IncomputableError, run_workload_on_chip, topsdown_element
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -36,8 +35,7 @@ def bottoms_up(registry) -> dict:
     for tech in registry.enumerate_technologies():
         bench = report.bench_technology(tech, registry)
         payload["elements"][tech.label] = list(bench.columns())
-        cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
-        figures = chip_bench(cfg, bench, registry.constants)._asdict()
+        figures = report.bench_chip(tech, registry)._asdict()
         del figures["total_synapses"]
         payload["nominal_chip"][tech.label] = figures
 

@@ -11,6 +11,8 @@ from . import units
 from .interconnect import ElementBench
 from .registry import Fraction, GlobalConstants
 
+_new = tuple.__new__
+
 
 class _ChipConfig(NamedTuple):
     cores: int
@@ -24,18 +26,17 @@ class ChipConfig(_ChipConfig):
     """Core and neuron counts, activity and spiking mode of one chip.
 
     Every count is >= 1 and the activity lies in (0, 1]; construction,
-    `_make` and `_replace` all check it.
+    `_make` and `_replace` all check it. `__new__` repeats the defaults.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "ChipConfig":
-        cfg = super().__new__(cls, *args, **kwargs)
-        if min(cfg.cores, cfg.neurons_per_core, cfg.synapses_per_neuron) < 1:
+    def __new__(cls, cores, neurons_per_core, synapses_per_neuron, activity=1.0, spiking=False) -> "ChipConfig":
+        if cores < 1 or neurons_per_core < 1 or synapses_per_neuron < 1:
             raise ValueError("chip config counts must be >= 1")
-        if not (0.0 < cfg.activity <= 1.0):
-            raise ValueError(f"activity must be in (0, 1], got {cfg.activity}")
-        return cfg
+        if not (0.0 < activity <= 1.0):
+            raise ValueError(f"activity must be in (0, 1], got {activity}")
+        return _new(cls, (cores, neurons_per_core, synapses_per_neuron, activity, spiking))
 
     @classmethod
     def _make(cls, iterable) -> "ChipConfig":
@@ -93,19 +94,19 @@ def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:
     return 1.0 / tau_syn
 
 
-def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) -> ChipBench:
+def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants, terms=None) -> ChipBench:
     """Chip-level figures from one element bench (interconnect included); a
-    figure that overflows raises."""
-    syn = elem.synapse_total
-    neu = elem.neuron_total
+    figure that overflows raises. `terms` are `area_terms(cfg, constants)`, when the caller holds them."""
+    cores, neurons_per_core, synapses_per_neuron, activity, _ = cfg
+    (a_syn, _, _), (a_neu, _, _), _, _, (_, _, e_syn), (_, t_neu, e_neu) = elem
     f_fire = firing_rate(cfg, elem)
-    tau_step = 1.0 / f_fire + neu.delay
-    e_event = syn.energy + neu.energy / (cfg.activity * cfg.synapses_per_neuron)
-    synapses = cfg.total_synapses
-    throughput = f_fire * cfg.activity * synapses
+    tau_step = 1.0 / f_fire + t_neu
+    e_event = e_syn + e_neu / (activity * synapses_per_neuron)
+    synapses = cores * neurons_per_core * synapses_per_neuron  # `cfg.total_synapses`
+    throughput = f_fire * activity * synapses
     power = throughput * e_event
-    area = chip_area(area_terms(cfg, constants), elem.neuron.area, elem.synapse.area)
-    bench = ChipBench(synapses, area, f_fire, tau_step, e_event, throughput, power, power * tau_step)
+    area = chip_area(terms or area_terms(cfg, constants), a_neu, a_syn)
+    bench = _new(ChipBench, (synapses, area, f_fire, tau_step, e_event, throughput, power, power * tau_step))
     if not all(map(math.isfinite, bench)):
         raise ValueError(f"chip figures must be finite: {bench}")
     return bench

@@ -135,7 +135,7 @@ def _cmd_devices(args, registry: Registry) -> None:
 
 def _cmd_bench(args, registry: Registry) -> None:
     from . import report
-    from .chip import chip_bench, nominal_config
+    from .chip import chip_bench
 
     p = args.precision
     if args.bench_command == "element":
@@ -148,12 +148,10 @@ def _cmd_bench(args, registry: Registry) -> None:
     elif args.bench_command == "chip":
         tech = registry.technology(args.tech)
         if args.nominal:
-            cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
-            row = report.bench_technology(tech, registry)
+            bench = report.bench_chip(tech, registry)
         else:
             cfg = _chip_config(args.config)
-            row = report.bench_technology(tech, registry, cfg)
-        bench = chip_bench(cfg, row, registry.constants)
+            bench = chip_bench(cfg, report.bench_technology(tech, registry, cfg), registry.constants)
         print(f"total_synapses: {bench.total_synapses}")
         print(f"area_nm2: {bench.area:.{p}g}")
         print(f"firing_rate_per_s: {bench.firing_rate * units.PS_PER_S:.{p}g}")

@@ -75,11 +75,8 @@ class ElementBench(_Row):
 
     def columns(self) -> tuple[float, ...]:
         """Reference-matrix column order: areas, delays, energies; syn/lic/neu/gic each."""
-        return (
-            self.synapse.area, self.core_ic.area, self.neuron.area, self.chip_ic.area,
-            self.synapse.delay, self.core_ic.delay, self.neuron.delay, self.chip_ic.delay,
-            self.synapse.energy, self.core_ic.energy, self.neuron.energy, self.chip_ic.energy,
-        )
+        (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = self[:4]
+        return a_syn, a_lic, a_neu, a_gic, t_syn, t_lic, t_neu, t_gic, e_syn, e_lic, e_neu, e_gic
 
 
 class Wiring(NamedTuple):

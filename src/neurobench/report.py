@@ -2,19 +2,21 @@
 scatter datasets, Pareto fronts, and the per-technology evaluation pipeline
 that feeds them. All tabular output is deterministic: fixed row order
 (technology dataset order), fixed precision, '.' decimal separator, LF
-line endings. Each row is one `%` on a template built once per call. A text
-cell from the dataset (a technology label or chip name) is quoted as RFC 4180
-says: wrapped in double quotes when it holds a comma, a double quote, CR or
-LF, with each double quote doubled."""
+line endings. Each document is one `%` on a template built once per call.
+A text cell from the dataset (a technology label or chip name) is quoted as
+RFC 4180 says: wrapped in double quotes when it holds a comma, a double
+quote, CR or LF, with each double quote doubled."""
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import units
-from .chip import ChipConfig, area_terms, chip_area, nominal_config
+from .chip import ChipBench, ChipConfig, area_terms, chip_area, chip_bench, nominal_config
 from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row, wiring
 from .networks import network_transform, transform_terms
@@ -28,6 +30,8 @@ MATRIX_HEADER = (
     "energy_syn_aJ", "energy_lic_aJ", "energy_neu_aJ", "energy_gic_aJ",
 )
 
+_new = tuple.__new__
+
 class ScatterPoint(NamedTuple):
     label: str
     x: float
@@ -39,7 +43,7 @@ def _point(label: str, x: float, y: float, series: str) -> ScatterPoint:
     """The one constructor `scatter_dataset` uses: plots need finite, positive coordinates."""
     if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
         raise ValueError(f"scatter point {label}: coordinates must be finite and positive")
-    return ScatterPoint(label, x, y, series)
+    return _new(ScatterPoint, (label, x, y, series))
 
 
 def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
@@ -51,7 +55,7 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     """
     label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
     if cfg is None:
-        return registry.memoized(("row", label), _build_row, tech, registry)
+        return registry._memo.get(("row", label)) or registry.memoized(("row", label), _build_row, tech, registry)
     return _build_row(tech, registry, cfg)
 
 
@@ -75,6 +79,18 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
         wire,
         *wire_drive(tech, registry, i_cmos),
     )
+
+
+def bench_chip(tech: Technology, registry: Registry) -> ChipBench:
+    """`chip_bench` of a technology's nominal chip (spiking for an SNN) once per registry content."""
+    label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
+    return registry.memoized(("nominal chip", label), _nominal_chip, tech, registry)
+
+
+def _nominal_chip(tech: Technology, registry: Registry) -> ChipBench:
+    area = registry.memoized(("row terms",), _row_terms, registry.constants)[1]
+    cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
+    return chip_bench(cfg, bench_technology(tech, registry), registry.constants, area)
 
 
 def bench_workload(
@@ -104,9 +120,9 @@ def _workload_bench(workload_name: str, tech: Technology, registry: Registry, sc
 
 def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
     """`ElementBench.columns` with the four areas in um^2, matching the reference matrix."""
-    a_syn, a_lic, a_neu, a_gic, *rest = bench.columns()
+    (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = bench[:4]
     um2 = units.AREA_TO_NM2["um^2"]
-    return (a_syn / um2, a_lic / um2, a_neu / um2, a_gic / um2, *rest)
+    return a_syn / um2, a_lic / um2, a_neu / um2, a_gic / um2, t_syn, t_lic, t_neu, t_gic, e_syn, e_lic, e_neu, e_gic
 
 
 def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> list[ElementBench]:
@@ -124,7 +140,8 @@ def _csv_lines(header: tuple, template: str, cells: list) -> str:
     """CSV of one document: `template` holds the formats of its rows and `cells`, flat, their
     cells, each row's first cell dataset text."""
     width = len(header)
-    cells[::width] = map(_text, cells[::width])
+    if not "".join(cells[::width]).isalnum():  # else no text cell needs quoting
+        cells[::width] = map(_text, cells[::width])
     return ",".join(header) + "\n" + template % tuple(cells)
 
 
@@ -148,7 +165,7 @@ def emit_matrix(
         template *= len(techs)
         for tech in techs:
             cells.append(tech.label)
-            cells += matrix_columns(bench_technology(tech, registry))
+            cells += matrix_columns(registry._memo.get(("row", tech.label)) or bench_technology(tech, registry))
     elif scope == "workload":
         if workload is None:
             raise UnknownNameError("workload scope requires a workload name")
@@ -158,9 +175,11 @@ def emit_matrix(
         template = ",".join(["%s", *[figure] * 5, "%s"]) + "\n"
         template *= len(techs)
         for tech in techs:
-            area, delay, energy, schedule = bench_workload(workload, tech, registry)
+            label = tech.label
+            bench = registry._memo.get(("workload", workload, label, None)) or bench_workload(workload, tech, registry)
+            area, delay, energy, schedule = bench
             power_w = energy / delay * units.W_PER_AJ_PER_PS  # as WorkloadBench.power_w and .inferences_per_s
-            cells += tech.label, area, delay, energy, power_w, units.PS_PER_S / delay, schedule
+            cells += label, area, delay, energy, power_w, units.PS_PER_S / delay, schedule
     elif scope == "chips":
         from .topsdown import IncomputableError, topsdown_element  # the other scopes never load tops-down
 
@@ -173,13 +192,12 @@ def emit_matrix(
         for name in sorted(registry.chips):
             chip = registry.chips[name]
             try:
-                e = topsdown_element(chip, registry)
+                neuron_area, synapse_area, *figures = topsdown_element(chip, registry)
             except IncomputableError:
                 cells += name, chip.kind, "", "", "", "", ""
                 template += blank
             else:
-                figures = e.synapse_area, e.neuron_area, e.synapse_delay, e.synapse_energy, e.neuron_energy
-                cells += name, chip.kind, *figures
+                cells += name, chip.kind, synapse_area, neuron_area, *figures  # delay, synapse and neuron energy
                 template += row
     else:
         raise UnknownNameError(f"unknown matrix scope {scope!r}")
@@ -204,10 +222,11 @@ def scatter_dataset(registry: Registry, what: str = "neuron", workload: Optional
     """
     points = []
     if what in ("synapse", "neuron"):
+        total = 4 if what == "synapse" else 5  # the position of `synapse_total` or `neuron_total`
         for tech in registry.enumerate_technologies():
-            bench = bench_technology(tech, registry)
-            triple = bench.synapse_total if what == "synapse" else bench.neuron_total
-            points.append(_point(tech.label, triple.delay, triple.energy, tech.network_kind))
+            label = tech.label
+            _, delay, energy = (registry._memo.get(("row", label)) or bench_technology(tech, registry))[total]
+            points.append(_point(label, delay, energy, tech.network_kind))
     elif what in ("workload", "power"):
         if workload is None:
             raise UnknownNameError(f"{what} scatter requires a workload name")
@@ -232,15 +251,15 @@ def pareto_front(points: list[ScatterPoint]) -> list[ScatterPoint]:
     dominates it. Equal points all survive.
     """
     front = []
-    for p in sorted(points, key=lambda p: (p.x, p.y, p.label)):
-        if not front or p.y < front[-1].y or (p.y == front[-1].y and p.x == front[-1].x):
-            front.append(p)
+    for p in sorted(points, key=itemgetter(1, 2, 0)):  # by (x, y, label); p[1] is x, p[2] y
+        if not front or p[2] < last[2] or (p[2] == last[2] and p[1] == last[1]):
+            front.append(last := p)
     return front
 
 
 def emit_scatter(points: list[ScatterPoint], precision: int = 6) -> str:
     template = f"%s,%.{precision}g,%.{precision}g,%s\n" * len(points)
-    return _csv_lines(ScatterPoint._fields, template, [cell for p in points for cell in p])
+    return _csv_lines(ScatterPoint._fields, template, [*chain.from_iterable(points)])
 
 
 def geometric_mean_neuron_delay(registry: Registry, network_kind: str) -> float:

@@ -69,8 +69,8 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     activity. The element is computed once per registry content and chip;
     an incomputable chip, or a figure that overflows, raises on every call.
     """
-    key = chip.name if registry.chips.get(chip.name) is chip else _chip_key(chip, registry)
-    return registry.memoized(("chip element", key), _element, chip, registry)
+    key = "chip element", chip.name if registry.chips.get(chip.name) is chip else _chip_key(chip, registry)
+    return registry._memo.get(key) or registry.memoized(key, _element, chip, registry)
 
 
 def _chip_key(chip: ChipRecord, registry: Registry):

@@ -1,11 +1,16 @@
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from neurobench import derive, load_datasets
+from neurobench import cli, derive, load_datasets, report
 from neurobench.ade import AdeTriple
-from neurobench.chip import ChipConfig, area_terms, chip_area, chip_bench, firing_rate, nominal_config
+from neurobench.chip import ChipBench, ChipConfig, area_terms, chip_area, chip_bench, firing_rate, nominal_config
 from neurobench.interconnect import ElementBench
+from neurobench.registry import UnknownNameError
+
+from conftest import load_new
 
 ZERO = AdeTriple(0.0, 0.0, 0.0)
 
@@ -135,6 +140,7 @@ def test_config_validation():
         ChipConfig(cores=0, neurons_per_core=1, synapses_per_neuron=1)
     with pytest.raises(ValueError):
         ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1, activity=0.0)
+    assert ChipConfig(1, 1, 1)[3:] == tuple(ChipConfig._field_defaults.values())  # what `--config` fills in
 
 
 @pytest.mark.parametrize(
@@ -149,3 +155,76 @@ def test_every_route_to_a_config_checks_it(changes):
             build()
     assert type(good._replace(cores=5)) is ChipConfig and good._replace(cores=5).total_synapses == 60
     assert ChipConfig._make(good) == good
+
+
+# -- position reads against a by-name reference; the memoized nominal chip -------
+
+
+def chip_bench_by_name(cfg, elem, constants):
+    syn = elem.synapse_total
+    neu = elem.neuron_total
+    f_fire = firing_rate(cfg, elem)
+    tau_step = 1.0 / f_fire + neu.delay
+    e_event = syn.energy + neu.energy / (cfg.activity * cfg.synapses_per_neuron)
+    synapses = cfg.total_synapses
+    throughput = f_fire * cfg.activity * synapses
+    power = throughput * e_event
+    area = chip_area(area_terms(cfg, constants), elem.neuron.area, elem.synapse.area)
+    return ChipBench(synapses, area, f_fire, tau_step, e_event, throughput, power, power * tau_step)
+
+
+def bit_equal(got, want):
+    """`==`, and every float with the same bits."""
+    hexed = lambda bench: [v.hex() if isinstance(v, float) else v for v in bench]  # noqa: E731
+    return type(got) is type(want) and got == want and hexed(got) == hexed(want)
+
+
+def config_files(tmp_path):
+    """Two `--config` chips: a small plain one and a spiking one at 30% activity."""
+    docs = [
+        {"cores": 1, "neurons_per_core": 2, "synapses_per_neuron": 3},
+        {"cores": 16, "neurons_per_core": 100, "synapses_per_neuron": 300, "activity": 0.3, "spiking": True},
+    ]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"chip{i}.json"
+        path.write_text(json.dumps(doc))
+        yield cli._chip_config(path)
+
+
+def test_chip_bench_read_by_position_equals_the_by_name_reference(registry, tmp_path):
+    configs = list(config_files(tmp_path))
+    assert [cfg.spiking for cfg in configs] == [False, True]
+    c = registry.constants
+    for tech in registry.enumerate_technologies():
+        row = report.bench_technology(tech, registry)
+        for spiking in (False, True):
+            cfg = nominal_config(c, spiking=spiking)
+            want = chip_bench_by_name(cfg, row, c)
+            assert bit_equal(chip_bench(cfg, row, c), want), tech.label
+            assert bit_equal(chip_bench(cfg, row, c, area_terms(cfg, c)), want), tech.label
+        for cfg in configs:
+            own = report.bench_technology(tech, registry, cfg)
+            assert bit_equal(chip_bench(cfg, own, c), chip_bench_by_name(cfg, own, c)), tech.label
+
+
+def test_bench_chip_is_the_memoized_nominal_chip_of_each_technology(tmp_path):
+    registry = load_new(tmp_path)
+    c = registry.constants
+    for tech in registry.enumerate_technologies():
+        cfg = nominal_config(c, spiking=tech.network_kind == "SNN")
+        bench = report.bench_chip(tech, registry)
+        assert bit_equal(bench, chip_bench_by_name(cfg, report.bench_technology(tech, registry), c)), tech.label
+        assert report.bench_chip(tech, registry) is bench
+        assert registry._memo["nominal chip", tech.label] is bench
+    tech = registry.technology("SpiMEME")
+    assert report.bench_chip(tech._replace(), registry) is report.bench_chip(tech, registry)  # an equal record
+    with pytest.raises(UnknownNameError, match="derive"):
+        report.bench_chip(tech._replace(ic_voltage=0.5), registry)
+
+
+def test_bench_chip_nominal_reads_the_memoized_nominal_chip(monkeypatch, capsys):
+    calls = []
+    original = report.bench_chip
+    monkeypatch.setattr(report, "bench_chip", lambda tech, registry: calls.append(tech.label) or original(tech, registry))
+    assert cli.main(["bench", "chip", "--nominal", "--tech", "SpiDCSRAM"]) == 0
+    assert calls == ["SpiDCSRAM"] and capsys.readouterr().out.startswith("total_synapses: ")

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from neurobench import derive, load_datasets, report, topsdown
+from neurobench.chip import ChipConfig
 from neurobench.report import MATRIX_HEADER, ScatterPoint, pareto_front
 
 from conftest import rewrite_json
@@ -312,3 +314,115 @@ def test_geometric_mean_names_a_kind_with_no_technologies(data_copy):
     assert report.geometric_mean_neuron_delay(registry, "ANN") > 0
     with pytest.raises(ValueError, match="no ONN technologies"):
         report.geometric_mean_neuron_delay(registry, "ONN")
+
+
+# -- position reads against by-name references ------------------------------------
+
+
+def columns_by_name(row):
+    return (
+        row.synapse.area, row.core_ic.area, row.neuron.area, row.chip_ic.area,
+        row.synapse.delay, row.core_ic.delay, row.neuron.delay, row.chip_ic.delay,
+        row.synapse.energy, row.core_ic.energy, row.neuron.energy, row.chip_ic.energy,
+    )
+
+
+def bit_equal(got, want):
+    """`==` on float tuples, and the same bits: 0.0 and -0.0 differ."""
+    return got == want and list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def derived_registries(registry):
+    """The shipped registry and two derived ones whose rows differ in every column."""
+    volts = registry.constants.supply_voltage
+    yield registry
+    yield derive(registry, {"constants.json": {("supply_voltage",): 1.3 * volts, ("wire_pitch_f",): 3.0}})
+    yield derive(registry, {"devices.json": {("devices", "CMOSdig", "energy"): 45.0, ("devices", "ME", "area"): 6100}})
+
+
+def test_columns_read_by_position_equal_the_by_name_reference(registry):
+    um2 = 1e6
+    for reg in derived_registries(registry):
+        for tech in reg.enumerate_technologies():
+            for row in (report.bench_technology(tech, reg), report.bench_technology(tech, reg, ChipConfig(2, 3, 5))):
+                want = columns_by_name(row)
+                assert bit_equal(row.columns(), want), tech.label
+                assert bit_equal(report.matrix_columns(row), (*(a / um2 for a in want[:4]), *want[4:])), tech.label
+
+
+def scatter_by_name(registry, what):
+    points = []
+    for tech in registry.enumerate_technologies():
+        bench = report.bench_technology(tech, registry)
+        triple = bench.synapse_total if what == "synapse" else bench.neuron_total
+        points.append(ScatterPoint(tech.label, triple.delay, triple.energy, tech.network_kind))
+    return points
+
+
+def pareto_by_name(points):
+    front = []
+    for p in sorted(points, key=lambda p: (p.x, p.y, p.label)):
+        if not front or p.y < front[-1].y or (p.y == front[-1].y and p.x == front[-1].x):
+            front.append(p)
+    return front
+
+
+def test_scatter_and_front_read_by_position_equal_the_by_name_reference(registry):
+    for reg in derived_registries(registry):
+        for what in ("synapse", "neuron"):
+            points = report.scatter_dataset(reg, what)
+            assert points == scatter_by_name(reg, what) and all(type(p) is ScatterPoint for p in points)
+            front = pareto_front(points)
+            assert front == pareto_by_name(points)
+            assert all(got is want for got, want in zip(front, pareto_by_name(points)))
+    synapse = report.scatter_dataset(registry, "synapse")
+    assert len({(p.x, p.y) for p in synapse}) < len(synapse)  # the shipped synapse points have ties
+
+
+@given(
+    points=st.lists(
+        st.builds(
+            pt,
+            x=st.sampled_from([1.0, 2.0, -0.0, 0.0, math.inf, math.nan]),
+            y=st.sampled_from([1.0, 2.0, -0.0, 0.0, math.inf]),
+            label=st.sampled_from(["a", "b"]),
+            series=st.sampled_from(["ANN", "SNN"]),
+        ),
+        max_size=30,
+    )
+)
+def test_pareto_front_equals_the_by_name_reference_with_ties(points):
+    front, want = pareto_front(points), pareto_by_name(points)
+    assert len(front) == len(want) and all(got is w for got, w in zip(front, want))
+
+
+# -- a warm hit runs in one frame ------------------------------------------------
+
+
+def python_frames(call):
+    """The names of the Python functions entered while `call()` runs."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_a_warm_hit_enters_no_python_frame_but_its_own(registry):
+    tech, chip, spec = registry.technology("SpiMEME"), registry.chip("Loihi"), registry.workload("lenet")
+    hits = {
+        "bench_technology": lambda: report.bench_technology(tech, registry),
+        "bench_workload": lambda: report.bench_workload("lenet", tech, registry),
+        "topsdown_element": lambda: topsdown.topsdown_element(chip, registry),
+        "run_workload_on_chip": lambda: topsdown.run_workload_on_chip(chip, spec, registry),
+    }
+    for name, hit in hits.items():
+        hit()  # warms the memo
+        assert python_frames(hit) == ["<lambda>", name], name
