@@ -26,17 +26,19 @@ class ChipConfig(_ChipConfig):
     """Core and neuron counts, activity and spiking mode of one chip.
 
     Every count is >= 1 and the activity lies in (0, 1]; construction,
-    `_make` and `_replace` all check it. `__new__` repeats the defaults.
+    `_make` and `_replace` all check it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, cores, neurons_per_core, synapses_per_neuron, activity=1.0, spiking=False) -> "ChipConfig":
+    def __new__(cls, cores, neurons_per_core, synapses_per_neuron, activity, spiking) -> "ChipConfig":
         if cores < 1 or neurons_per_core < 1 or synapses_per_neuron < 1:
             raise ValueError("chip config counts must be >= 1")
         if not (0.0 < activity <= 1.0):
             raise ValueError(f"activity must be in (0, 1], got {activity}")
         return _new(cls, (cores, neurons_per_core, synapses_per_neuron, activity, spiking))
+
+    __new__.__defaults__ = tuple(_ChipConfig._field_defaults.values())  # activity, spiking
 
     @classmethod
     def _make(cls, iterable) -> "ChipConfig":
@@ -94,9 +96,9 @@ def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:
     return 1.0 / tau_syn
 
 
-def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants, terms=None) -> ChipBench:
+def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) -> ChipBench:
     """Chip-level figures from one element bench (interconnect included); a
-    figure that overflows raises. `terms` are `area_terms(cfg, constants)`, when the caller holds them."""
+    figure that overflows raises."""
     cores, neurons_per_core, synapses_per_neuron, activity, _ = cfg
     (a_syn, _, _), (a_neu, _, _), _, _, (_, _, e_syn), (_, t_neu, e_neu) = elem
     f_fire = firing_rate(cfg, elem)
@@ -105,7 +107,7 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants, 
     synapses = cores * neurons_per_core * synapses_per_neuron  # `cfg.total_synapses`
     throughput = f_fire * activity * synapses
     power = throughput * e_event
-    area = chip_area(terms or area_terms(cfg, constants), a_neu, a_syn)
+    area = chip_area(area_terms(cfg, constants), a_neu, a_syn)
     bench = _new(ChipBench, (synapses, area, f_fire, tau_step, e_event, throughput, power, power * tau_step))
     if not all(map(math.isfinite, bench)):
         raise ValueError(f"chip figures must be finite: {bench}")

@@ -82,15 +82,9 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
 
 
 def bench_chip(tech: Technology, registry: Registry) -> ChipBench:
-    """`chip_bench` of a technology's nominal chip (spiking for an SNN) once per registry content."""
-    label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
-    return registry.memoized(("nominal chip", label), _nominal_chip, tech, registry)
-
-
-def _nominal_chip(tech: Technology, registry: Registry) -> ChipBench:
-    area = registry.memoized(("row terms",), _row_terms, registry.constants)[1]
-    cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
-    return chip_bench(cfg, bench_technology(tech, registry), registry.constants, area)
+    """`chip_bench` of a technology's nominal chip (spiking for an SNN), from its memoized row."""
+    row = bench_technology(tech, registry)  # first, as it checks that `tech` is the registry's
+    return chip_bench(nominal_config(registry.constants, spiking=tech.network_kind == "SNN"), row, registry.constants)
 
 
 def bench_workload(

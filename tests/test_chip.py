@@ -10,8 +10,6 @@ from neurobench.chip import ChipBench, ChipConfig, area_terms, chip_area, chip_b
 from neurobench.interconnect import ElementBench
 from neurobench.registry import UnknownNameError
 
-from conftest import load_new
-
 ZERO = AdeTriple(0.0, 0.0, 0.0)
 
 
@@ -140,7 +138,6 @@ def test_config_validation():
         ChipConfig(cores=0, neurons_per_core=1, synapses_per_neuron=1)
     with pytest.raises(ValueError):
         ChipConfig(cores=1, neurons_per_core=1, synapses_per_neuron=1, activity=0.0)
-    assert ChipConfig(1, 1, 1)[3:] == tuple(ChipConfig._field_defaults.values())  # what `--config` fills in
 
 
 @pytest.mark.parametrize(
@@ -157,7 +154,7 @@ def test_every_route_to_a_config_checks_it(changes):
     assert ChipConfig._make(good) == good
 
 
-# -- position reads against a by-name reference; the memoized nominal chip -------
+# -- position reads against a by-name reference; the nominal chip ---------------
 
 
 def chip_bench_by_name(cfg, elem, constants):
@@ -201,28 +198,24 @@ def test_chip_bench_read_by_position_equals_the_by_name_reference(registry, tmp_
             cfg = nominal_config(c, spiking=spiking)
             want = chip_bench_by_name(cfg, row, c)
             assert bit_equal(chip_bench(cfg, row, c), want), tech.label
-            assert bit_equal(chip_bench(cfg, row, c, area_terms(cfg, c)), want), tech.label
         for cfg in configs:
             own = report.bench_technology(tech, registry, cfg)
             assert bit_equal(chip_bench(cfg, own, c), chip_bench_by_name(cfg, own, c)), tech.label
 
 
-def test_bench_chip_is_the_memoized_nominal_chip_of_each_technology(tmp_path):
-    registry = load_new(tmp_path)
+def test_bench_chip_is_the_nominal_chip_of_each_technology(registry):
     c = registry.constants
     for tech in registry.enumerate_technologies():
         cfg = nominal_config(c, spiking=tech.network_kind == "SNN")
         bench = report.bench_chip(tech, registry)
         assert bit_equal(bench, chip_bench_by_name(cfg, report.bench_technology(tech, registry), c)), tech.label
-        assert report.bench_chip(tech, registry) is bench
-        assert registry._memo["nominal chip", tech.label] is bench
     tech = registry.technology("SpiMEME")
-    assert report.bench_chip(tech._replace(), registry) is report.bench_chip(tech, registry)  # an equal record
+    assert report.bench_chip(tech._replace(), registry) == report.bench_chip(tech, registry)  # an equal record
     with pytest.raises(UnknownNameError, match="derive"):
         report.bench_chip(tech._replace(ic_voltage=0.5), registry)
 
 
-def test_bench_chip_nominal_reads_the_memoized_nominal_chip(monkeypatch, capsys):
+def test_bench_chip_nominal_calls_bench_chip(monkeypatch, capsys):
     calls = []
     original = report.bench_chip
     monkeypatch.setattr(report, "bench_chip", lambda tech, registry: calls.append(tech.label) or original(tech, registry))

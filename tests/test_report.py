@@ -426,3 +426,18 @@ def test_a_warm_hit_enters_no_python_frame_but_its_own(registry):
     for name, hit in hits.items():
         hit()  # warms the memo
         assert python_frames(hit) == ["<lambda>", name], name
+
+
+def test_a_warm_walk_reads_the_memo_without_calling_the_entry_points(registry):
+    """The whole-table walks read the registry's rows and workload results from the memo by
+    name; a key that no longer matched the entry points' would fall back to them."""
+    walks = {
+        "elements": lambda: report.emit_matrix(registry, "elements"),
+        "workload": lambda: report.emit_matrix(registry, "workload", workload="lenet"),
+        "synapse": lambda: report.scatter_dataset(registry, "synapse"),
+        "neuron": lambda: report.scatter_dataset(registry, "neuron"),
+    }
+    for name, walk in walks.items():
+        walk()  # warms the memo
+        entered = python_frames(walk)
+        assert "bench_technology" not in entered and "bench_workload" not in entered, name
