@@ -18,12 +18,19 @@ The one other chip accepted is that record back-filled, the chip of
 `topsdown --backfill`: a pure function of the record, keyed
 `("backfill", name)`. Any other chip or spec raises `UnknownNameError`
 before any memo lookup, so a changed chip comes from `neurobench.derive`.
+
+`backfill_derived` is itself a pure function of the chip's value, kept in a
+bounded `functools.lru_cache`: equal chips, from any registry, share one
+`BackfillResult`, whose `filled` and `residuals` are read-only mappings. An
+incomputable chip raises on every call and is not cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import units
 from .ade import AdeTriple
@@ -123,8 +130,8 @@ POWER_IDENTITY = "power = throughput * event_energy"
 
 class BackfillResult(NamedTuple):
     chip: ChipRecord
-    filled: dict[str, str]  # field -> identity that produced it
-    residuals: dict[str, float]  # identity -> relative residual, fully-quoted identities only
+    filled: Mapping[str, str]  # field -> identity that produced it
+    residuals: Mapping[str, float]  # identity -> relative residual, fully-quoted identities only
 
 
 def _solve_throughput(chip: ChipRecord, unknown: str) -> float:
@@ -154,12 +161,17 @@ _IDENTITIES = (  # (name, its fields, the solver of any one of them)
 )
 
 
+# the shipped data has 27 chips; the rest is room for derived ones
+@functools.lru_cache(maxsize=128)
 def backfill_derived(chip: ChipRecord) -> BackfillResult:
     """Re-derive every field flagged as derived from the consistency identities.
 
     Quoted fields are never touched. A flagged or absent field that no
     identity can reach with a single unknown raises; nothing is guessed. So
-    does a back-filled activity outside (0, 1].
+    does a back-filled value that is not finite and positive, a back-filled
+    activity outside (0, 1] and a residual that is not finite. Computed once
+    per chip value: equal chips share the result, so its mappings are
+    read-only.
     """
     # clock-driven parts have no firing-rate identity
     identities = _IDENTITIES[1:] if chip.kind == "accelerator" else _IDENTITIES
@@ -181,7 +193,10 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
             unknowns = [f for f in fields if f in unknown_fields]
             if len(unknowns) == 1:
                 f = unknowns[0]
-                current = current._replace(**{f: solve(current, f)})
+                value = solve(current, f)
+                if not 0.0 < value < math.inf:
+                    raise IncomputableError(f"chip {chip.name}: back-filled {f} {value:g} is not finite and positive")
+                current = current._replace(**{f: value})
                 filled[f] = name
                 unknown_fields.discard(f)
                 progress = True
@@ -197,8 +212,11 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
             continue  # identity was consumed by a solve; residual is zero by construction
         lhs = getattr(current, fields[0])
         rhs = solve(current, fields[0])
-        residuals[name] = abs(lhs - rhs) / rhs if rhs else 0.0
-    return BackfillResult(chip=current, filled=filled, residuals=residuals)
+        residual = abs(lhs - rhs) / rhs if rhs else math.inf
+        if not residual < math.inf:
+            raise IncomputableError(f"chip {chip.name}: residual {residual:g} of {name} is not finite")
+        residuals[name] = residual
+    return BackfillResult(chip=current, filled=MappingProxyType(filled), residuals=MappingProxyType(residuals))
 
 
 def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:

@@ -39,6 +39,17 @@ def derived_constants(registry, **values):
     return derive(registry, {"constants.json": {(key,): value for key, value in values.items()}}).constants
 
 
+# chip, chips file, the field set off its shipped value, that value, and the one line the back-fill raises
+BACKFILL_BREAKS = [
+    ("Diannao", "chips_accelerators.json", "power", 1e-320,
+     "chip Diannao: back-filled energy_per_event 0 is not finite and positive"),
+    ("HICANN", "chips_neuromorphic.json", "energy_per_event", 1e300,
+     "chip HICANN: back-filled power inf is not finite and positive"),
+    ("HICANN", "chips_neuromorphic.json", "fire_rate", 1e305,
+     "chip HICANN: residual nan of throughput = fire_rate * activity * total_synapses is not finite"),
+]
+
+
 _tails = itertools.count(1)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import neurobench
-from conftest import rewrite_json
+from conftest import BACKFILL_BREAKS, rewrite_json
 from neurobench.cli import main
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
@@ -129,6 +129,19 @@ def test_topsdown_backfilled_activity_above_one_is_data_error(capsys, data_copy)
     rewrite_json(data_copy / "chips_neuromorphic.json", inflate)
     argv = ("--data-dir", str(data_copy), "topsdown", "--chip", "IFAT", "--backfill", "--workload", "speech_mlp")
     assert run(capsys, *argv) == (1, "", "error: chip IFAT: back-filled activity 2.17557 lies outside (0, 1]\n")
+
+
+@pytest.mark.parametrize("name, file, field, value, message", BACKFILL_BREAKS)
+@pytest.mark.parametrize("workload", [(), ("--workload", "speech_mlp")])
+def test_topsdown_backfill_not_finite_and_positive_is_data_error(
+    capsys, data_copy, name, file, field, value, message, workload
+):
+    def set_value(doc):
+        next(chip for chip in doc["chips"] if chip["name"] == name)[field] = value
+
+    rewrite_json(data_copy / file, set_value)
+    argv = ("--data-dir", str(data_copy), "topsdown", "--chip", name, "--backfill", *workload)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def _lenet_feature_maps(count):

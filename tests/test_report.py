@@ -426,6 +426,9 @@ def test_a_warm_hit_enters_no_python_frame_but_its_own(registry):
     for name, hit in hits.items():
         hit()  # warms the memo
         assert python_frames(hit) == ["<lambda>", name], name
+    backfill = lambda: topsdown.backfill_derived(chip)  # noqa: E731
+    backfill()  # warms the cache, whose hit runs no Python code, not even its own
+    assert python_frames(backfill) == ["<lambda>"]
 
 
 def test_a_warm_walk_reads_the_memo_without_calling_the_entry_points(registry):

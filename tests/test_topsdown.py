@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BACKFILL_BREAKS
 from neurobench import derive
+from neurobench.registry import ChipRecord
 from neurobench.topsdown import (
     IncomputableError,
     backfill_derived,
@@ -139,6 +141,68 @@ def test_backfilled_activity_above_one_is_rejected(registry):
     inflated = chip._replace(syn_throughput=20 * chip.syn_throughput)
     with pytest.raises(IncomputableError, match=r"chip IFAT: back-filled activity 2\.17557 lies outside \(0, 1\]"):
         backfill_derived(inflated)
+
+
+@pytest.mark.parametrize("name, file, field, value, message", BACKFILL_BREAKS)
+def test_backfill_rejects_a_value_that_is_not_finite_and_positive(registry, name, file, field, value, message):
+    chip = derive(registry, {file: {("chips", name, field): value}}).chip(name)
+    with pytest.raises(IncomputableError) as err:
+        backfill_derived(chip)
+    assert str(err.value) == message
+
+
+def test_a_residual_over_a_product_that_underflows_to_zero_is_rejected(registry):
+    chip = registry.chip("TrueNorth")._replace(syn_throughput=10.0, energy_per_event=1e-314)  # power's product is 0
+    with pytest.raises(IncomputableError) as err:
+        backfill_derived(chip)
+    assert str(err.value) == "chip TrueNorth: residual inf of power = throughput * event_energy is not finite"
+
+
+# -- the back-fill cache -----------------------------------------------------------
+
+
+def test_equal_chips_share_one_backfill_result(registry):
+    chip = registry.chip("SpiNNaker")
+    result = backfill_derived(chip)
+    for equal in (derive(registry, {}).chip("SpiNNaker"), ChipRecord(*chip)):
+        assert equal == chip
+        assert backfill_derived(equal) is result
+
+
+def test_a_backfill_result_is_read_only(registry):
+    filled = backfill_derived(registry.chip("SpiNNaker")).filled
+    residuals = backfill_derived(registry.chip("TrueNorth")).residuals
+    assert filled and residuals
+    with pytest.raises(TypeError):
+        filled["power"] = "guessed"
+    with pytest.raises(TypeError):
+        residuals[next(iter(residuals))] = 0.0
+
+
+def test_an_incomputable_chip_raises_on_every_call_and_is_not_cached(registry):
+    chip = registry.chip("DYNAPSEL")
+    before = backfill_derived.cache_info()
+    for _ in range(3):
+        with pytest.raises(IncomputableError, match="under-determined"):
+            backfill_derived(chip)
+    after = backfill_derived.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (0, 3)
+    assert after.currsize == before.currsize
+
+
+def test_a_derived_chip_gets_the_result_of_its_value(registry):
+    chip = derive(registry, {"chips_neuromorphic.json": {("chips", "SpiNNaker", "power"): 1300}}).chip("SpiNNaker")
+    assert chip != registry.chip("SpiNNaker")
+    result = backfill_derived(chip)
+    assert result == backfill_derived.__wrapped__(chip)
+    assert result != backfill_derived(registry.chip("SpiNNaker"))
+
+
+def test_the_backfill_cache_holds_every_chip_of_the_shipped_data(registry):
+    chips = [chip for chip in registry.chips.values() if chip.name != "DYNAPSEL"]  # the one incomputable chip
+    assert len(chips) == 26
+    results = [backfill_derived(chip) for chip in chips]
+    assert all(backfill_derived(chip) is result for chip, result in zip(chips, results))  # none evicted
 
 
 # -- workloads on chips -----------------------------------------------------------
