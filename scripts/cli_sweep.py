@@ -16,9 +16,10 @@ values only, may match; `bench element` for every technology on a second one
 that moves the constants the circuit models read (`CIRCUIT_EDITS`); and
 `bench element` and the default `bench workload` for every technology on a
 third one whose device and primitive values are off theirs (`VALUE_EDITS`);
-and `topsdown --backfill`, with no or every `--workload`, for each chip of a
-fourth one where the back-fill of that chip gives a value or residual that is
-not finite and positive (`BACKFILL_EDITS`).
+and `topsdown`, with and without `--backfill` and with no or every
+`--workload`, for each chip of a fourth one where the back-fill of that chip
+gives a value or residual that is not finite and positive and, for HICANN,
+the tops-down neuron energy overflows (`BACKFILL_EDITS`).
 OUT receives
 sorted JSON mapping each space-joined argv to [exit code, stdout, stderr,
 export text or null]. Run it on two checkouts and compare the dumps with
@@ -84,7 +85,7 @@ BACKFILL_DIR = "derived_backfill"
 BACKFILL_EDITS = {  # chips file paths, one per chip, each breaking that chip's back-fill
     "chips_accelerators.json": {("chips", "Diannao", "power"): 1e-320},  # back-filled energy_per_event underflows to 0
     "chips_neuromorphic.json": {
-        ("chips", "HICANN", "energy_per_event"): 1e300,  # back-filled power overflows to inf
+        ("chips", "HICANN", "energy_per_event"): 1e300,  # back-filled power and tops-down neuron energy overflow
         ("chips", "HICANN-X", "fire_rate"): 1e305,  # the throughput identity's residual is nan
     },
 }
@@ -124,8 +125,8 @@ def commands(registry) -> list[list[str]]:
 
 def derived_commands(registry) -> list[list[str]]:
     """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, rows on the one in
-    CIRCUITS_DIR, rows and default workloads on the one in VALUES_DIR, and the back-fill of each
-    edited chip on the one in BACKFILL_DIR, at 17 digits."""
+    CIRCUITS_DIR, rows and default workloads on the one in VALUES_DIR, and the tops-down figures of
+    each edited chip, with and without its back-fill, on the one in BACKFILL_DIR, at 17 digits."""
     argv = []
     for label in registry.technologies:
         row, chip = ["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]
@@ -133,8 +134,9 @@ def derived_commands(registry) -> list[list[str]]:
         argv += [["--data-dir", DERIVED_DIR, *a] for a in (row, chip, *workloads)]
         argv += [["--data-dir", CIRCUITS_DIR, *row], *(["--data-dir", VALUES_DIR, *a] for a in (row, *workloads))]
     for chip in sorted(path[1] for edits in BACKFILL_EDITS.values() for path in edits):
-        for workload in ([], *(["--workload", name] for name in sorted(registry.workloads))):
-            argv.append(["--data-dir", BACKFILL_DIR, "topsdown", "--chip", chip, "--backfill", *workload])
+        for backfill in ([], ["--backfill"]):
+            for workload in ([], *(["--workload", name] for name in sorted(registry.workloads))):
+                argv.append(["--data-dir", BACKFILL_DIR, "topsdown", "--chip", chip, *backfill, *workload])
     return [["--precision", "17", *a] for a in argv]
 
 

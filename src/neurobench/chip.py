@@ -88,9 +88,10 @@ def chip_area(terms: tuple[float, float, float, float], a_neu: float, a_syn: flo
 def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:
     """Neuron firing rate, 1/ps. Spiking chips fire once per r_a*s_neu
     synaptic events; non-spiking ones once per synapse delay."""
-    tau_syn = elem.synapse_total.delay
-    if tau_syn <= 0:
-        raise ValueError("firing rate undefined for zero synapse delay")
+    (_, t_syn, _), _, (_, t_core, _), _ = elem
+    tau_syn = t_syn + t_core  # `elem.synapse_total.delay`
+    if not 0.0 < tau_syn < math.inf:  # zero, or a synapse plus core-wire delay that overflows
+        raise ValueError(f"firing rate undefined for synapse delay {tau_syn:g}")
     if cfg.spiking:
         return 1.0 / (cfg.activity * cfg.synapses_per_neuron * tau_syn)
     return 1.0 / tau_syn
@@ -100,10 +101,10 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
     """Chip-level figures from one element bench (interconnect included); a
     figure that overflows raises."""
     cores, neurons_per_core, synapses_per_neuron, activity, _ = cfg
-    (a_syn, _, _), (a_neu, _, _), _, _, (_, _, e_syn), (_, t_neu, e_neu) = elem
+    (a_syn, _, e_syn), (a_neu, t_neu, e_neu), (_, _, e_core), (_, t_chip, e_chip) = elem
     f_fire = firing_rate(cfg, elem)
-    tau_step = 1.0 / f_fire + t_neu
-    e_event = e_syn + e_neu / (activity * synapses_per_neuron)
+    tau_step = 1.0 / f_fire + (t_neu + t_chip)
+    e_event = (e_syn + e_core) + (e_neu + e_chip) / (activity * synapses_per_neuron)
     synapses = cores * neurons_per_core * synapses_per_neuron  # `cfg.total_synapses`
     throughput = f_fire * activity * synapses
     power = throughput * e_event

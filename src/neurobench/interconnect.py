@@ -3,9 +3,11 @@
 The core interconnect delivers a synapse output across the core's synapse
 block; its delay and energy attach to the synapse path. The chip-wide
 interconnect delivers a neuron output anywhere on the chip; it attaches to
-the neuron path. Interconnect lengths are the square roots of the relevant
-block areas. The empirical routing-inefficiency factor is already folded
-into the per-length capacitance constant and is never applied again here.
+the neuron path. A row (`ElementBench`) keeps each wire beside its part;
+the sums are made where a total is read. Interconnect lengths are the
+square roots of the relevant block areas. The empirical routing-inefficiency
+factor is already folded into the per-length capacitance constant and is
+never applied again here.
 
 The interconnect "area" columns are a reporting convention (length times
 wire pitch); no equation in the model defines them.
@@ -22,60 +24,33 @@ from .ade import ZERO, AdeTriple
 if TYPE_CHECKING:  # used in annotations only
     from .registry import GlobalConstants
 
-_new = tuple.__new__
 
-
-class _Row(NamedTuple):
-    synapse: AdeTriple
-    neuron: AdeTriple
-    core_ic: AdeTriple
-    chip_ic: AdeTriple
-    synapse_total: AdeTriple
-    neuron_total: AdeTriple
-
-
-class ElementBench(_Row):
+class ElementBench(NamedTuple):
     """Synapse and neuron triples plus their interconnects: the 12-column
     benchmark row. Before `assemble_row` attaches the wiring, both
     interconnect triples are ZERO.
 
-    The fields are the four triples. `synapse_total` (synapse plus core
-    wire) and `neuron_total` (neuron plus chip wire) are stored after them
-    when the row is built, and `_make` and `_replace` build them again;
-    against a ZERO wire they are the synapse or neuron triple itself. Two
-    rows are equal when their four triples are."""
+    A row is its four triples. `synapse_total` (synapse plus core wire) and
+    `neuron_total` (neuron plus chip wire) are computed when read; against a
+    ZERO wire they are the synapse or neuron triple itself. The model
+    formulas add the wire component by component instead, the same sums."""
 
-    __slots__ = ()
-    _fields = _Row._fields[:4]
+    synapse: AdeTriple
+    neuron: AdeTriple
+    core_ic: AdeTriple = ZERO
+    chip_ic: AdeTriple = ZERO
 
-    def __new__(
-        cls, synapse: AdeTriple, neuron: AdeTriple, core_ic: AdeTriple = ZERO, chip_ic: AdeTriple = ZERO
-    ) -> "ElementBench":
-        return _new(cls, (
-            synapse, neuron, core_ic, chip_ic,
-            synapse if core_ic is ZERO else synapse + core_ic,
-            neuron if chip_ic is ZERO else neuron + chip_ic,
-        ))
+    @property
+    def synapse_total(self) -> AdeTriple:
+        return self.synapse if self.core_ic is ZERO else self.synapse + self.core_ic
 
-    @classmethod
-    def _make(cls, iterable) -> "ElementBench":
-        return cls(*iterable)
-
-    def _replace(self, **changes) -> "ElementBench":
-        row = self._make(map(changes.pop, self._fields, self))
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        return row
-
-    def __getnewargs__(self) -> tuple[AdeTriple, ...]:
-        return self[:4]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self)) + ")"
+    @property
+    def neuron_total(self) -> AdeTriple:
+        return self.neuron if self.chip_ic is ZERO else self.neuron + self.chip_ic
 
     def columns(self) -> tuple[float, ...]:
         """Reference-matrix column order: areas, delays, energies; syn/lic/neu/gic each."""
-        (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = self[:4]
+        (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = self
         return a_syn, a_lic, a_neu, a_gic, t_syn, t_lic, t_neu, t_gic, e_syn, e_lic, e_neu, e_gic
 
 

@@ -114,7 +114,7 @@ def _workload_bench(workload_name: str, tech: Technology, registry: Registry, sc
 
 def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
     """`ElementBench.columns` with the four areas in um^2, matching the reference matrix."""
-    (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = bench[:4]
+    (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = bench
     um2 = units.AREA_TO_NM2["um^2"]
     return a_syn / um2, a_lic / um2, a_neu / um2, a_gic / um2, t_syn, t_lic, t_neu, t_gic, e_syn, e_lic, e_neu, e_gic
 
@@ -216,11 +216,12 @@ def scatter_dataset(registry: Registry, what: str = "neuron", workload: Optional
     """
     points = []
     if what in ("synapse", "neuron"):
-        total = 4 if what == "synapse" else 5  # the position of `synapse_total` or `neuron_total`
+        part = 0 if what == "synapse" else 1  # its wire is 2 positions on; the sum is `synapse_total` or `neuron_total`
         for tech in registry.enumerate_technologies():
             label = tech.label
-            _, delay, energy = (registry._memo.get(("row", label)) or bench_technology(tech, registry))[total]
-            points.append(_point(label, delay, energy, tech.network_kind))
+            row = registry._memo.get(("row", label)) or bench_technology(tech, registry)
+            (_, delay, energy), (_, wire_delay, wire_energy) = row[part], row[part + 2]
+            points.append(_point(label, delay + wire_delay, energy + wire_energy, tech.network_kind))
     elif what in ("workload", "power"):
         if workload is None:
             raise UnknownNameError(f"{what} scatter requires a workload name")

@@ -118,7 +118,8 @@ def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
         neuron_energy=e_syn * activity * chip.synapses_per_neuron,
     )
     if not all(map(math.isfinite, element)):
-        raise ValueError(f"tops-down figures must be finite: {element}")
+        field, value = next((f, v) for f, v in zip(element._fields, element) if not math.isfinite(v))
+        raise ValueError(f"chip {chip.name}: tops-down {field} {value:g} is not finite")
     return element
 
 

@@ -179,13 +179,12 @@ def _stage_figures(
     Synapse figures include the core interconnect, neuron figures the chip
     interconnect. The per-row terms are computed once, before the first stage.
     """
-    syn = elem.synapse_total
-    neu = elem.neuron_total
-    t_syn, e_syn, t_neu, e_neu = syn.delay, syn.energy, neu.delay, neu.energy
+    (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (_, t_core, e_core), (_, t_chip, e_chip) = elem
+    t_syn, e_syn, t_neu, e_neu = t_syn + t_core, e_syn + e_core, t_neu + t_chip, e_neu + e_chip  # the two totals
     constants = registry.constants
     core_overhead = constants.core_overhead
-    neuron_site = constants.neuron_overhead * elem.neuron.area
-    synapse_site = constants.synapse_overhead * elem.synapse.area
+    neuron_site = constants.neuron_overhead * a_neu
+    synapse_site = constants.synapse_overhead * a_syn
     p = constants.wire_pitch
     for neurons, synapses, wires, levels, active_synapses, n_out, f_st in plan:
         circuit = core_overhead * (neuron_site * neurons + synapse_site * synapses)

@@ -1,20 +1,21 @@
 """Value carriers are NamedTuples: they keep every check and print as before."""
 
 import copy
+import json
 import math
 import pickle
 import re
 
 import pytest
 
-from neurobench import derive, load_datasets, topsdown
+from neurobench import derive, load_datasets, report, topsdown
 from neurobench.ade import ZERO, AdeTriple
 from neurobench.chip import ChipBench, chip_bench, nominal_config
 from neurobench.circuits import AnalogReadBench, OtaCellBench, SenseAmpBench, VoltageSenseAmpBench
 from neurobench.interconnect import ElementBench
 from neurobench.report import ScatterPoint
 from neurobench.topsdown import BackfillResult, TopsDownElement
-from neurobench.workload import StageBench, WorkloadBench, aggregate
+from neurobench.workload import StageBench, WorkloadBench, aggregate, run_workload
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
@@ -94,7 +95,7 @@ def test_carrier_repr_is_unchanged(value, text):
     assert repr(value) == text
 
 
-def test_element_row_totals_are_set_when_the_row_is_built():
+def test_element_row_totals_are_computed_when_read():
     syn, neu, core, chip = AdeTriple(1.0, 2.0, 3.0), AdeTriple(4.0, 5.0, 6.0), AdeTriple(0.5, 0.5, 0.5), ZERO
     row = ElementBench(synapse=syn, neuron=neu, core_ic=core, chip_ic=chip)
     assert row.synapse_total == AdeTriple(1.5, 2.5, 3.5)
@@ -130,6 +131,19 @@ def test_element_rows_are_equal_exactly_when_their_four_triples_are():
         assert row != row._replace(**changed)
 
 
+def test_element_rows_are_exactly_their_four_triples(registry):
+    derived = derive(registry, {"constants.json": {("supply_voltage",): 0.83, ("wire_pitch_f",): 8.5}})
+    for reg in (registry, derived):
+        for tech in reg.enumerate_technologies():
+            row = report.bench_technology(tech, reg)
+            syn, neu, core, chip = row
+            assert len(row) == 4 and tuple(row) == (syn, neu, core, chip)
+            assert (syn, neu, core, chip) == (row.synapse, row.neuron, row.core_ic, row.chip_ic)
+            assert ElementBench(*row) == row
+            loaded = json.loads(json.dumps(row))
+            assert len(loaded) == 4 and ElementBench(*(AdeTriple(*t) for t in loaded)) == row, tech.label
+
+
 def test_chip_figures_that_overflow_raise():
     constants = load_datasets().constants
     elem = ElementBench(synapse=AdeTriple(1.0, 1.0, 1e303), neuron=AdeTriple(1.0, 1.0, 1.0))
@@ -138,11 +152,28 @@ def test_chip_figures_that_overflow_raise():
         chip_bench(nominal_config(constants), elem, constants)
 
 
+def test_element_row_totals_that_overflow_raise_where_they_are_read(registry):
+    constants = registry.constants
+    big = AdeTriple(1.0, 1.0, 1e308)
+    row = ElementBench(synapse=big, neuron=AdeTriple(1.0, 1.0, 1.0), core_ic=big)  # builds: no total is stored
+    assert len(row) == 4
+    with pytest.raises(ValueError, match=r"^AdeTriple\.energy must be finite and >= 0, got inf$"):
+        row.synapse_total
+    message = r"^chip figures must be finite: ChipBench\(total_synapses=4194304, .*power=inf"
+    with pytest.raises(ValueError, match=message):
+        chip_bench(nominal_config(constants), row, constants)
+    with pytest.raises(ValueError, match=r"^workload figures must be finite: WorkloadBench\(.*energy=inf"):
+        run_workload(registry.workload("lenet"), row, registry)
+    slow = ElementBench(AdeTriple(1.0, 1e308, 1.0), AdeTriple(1.0, 1.0, 1.0), AdeTriple(1.0, 1e308, 1.0))
+    with pytest.raises(ValueError, match=r"^firing rate undefined for synapse delay inf$"):
+        chip_bench(nominal_config(constants), slow, constants)
+
+
 def test_topsdown_figures_that_overflow_raise():
     edits = {("chips", "Loihi", "energy_per_event"): 1e301}  # pJ: 1e307 aJ
     registry = derive(load_datasets(), {"chips_neuromorphic.json": edits})
     chip = registry.chip("Loihi")
-    message = r"^tops-down figures must be finite: TopsDownElement\(.*neuron_energy=inf\)$"
+    message = r"^chip Loihi: tops-down neuron_energy inf is not finite$"
     with pytest.raises(ValueError, match=message):
         topsdown.topsdown_element(chip, registry)
 

@@ -160,7 +160,8 @@ def test_every_route_to_a_config_checks_it(changes):
 def chip_bench_by_name(cfg, elem, constants):
     syn = elem.synapse_total
     neu = elem.neuron_total
-    f_fire = firing_rate(cfg, elem)
+    tau_syn = syn.delay
+    f_fire = 1.0 / (cfg.activity * cfg.synapses_per_neuron * tau_syn) if cfg.spiking else 1.0 / tau_syn
     tau_step = 1.0 / f_fire + neu.delay
     e_event = syn.energy + neu.energy / (cfg.activity * cfg.synapses_per_neuron)
     synapses = cfg.total_synapses

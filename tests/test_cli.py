@@ -144,6 +144,21 @@ def test_topsdown_backfill_not_finite_and_positive_is_data_error(
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("topsdown", "--chip", "HICANN"), ("export", "--what", "matrix", "--scope", "chips", "--out", "{out}")],
+)
+def test_topsdown_figure_that_overflows_names_chip_and_field(capsys, tmp_path, data_copy, argv):
+    def set_value(doc):
+        next(chip for chip in doc["chips"] if chip["name"] == "HICANN")["energy_per_event"] = 1e300  # pJ
+
+    rewrite_json(data_copy / "chips_neuromorphic.json", set_value)
+    out_path = tmp_path / "x.csv"
+    argv = ("--data-dir", str(data_copy), *(str(out_path) if a == "{out}" else a for a in argv))
+    assert run(capsys, *argv) == (1, "", "error: chip HICANN: tops-down neuron_energy inf is not finite\n")
+    assert not out_path.exists()
+
+
 def _lenet_feature_maps(count):
     def mutate(doc):
         next(w for w in doc["workloads"] if w["name"] == "lenet")["layers"][0]["feature_maps"] = count
