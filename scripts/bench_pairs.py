@@ -20,7 +20,10 @@ metric's bound. The notes name every median that is worse than the
 parent's, within its bound or not, with the pairs the change won. With
 `--claim W:METRIC`, `claim.claim_met` says whether the change won at least
 nine tenths of the pairs (a tie counts for neither side) and its median
-beat the parent's by more than the parent's interquartile range. `host`
+beat the parent's by more than the parent's interquartile range; when that
+range exceeds a tenth of the parent's median, a note advises a re-run, as
+the host may be in a bimodal phase (CHANGES.md has a FOUND on
+`perturbed_sweep` runs that are bimodal for minutes at a time). `host`
 records PYTHONDONTWRITEBYTECODE and whether each side has bytecode cached
 in src/neurobench/__pycache__, since both move `import.ms` and `setup_s`.
 `--trace W` adds TRACED_PAIRS `--trace 1` runs per side of W, on the seeds
@@ -44,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACED_PAIRS = 3  # traced runs per side of each --trace workload; one run can hide or invent a per-layer change
+WIDE_IQR = 0.1  # a parent interquartile range above this share of its median reads as a bimodal host
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -102,6 +106,18 @@ def claim_met(parent: list[float], change: list[float], better: str) -> bool:
     (p_q1, p_median, p_q3), (_, c_median, _) = quartiles(parent), quartiles(change)
     gap = p_median - c_median if better == "lower" else c_median - p_median
     return 10 * change_wins(parent, change, better) >= 9 * len(parent) and gap > p_q3 - p_q1
+
+
+def spread_note(workload: str, metric: str, parent: list[float]) -> str | None:
+    """A note advising a re-run when the parent's interquartile range exceeds WIDE_IQR of its median."""
+    q1, median, q3 = quartiles(parent)
+    if q3 - q1 <= WIDE_IQR * abs(median):
+        return None
+    return (
+        f"{metric} on {workload}: the parent's IQR is {(q3 - q1) / abs(median):.0%} of its median, above "
+        f"{WIDE_IQR:.0%}. The host may be in a bimodal phase (see the FOUND in CHANGES.md on perturbed_sweep "
+        "runs that are bimodal for minutes at a time); re-run the pairs before reading the claim."
+    )
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -209,10 +225,8 @@ def main(argv=None) -> int:
     notes = []
     if args.claim:
         name, _, metric = args.claim.partition(":")
-        met = claim_met(
-            *([line["metrics"][metric]["value"] for line in runs[name][side]] for side in SIDES),
-            metrics[metric]["better"],
-        )
+        parent, change = ([line["metrics"][metric]["value"] for line in runs[name][side]] for side in SIDES)
+        met = claim_met(parent, change, metrics[metric]["better"])
         result["claim"] = {"workload": name, "metric": metric, "claim_met": met}
         entry = workloads[name]["end_to_end"][metric]
         notes.append(
@@ -220,6 +234,9 @@ def main(argv=None) -> int:
             f"{entry['parent']['median']} -> {entry['change']['median']} ({entry['median_change_rel']:+.1%}), "
             f"parent IQR {entry['parent_iqr']}; claim {'met' if met else 'not met'}."
         )
+        wide = spread_note(name, metric, parent)
+        if wide:
+            notes.append(wide)
     result["workloads"] = workloads
     if traces:
         result["per_layer_trace"] = traces

@@ -19,7 +19,9 @@ third one whose device and primitive values are off theirs (`VALUE_EDITS`);
 and `topsdown`, with and without `--backfill` and with no or every
 `--workload`, for each chip of a fourth one where the back-fill of that chip
 gives a value or residual that is not finite and positive and, for HICANN,
-the tops-down neuron energy overflows (`BACKFILL_EDITS`).
+the tops-down neuron energy overflows (`BACKFILL_EDITS`); and `bench
+element` for every technology on a fifth one whose supply voltage makes
+most rows overflow, so the error names the technology (`OVERFLOW_EDITS`).
 OUT receives
 sorted JSON mapping each space-joined argv to [exit code, stdout, stderr,
 export text or null]. Run it on two checkouts and compare the dumps with
@@ -89,6 +91,8 @@ BACKFILL_EDITS = {  # chips file paths, one per chip, each breaking that chip's 
         ("chips", "HICANN-X", "fire_rate"): 1e305,  # the throughput identity's residual is nan
     },
 }
+OVERFLOW_DIR = "derived_overflow"
+OVERFLOW_EDITS = {("supply_voltage",): 1e200}  # constants.json path: 44 of the 56 rows overflow
 CONFIGS = {  # chip configs for `bench chip --config`, written by relative name like EXPORT_NAME
     "small.json": {"cores": 2, "neurons_per_core": 16, "synapses_per_neuron": 8},
     "spiking.json": {"cores": 16, "neurons_per_core": 128, "synapses_per_neuron": 64, "spiking": True, "activity": 0.5},
@@ -125,14 +129,16 @@ def commands(registry) -> list[list[str]]:
 
 def derived_commands(registry) -> list[list[str]]:
     """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, rows on the one in
-    CIRCUITS_DIR, rows and default workloads on the one in VALUES_DIR, and the tops-down figures of
-    each edited chip, with and without its back-fill, on the one in BACKFILL_DIR, at 17 digits."""
+    CIRCUITS_DIR, rows and default workloads on the one in VALUES_DIR, the tops-down figures of
+    each edited chip, with and without its back-fill, on the one in BACKFILL_DIR, and rows on the
+    one in OVERFLOW_DIR, at 17 digits."""
     argv = []
     for label in registry.technologies:
         row, chip = ["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]
         workloads = [["bench", "workload", "--name", name, "--tech", label] for name in sorted(registry.workloads)]
         argv += [["--data-dir", DERIVED_DIR, *a] for a in (row, chip, *workloads)]
         argv += [["--data-dir", CIRCUITS_DIR, *row], *(["--data-dir", VALUES_DIR, *a] for a in (row, *workloads))]
+        argv.append(["--data-dir", OVERFLOW_DIR, *row])
     for chip in sorted(path[1] for edits in BACKFILL_EDITS.values() for path in edits):
         for backfill in ([], ["--backfill"]):
             for workload in ([], *(["--workload", name] for name in sorted(registry.workloads))):
@@ -180,6 +186,7 @@ def main() -> int:
                 (CIRCUITS_DIR, {"constants.json": CIRCUIT_EDITS}),
                 (VALUES_DIR, VALUE_EDITS),
                 (BACKFILL_DIR, BACKFILL_EDITS),
+                (OVERFLOW_DIR, {"constants.json": OVERFLOW_EDITS}),
             )
             for directory, edits in derived:
                 Path(directory).mkdir()

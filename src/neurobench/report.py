@@ -66,19 +66,23 @@ def _row_terms(constants: GlobalConstants) -> tuple:
 
 
 def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
+    """A technology's row; a model `ValueError` while building it, such as an overflow, names the technology."""
     config, area, wire, transform, i_cmos = registry.memoized(("row terms",), _row_terms, registry.constants)
-    raw = registry.memoized(("raw element", *raw_inputs(tech)), build_raw_element, tech, registry)
-    net = network_transform(raw, tech, registry, transform)
     if cfg is not None:  # an explicit config has its own area terms
         config, area = cfg, area_terms(cfg, registry.constants)
-    a_syn = net.synapse.area
-    return assemble_row(
-        net,
-        a_syn * config.neurons_per_core * config.synapses_per_neuron,  # one core's synapse block
-        chip_area(area, net.neuron.area, a_syn),
-        wire,
-        *wire_drive(tech, registry, i_cmos),
-    )
+    try:
+        raw = registry.memoized(("raw element", *raw_inputs(tech)), build_raw_element, tech, registry)
+        net = network_transform(raw, tech, registry, transform)
+        a_syn = net.synapse.area
+        return assemble_row(
+            net,
+            a_syn * config.neurons_per_core * config.synapses_per_neuron,  # one core's synapse block
+            chip_area(area, net.neuron.area, a_syn),
+            wire,
+            *wire_drive(tech, registry, i_cmos),
+        )
+    except ValueError as e:
+        raise ValueError(f"technology {tech.label}: {e}") from e
 
 
 def bench_chip(tech: Technology, registry: Registry) -> ChipBench:

@@ -135,30 +135,19 @@ class BackfillResult(NamedTuple):
     residuals: Mapping[str, float]  # identity -> relative residual, fully-quoted identities only
 
 
-def _solve_throughput(chip: ChipRecord, unknown: str) -> float:
-    s_ch = chip.total_synapses
-    if unknown == "syn_throughput":
-        return chip.fire_rate * chip.activity * s_ch
-    if unknown == "fire_rate":
-        return chip.syn_throughput / (chip.activity * s_ch)
-    if unknown == "activity":
-        return chip.syn_throughput / (chip.fire_rate * s_ch)
-    raise AssertionError(unknown)
-
-
-def _solve_power(chip: ChipRecord, unknown: str) -> float:
-    if unknown == "power":
-        return chip.syn_throughput * chip.energy_per_event * units.J_PER_AJ
-    if unknown == "energy_per_event":
-        return units.joules_to_aj(chip.power / chip.syn_throughput)
-    if unknown == "syn_throughput":
-        return chip.power / (chip.energy_per_event * units.J_PER_AJ)
-    raise AssertionError(unknown)
-
-
-_IDENTITIES = (  # (name, its fields, the solver of any one of them)
-    (THROUGHPUT_IDENTITY, ("syn_throughput", "fire_rate", "activity"), _solve_throughput),
-    (POWER_IDENTITY, ("power", "syn_throughput", "energy_per_event"), _solve_power),
+# Each identity maps each of its fields to that field solved from the other two;
+# its first field is the side a residual compares.
+_IDENTITIES = (
+    (THROUGHPUT_IDENTITY, {
+        "syn_throughput": lambda c: c.fire_rate * c.activity * c.total_synapses,
+        "fire_rate": lambda c: c.syn_throughput / (c.activity * c.total_synapses),
+        "activity": lambda c: c.syn_throughput / (c.fire_rate * c.total_synapses),
+    }),
+    (POWER_IDENTITY, {
+        "power": lambda c: c.syn_throughput * c.energy_per_event * units.J_PER_AJ,
+        "syn_throughput": lambda c: c.power / (c.energy_per_event * units.J_PER_AJ),
+        "energy_per_event": lambda c: units.joules_to_aj(c.power / c.syn_throughput),
+    }),
 )
 
 
@@ -180,8 +169,8 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
     flagged = set(chip.derived_fields)
     unknown_fields = {
         f
-        for name, fields, _ in identities
-        for f in fields
+        for _, solvers in identities
+        for f in solvers
         if getattr(chip, f) is None or f in flagged
     }
     current = chip
@@ -190,11 +179,11 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
     progress = True
     while progress:
         progress = False
-        for name, fields, solve in identities:
-            unknowns = [f for f in fields if f in unknown_fields]
+        for name, solvers in identities:
+            unknowns = [f for f in solvers if f in unknown_fields]
             if len(unknowns) == 1:
                 f = unknowns[0]
-                value = solve(current, f)
+                value = solvers[f](current)
                 if not 0.0 < value < math.inf:
                     raise IncomputableError(f"chip {chip.name}: back-filled {f} {value:g} is not finite and positive")
                 current = current._replace(**{f: value})
@@ -208,11 +197,12 @@ def backfill_derived(chip: ChipRecord) -> BackfillResult:
         )
     if "activity" in filled and not 0.0 < current.activity <= 1.0:
         raise IncomputableError(f"chip {chip.name}: back-filled activity {current.activity:g} lies outside (0, 1]")
-    for name, fields, solve in identities:
-        if any(f in filled for f in fields):
+    for name, solvers in identities:
+        if any(f in filled for f in solvers):
             continue  # identity was consumed by a solve; residual is zero by construction
-        lhs = getattr(current, fields[0])
-        rhs = solve(current, fields[0])
+        f, solve = next(iter(solvers.items()))
+        lhs = getattr(current, f)
+        rhs = solve(current)
         residual = abs(lhs - rhs) / rhs if rhs else math.inf
         if not residual < math.inf:
             raise IncomputableError(f"chip {chip.name}: residual {residual:g} of {name} is not finite")

@@ -36,6 +36,16 @@ def test_claim_is_lost_on_iqr():
     assert not bench_pairs.claim_met(parent, change, "lower")
 
 
+def test_a_wide_parent_iqr_adds_a_note_that_advises_a_re_run():
+    assert bench_pairs.spread_note("surface", "op_p50_ms", PARENT) is None  # IQR 0.25 of 20
+    bimodal = [8.25, 9.12, 8.3, 9.74, 8.35, 9.3, 8.28, 9.5, 9.2, 9.6]  # two modes, as one host gave
+    note = bench_pairs.spread_note("perturbed_sweep", "op_p50_ms", bimodal)
+    assert note.startswith("op_p50_ms on perturbed_sweep: the parent's IQR is 13% of its median, above 10%.")
+    assert "bimodal" in note and "re-run the pairs" in note
+    assert bench_pairs.claim_met(bimodal, [v - 2.0 for v in bimodal], "lower")  # the note leaves the claim alone
+    assert bench_pairs.spread_note("perturbed_sweep", "ops_per_s", [1e3 / v for v in bimodal]) is not None
+
+
 def test_sides_alternate_which_runs_first():
     assert [bench_pairs.run_order(seed) for seed in (1, 2, 3)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change"),

@@ -31,6 +31,14 @@ def test_triple_checks_every_route_in(name, bad):
         AdeTriple._make(bad if f == name else 1.0 for f in AdeTriple._fields)
 
 
+@pytest.mark.parametrize("name", ["area", "delay", "energy"])
+def test_triple_scaled_rejects_a_negative_ratio(name):
+    triple = AdeTriple(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="^scaling ratios must be non-negative$"):
+        triple.scaled(**{name: -0.5})
+    assert triple.scaled(**{name: 0.0}) == triple._replace(**{name: 0.0})
+
+
 def test_triple_rejects_a_sum_that_overflows():
     big = AdeTriple(1e308, 0.0, 0.0)
     with pytest.raises(ValueError, match="AdeTriple.area must be finite"):
@@ -167,6 +175,16 @@ def test_element_row_totals_that_overflow_raise_where_they_are_read(registry):
     slow = ElementBench(AdeTriple(1.0, 1e308, 1.0), AdeTriple(1.0, 1.0, 1.0), AdeTriple(1.0, 1e308, 1.0))
     with pytest.raises(ValueError, match=r"^firing rate undefined for synapse delay inf$"):
         chip_bench(nominal_config(constants), slow, constants)
+
+
+def test_an_element_row_that_overflows_names_its_technology(registry):
+    derived = derive(registry, {"constants.json": {("supply_voltage",): 1e200}})
+    tech = derived.technology("ANNDCSRAM")
+    message = r"^technology ANNDCSRAM: AdeTriple\.energy must be finite and >= 0, got inf$"
+    for cfg in (None, None, nominal_config(derived.constants)):  # the nominal row twice, then an explicit config
+        with pytest.raises(ValueError, match=message):
+            report.bench_technology(tech, derived, cfg)
+    assert ("row", "ANNDCSRAM") not in derived._memo
 
 
 def test_topsdown_figures_that_overflow_raise():

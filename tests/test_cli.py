@@ -69,6 +69,7 @@ def test_bench_chip_config_file(capsys, tmp_path):
             {"cores": 4, "neurons_per_core": 1e300, "synapses_per_neuron": 3},
             "neurons_per_core: must be an integer <= 2**53, got 1e+300",
         ),
+        ([{"cores": 4, "neurons_per_core": 2, "synapses_per_neuron": 3}], "chip config must be a JSON object"),
     ],
 )
 def test_bench_chip_config_key_error_is_data_error(capsys, tmp_path, doc, key):
@@ -178,7 +179,7 @@ def _digital_cmos_reg(field, value):
     [
         pytest.param(
             "constants.json", lambda doc: doc.update(supply_voltage=1e200), ("bench", "element", "--tech", "ANNDCSRAM"),
-            "AdeTriple.energy must be finite and >= 0, got inf",
+            "technology ANNDCSRAM: AdeTriple.energy must be finite and >= 0, got inf",
             id="constants.json-<lambda>-argv0",
         ),
         # a count above 2**53 is rejected when loaded, before any product of counts
@@ -204,7 +205,7 @@ def _digital_cmos_reg(field, value):
         pytest.param(
             "constants.json", lambda doc: doc["overheads"].update(chip=1e300),
             ("bench", "chip", "--nominal", "--tech", "ANNDCSRAM"),
-            "AdeTriple.area must be finite and >= 0, got inf",
+            "technology ANNDCSRAM: AdeTriple.area must be finite and >= 0, got inf",
             id="constants.json:overheads.chip",
         ),
         pytest.param(  # the row is finite, the workload energy is not

@@ -67,6 +67,11 @@ def test_enumerate_all_is_duplicate_free_union(registry):
     assert len(everything) == by_kind
 
 
+def test_enumerate_rejects_an_unknown_network_kind(registry):
+    with pytest.raises(UnknownNameError, match=r"^unknown network kind 'XNN'$"):
+        registry.enumerate_technologies("XNN")
+
+
 def test_snn_has_no_mac_rows(registry):
     assert not any(registry.fan_in[t.fan_in_class] == 1 for t in registry.enumerate_technologies("SNN"))
 
@@ -478,6 +483,12 @@ def _edit(doc, path, value):
             ("workloads.json: mnist_mlp.layers[0].outputs: must be an integer >= 1, got 0",),
             ("topsdown", "--chip", "Loihi", "--workload", "mnist_mlp"),
             id="workloads.json:workloads.mnist_mlp.layers.0.outputs",
+        ),
+        pytest.param(
+            "devices.json", ("devices",), {"ME": {}},
+            ("devices.json: devices: must be a list, got {'ME': {}}",),
+            ("devices", "list"),
+            id="devices.json:devices",
         ),
     ],
 )

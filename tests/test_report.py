@@ -163,6 +163,21 @@ def test_matrix_errors_name_scope_then_workload_then_format(registry, scope, wor
         report.emit_matrix(registry, scope, workload=workload, fmt=fmt)
 
 
+@pytest.mark.parametrize(
+    "what, message",
+    [
+        ("workload", "workload scatter requires a workload name"),
+        ("power", "power scatter requires a workload name"),
+        ("energy", "unknown scatter kind 'energy'"),
+    ],
+)
+def test_scatter_errors_name_the_request(registry, what, message):
+    from neurobench.registry import UnknownNameError
+
+    with pytest.raises(UnknownNameError, match=message):
+        report.scatter_dataset(registry, what)
+
+
 @given(st.floats(), st.integers(1, 30))
 def test_the_figure_template_formats_as_format_does(x, precision):
     assert f"%.{precision}g" % x == format(x, f".{precision}g")
@@ -314,6 +329,28 @@ def test_geometric_mean_names_a_kind_with_no_technologies(data_copy):
     assert report.geometric_mean_neuron_delay(registry, "ANN") > 0
     with pytest.raises(ValueError, match="no ONN technologies"):
         report.geometric_mean_neuron_delay(registry, "ONN")
+
+
+def _drop(key, name):
+    return lambda doc: doc.update({key: [row for row in doc[key] if row["name"] != name]})
+
+
+@pytest.mark.parametrize(
+    "file, mutate, compared",
+    [
+        ("chips_neuromorphic.json", _drop("chips", "Loihi"), ["Myriad 2"]),
+        ("chips_accelerators.json", _drop("chips", "Myriad 2"), ["Loihi"]),
+        ("workloads.json", _drop("workloads", "speech_mlp"), []),
+        ("chips_neuromorphic.json", lambda doc: next(c for c in doc["chips"] if c["name"] == "Loihi").pop("area"),
+         ["Myriad 2"]),  # incomputable: tops-down needs the area
+    ],
+    ids=["no Loihi", "no Myriad 2", "no speech_mlp", "incomputable Loihi"],
+)
+def test_speech_comparison_skips_what_the_registry_lacks(registry, data_copy, file, mutate, compared):
+    shipped = report.speech_comparison(registry)
+    assert sorted(shipped) == ["Loihi", "Myriad 2"]
+    rewrite_json(data_copy / file, mutate)
+    assert report.speech_comparison(load_datasets(data_copy)) == {chip: shipped[chip] for chip in compared}
 
 
 # -- position reads against by-name references ------------------------------------

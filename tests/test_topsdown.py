@@ -7,6 +7,7 @@ from conftest import BACKFILL_BREAKS
 from neurobench import derive
 from neurobench.registry import ChipRecord
 from neurobench.topsdown import (
+    POWER_IDENTITY,
     IncomputableError,
     backfill_derived,
     run_workload_on_chip,
@@ -141,6 +142,17 @@ def test_backfilled_activity_above_one_is_rejected(registry):
     inflated = chip._replace(syn_throughput=20 * chip.syn_throughput)
     with pytest.raises(IncomputableError, match=r"chip IFAT: back-filled activity 2\.17557 lies outside \(0, 1\]"):
         backfill_derived(inflated)
+
+
+def test_backfill_accelerator_throughput_from_the_power_identity(registry):
+    # Diannao with its throughput flagged instead of its event energy: 0.485 W over 1.1 pJ per MAC
+    edits = {("chips", "Diannao", "derived"): ["syn_throughput"]}
+    chip = derive(registry, {"chips_accelerators.json": edits}).chip("Diannao")
+    result = backfill_derived(chip)
+    assert dict(result.filled) == {"syn_throughput": POWER_IDENTITY}
+    assert not result.residuals  # an accelerator has only the power identity, and the solve consumed it
+    assert result.chip == chip._replace(syn_throughput=440909090909.0908)
+    assert result.chip.syn_throughput == 0.485 / (1.1e6 * 1e-18)
 
 
 @pytest.mark.parametrize("name, file, field, value, message", BACKFILL_BREAKS)
