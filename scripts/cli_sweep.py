@@ -21,16 +21,27 @@ and `topsdown`, with and without `--backfill` and with no or every
 gives a value or residual that is not finite and positive and, for HICANN,
 the tops-down neuron energy overflows (`BACKFILL_EDITS`); and `bench
 element` for every technology on a fifth one whose supply voltage makes
-most rows overflow, so the error names the technology (`OVERFLOW_EDITS`).
+most rows overflow, so the error names the technology (`OVERFLOW_EDITS`);
+and `bench chip --nominal`, `bench chip --config nominal.json` and `bench
+workload --name lenet` for every technology, and `topsdown --workload`, with
+and without `--backfill`, for each edited chip, on a sixth one where chip,
+workload and tops-down workload figures overflow, so the error names the
+technology or chip and the workload (`FIGURES_EDITS`).
+It also runs `devices list` once for every leaf of each of the seven
+shipped files deleted or set to each of `LEAF_VALUES`, with that one file
+changed (`loader_results`), so every loader message shows.
 OUT receives
-sorted JSON mapping each space-joined argv to [exit code, stdout, stderr,
+sorted JSON mapping each space-joined argv, or for a changed leaf `loader`,
+the file, the leaf's path and its value, to [exit code, stdout, stderr,
 export text or null]. Run it on two checkouts and compare the dumps with
 `cmp`: a refactor that keeps the CLI's behaviour leaves them byte-identical.
 """
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -93,6 +104,15 @@ BACKFILL_EDITS = {  # chips file paths, one per chip, each breaking that chip's 
 }
 OVERFLOW_DIR = "derived_overflow"
 OVERFLOW_EDITS = {("supply_voltage",): 1e200}  # constants.json path: 44 of the 56 rows overflow
+LOADER_DIR = "loader"
+DELETED = object()
+LEAF_VALUES = {"deleted": DELETED, '"x"': "x", "-1": -1, "0": 0, "1e308": 1e308}  # label -> the leaf's new value
+FIGURES_DIR = "derived_figures"
+FIGURES_EDITS = {  # finite rows and tops-down elements whose chip or workload figures overflow
+    "circuit_primitives.json": {("families", "digital_cmos", "reg", "energy"): 1e302},
+    "chips_neuromorphic.json": {("chips", "Loihi", "energy_per_event"): 1e298},
+    "chips_accelerators.json": {("chips", "Diannao", "energy_per_event"): 1e298},
+}
 CONFIGS = {  # chip configs for `bench chip --config`, written by relative name like EXPORT_NAME
     "small.json": {"cores": 2, "neurons_per_core": 16, "synapses_per_neuron": 8},
     "spiking.json": {"cores": 16, "neurons_per_core": 128, "synapses_per_neuron": 64, "spiking": True, "activity": 0.5},
@@ -130,8 +150,9 @@ def commands(registry) -> list[list[str]]:
 def derived_commands(registry) -> list[list[str]]:
     """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, rows on the one in
     CIRCUITS_DIR, rows and default workloads on the one in VALUES_DIR, the tops-down figures of
-    each edited chip, with and without its back-fill, on the one in BACKFILL_DIR, and rows on the
-    one in OVERFLOW_DIR, at 17 digits."""
+    each edited chip, with and without its back-fill, on the one in BACKFILL_DIR, rows on the
+    one in OVERFLOW_DIR, and chips, lenet and the tops-down workloads of each edited chip on the
+    one in FIGURES_DIR, at 17 digits."""
     argv = []
     for label in registry.technologies:
         row, chip = ["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]
@@ -139,11 +160,52 @@ def derived_commands(registry) -> list[list[str]]:
         argv += [["--data-dir", DERIVED_DIR, *a] for a in (row, chip, *workloads)]
         argv += [["--data-dir", CIRCUITS_DIR, *row], *(["--data-dir", VALUES_DIR, *a] for a in (row, *workloads))]
         argv.append(["--data-dir", OVERFLOW_DIR, *row])
+        config = ["bench", "chip", "--config", "nominal.json", "--tech", label]
+        lenet = ["bench", "workload", "--name", "lenet", "--tech", label]
+        argv += [["--data-dir", FIGURES_DIR, *a] for a in (chip, config, lenet)]
     for chip in sorted(path[1] for edits in BACKFILL_EDITS.values() for path in edits):
         for backfill in ([], ["--backfill"]):
             for workload in ([], *(["--workload", name] for name in sorted(registry.workloads))):
                 argv.append(["--data-dir", BACKFILL_DIR, "topsdown", "--chip", chip, *backfill, *workload])
+    for chip in sorted(path[1] for name, edits in FIGURES_EDITS.items() if name.startswith("chips") for path in edits):
+        for backfill in ([], ["--backfill"]):
+            for name in sorted(registry.workloads):
+                argv.append(["--data-dir", FIGURES_DIR, "topsdown", "--chip", chip, *backfill, "--workload", name])
     return [["--precision", "17", *a] for a in argv]
+
+
+def leaves(node, path=()):
+    """The path of every value in the JSON `node` that is neither an object nor a list."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaves(child, (*path, key))
+    else:
+        yield path
+
+
+def loader_results(registry) -> dict:
+    """`devices list` on the files of `registry` in LOADER_DIR, once for each
+    leaf of each file deleted or set to each of LEAF_VALUES."""
+    directory = Path(LOADER_DIR)
+    directory.mkdir()
+    for name, data in registry.files.items():
+        (directory / name).write_bytes(data)
+    results = {}
+    for name, data in registry.files.items():
+        for path in leaves(json.loads(data)):
+            for label, value in LEAF_VALUES.items():
+                doc = json.loads(data)
+                *steps, last = path
+                node = functools.reduce(operator.getitem, steps, doc)
+                if value is DELETED:
+                    del node[last]
+                else:
+                    node[last] = value
+                (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+                key = f"loader {name} {'.'.join(map(str, path))} {label}"
+                results[key] = run(["--data-dir", LOADER_DIR, "devices", "list"])
+        (directory / name).write_bytes(data)
+    return results
 
 
 def run(argv: list[str]) -> list:
@@ -187,6 +249,7 @@ def main() -> int:
                 (VALUES_DIR, VALUE_EDITS),
                 (BACKFILL_DIR, BACKFILL_EDITS),
                 (OVERFLOW_DIR, {"constants.json": OVERFLOW_EDITS}),
+                (FIGURES_DIR, FIGURES_EDITS),
             )
             for directory, edits in derived:
                 Path(directory).mkdir()
@@ -194,6 +257,7 @@ def main() -> int:
                     (Path(directory) / name).write_bytes(data)
             for command in commands(registry) + derived_commands(registry):
                 results[" ".join(command)] = run(command)
+            results.update(loader_results(registry))
         finally:
             os.chdir(cwd)
     out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -135,7 +135,6 @@ def _cmd_devices(args, registry: Registry) -> None:
 
 def _cmd_bench(args, registry: Registry) -> None:
     from . import report
-    from .chip import chip_bench
 
     p = args.precision
     if args.bench_command == "element":
@@ -150,8 +149,7 @@ def _cmd_bench(args, registry: Registry) -> None:
         if args.nominal:
             bench = report.bench_chip(tech, registry)
         else:
-            cfg = _chip_config(args.config)
-            bench = chip_bench(cfg, report.bench_technology(tech, registry, cfg), registry.constants)
+            bench = report.bench_chip(tech, registry, _chip_config(args.config))
         print(f"total_synapses: {bench.total_synapses}")
         print(f"area_nm2: {bench.area:.{p}g}")
         print(f"firing_rate_per_s: {bench.firing_rate * units.PS_PER_S:.{p}g}")

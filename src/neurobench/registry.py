@@ -71,28 +71,29 @@ class UnknownNameError(DatasetError, KeyError):
 # ---------------------------------------------------------------------------
 # domain types
 #
-# The NamedTuples are the dataset schema. A scalar field (float, int, str,
-# bool, Fraction, or Optional of one) is read from the JSON key of the same
-# name, unless the class's `_loader` table names another key and a unit
-# (`_scaled`) or leaves the field to the loader (`_BY_HAND`). Optional fields
-# may be absent; defaults live here only. This module does without
-# `from __future__ import annotations`: NamedTuple compiles each string
-# annotation into a ForwardRef, which costs more at import than the types.
+# The NamedTuples are the dataset schema, and the loader walks every field of
+# a schema class the same way. A field is read from the JSON key of its name,
+# unless the class's `_loader` table gives it a `(key, unit)` pair or leaves it
+# to the loader (`_BY_HAND`). A key may name a value inside nested objects
+# (`"overheads.synapse"`), and a unit is a `units` header entry or `_FEATURE`,
+# the feature size, of the `_f` keys. A field whose type is a schema class is
+# read from an object, and a `Mapping[str, ...]` of one from an object of them
+# by name. Optional fields may be absent; defaults live here only. This module
+# does without `from __future__ import annotations`: NamedTuple compiles each
+# string annotation into a ForwardRef, which costs more at import than the types.
 
 
 class Fraction(float):
     """Annotation for a number in (0, 1]; the loader stores a plain float."""
 
 
-# the `_loader` entry of a field the loader builds itself: a feature-size
-# multiple, a nested block or a computed value
+# the `_loader` entry of a field that follows a rule of its own: a name the
+# row's place gives, or a value whose key or check depends on the row
 _BY_HAND = object()
 
-
-def _scaled(unit: str, key: Optional[str] = None) -> tuple[Optional[str], str]:
-    """The `_loader` entry of a field read from JSON `key` (default: the field
-    name) and converted by the file's `unit` header entry."""
-    return key, unit
+# the unit of the `_f` keys, multiples of the feature size; `_units` reads its
+# factor from the file's key of the same name
+_FEATURE = "feature_size"
 
 
 class TransistorParams(NamedTuple):
@@ -109,11 +110,15 @@ class SenseAmpWidths(NamedTuple):
     iso: float  # nm
     enable: float  # nm
 
+    _loader = dict.fromkeys(("p", "n", "iso", "enable"), (None, _FEATURE))
+
 
 class OtaWidths(NamedTuple):
     input: float  # nm
     pullup: float  # nm
     output: float  # nm
+
+    _loader = dict.fromkeys(("input", "pullup", "output"), (None, _FEATURE))
 
 
 class GlobalConstants(NamedTuple):
@@ -163,17 +168,19 @@ class GlobalConstants(NamedTuple):
     wire_pitch: float  # nm
 
     _loader = {
-        "digital_transistor_width": _BY_HAND,
-        "ic_cap_per_length": _scaled("cap_per_length"),
-        "ic_res_per_length": _scaled("res_per_length"),
-        "synapse_overhead": _BY_HAND,
-        "neuron_overhead": _BY_HAND,
-        "core_overhead": _BY_HAND,
-        "chip_overhead": _BY_HAND,
-        "nominal_cores": _BY_HAND,
-        "nominal_neurons_per_core": _BY_HAND,
-        "nominal_synapses_per_neuron": _BY_HAND,
-        "wire_pitch": _BY_HAND,
+        "digital_transistor_width": ("digital_transistor_width_f", _FEATURE),
+        "ic_cap_per_length": (None, "cap_per_length"),
+        "ic_res_per_length": (None, "res_per_length"),
+        "sense_amp_widths": ("sense_amp_widths_f", None),
+        "ota_widths": ("ota_widths_f", None),
+        "synapse_overhead": ("overheads.synapse", None),
+        "neuron_overhead": ("overheads.neuron", None),
+        "core_overhead": ("overheads.core", None),
+        "chip_overhead": ("overheads.chip", None),
+        "nominal_cores": ("nominal_chip.cores", None),
+        "nominal_neurons_per_core": ("nominal_chip.neurons_per_core", None),
+        "nominal_synapses_per_neuron": ("nominal_chip.synapses_per_neuron", None),
+        "wire_pitch": ("wire_pitch_f", _FEATURE),
     }
 
     @property
@@ -217,11 +224,11 @@ class DeviceRecord(NamedTuple):
     r_off: Optional[float] = None  # Ohm
 
     _loader = {
-        "area_int": _scaled("area", "area"),
-        "delay_int": _scaled("delay", "delay"),
-        "energy_int": _scaled("energy", "energy"),
-        "r_on": _scaled("resistance"),
-        "r_off": _scaled("resistance"),
+        "area_int": ("area", "area"),
+        "delay_int": ("delay", "delay"),
+        "energy_int": ("energy", "energy"),
+        "r_on": (None, "resistance"),
+        "r_off": (None, "resistance"),
     }
 
     @property
@@ -280,12 +287,13 @@ class ChipRecord(NamedTuple):
 
     _loader = {
         "kind": _BY_HAND,
-        "area": _scaled("area"),
-        "power": _scaled("power"),
-        "syn_throughput": _scaled("syn_throughput"),
-        "energy_per_event": _scaled("energy"),
-        "fire_rate": _scaled("fire_rate"),
-        "clock": _scaled("clock"),
+        "area": (None, "area"),
+        "power": (None, "power"),
+        "syn_throughput": (None, "syn_throughput"),
+        "energy_per_event": (None, "energy"),
+        "fire_rate": (None, "fire_rate"),
+        "clock": (None, "clock"),
+        "derived_fields": _BY_HAND,
     }
 
     @property
@@ -478,41 +486,58 @@ def _path(record: str, key) -> str:
 
 
 _SCALARS = (float, int, str, bool, Fraction)
-_KINDS = {**{t: t for t in _SCALARS}, **{Optional[t]: t for t in _SCALARS}}  # annotation -> kind
-
-
-def _walk(cls) -> tuple:
-    """(field, JSON key, kind, unit, default) of every scalar field of `cls`
-    that the loader reads by name, as its `_loader` table says."""
-    loader = getattr(cls, "_loader", {})
-    walked = []
-    for name, annotation in cls.__annotations__.items():
-        kind, how = _KINDS.get(annotation), loader.get(name, (None, None))
-        if kind is None or how is _BY_HAND:
-            continue
-        key, unit = how
-        walked.append((name, key or name, kind, unit, cls._field_defaults.get(name, _REQUIRED)))
-    return tuple(walked)
-
-
-_WALKS = {
-    cls: _walk(cls)
-    for cls in (GlobalConstants, TransistorParams, SenseAmpWidths, OtaWidths, DeviceRecord, Technology, ChipRecord)
+_RECORDS = (TransistorParams, SenseAmpWidths, OtaWidths, CircuitPrimitiveTable)  # the schema read from JSON objects
+_KINDS = {  # annotation -> kind: a scalar, a record class, or (record class,) for an object of records by name
+    **{t: t for t in _SCALARS}, **{Optional[t]: t for t in _SCALARS},
+    **{r: r for r in (*_RECORDS, AdeTriple)}, **{Mapping[str, r]: (r,) for r in _RECORDS},
 }
 
 
+def _walk(cls) -> tuple:
+    """(field, enclosing keys, JSON key, kind, unit, default) of every field of
+    `cls` that its `_loader` table does not leave to the loader."""
+    loader = getattr(cls, "_loader", {})
+    walked = []
+    for name in cls._fields:
+        how = loader.get(name, (None, None))
+        if how is not _BY_HAND:
+            *enclosing, key = (how[0] or name).split(".")
+            kind, default = _KINDS[cls.__annotations__[name]], cls._field_defaults.get(name, _REQUIRED)
+            walked.append((name, tuple(enclosing), key, kind, how[1], default))
+    return tuple(walked)
+
+
+_WALKS = {cls: _walk(cls) for cls in (GlobalConstants, DeviceRecord, Technology, ChipRecord, *_RECORDS)}
+# a primitive cell: area, delay and energy, each in its header unit (`ade.py` keeps its annotations as strings)
+_WALKS[AdeTriple] = tuple((name, (), name, float, name, _REQUIRED) for name in AdeTriple._fields)
+
+
 def _read(cls, doc: dict, file: str, record: str = "", factors=None, defaults=None, kinds=None) -> dict:
-    """Keyword arguments for `cls` from its walked fields in `doc`. `factors`
-    maps header unit keys to conversion factors; `defaults`, when given,
-    replaces the class defaults for every field; `kinds` narrows the kind
-    of some fields to a collection of known names."""
+    """Keyword arguments for `cls` from its walked fields in `doc`, in field
+    order. `factors` maps units to conversion factors; `defaults`, when
+    given, replaces the class defaults for every field; `kinds` narrows the
+    kind of some scalar fields to a collection of known names."""
     kwargs = {}
-    for name, key, kind, unit, default in _WALKS[cls]:
-        if kinds is not None:
-            kind = kinds.get(name, kind)
-        value = _value(doc, key, kind, file, record, default if defaults is None else defaults[name])
-        kwargs[name] = _converted(value, factors[unit], file, record, key) if unit and value is not None else value
+    for name, enclosing, key, kind, unit, default in _WALKS[cls]:
+        node, path = doc, record
+        for step in enclosing:
+            node, path = _value(node, step, dict, file, path), _path(path, step)
+        if kind in _WALKS:
+            kwargs[name] = _record(kind, node, key, file, path, factors)
+        elif kind.__class__ is tuple:  # records by name, read-only
+            block, path = _value(node, key, dict, file, path), _path(path, key)
+            kwargs[name] = MappingProxyType({k: _record(kind[0], block, k, file, path, factors) for k in block})
+        else:
+            if kinds is not None:
+                kind = kinds.get(name, kind)
+            value = _value(node, key, kind, file, path, default if defaults is None else defaults[name])
+            kwargs[name] = _converted(value, factors[unit], file, path, key) if unit and value is not None else value
     return kwargs
+
+
+def _record(cls, doc: dict, key: str, file: str, record: str, factors):
+    """The `cls` record read from the object doc[key]."""
+    return cls(**_read(cls, _value(doc, key, dict, file, record), file, _path(record, key), factors))
 
 
 def _converted(value: float, factor: float, file: str, record: str, key) -> float:
@@ -526,18 +551,33 @@ _CANONICAL = {key: tuple(n for n, f in table.items() if f == 1.0) for key, table
 
 
 def _units(doc: dict, file: str, converted=()) -> dict[str, float]:
-    """Conversion factors of the header units that the loader converts; every
+    """Conversion factors of the units that the loader converts: each header
+    unit in `converted`, and `_FEATURE`, the file's feature size, whose 20
+    multiples (the minimum interconnect length) must be finite too. Every
     other unit the header declares must be the canonical one."""
     header = _value(doc, "units", dict, file)
     for key in header:
         if key in _CANONICAL and key not in converted:
             _value(header, key, _CANONICAL[key], file, "units", None)
-    tables = {key: units.HEADER_UNITS[key] for key in converted}
-    return {key: table[_value(header, key, table, file, "units")] for key, table in tables.items()}
+    tables = {key: units.HEADER_UNITS[key] for key in converted if key != _FEATURE}
+    factors = {key: table[_value(header, key, table, file, "units")] for key, table in tables.items()}
+    if _FEATURE in converted:
+        feature = factors[_FEATURE] = _value(doc, _FEATURE, float, file)
+        _converted(feature, 20.0, file, "", _FEATURE)
+    return factors
 
 
-def _units_of(cls) -> set[str]:
-    return {unit for _, _, _, unit, _ in _WALKS[cls] if unit}
+def _units_of(cls) -> tuple[str, ...]:
+    """The units that reading a `cls` converts, its records' included, in walk
+    order, so a header that lacks several names the same one on every run."""
+    found = {}
+    for _, _, _, kind, unit, _ in _WALKS[cls]:
+        nested = kind[0] if kind.__class__ is tuple else kind
+        if nested in _WALKS:
+            found.update(dict.fromkeys(_units_of(nested)))
+        elif unit:
+            found[unit] = None
+    return tuple(found)
 
 
 def _insert(records: dict, key: str, record, file: str, what: str) -> None:
@@ -576,47 +616,10 @@ _by_content = functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _constants(data: bytes) -> GlobalConstants:
     name = "constants.json"
     doc = _parsed(data, name)
-    walked = _read(GlobalConstants, doc, name, factors=_units(doc, name, _units_of(GlobalConstants)))
-    feature = walked["feature_size"]
-
-    # feature-size multiples (`_f` keys) get the check of a unit conversion
-    def feature_multiple(key):
-        return _converted(_value(doc, key, float, name), feature, name, "", key)
-
-    def feature_widths(cls, key):
-        block = _value(doc, key, dict, name)
-        return cls(**{k: _converted(v, feature, name, key, k) for k, v in _read(cls, block, name, key).items()})
-
-    # orderings that the sense amp, analog read and OTA cell models need
-    orders = [("", walked, "sense_voltage", "supply_voltage"), ("", walked, "vsa_read_voltage", "analog_row_voltage")]
-    block = _value(doc, "transistors", dict, name)
-    transistors = {}
-    for fam in block:
-        params = _read(TransistorParams, _value(block, fam, dict, name, "transistors"), name, f"transistors.{fam}")
-        transistors[fam] = TransistorParams(**params)
-        orders.append((f"transistors.{fam}", params, "off_current_per_width", "on_current_per_width"))
-    if "cmos" not in transistors:
+    factors = _units(doc, name, _units_of(GlobalConstants))
+    constants = GlobalConstants(**_read(GlobalConstants, doc, name, factors=factors))
+    if "cmos" not in constants.transistors:
         raise ValidationError(f"{name}: transistors must include a 'cmos' family")
-
-    _converted(feature, 20.0, name, "", "feature_size")  # the minimum interconnect length must be finite too
-    overheads = _value(doc, "overheads", dict, name)
-    nominal = _value(doc, "nominal_chip", dict, name)
-    constants = GlobalConstants(
-        **walked,
-        digital_transistor_width=feature_multiple("digital_transistor_width_f"),
-        wire_pitch=feature_multiple("wire_pitch_f"),
-        transistors=MappingProxyType(transistors),
-        sense_amp_widths=feature_widths(SenseAmpWidths, "sense_amp_widths_f"),
-        ota_widths=feature_widths(OtaWidths, "ota_widths_f"),
-        **{
-            f"{k}_overhead": _value(overheads, k, float, name, "overheads")
-            for k in ("synapse", "neuron", "core", "chip")
-        },
-        **{
-            f"nominal_{k}": _value(nominal, k, int, name, "nominal_chip")
-            for k in ("cores", "neurons_per_core", "synapses_per_neuron")
-        },
-    )
 
     # table self-consistency: per-length resistance times minimum length must
     # reproduce the quoted minimum-interconnect resistance within 2%
@@ -626,9 +629,17 @@ def _constants(data: bytes) -> GlobalConstants:
             f"{name}: ic_res_per_length * min_ic_length = {implied:.1f} Ohm "
             f"disagrees with min_ic_resistance = {constants.min_ic_resistance:.1f} Ohm by more than 2%"
         )
+    # orderings that the sense amp, analog read and OTA cell models need
+    orders = [
+        ("", constants, "sense_voltage", "supply_voltage"),
+        ("", constants, "vsa_read_voltage", "analog_row_voltage"),
+    ]
+    for fam, params in constants.transistors.items():
+        orders.append((f"transistors.{fam}", params, "off_current_per_width", "on_current_per_width"))
     for record, row, low, high in orders:
-        if not row[low] < row[high]:
-            raise ValidationError(f"{name}: {_path(record, low)}: must be below {high} ({row[low]} >= {row[high]})")
+        below, above = getattr(row, low), getattr(row, high)
+        if not below < above:
+            raise ValidationError(f"{name}: {_path(record, low)}: must be below {high} ({below} >= {above})")
     return constants
 
 
@@ -636,21 +647,12 @@ def _constants(data: bytes) -> GlobalConstants:
 def _primitives(data: bytes) -> dict[str, CircuitPrimitiveTable]:
     name = "circuit_primitives.json"
     doc = _parsed(data, name)
-    factors = _units(doc, name, ("area", "delay", "energy"))
-
-    def triple(entry, record):
-        figures = {k: _value(entry, k, float, name, record) for k in ("area", "delay", "energy")}
-        return AdeTriple(*(_converted(v, factors[k], name, record, k) for k, v in figures.items()))
-
-    tables = {}
+    factors = _units(doc, name, _units_of(CircuitPrimitiveTable))
     families = _value(doc, "families", dict, name)
-    for fam in families:
+    tables = {}
+    for fam in families:  # a cell is named by its family alone: `digital_cmos.inv.area`
         cells = _value(families, fam, dict, name, "families")
-        parsed = {
-            cell: triple(_value(cells, cell, dict, name, fam), f"{fam}.{cell}")
-            for cell in CircuitPrimitiveTable._fields
-        }
-        tables[fam] = CircuitPrimitiveTable(**parsed)
+        tables[fam] = CircuitPrimitiveTable(**_read(CircuitPrimitiveTable, cells, name, fam, factors))
     for fam in ("digital_cmos", "digital_tfet"):
         if fam not in tables:
             raise ValidationError(f"{name}: missing primitive family {fam!r}")
@@ -758,11 +760,8 @@ def _chip_file(data: bytes, name: str) -> tuple[dict[str, ChipRecord], dict]:
     chips: dict[str, ChipRecord] = {}
     for i, row in enumerate(_value(doc, "chips", [dict], name)):
         cname = _value(row, "name", str, name, f"chips.{i}")
-        record = ChipRecord(
-            kind=kind,
-            derived_fields=tuple(_value(row, "derived", [DERIVABLE[kind]], name, cname, default=())),
-            **_read(ChipRecord, row, name, cname, factors),
-        )
+        derived = tuple(_value(row, "derived", [DERIVABLE[kind]], name, cname, default=()))
+        record = ChipRecord(kind=kind, derived_fields=derived, **_read(ChipRecord, row, name, cname, factors))
         _insert(chips, cname, record, name, "chip")
     return chips, {key: doc.get(key) for key in _TOPSDOWN_PARAMS}
 

@@ -85,10 +85,17 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
         raise ValueError(f"technology {tech.label}: {e}") from e
 
 
-def bench_chip(tech: Technology, registry: Registry) -> ChipBench:
-    """`chip_bench` of a technology's nominal chip (spiking for an SNN), from its memoized row."""
-    row = bench_technology(tech, registry)  # first, as it checks that `tech` is the registry's
-    return chip_bench(nominal_config(registry.constants, spiking=tech.network_kind == "SNN"), row, registry.constants)
+def bench_chip(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ChipBench:
+    """`chip_bench` of a technology's chip `cfg`, by default its nominal chip
+    (spiking for an SNN) from its memoized row; a figure that overflows names
+    the technology."""
+    row = bench_technology(tech, registry, cfg)  # first, as it checks that `tech` is the registry's
+    if cfg is None:
+        cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
+    try:
+        return chip_bench(cfg, row, registry.constants)
+    except ValueError as e:
+        raise ValueError(f"technology {tech.label}: {e}") from e
 
 
 def bench_workload(
@@ -106,14 +113,13 @@ def bench_workload(
 
 
 def _workload_bench(workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]) -> WorkloadBench:
-    return run_workload(
-        registry.workload(workload_name),
-        bench_technology(tech, registry),
-        registry,
-        network_kind=tech.network_kind,
-        fan_in=registry.fan_in[tech.fan_in_class],
-        schedule=schedule,
-    )
+    """The workload on the technology's row; a model `ValueError`, such as an overflow, names both."""
+    spec, row = registry.workload(workload_name), bench_technology(tech, registry)
+    fan_in = registry.fan_in[tech.fan_in_class]
+    try:
+        return run_workload(spec, row, registry, network_kind=tech.network_kind, fan_in=fan_in, schedule=schedule)
+    except ValueError as e:
+        raise ValueError(f"technology {tech.label}, workload {workload_name}: {e}") from e
 
 
 def matrix_columns(bench: ElementBench) -> tuple[float, ...]:

@@ -167,6 +167,13 @@ def _lenet_feature_maps(count):
     return mutate
 
 
+def _chip_value(chip, field, value):
+    def mutate(doc):
+        next(row for row in doc["chips"] if row["name"] == chip)[field] = value
+
+    return mutate
+
+
 def _digital_cmos_reg(field, value):
     def mutate(doc):
         doc["families"]["digital_cmos"]["reg"][field] = value
@@ -211,7 +218,7 @@ def _digital_cmos_reg(field, value):
         pytest.param(  # the row is finite, the workload energy is not
             "circuit_primitives.json", _digital_cmos_reg("energy", 1e305),
             ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM"),
-            "workload figures must be finite: "
+            "technology ANNDCSRAM, workload lenet: workload figures must be finite: "
             "WorkloadBench(area=24762174931200.0, delay=367432.88488230633, energy=inf, schedule='parallel')",
             id="circuit_primitives.json:families.digital_cmos.reg.energy",
         ),
@@ -221,6 +228,13 @@ def _digital_cmos_reg(field, value):
             ("export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet"),
             "scatter point ANNDCSRAM: coordinates must be finite and positive",
             id="circuit_primitives.json:families.digital_cmos.reg.area",
+        ),
+        pytest.param(  # the tops-down element is finite, the workload energy is not
+            "chips_neuromorphic.json", _chip_value("Loihi", "energy_per_event", 1e298),  # pJ
+            ("topsdown", "--chip", "Loihi", "--workload", "lenet"),
+            "chip Loihi, workload lenet: workload figures must be finite: "
+            "WorkloadBench(area=8597642898559.57, delay=43402777.777777776, energy=inf, schedule='parallel')",
+            id="chips_neuromorphic.json:chips.Loihi.energy_per_event",
         ),
     ],
 )
@@ -232,6 +246,22 @@ def test_overflowing_figure_is_data_error(capsys, tmp_path, data_copy, file, mut
         argv = (*argv, "--out", str(out_path))
     assert run(capsys, "--data-dir", str(data_copy), *argv) == (1, "", f"error: {line}\n")
     assert not out_path.exists()
+
+
+def test_chip_figures_that_overflow_name_the_technology(capsys, tmp_path, data_copy):
+    constants = neurobench.load_datasets().constants
+    config = tmp_path / "nominal.json"
+    counts = ("cores", "neurons_per_core", "synapses_per_neuron")
+    config.write_text(json.dumps({k: getattr(constants, f"nominal_{k}") for k in counts}))
+    rewrite_json(data_copy / "circuit_primitives.json", _digital_cmos_reg("energy", 1e302))
+    line = (
+        "technology ANNDCSRAM: chip figures must be finite: ChipBench(total_synapses=4194304, area=93783274291200.0, "
+        "firing_rate=0.0009920248871133144, time_step=67236.73377137665, energy_per_event=2.4062500000000002e+303, "
+        "syn_throughput=4160.853952118923, power=1.001205482228616e+307, energy_per_step=inf)"
+    )
+    for chip in (("--nominal",), ("--config", str(config))):
+        argv = ("--data-dir", str(data_copy), "bench", "chip", *chip, "--tech", "ANNDCSRAM")
+        assert run(capsys, *argv) == (1, "", f"error: {line}\n")
 
 
 def test_export_matrix(capsys, tmp_path):

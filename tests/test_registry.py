@@ -1,8 +1,13 @@
+import functools
 import json
 import math
+import operator
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -15,8 +20,10 @@ from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
     RESISTIVE_FAMILIES,
     DatasetError,
+    GlobalConstants,
     UnknownNameError,
     ValidationError,
+    _BY_HAND,
     _WALKS,
     _json_key,
     default_data_dir,
@@ -78,8 +85,105 @@ def test_snn_has_no_mac_rows(registry):
 
 def test_every_loader_entry_names_a_field_of_its_class():
     # a misspelt entry would leave its field read by name and unconverted
-    for cls in _WALKS:
-        assert set(getattr(cls, "_loader", {})) <= set(cls._fields), cls.__name__
+    by_hand = set()
+    for cls, walk in _WALKS.items():
+        loader = getattr(cls, "_loader", {})
+        assert set(loader) <= set(cls._fields), cls.__name__
+        # every other field is walked: none is skipped for its annotation
+        hand = [name for name, how in loader.items() if how is _BY_HAND]
+        assert sorted([entry[0] for entry in walk] + hand) == sorted(cls._fields), cls.__name__
+        by_hand.update(f"{cls.__name__}.{name}" for name in hand)
+    # only the fields that follow a rule of their own
+    assert by_hand == {
+        "Technology.label", "Technology.network_kind", "Technology.combo", "Technology.osc_class",
+        "Technology.osc_device", "ChipRecord.kind", "ChipRecord.derived_fields",
+    }
+
+
+# every GlobalConstants leaf read from a nested key, in feature sizes or by family name: leaf -> constants.json key
+_ROUTES = {
+    ("digital_transistor_width",): ("digital_transistor_width_f",),
+    ("wire_pitch",): ("wire_pitch_f",),
+    **{("sense_amp_widths", k): ("sense_amp_widths_f", k) for k in ("p", "n", "iso", "enable")},
+    **{("ota_widths", k): ("ota_widths_f", k) for k in ("input", "pullup", "output")},
+    **{(f"{k}_overhead",): ("overheads", k) for k in ("synapse", "neuron", "core", "chip")},
+    **{(f"nominal_{k}",): ("nominal_chip", k) for k in ("cores", "neurons_per_core", "synapses_per_neuron")},
+    **{
+        ("transistors", fam, k): ("transistors", fam, k)
+        for fam in ("cmos", "tfet") for k in ("on_current_per_width", "off_current_per_width", "saturation_voltage")
+    },
+}
+
+
+def _record_leaves(record, path=()):
+    """(path, value) of every number or text in a record, its records and its mappings of records."""
+    for name, value in record.items() if isinstance(record, Mapping) else zip(record._fields, record):
+        if isinstance(value, (tuple, Mapping)):
+            yield from _record_leaves(value, (*path, name))
+        else:
+            yield (*path, name), value
+
+
+def test_the_routes_are_every_nested_or_feature_size_key(constants):
+    def routed(cls, path=()):
+        for name, enclosing, _, kind, unit, _ in _WALKS[cls]:
+            if kind in _WALKS:
+                yield from routed(kind, (*path, name))
+            elif isinstance(kind, tuple):  # records by name: the shipped transistor families
+                for family in constants.transistors:
+                    yield from routed(kind[0], (*path, name, family))
+            elif enclosing or unit == "feature_size" or path:
+                yield (*path, name)
+
+    assert set(routed(GlobalConstants)) == set(_ROUTES)
+
+
+@pytest.mark.parametrize("leaf, key", _ROUTES.items(), ids=[".".join(leaf) for leaf in _ROUTES])
+def test_a_routed_key_moves_exactly_its_field_by_the_edit_factor(registry, leaf, key):
+    # a misrouted `_loader` entry moves another field, or this one by another factor
+    value = functools.reduce(operator.getitem, key, json.loads(registry.files["constants.json"]))
+    before = dict(_record_leaves(registry.constants))
+    after = dict(_record_leaves(derive(registry, {"constants.json": {key: 2 * value}}).constants))
+    assert before.keys() == after.keys()
+    assert {path for path in before if after[path] != before[path]} == {leaf}
+    assert after[leaf] == 2 * before[leaf]
+    assert before[leaf] == value * (registry.constants.feature_size if key[0].endswith("_f") else 1)  # in nm
+
+
+def test_a_header_without_its_units_names_the_first_in_walk_order(tmp_path):
+    """With `units: {}`, the unit reported is the walk's first, whatever the hash seed."""
+    directories = []
+    for name in ("constants.json", "chips_neuromorphic.json", "devices.json"):
+        directory = tmp_path / name.removesuffix(".json")
+        directory.mkdir()
+        for path in default_data_dir().glob("*.json"):
+            (directory / path.name).write_bytes(path.read_bytes())
+        rewrite_json(directory / name, lambda doc: doc.update(units={}))
+        directories.append(str(directory))
+    probe = (
+        "import sys\n"
+        "from neurobench import load_datasets\n"
+        "from neurobench.registry import ValidationError\n"
+        "for directory in sys.argv[1:]:\n"
+        "    try:\n"
+        "        load_datasets(directory)\n"
+        "    except ValidationError as e:\n"
+        "        print(e)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "NEUROBENCH_DATA_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    expected = (
+        "constants.json: missing field units.cap_per_length\n"
+        "chips_neuromorphic.json: missing field units.area\n"
+        "devices.json: missing field units.area\n"
+    )
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *directories], env={**env, "PYTHONHASHSEED": str(seed)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), seed
 
 
 def test_min_ic_length_defaults_to_20_feature_sizes(constants):
