@@ -31,8 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "neurobench"
 
 REVIEWED = (  # (file under src/neurobench, first line, last line, why no in-process run reaches it)
-    ("cli.py", 241, 242, "the broken-pipe branch; a subprocess test (tests/test_cli.py) and CI's shell pipe reach it"),
-    ("cli.py", 250, 250, "the `__main__` line; only `python -m neurobench.cli` runs it"),
+    ("cli.py", 245, 246, "the broken-pipe branch; a subprocess test (tests/test_cli.py) and CI's shell pipe reach it"),
+    ("cli.py", 254, 254, "the `__main__` line; only `python -m neurobench.cli` runs it"),
     ("interconnect.py", 25, 25, "a `TYPE_CHECKING` import, which only a type checker reads"),
     ("workload.py", 36, 37, "`TYPE_CHECKING` imports, which only a type checker reads"),
 )

@@ -11,6 +11,7 @@ it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,6 +39,9 @@ def _precision(text: str) -> int:
     return value
 
 
+# Built once per process (about 1.6 ms a build). Parsing reads the parser and
+# never changes it, and help and usage text is laid out when it is printed.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="neurobench", description=__doc__.splitlines()[0])
     parser.add_argument("--data-dir", type=Path, default=None, help="dataset directory override")

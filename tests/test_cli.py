@@ -8,6 +8,7 @@ import pytest
 
 import neurobench
 from conftest import BACKFILL_BREAKS, rewrite_json
+from neurobench import cli
 from neurobench.cli import main
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
@@ -487,3 +488,47 @@ def test_env_var_override(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "devices", "list")
     assert code == 1
     assert "file not found" in err
+
+
+# valid runs, usage errors and --help, interleaved; "{out}" is a path under tmp_path
+_PARSER_RUNS = [
+    ("devices", "list"),
+    ("--help",),
+    ("bench", "element"),
+    ("--precision", "3", "bench", "element", "--tech", "ANNDCSRAM"),
+    ("bench", "chip", "--help"),
+    ("--precision", "0", "devices", "list"),
+    ("bench", "workload", "--name", "lenet", "--tech", "ANNDCSRAM", "--schedule", "tmux"),
+    ("export", "--what", "matrix", "--scope", "workload", "--out", "{out}"),
+    ("export", "--help"),
+    ("frobnicate",),
+    ("topsdown", "--chip", "Loihi", "--backfill"),
+    ("export", "--what", "scatter", "--out", "{out}"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
+    cli._build_parser.cache_clear()
+    codes, helps = set(), {}
+    for columns in ("40", "1000", "40"):  # the first width is the one the cached parser was built under
+        monkeypatch.setenv("COLUMNS", columns)
+        for run_ in _PARSER_RUNS:
+            argv = [str(tmp_path / "x.csv") if a == "{out}" else a for a in run_]
+            cached = _outcome(capsys, argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+                assert _outcome(capsys, argv) == cached, argv
+            codes.add(cached[0])
+            if run_ == ("--help",):
+                helps[columns] = cached
+    assert cli._build_parser.cache_info().misses == 1
+    assert codes == {0, 2} and helps["40"] != helps["1000"]

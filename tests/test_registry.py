@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from neurobench.registry import (
     UnknownNameError,
     ValidationError,
     _BY_HAND,
+    _READ_SIZE,
     _WALKS,
     _json_key,
     default_data_dir,
@@ -924,3 +926,95 @@ def test_a_constants_file_without_a_used_transistor_family_fails_on_technologies
     with pytest.raises(ValidationError) as exc:
         load_datasets(data_copy)
     assert str(exc.value).startswith(f"technologies.json: {tech.combo}.transistor_family: ")
+
+
+# -- reading the files: one os.read loop on a raw descriptor per file -------------
+
+# the data directory `d` as the caller may write it
+_DIR_FORMS = {"d": str, "d/": lambda d: d + "/", "./d": lambda d: "./" + d, "Path(d)": Path}
+
+
+def _load_error(capsys, data_dir):
+    """The exception `load_datasets(data_dir)` raises, and the exit code and
+    stderr of `cli.main` on the same directory."""
+    with pytest.raises((DatasetError, OSError)) as exc:
+        load_datasets(data_dir)
+    code = cli.main(["--data-dir", str(data_dir), "devices", "list"])
+    return exc.value, code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", _DIR_FORMS.values(), ids=_DIR_FORMS)
+def test_a_missing_file_is_named_with_the_directory_as_pathlib_writes_it(capsys, data_copy, monkeypatch, form):
+    monkeypatch.chdir(data_copy.parent)
+    (data_copy / "devices.json").unlink()
+    error, code, stderr = _load_error(capsys, form(data_copy.name))
+    message = f"devices.json: file not found in {data_copy.name}"
+    assert (type(error), str(error), code, stderr) == (DatasetError, message, 1, f"error: {message}\n")
+
+
+def _file_is_a_directory(d: Path) -> str:
+    (d / "constants.json").unlink()
+    (d / "constants.json").mkdir()
+    return f"[Errno 21] Is a directory: '{d.name}/constants.json'"
+
+
+def _directory_is_a_file(d: Path) -> str:
+    shutil.rmtree(d)
+    d.write_bytes(b"{}")
+    return f"[Errno 20] Not a directory: '{d.name}/constants.json'"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="Windows gives other errors with other numbers")
+@pytest.mark.parametrize(
+    "fault, kind", [(_file_is_a_directory, IsADirectoryError), (_directory_is_a_file, NotADirectoryError)]
+)
+@pytest.mark.parametrize("form", _DIR_FORMS.values(), ids=_DIR_FORMS)
+def test_an_os_error_names_the_file_as_open_names_it(capsys, data_copy, monkeypatch, fault, kind, form):
+    monkeypatch.chdir(data_copy.parent)
+    message = fault(data_copy)
+    error, code, stderr = _load_error(capsys, form(data_copy.name))
+    assert (type(error), str(error), code, stderr) == (kind, message, 1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("reads", [1, 2.5], ids=["one read", "more than two reads"])
+def test_a_file_of_one_or_more_reads_loads_whole(registry, data_copy, reads):
+    file = data_copy / "technologies.json"
+    data = file.read_bytes().rstrip()
+    size = int(reads * _READ_SIZE)
+    file.write_bytes(data + b" " * (size - len(data) - 1) + b"\n")
+    assert len(file.read_bytes()) == size
+    padded = load_datasets(data_copy)
+    assert padded.files == {**registry.files, file.name: file.read_bytes()}
+    for field in ("constants", *_MAPPINGS, "fan_in", "topsdown_params"):
+        assert getattr(padded, field) == getattr(registry, field), field
+
+
+def test_an_empty_file_is_a_parse_failure(data_copy):
+    (data_copy / "technologies.json").write_bytes(b"")
+    with pytest.raises(DatasetError) as exc:
+        load_datasets(data_copy)
+    assert str(exc.value) == "technologies.json: parse failure: Expecting value: line 1 column 1 (char 0)"
+
+
+# the faults a load can meet, each breaking the copy `d`; workloads.json is the last file read
+_FAULTS = {
+    "none": lambda d: None,
+    "missing file": lambda d: (d / "workloads.json").unlink(),
+    "directory": _file_is_a_directory,
+    "parse failure": lambda d: (d / "workloads.json").write_bytes(b"{not json"),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the descriptors in /proc/self/fd")
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_a_load_leaves_no_descriptor_open(data_copy, fault):
+    # raw descriptors raise no ResourceWarning, so `-W error::ResourceWarning` cannot see a leak here
+    _FAULTS[fault](data_copy)
+    before = sorted(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        if fault == "none":
+            load_datasets(data_copy)
+        else:
+            with pytest.raises((DatasetError, OSError)):
+                load_datasets(data_copy)
+    assert sorted(os.listdir("/proc/self/fd")) == before
