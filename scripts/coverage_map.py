@@ -15,10 +15,12 @@ run untraced there, so what only they reach counts as unreached.
 It prints each unreached line that is not on `REVIEWED`, and each
 `REVIEWED` line that is now reached or no longer executable, and exits 1
 if there is any, or if a run fails. Each `REVIEWED` entry names the lines
-no in-process run can reach and the reason. A new unreached line gets a
-test (through `neurobench.derive` or `cli.main`), is deleted, or is added
-to `REVIEWED` with its reason. Line tables differ between Python versions;
-the list is made on Python 3.11.
+no in-process run can reach and the reason. An entry finds its lines by the
+text of the first, which must be the text of exactly one line of its file,
+so lines added or removed above them do not move it. A new unreached line
+gets a test (through `neurobench.derive` or `cli.main`), is deleted, or is
+added to `REVIEWED` with its reason. Line tables differ between Python
+versions; the list is made on Python 3.11.
 """
 
 import os
@@ -30,11 +32,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "neurobench"
 
-REVIEWED = (  # (file under src/neurobench, first line, last line, why no in-process run reaches it)
-    ("cli.py", 245, 246, "the broken-pipe branch; a subprocess test (tests/test_cli.py) and CI's shell pipe reach it"),
-    ("cli.py", 254, 254, "the `__main__` line; only `python -m neurobench.cli` runs it"),
-    ("interconnect.py", 25, 25, "a `TYPE_CHECKING` import, which only a type checker reads"),
-    ("workload.py", 36, 37, "`TYPE_CHECKING` imports, which only a type checker reads"),
+REVIEWED = (  # (file under src/neurobench, its first line stripped, how many lines, why no in-process run reaches them)
+    ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", 2,
+     "the broken-pipe branch; a subprocess test (tests/test_cli.py) and CI's shell pipe reach it"),
+    ("cli.py", "raise SystemExit(main())", 1, "the `__main__` line; only `python -m neurobench.cli` runs it"),
+    ("interconnect.py", "from .registry import GlobalConstants", 1,
+     "a `TYPE_CHECKING` import, which only a type checker reads"),
+    ("workload.py", "from .interconnect import ElementBench", 2, "`TYPE_CHECKING` imports, which only a type checker reads"),
 )
 
 
@@ -95,23 +99,39 @@ def trace_runs() -> tuple[dict[str, set[int]], list[str]]:
     return {Path(name).name: lines for name, lines in reached.items()}, failed
 
 
+def reviewed_lines(name: str, source: list[str]) -> tuple[dict[int, str], list[str]]:
+    """The `REVIEWED` lines of one file, each with its reason, and a problem
+    for each of its entries whose first line is not the text of exactly one line."""
+    reviewed, problems = {}, []
+    for file, text, count, why in REVIEWED:
+        if file == name:
+            starts = [number for number, line in enumerate(source, 1) if line.strip() == text]
+            if len(starts) == 1:
+                reviewed.update(dict.fromkeys(range(starts[0], starts[0] + count), why))
+            else:
+                problems.append(f"review anchor: src/neurobench/{name}: {text!r} is the text of {len(starts)} lines, not 1")
+    return reviewed, problems
+
+
 def main() -> int:
     reached, failed = trace_runs()
-    reviewed = {(name, line): why for name, first, last, why in REVIEWED for line in range(first, last + 1)}
-    total = hit = 0
+    total = hit = reviewed_total = 0
     problems = []
     for path in sorted(SRC.glob("*.py")):
         executable = executable_lines(path)
         got = reached.get(path.name, set()) & executable
         total, hit = total + len(executable), hit + len(got)
         source = path.read_text(encoding="utf-8").splitlines()
+        reviewed, anchors = reviewed_lines(path.name, source)
+        reviewed_total += len(reviewed)
+        problems += anchors
         for line in sorted(executable - got):
-            if (path.name, line) not in reviewed:
+            if line not in reviewed:
                 problems.append(f"unreached: src/neurobench/{path.name}:{line}: {source[line - 1].strip()}")
-        for (name, line), why in reviewed.items():
-            if name == path.name and (line in got or line not in executable):
-                problems.append(f"stale review: src/neurobench/{name}:{line} is reached or not executable ({why})")
-    print(f"\n{hit} of {total} executable lines of src/neurobench reached; {len(reviewed)} reviewed as unreachable")
+        for line, why in reviewed.items():
+            if line in got or line not in executable:
+                problems.append(f"stale review: src/neurobench/{path.name}:{line} is reached or not executable ({why})")
+    print(f"\n{hit} of {total} executable lines of src/neurobench reached; {reviewed_total} reviewed as unreachable")
     for line in problems + [f"failed: {what}" for what in failed]:
         print(line)
     return 1 if problems or failed else 0

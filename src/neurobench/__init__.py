@@ -12,6 +12,7 @@ dataset layer.
 # public name -> defining module
 _EXPORTS = {
     "AdeTriple": "ade",
+    "FigureError": "ade",
     "ChipBench": "chip",
     "ChipConfig": "chip",
     "chip_bench": "chip",

@@ -9,6 +9,12 @@ _INF = math.inf
 _new = tuple.__new__
 
 
+class FigureError(ValueError):
+    """A figure the model cannot form from loaded data, such as one that
+    overflows; its message names the figure, and the layer that knows the
+    record (technology, chip or workload) adds its name."""
+
+
 class _Ade(NamedTuple):
     area: float
     delay: float
@@ -31,7 +37,7 @@ class AdeTriple(_Ade):
         if not (0.0 <= area < _INF and 0.0 <= delay < _INF and 0.0 <= energy < _INF):  # also NaN
             for name, v in zip(cls._fields, (area, delay, energy)):
                 if not 0.0 <= v < _INF:
-                    raise ValueError(f"AdeTriple.{name} must be finite and >= 0, got {v!r}")
+                    raise FigureError(f"AdeTriple.{name} must be finite and >= 0, got {v!r}")
         return _new(cls, (area, delay, energy))
 
     @classmethod

@@ -8,6 +8,7 @@ import math
 from typing import NamedTuple
 
 from . import units
+from .ade import FigureError
 from .interconnect import ElementBench
 from .registry import Fraction, GlobalConstants
 
@@ -91,7 +92,7 @@ def firing_rate(cfg: ChipConfig, elem: ElementBench) -> float:
     (_, t_syn, _), _, (_, t_core, _), _ = elem
     tau_syn = t_syn + t_core  # `elem.synapse_total.delay`
     if not 0.0 < tau_syn < math.inf:  # zero, or a synapse plus core-wire delay that overflows
-        raise ValueError(f"firing rate undefined for synapse delay {tau_syn:g}")
+        raise FigureError(f"firing rate undefined for synapse delay {tau_syn:g}")
     if cfg.spiking:
         return 1.0 / (cfg.activity * cfg.synapses_per_neuron * tau_syn)
     return 1.0 / tau_syn
@@ -111,5 +112,5 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
     area = chip_area(area_terms(cfg, constants), a_neu, a_syn)
     bench = _new(ChipBench, (synapses, area, f_fire, tau_step, e_event, throughput, power, power * tau_step))
     if not all(map(math.isfinite, bench)):
-        raise ValueError(f"chip figures must be finite: {bench}")
+        raise FigureError(f"chip figures must be finite: {bench}")
     return bench

@@ -2,7 +2,9 @@
 
 Subcommands: devices list, bench element/network/chip/workload, topsdown,
 export. Exit status 0 on success, 1 on data errors (single-line diagnostic
-on stderr) or a closed stdout (nothing on stderr), 2 on usage errors.
+on stderr) or a closed stdout (nothing on stderr), 2 on usage errors. A data
+error is a `DatasetError`, a `FigureError`, an `OSError` or a name stdout
+cannot encode; any other exception is a bug and prints its traceback.
 NEUROBENCH_DATA_DIR or --data-dir overrides the packaged datasets. Only the
 dataset layer is imported up front; each subcommand imports the model layers
 it runs.
@@ -19,6 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import units
+from .ade import FigureError
 from .registry import _KINDS, DatasetError, Registry, _value, load_datasets
 
 
@@ -114,7 +117,7 @@ def _chip_config(path: Path):
 
     try:
         doc = json.loads(path.read_bytes())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # as `registry._parsed`
         raise DatasetError(f"{path}: parse failure: {e}") from None
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: chip config must be a JSON object")
@@ -244,7 +247,7 @@ def main(argv=None) -> int:
         # Point stdout at devnull so that the exit-time flush cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DatasetError, ValueError, OSError) as e:
+    except (DatasetError, FigureError, OSError, UnicodeEncodeError) as e:  # any other exception is a bug
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

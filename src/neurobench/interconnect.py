@@ -19,7 +19,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import units
-from .ade import ZERO, AdeTriple
+from .ade import ZERO, AdeTriple, FigureError
 
 if TYPE_CHECKING:  # used in annotations only
     from .registry import GlobalConstants
@@ -95,7 +95,7 @@ def core_ic_delay(length: float, r_eff: float, wire: Wiring) -> float:
 def chip_ic_delay(length: float, i_neu: float, voltage: float, wire: Wiring) -> float:
     """Charging time of a chip-wide wire driven at constant current, ps."""
     if i_neu <= 0:
-        raise ValueError("chip interconnect needs a positive neuron drive current")
+        raise FigureError("chip interconnect needs a positive neuron drive current")
     t = wire.ic_cap_per_length * length * units.M_PER_NM * voltage / i_neu  # s
     return units.seconds_to_ps(t)
 

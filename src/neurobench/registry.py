@@ -617,7 +617,7 @@ def _file_bytes(directory: str, name: str) -> bytes:
 def _parsed(data: bytes, name: str) -> dict:
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # not JSON, not UTF-8, or an integer over `sys.get_int_max_str_digits()` digits
         raise DatasetError(f"{name}: parse failure: {e}") from None
     if not isinstance(doc, dict) or "units" not in doc:
         raise DatasetError(f"{name}: missing required 'units' header block")

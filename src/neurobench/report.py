@@ -16,6 +16,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import units
+from .ade import FigureError
 from .chip import ChipBench, ChipConfig, area_terms, chip_area, chip_bench, nominal_config
 from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row, wiring
@@ -42,7 +43,7 @@ class ScatterPoint(NamedTuple):
 def _point(label: str, x: float, y: float, series: str) -> ScatterPoint:
     """The one constructor `scatter_dataset` uses: plots need finite, positive coordinates."""
     if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
-        raise ValueError(f"scatter point {label}: coordinates must be finite and positive")
+        raise FigureError(f"scatter point {label}: coordinates must be finite and positive")
     return _new(ScatterPoint, (label, x, y, series))
 
 
@@ -66,7 +67,7 @@ def _row_terms(constants: GlobalConstants) -> tuple:
 
 
 def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
-    """A technology's row; a model `ValueError` while building it, such as an overflow, names the technology."""
+    """A technology's row; a `FigureError` while building it, such as an overflow, names the technology."""
     config, area, wire, transform, i_cmos = registry.memoized(("row terms",), _row_terms, registry.constants)
     if cfg is not None:  # an explicit config has its own area terms
         config, area = cfg, area_terms(cfg, registry.constants)
@@ -81,8 +82,8 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
             wire,
             *wire_drive(tech, registry, i_cmos),
         )
-    except ValueError as e:
-        raise ValueError(f"technology {tech.label}: {e}") from e
+    except FigureError as e:
+        raise FigureError(f"technology {tech.label}: {e}") from e
 
 
 def bench_chip(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ChipBench:
@@ -94,8 +95,8 @@ def bench_chip(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
         cfg = nominal_config(registry.constants, spiking=tech.network_kind == "SNN")
     try:
         return chip_bench(cfg, row, registry.constants)
-    except ValueError as e:
-        raise ValueError(f"technology {tech.label}: {e}") from e
+    except FigureError as e:
+        raise FigureError(f"technology {tech.label}: {e}") from e
 
 
 def bench_workload(
@@ -113,13 +114,13 @@ def bench_workload(
 
 
 def _workload_bench(workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]) -> WorkloadBench:
-    """The workload on the technology's row; a model `ValueError`, such as an overflow, names both."""
+    """The workload on the technology's row; a `FigureError`, such as an overflow, names both."""
     spec, row = registry.workload(workload_name), bench_technology(tech, registry)
     fan_in = registry.fan_in[tech.fan_in_class]
     try:
         return run_workload(spec, row, registry, network_kind=tech.network_kind, fan_in=fan_in, schedule=schedule)
-    except ValueError as e:
-        raise ValueError(f"technology {tech.label}, workload {workload_name}: {e}") from e
+    except FigureError as e:
+        raise FigureError(f"technology {tech.label}, workload {workload_name}: {e}") from e
 
 
 def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
@@ -237,10 +238,11 @@ def scatter_dataset(registry: Registry, what: str = "neuron", workload: Optional
             raise UnknownNameError(f"{what} scatter requires a workload name")
         for tech in registry.enumerate_technologies():
             b = bench_workload(workload, tech, registry)
-            if what == "workload":
-                points.append(_point(tech.label, b.delay, b.energy, tech.network_kind))
-            else:
-                points.append(_point(tech.label, b.power_w / b.area, b.inference_throughput, tech.network_kind))
+            x, y = (b.delay, b.energy) if what == "workload" else (b.power_w / b.area, b.inference_throughput)
+            try:
+                points.append(_point(tech.label, x, y, tech.network_kind))
+            except FigureError as e:  # names the workload, as `bench_workload` does
+                raise FigureError(f"technology {tech.label}, workload {workload}: {e}") from e
     else:
         raise UnknownNameError(f"unknown scatter kind {what!r}")
     return points

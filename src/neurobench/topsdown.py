@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import units
-from .ade import AdeTriple
+from .ade import AdeTriple, FigureError
 from .interconnect import ElementBench
 from .registry import ChipRecord, Registry, UnknownNameError, WorkloadSpec, own_name
 from .workload import WorkloadBench, run_workload
@@ -119,7 +119,7 @@ def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     )
     if not all(map(math.isfinite, element)):
         field, value = next((f, v) for f, v in zip(element._fields, element) if not math.isfinite(v))
-        raise ValueError(f"chip {chip.name}: tops-down {field} {value:g} is not finite")
+        raise FigureError(f"chip {chip.name}: tops-down {field} {value:g} is not finite")
     return element
 
 
@@ -229,5 +229,5 @@ def _chip_workload(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> 
     network_kind, fan_in_class = ("ANN", "sequential") if chip.kind == "accelerator" else ("SNN", "snn")
     try:
         return run_workload(spec, elem, registry, network_kind=network_kind, fan_in=registry.fan_in[fan_in_class])
-    except ValueError as e:  # an overflow names the chip and the workload
-        raise ValueError(f"chip {chip.name}, workload {spec.name}: {e}") from e
+    except FigureError as e:  # an overflow names the chip and the workload
+        raise FigureError(f"chip {chip.name}, workload {spec.name}: {e}") from e

@@ -30,6 +30,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from . import units
+from .ade import FigureError
 from .registry import own_name
 
 if TYPE_CHECKING:  # avoid runtime cycles; duck-typed at runtime
@@ -234,7 +235,7 @@ def aggregate(stages: Iterable[tuple[float, float, float, int]], schedule: str) 
             delay += s_delay * f_st
     bench = WorkloadBench(area, delay, energy, schedule)
     if not (math.isfinite(area) and math.isfinite(delay) and math.isfinite(energy)):
-        raise ValueError(f"workload figures must be finite: {bench}")
+        raise FigureError(f"workload figures must be finite: {bench}")
     return bench
 
 

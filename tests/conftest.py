@@ -33,6 +33,15 @@ def rewrite_json(path: Path, mutate):
     path.write_text(json.dumps(doc))
 
 
+def json_leaves(node, path=()):
+    """(path, value) of every leaf of a JSON document, a path being its keys and list indices."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_leaves(child, (*path, key))
+    else:
+        yield path, node
+
+
 def derived_constants(registry, **values):
     """The constants of `registry` with top-level constants.json values set,
     through every loader check."""

@@ -8,14 +8,14 @@ import re
 
 import pytest
 
-from neurobench import derive, load_datasets, report, topsdown
+from neurobench import FigureError, derive, load_datasets, report, topsdown
 from neurobench.ade import ZERO, AdeTriple
-from neurobench.chip import ChipBench, chip_bench, nominal_config
+from neurobench.chip import ChipBench, ChipConfig, chip_bench, firing_rate, nominal_config
 from neurobench.circuits import AnalogReadBench, OtaCellBench, SenseAmpBench, VoltageSenseAmpBench
-from neurobench.interconnect import ElementBench
+from neurobench.interconnect import ElementBench, chip_ic_delay, wiring
 from neurobench.report import ScatterPoint
 from neurobench.topsdown import BackfillResult, TopsDownElement
-from neurobench.workload import StageBench, WorkloadBench, aggregate, run_workload
+from neurobench.workload import StageBench, WorkloadBench, aggregate, cascade, run_workload
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
@@ -200,3 +200,35 @@ def test_workload_figures_that_overflow_raise():
     stages = [StageBench(1e308, 1.0, 1.0, 2)]
     with pytest.raises(ValueError, match=r"^workload figures must be finite: WorkloadBench\(area=inf, delay=1.0"):
         aggregate(stages, "parallel")
+
+
+def test_figure_checks_raise_figure_error_and_argument_checks_a_plain_value_error(registry):
+    # a FigureError is a figure the model cannot form from loaded data; the
+    # loader or argparse rules out every plain ValueError before the CLI runs
+    constants, cfg = registry.constants, nominal_config(registry.constants)
+    unfired = ElementBench(AdeTriple(1.0, 0.0, 1.0), AdeTriple(1.0, 1.0, 1.0))
+    hot = ElementBench(synapse=AdeTriple(1.0, 1.0, 1e303), neuron=AdeTriple(1.0, 1.0, 1.0))
+    loihi = derive(registry, {"chips_neuromorphic.json": {("chips", "Loihi", "energy_per_event"): 1e301}})
+    figures = [
+        lambda: AdeTriple(-1.0, 0.0, 0.0),
+        lambda: firing_rate(cfg, unfired),
+        lambda: chip_bench(cfg, hot, constants),
+        lambda: chip_ic_delay(1e6, 0.0, 0.8, wiring(constants)),
+        lambda: aggregate([StageBench(1e308, 1.0, 1.0, 2)], "parallel"),
+        lambda: topsdown.topsdown_element(loihi.chip("Loihi"), loihi),
+        lambda: report._point("ANNDCSRAM", math.inf, 1.0, "ANN"),
+    ]
+    no_onn = derive(registry, {"technologies.json": {("oscillators",): []}})
+    arguments = [
+        lambda: AdeTriple(1.0, 1.0, 1.0).scaled(area=-1.0),
+        lambda: ChipConfig(0, 1, 1),
+        lambda: ChipConfig(1, 1, 1, 2.0),
+        lambda: cascade(0, 4),
+        lambda: aggregate([], "both"),
+        lambda: report.geometric_mean_neuron_delay(no_onn, "ONN"),
+    ]
+    for expected, calls in ((FigureError, figures), (ValueError, arguments)):
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is expected, str(exc.value)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import neurobench
-from conftest import BACKFILL_BREAKS, rewrite_json
-from neurobench import cli
+from conftest import BACKFILL_BREAKS, json_leaves, load_new, rewrite_json
+from neurobench import DatasetError, cli, derive, interconnect
 from neurobench.cli import main
+from neurobench.registry import default_data_dir
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
 
@@ -227,7 +229,7 @@ def _digital_cmos_reg(field, value):
             # area and delay are finite, their product is not: the throughput is 0
             "circuit_primitives.json", _digital_cmos_reg("area", 1e290),
             ("export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet"),
-            "scatter point ANNDCSRAM: coordinates must be finite and positive",
+            "technology ANNDCSRAM, workload lenet: scatter point ANNDCSRAM: coordinates must be finite and positive",
             id="circuit_primitives.json:families.digital_cmos.reg.area",
         ),
         pytest.param(  # the tops-down element is finite, the workload energy is not
@@ -308,11 +310,17 @@ def test_export_usage_error(capsys, tmp_path, argv):
     assert "export: --" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_stdout_exits_quietly(unbuffered):
+def _subprocess_env():
+    """The environment of a fresh interpreter that imports this package and reads the shipped data."""
     env = {k: v for k, v in os.environ.items() if k not in ("NEUROBENCH_DATA_DIR", "PYTHONUNBUFFERED")}
     src = str(Path(neurobench.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    env = _subprocess_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -398,9 +406,7 @@ def test_a_precision_above_767_prints_what_767_prints(capsys, precision):
 
 def test_the_largest_precision_runs_in_a_1_gb_address_space():
     resource = pytest.importorskip("resource")
-    env = {k: v for k, v in os.environ.items() if k != "NEUROBENCH_DATA_DIR"}
-    src = str(Path(neurobench.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _subprocess_env()
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -532,3 +538,107 @@ def test_the_parser_is_built_once_and_answers_as_a_fresh_one(capsys, monkeypatch
                 helps[columns] = cached
     assert cli._build_parser.cache_info().misses == 1
     assert codes == {0, 2} and helps["40"] != helps["1000"]
+
+
+_SCALED_RUNS = (
+    ("export", "--what", "matrix", "--scope", "workload", "--workload", "alexnet"),
+    ("export", "--what", "matrix", "--scope", "chips"),
+    ("export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet"),
+    ("bench", "chip", "--nominal", "--tech", "SpiMEME"),
+)
+
+
+@pytest.mark.parametrize("file", sorted(p.name for p in default_data_dir().glob("*.json")))
+def test_every_number_scaled_by_1e300_or_1e_minus_300_gives_finite_figures_or_one_error_line(
+    capsys, monkeypatch, tmp_path, registry, file
+):
+    doc = json.loads(registry.files[file])
+    out_path = tmp_path / "out.csv"
+    numbers = [(path, value) for path, value in json_leaves(doc) if type(value) in (int, float)]  # no booleans
+    for path, value in numbers:
+        for factor in (1e300, 1e-300):
+            try:
+                derived = derive(registry, {file: {path: value * factor}})
+            except DatasetError:
+                continue
+            monkeypatch.setattr(cli, "load_datasets", lambda directory: derived)
+            for argv in _SCALED_RUNS:
+                argv = (*argv, "--out", str(out_path)) if argv[0] == "export" else argv
+                code, out, err = run(capsys, *argv)  # an exception that escapes fails the test
+                case = (path, factor, argv)
+                if code == 0:
+                    text = out_path.read_text(encoding="utf-8") if argv[0] == "export" else out
+                    cells = set(text.replace(",", " ").replace(":", " ").split())
+                    assert err == "" and not cells & {"inf", "-inf", "nan"}, case
+                else:
+                    assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1, case
+                    assert not out_path.exists(), case
+                out_path.unlink(missing_ok=True)
+
+
+def _unpack_bug(synapse_block_area, chip_area):
+    core, chip = synapse_block_area, chip_area, 0.0  # one value too many
+    return core, chip
+
+
+def _type_bug(synapse_block_area, chip_area):
+    return synapse_block_area + None, chip_area
+
+
+@pytest.mark.parametrize("bug, error", [(_unpack_bug, ValueError), (_type_bug, TypeError)])
+def test_a_bug_in_the_model_raises_out_of_main(capsys, monkeypatch, tmp_path, bug, error):
+    load_new(tmp_path)  # a memo of its own: the row is built, not read
+    monkeypatch.setattr(interconnect, "ic_lengths", bug)
+    with pytest.raises(error) as exc:
+        main(["--data-dir", str(tmp_path), "bench", "element", "--tech", "ANNDCSRAM"])
+    assert "technology ANNDCSRAM" not in str(exc.value)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_bug_in_the_model_prints_its_traceback():
+    code = (
+        "import sys\n"
+        "from neurobench import cli, interconnect\n"
+        "def bug(synapse_block_area, chip_area):\n"
+        "    core, chip = synapse_block_area, chip_area, 0.0\n"
+        "    return core, chip\n"
+        "interconnect.ic_lengths = bug\n"
+        "sys.exit(cli.main(['bench', 'element', '--tech', 'ANNDCSRAM']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n"), proc.stderr
+    assert proc.stderr.endswith("ValueError: too many values to unpack (expected 2)\n"), proc.stderr
+    assert "error:" not in proc.stderr
+
+
+def test_a_name_stdout_cannot_encode_is_one_error_line(data_copy):
+    rewrite_json(
+        data_copy / "technologies.json",
+        lambda doc: doc["oscillators"][[row["label"] for row in doc["oscillators"]].index("OscME")].update(label="OscMÉ"),
+    )
+    env = {**_subprocess_env(), "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "neurobench.cli", "--data-dir", str(data_copy), "bench", "network", "--kind", "ONN"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    line = "error: 'ascii' codec can't encode character '\\xc9' in position 781: ordinal not in range(128)\n"
+    assert (proc.returncode, proc.stderr) == (1, line)
+
+
+def test_an_integer_too_long_to_parse_names_its_file(capsys, tmp_path, data_copy):
+    digits = "1" * 5000  # over the 4300 digits that int() parses by default
+    path = data_copy / "constants.json"
+    text, count = re.subn(r'"synapse_bits": \d+', f'"synapse_bits": {digits}', path.read_text(encoding="utf-8"))
+    assert count == 1
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "--data-dir", str(data_copy), "devices", "list")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: constants.json: parse failure: Exceeds the limit") and err.count("\n") == 1
+    config = tmp_path / "chip.json"
+    config.write_text(f'{{"cores": {digits}, "neurons_per_core": 2, "synapses_per_neuron": 3}}')
+    code, out, err = run(capsys, "bench", "chip", "--config", str(config), "--tech", "ANNDCSRAM")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {config}: parse failure: Exceeds the limit") and err.count("\n") == 1

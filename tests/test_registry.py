@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import derived_constants, rewrite_json
-from neurobench import cli, derive, load_datasets, report
+from conftest import derived_constants, json_leaves, rewrite_json
+from neurobench import FigureError, cli, derive, load_datasets, report
 from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
     RESISTIVE_FAMILIES,
@@ -611,16 +611,8 @@ def test_bad_value_is_one_named_data_error(data_copy, capsys, file, path, value,
     assert err.startswith("error: ") and err.count("\n") == 1 and str(exc.value) in err
 
 
-def _leaves(node, path=()):
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _leaves(child, (*path, key))
-    else:
-        yield path
-
-
 _SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(default_data_dir().glob("*.json"))}
-_LEAVES = [(file, path) for file, doc in _SHIPPED.items() for path in _leaves(doc)]
+_LEAVES = [(file, path) for file, doc in _SHIPPED.items() for path, _ in json_leaves(doc)]
 
 
 def _rejection(registry, file, path, value):
@@ -660,8 +652,8 @@ def test_every_count_times_1e300_is_rejected_by_name(registry):
 )
 def test_one_field_mutation_is_rejected_or_gives_sound_figures(leaf, value):
     """A dataset with one leaf deleted or replaced either fails to load with
-    DatasetError, or every emitted figure is finite and non-negative (a model
-    domain error, a ValueError, also counts as sound)."""
+    DatasetError, or every emitted figure is finite and non-negative (a
+    figure the model cannot form, a FigureError, also counts as sound)."""
     file, path = leaf
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in _SHIPPED.items():
@@ -677,7 +669,7 @@ def test_one_field_mutation_is_rejected_or_gives_sound_figures(leaf, value):
     for scope, workload in scopes:
         try:
             rows = report.emit_matrix(reg, scope, workload=workload, precision=17, fmt="json")
-        except ValueError:
+        except FigureError:
             continue
         for row in json.loads(rows):
             for column, cell in row.items():
