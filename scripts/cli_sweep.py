@@ -26,7 +26,10 @@ and `bench chip --nominal`, `bench chip --config nominal.json` and `bench
 workload --name lenet` for every technology, and `topsdown --workload`, with
 and without `--backfill`, for each edited chip, on a sixth one where chip,
 workload and tops-down workload figures overflow, so the error names the
-technology or chip and the workload (`FIGURES_EDITS`).
+technology or chip and the workload (`FIGURES_EDITS`). It runs `devices
+list` on a dataset whose constants.json, and `bench chip --config` on a
+config whose object, holds a key of `DEEP_LISTS` nested lists, which the
+JSON decoder cannot parse within the recursion limit (`DEEP_COMMANDS`).
 It also runs `devices list` once for every leaf of each of the seven
 shipped files deleted or set to each of `LEAF_VALUES`, with that one file
 changed (`loader_results`), so every loader message shows.
@@ -113,6 +116,12 @@ FIGURES_EDITS = {  # finite rows and tops-down elements whose chip or workload f
     "chips_neuromorphic.json": {("chips", "Loihi", "energy_per_event"): 1e298},
     "chips_accelerators.json": {("chips", "Diannao", "energy_per_event"): 1e298},
 }
+DEEP_DIR, DEEP_CONFIG = "deep", "deep.json"
+DEEP_LISTS = 100_000
+DEEP_COMMANDS = [
+    ["--data-dir", DEEP_DIR, "devices", "list"],
+    ["bench", "chip", "--config", DEEP_CONFIG, "--tech", "ANNDCSRAM"],
+]
 CONFIGS = {  # chip configs for `bench chip --config`, written by relative name like EXPORT_NAME
     "small.json": {"cores": 2, "neurons_per_core": 16, "synapses_per_neuron": 8},
     "spiking.json": {"cores": 16, "neurons_per_core": 128, "synapses_per_neuron": 64, "spiking": True, "activity": 0.5},
@@ -255,7 +264,12 @@ def main() -> int:
                 Path(directory).mkdir()
                 for name, data in derive(registry, edits).files.items():
                     (Path(directory) / name).write_bytes(data)
-            for command in commands(registry) + derived_commands(registry):
+            deep = b'{"deep": ' + b"[" * DEEP_LISTS + b"]" * DEEP_LISTS + b", "
+            Path(DEEP_CONFIG).write_bytes(deep + b'"cores": 2, "neurons_per_core": 2, "synapses_per_neuron": 3}')
+            Path(DEEP_DIR).mkdir()
+            for name, data in registry.files.items():
+                (Path(DEEP_DIR) / name).write_bytes(deep + data[1:] if name == "constants.json" else data)
+            for command in commands(registry) + derived_commands(registry) + DEEP_COMMANDS:
                 results[" ".join(command)] = run(command)
             results.update(loader_results(registry))
         finally:

@@ -117,7 +117,7 @@ def _chip_config(path: Path):
 
     try:
         doc = json.loads(path.read_bytes())
-    except ValueError as e:  # as `registry._parsed`
+    except (ValueError, RecursionError) as e:  # as `registry._parsed`
         raise DatasetError(f"{path}: parse failure: {e}") from None
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: chip config must be a JSON object")

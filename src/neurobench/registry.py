@@ -11,21 +11,26 @@ in each rejection.
 Each file is validated once per distinct content: each builder is a pure
 function of one file's bytes and the names that file may reference,
 memoized by them, so loads of identical bytes share the same validated,
-read-only records. A file rewritten in place is always read again, and a
-rejected file fails on every load. A file is read by one `os.read` loop on
-a raw descriptor, 16 KiB a read: twice the largest shipped file (7.1 KB),
-so each takes one read, and no more, as `os.read` allocates the whole size
-before it shrinks to the bytes read.
+read-only records. One more entry, keyed by the bytes of all seven files,
+holds their validated records and mappings and the memo, so a warm load is
+seven reads and one lookup and calls no builder. A hit does not refresh the
+builders' entries: once 32 newer contents of one file have been built, a
+`derive` that edits another file rebuilds records equal to that file's, not
+the identical ones, and `own_name` accepts them. A file rewritten in place
+is always read again, and a rejected file fails on every load. A file is
+read by one `os.read` loop on a raw descriptor, 16 KiB a read: twice the
+largest shipped file (7.1 KB), so each takes one read, and no more, as
+`os.read` allocates the whole size before it shrinks to the bytes read.
 
 A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
 read-only and safe to share between concurrent evaluators. Results derived
 from it are memoized in the memo of its content: registries built from
-byte-identical files share one memo, bounded at 32 contents. A technology,
-chip or workload spec reaches the model only as the registry's record of
-its name, or one equal to it, and the memo keys it by that name
-(`own_name`); any other raises, so a changed record comes from `derive`.
-No memo key holds a record.
+byte-identical files share one memo, held by that entry of all seven files
+and so bounded at 32 contents. A technology, chip or workload spec reaches
+the model only as the registry's record of its name, or one equal to it,
+and the memo keys it by that name (`own_name`); any other raises, so a
+changed record comes from `derive`. No memo key holds a record.
 """
 
 import functools
@@ -359,7 +364,7 @@ class Registry:
     """The validated datasets, by kind, and the bytes of the seven files they
     were built from, by file name (`files`). Only `load_datasets` and `derive`
     build one, and it cannot be changed. Registries built from byte-identical
-    files share one memo, `_memo`, bounded at 32 contents."""
+    files share their records and one memo, `_memo`, bounded at 32 contents."""
 
     __slots__ = (
         "files", "constants", "primitives", "devices", "technologies", "chips", "workloads", "fan_in",
@@ -617,7 +622,8 @@ def _file_bytes(directory: str, name: str) -> bytes:
 def _parsed(data: bytes, name: str) -> dict:
     try:
         doc = json.loads(data)
-    except ValueError as e:  # not JSON, not UTF-8, or an integer over `sys.get_int_max_str_digits()` digits
+    # not JSON, not UTF-8, an integer over `sys.get_int_max_str_digits()` digits, or nested past the recursion limit
+    except (ValueError, RecursionError) as e:
         raise DatasetError(f"{name}: parse failure: {e}") from None
     if not isinstance(doc, dict) or "units" not in doc:
         raise DatasetError(f"{name}: missing required 'units' header block")
@@ -626,9 +632,9 @@ def _parsed(data: bytes, name: str) -> dict:
 
 # Each builder below is a pure function of the bytes of one file, and of the
 # names that file may reference, memoized by them: never by path or mtime, so
-# a file rewritten in place is read again. No builder calls another; `_build`
+# a file rewritten in place is read again. No builder calls another; `_checked`
 # passes the names on and checks what spans files. lru_cache stores no exception.
-_CACHE_ENTRIES = 32  # per builder, and the registry contents whose memo is kept
+_CACHE_ENTRIES = 32  # per builder, and the contents of all seven files that `_dataset` keeps
 _by_content = functools.lru_cache(maxsize=_CACHE_ENTRIES)
 
 
@@ -821,16 +827,6 @@ def _workloads(data: bytes) -> dict[str, WorkloadSpec]:
     return specs
 
 
-@_by_content
-def _memo(files: tuple) -> dict:
-    """The memo of every registry built from these (file name, bytes) pairs:
-    one mutable dict, handed to each of them on purpose. Sharing is sound
-    because each memoized result is a pure function of the bytes and its
-    key, and a name key stands for records equal by value in every such
-    registry."""
-    return {}
-
-
 def default_data_dir() -> Path:
     override = os.environ.get(ENV_DATA_DIR)
     if override:
@@ -838,17 +834,18 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def _build(read: Callable[[str], bytes]) -> Registry:
-    """The registry of the files whose bytes `read(name)` returns. Each file
-    is read right before its builder checks it, so the first fault in this
-    order is reported; a builder gets the names its file may reference, and
-    a chip name in both chip files and the tops-down parameters are checked
-    after both. Records are shared by builds from the same bytes."""
-    files: dict[str, bytes] = {}
+_FILES = (
+    "constants.json", "circuit_primitives.json", "devices.json", "technologies.json", *_CHIP_KINDS, "workloads.json"
+)
 
-    def data(name: str) -> bytes:
-        return files.setdefault(name, read(name))
 
+def _checked(data: Callable[[str], bytes]) -> tuple:
+    """The validated datasets, in `Registry` field order from `constants` on,
+    of the files whose bytes `data(name)` returns. Each file is asked for
+    right before its builder checks it, in `_FILES` order, so the first fault
+    in that order is reported; a builder gets the names its file may
+    reference, and a chip name in both chip files and the tops-down
+    parameters are checked after both."""
     constants = _constants(data("constants.json"))
     primitives = _primitives(data("circuit_primitives.json"))
     devices = _devices(data("devices.json"))
@@ -862,14 +859,59 @@ def _build(read: Callable[[str], bytes]) -> Registry:
         _insert(chips, cname, record, _ACCELERATORS, "chip")
     topsdown_params = {key: _value(params, key, Fraction, _NEUROMORPHIC) for key in _TOPSDOWN_PARAMS}
     workloads = _workloads(data("workloads.json"))
-    return Registry(
-        files, constants, primitives, devices, technologies, chips, workloads, limits, topsdown_params,
-        memo=_memo(tuple(files.items())),
-    )
+    return constants, primitives, devices, technologies, chips, workloads, limits, topsdown_params
+
+
+class _Contents(tuple):
+    """The bytes of the seven files, in `_FILES` order: the key of `_dataset`.
+    It hashes only their lengths, and a lookup compares every byte of an
+    entry of the same lengths, so it stays exact and spares hashing all the
+    bytes, which took about a quarter of a warm load."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(len, self)))
+
+
+@_by_content
+def _dataset(contents: _Contents) -> tuple:
+    """The validated datasets of the seven files whose bytes are `contents`,
+    and the memo of every registry built from those bytes: one mutable
+    dict, handed to each of them on purpose. Sharing is sound because each
+    memoized result is a pure function of the bytes and its key, and every
+    such registry holds these very records, which a name key stands for. A
+    miss runs the per-file builders, so a file whose bytes were built
+    before, beside others that were not, shares its records."""
+    return _checked(dict(zip(_FILES, contents)).__getitem__), {}
+
+
+def _build(read: Callable[[str], bytes]) -> Registry:
+    """The registry of the files whose bytes `read(name)` returns: seven reads
+    in `_FILES` order, then one lookup of their bytes. If a read fails, the
+    files before it are checked first, in that order, and then it is read
+    again, so the first fault in file order is the one reported. Records and
+    the memo are shared by builds from the same bytes; each build has its
+    own mapping views."""
+    files: dict[str, bytes] = {}
+    for name in _FILES:
+        try:
+            files[name] = read(name)
+        except (DatasetError, OSError):
+            break
+    if len(files) < len(_FILES):
+        # a read failed: check the files before it, then read it again to raise its error;
+        # should that read succeed, it and the reads after it fill `files` in order
+        _checked(lambda name: files[name] if name in files else files.setdefault(name, read(name)))
+    records, memo = _dataset(_Contents(files.values()))
+    return Registry(files, *records, memo=memo)
 
 
 def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
-    """Load and cross-validate all dataset files, returning a read-only Registry."""
+    """Load and cross-validate all dataset files, returning a new read-only
+    Registry. A warm load, of bytes seen before, is seven reads and one
+    lookup: it calls no builder and shares the records and memo of the
+    first registry built from those bytes."""
     return _build(functools.partial(_file_bytes, os.fspath(default_data_dir() if data_dir is None else data_dir)))
 
 
@@ -901,5 +943,9 @@ def derive(registry: Registry, edits: Mapping[str, Mapping[tuple, object]]) -> R
                 node[_json_key(node, last)] = value
             except (KeyError, IndexError, TypeError, ValueError, StopIteration):
                 raise UnknownNameError(f"{name}: no value at path {path!r}") from None
-        files[name] = json.dumps(doc).encode()
+        try:
+            files[name] = json.dumps(doc).encode()
+        # an integer over `sys.get_int_max_str_digits()` digits, or a value nested past the recursion limit
+        except (ValueError, RecursionError) as e:
+            raise DatasetError(f"{name}: cannot be written as JSON: {e}") from None
     return _build(files.__getitem__)

@@ -642,3 +642,18 @@ def test_an_integer_too_long_to_parse_names_its_file(capsys, tmp_path, data_copy
     code, out, err = run(capsys, "bench", "chip", "--config", str(config), "--tech", "ANNDCSRAM")
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {config}: parse failure: Exceeds the limit") and err.count("\n") == 1
+
+
+def test_json_nested_past_the_recursion_limit_names_its_file(capsys, tmp_path, data_copy):
+    # json.loads raises RecursionError here, whose wording differs across Python versions
+    deep = "[" * 100_000 + "]" * 100_000
+    path = data_copy / "constants.json"
+    path.write_text(path.read_text(encoding="utf-8").replace("{", f'{{"deep": {deep}, ', 1), encoding="utf-8")
+    code, out, err = run(capsys, "--data-dir", str(data_copy), "devices", "list")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: constants.json: parse failure: ") and err.count("\n") == 1
+    config = tmp_path / "chip.json"
+    config.write_text(f'{{"deep": {deep}, "cores": 2, "neurons_per_core": 2, "synapses_per_neuron": 3}}')
+    code, out, err = run(capsys, "bench", "chip", "--config", str(config), "--tech", "ANNDCSRAM")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {config}: parse failure: ") and err.count("\n") == 1

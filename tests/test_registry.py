@@ -25,9 +25,16 @@ from neurobench.registry import (
     UnknownNameError,
     ValidationError,
     _BY_HAND,
+    _CHIP_BUILDERS,
     _READ_SIZE,
     _WALKS,
+    _constants,
+    _dataset,
+    _devices,
     _json_key,
+    _primitives,
+    _technologies,
+    _workloads,
     default_data_dir,
 )
 
@@ -756,6 +763,28 @@ def test_loads_of_the_same_bytes_share_records_and_the_memo(data_copy):
     assert report.bench_technology(tech, second) is report.bench_technology(tech, first)
 
 
+_BUILDERS = (_constants, _primitives, _devices, _technologies, *_CHIP_BUILDERS.values(), _workloads)
+
+
+def test_a_warm_load_calls_no_builder(data_copy):
+    load_datasets(data_copy)  # the bytes are seen, whatever earlier tests loaded
+    builders, dataset = [b.cache_info() for b in _BUILDERS], _dataset.cache_info()
+    load_datasets(data_copy)
+    assert [b.cache_info() for b in _BUILDERS] == builders
+    assert _dataset.cache_info() == dataset._replace(hits=dataset.hits + 1)
+
+
+def test_a_warm_load_is_a_new_registry_of_fresh_views_over_the_same_records(data_copy):
+    first = load_datasets(data_copy)
+    second = load_datasets(data_copy)
+    assert second is not first and second._memo is first._memo and second.constants is first.constants
+    for mapping in ("files", *_MAPPINGS, "fan_in", "topsdown_params"):
+        old, new = getattr(first, mapping), getattr(second, mapping)
+        assert new is not old and new == old and list(new) == list(old), mapping
+        if mapping != "files":  # the bytes are this load's own reads
+            assert all(new[name] is record for name, record in old.items()), mapping
+
+
 def test_other_bytes_of_the_same_values_give_equal_records(data_copy):
     registry = load_datasets(data_copy)
     rewrite_json(data_copy / "constants.json", lambda doc: None)  # re-serialized
@@ -833,6 +862,29 @@ def test_derive_edits_only_the_named_files():
     assert derived.constants is registry.constants and derived.chips["Loihi"] is registry.chips["Loihi"]
     assert json.loads(registry.files["devices.json"]) != json.loads(derived.files["devices.json"])
     assert {name for name in registry.files if registry.files[name] is not derived.files[name]} == {"devices.json"}
+
+
+def _nested_lists(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "value", [10**5000, _nested_lists(100_000)], ids=["an integer too long to write", "lists nested too deep"]
+)
+def test_derive_names_the_file_of_a_value_json_cannot_write(registry, value):
+    # the encoder's wording differs across Python versions
+    with pytest.raises(DatasetError) as exc:
+        derive(registry, {"constants.json": {("nominal_chip", "cores"): value}})
+    assert type(exc.value) is DatasetError
+    assert str(exc.value).startswith("constants.json: cannot be written as JSON: ")
+
+
+def test_derive_leaves_a_value_of_no_json_type_a_type_error(registry):
+    with pytest.raises(TypeError, match="set is not JSON serializable"):  # a type JSON has no form for
+        derive(registry, {"constants.json": {("nominal_chip", "cores"): {1, 2}}})
 
 
 def test_derive_picks_a_list_row_by_its_name(registry):
@@ -966,6 +1018,20 @@ def test_an_os_error_names_the_file_as_open_names_it(capsys, data_copy, monkeypa
     message = fault(data_copy)
     error, code, stderr = _load_error(capsys, form(data_copy.name))
     assert (type(error), str(error), code, stderr) == (kind, message, 1, f"error: {message}\n")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="Windows gives other errors with other numbers")
+def test_a_fault_before_a_file_that_cannot_be_read_is_reported_first(capsys, data_copy, monkeypatch):
+    monkeypatch.chdir(data_copy.parent)
+    (data_copy / "workloads.json").unlink()
+    (data_copy / "workloads.json").mkdir()
+    message = f"[Errno 21] Is a directory: '{data_copy.name}/workloads.json'"
+    error, code, stderr = _load_error(capsys, data_copy.name)
+    assert (type(error), str(error), code, stderr) == (IsADirectoryError, message, 1, f"error: {message}\n")
+    rewrite_json(data_copy / "constants.json", lambda doc: doc.update(supply_voltage=0.0))
+    message = "constants.json: supply_voltage: must be finite and positive, got 0.0"
+    error, code, stderr = _load_error(capsys, data_copy.name)
+    assert (type(error), str(error), code, stderr) == (ValidationError, message, 1, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("reads", [1, 2.5], ids=["one read", "more than two reads"])
