@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every valid CLI command in-process and dump what each one produced.
+"""Run every valid CLI command, and one for each CLI diagnostic, in-process and dump what each one produced.
 
     python3 scripts/cli_sweep.py OUT
 
@@ -26,32 +26,46 @@ and `bench chip --nominal`, `bench chip --config nominal.json` and `bench
 workload --name lenet` for every technology, and `topsdown --workload`, with
 and without `--backfill`, for each edited chip, on a sixth one where chip,
 workload and tops-down workload figures overflow, so the error names the
-technology or chip and the workload (`FIGURES_EDITS`). It runs `devices
-list` on a dataset whose constants.json, and `bench chip --config` on a
-config whose object, holds a key of `DEEP_LISTS` nested lists, which the
-JSON decoder cannot parse within the recursion limit (`DEEP_COMMANDS`).
-It also runs `devices list` once for every leaf of each of the seven
-shipped files deleted or set to each of `LEAF_VALUES`, with that one file
-changed (`loader_results`), so every loader message shows.
-OUT receives
-sorted JSON mapping each space-joined argv, or for a changed leaf `loader`,
-the file, the leaf's path and its value, to [exit code, stdout, stderr,
-export text or null]. Run it on two checkouts and compare the dumps with
-`cmp`: a refactor that keeps the CLI's behaviour leaves them byte-identical.
+technology or chip and the workload (`FIGURES_EDITS`); and the element
+matrix and the neuron scatter as CSV on a seventh one whose oscillator
+label holds a comma and double quotes, so the CSV cell is quoted
+(`QUOTED_EDITS`). It runs `devices list` on a dataset whose constants.json,
+and `bench chip --config` on a config whose object, holds a key of
+`DEEP_LISTS` nested lists, which the JSON decoder cannot parse within the
+recursion limit (`DEEP_COMMANDS`). It also runs `devices list` once for
+every leaf of each of the seven shipped files deleted or set to each of
+`LEAF_VALUES`, with that one file changed (`loader_results`), so every
+loader message shows. Last, it runs `ERROR_COMMANDS`, one for each
+diagnostic that no command above prints: the usage errors of `--precision`
+and `export` (exit 2), chip configs that are no chip config
+(`ERROR_CONFIGS`), unknown names, a data directory that is a file, and, on
+datasets with one file edited (`ERROR_EDITS`), each cross-record loader
+check and each figure the model cannot form; and `devices list` with
+`NEUROBENCH_DATA_DIR` set, for that one run, to a directory that lacks a
+file (`MISSING_DIR`).
+
+OUT receives sorted JSON mapping each space-joined argv, or for a changed
+leaf `loader`, the file, the leaf's path and its value, or for the
+override `NEUROBENCH_DATA_DIR=` and its value before the argv, to [exit
+code, stdout, stderr, export text or null]. Every path it passes is relative, so each
+entry reads the same in every checkout. Run it on two checkouts and compare
+the dumps with `cmp`: a refactor that keeps the CLI's behaviour leaves them
+byte-identical.
 """
 
 import contextlib
 import functools
 import io
 import json
-import operator
 import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from neurobench import derive, load_datasets
 from neurobench.cli import main as cli_main
+from neurobench.registry import _json_key
 
 PRECISIONS = ("1", "3", "6", "12", "17")  # 1 and 17: the fewest digits and the most a double needs
 EXPORT_NAME = "export"  # relative, so `wrote ...` is the same text in every checkout
@@ -122,6 +136,64 @@ DEEP_COMMANDS = [
     ["--data-dir", DEEP_DIR, "devices", "list"],
     ["bench", "chip", "--config", DEEP_CONFIG, "--tech", "ANNDCSRAM"],
 ]
+QUOTED_DIR = "derived_quoted"
+QUOTED_EDITS = {"technologies.json": {("oscillators", 0, "label"): 'Osc,"STT"'}}  # a CSV cell that needs quotes
+QUOTED_COMMANDS = [
+    ["--data-dir", QUOTED_DIR, "export", "--what", "matrix", "--out", EXPORT_NAME + ".csv"],
+    ["--data-dir", QUOTED_DIR, "export", "--what", "scatter", "--out", EXPORT_NAME + ".csv"],
+]
+DEVICES = ["devices", "list"]
+ELEMENT = ["bench", "element", "--tech", "ANNDCSRAM"]
+ERROR_EDITS = {  # directory -> (file, {path: value or DELETED}, argv run on it): the shipped files with one file edited
+    "error_units": ("workloads.json", {("units",): DELETED}, DEVICES),
+    "error_list": ("devices.json", {("devices",): {"ME": {}}}, DEVICES),
+    "error_duplicate": ("devices.json", {("devices", "SOT", "name"): "FEFET"}, DEVICES),
+    "error_cmos": ("constants.json", {("transistors", "cmos"): DELETED}, DEVICES),
+    "error_family": ("circuit_primitives.json", {("families", "digital_tfet"): DELETED}, DEVICES),
+    "error_resistance": ("devices.json", {("devices", "OxideR", "r_off"): 200}, DEVICES),  # equal to its r_on
+    "error_layers": ("workloads.json", {("workloads", "lenet", "layers"): []}, DEVICES),
+    "error_kernel": ("workloads.json", {("workloads", "lenet", "layers", 0, "kernel"): 33}, DEVICES),  # 32 wide
+    # valid datasets on which a figure cannot be formed
+    "error_sum": (  # the digital neuron and its sense amps, each 8 adder delays (1.2e308 ps), sum to inf
+        "circuit_primitives.json", {("families", "digital_cmos", "add1", "delay"): 1.5e307}, ELEMENT
+    ),
+    "error_drive": (  # the drive current of a minimum transistor underflows to 0
+        "constants.json",
+        {
+            ("transistors", "cmos", "on_current_per_width"): 4e-317,
+            ("transistors", "cmos", "off_current_per_width"): 5e-324,  # below the on-current, as the loader requires
+        },
+        ELEMENT,
+    ),
+    "error_activity": (  # 20 times the shipped throughput
+        "chips_neuromorphic.json", {("chips", "IFAT", "syn_throughput"): 1460},
+        ["topsdown", "--chip", "IFAT", "--backfill"],
+    ),
+    "error_scatter": (  # area and delay are finite, their product is not: the throughput is 0
+        "circuit_primitives.json", {("families", "digital_cmos", "reg", "area"): 1e290},
+        ["export", "--what", "scatter", "--scatter-kind", "power", "--workload", "lenet", "--out", EXPORT_NAME + ".csv"],
+    ),
+}
+MISSING_DIR = "error_missing"  # the shipped files but workloads.json
+ERROR_CONFIGS = {  # `bench chip --config` files that are not a chip config
+    "config_list.json": [2, 2, 3],
+    "config_unknown.json": {"cores": 2, "neurons_per_core": 2, "synapses_per_neuron": 3, "colour": "red"},
+    "config_missing.json": {"cores": 2, "neurons_per_core": 2},
+}
+ERROR_COMMANDS = [
+    ["--precision", "0", *DEVICES],
+    ["--precision", "x", *DEVICES],
+    ["export", "--what", "matrix", "--scatter-kind", "power", "--workload", "lenet", "--out", EXPORT_NAME + ".csv"],
+    ["export", "--what", "scatter", "--scope", "elements", "--out", EXPORT_NAME + ".csv"],
+    ["export", "--what", "matrix", "--scope", "workload", "--out", EXPORT_NAME + ".csv"],
+    ["export", "--what", "matrix", "--workload", "lenet", "--out", EXPORT_NAME + ".csv"],
+    *(["bench", "chip", "--config", name, "--tech", "ANNDCSRAM"] for name in ERROR_CONFIGS),
+    ["bench", "element", "--tech", "XNNDCSRAM"],
+    ["bench", "workload", "--name", "vgg99", "--tech", "ANNDCSRAM"],
+    ["topsdown", "--chip", "Deep Blue"],
+    ["--data-dir", "nominal.json", *DEVICES],  # a data directory that is a file
+    *(["--data-dir", directory, *argv] for directory, (_, _, argv) in ERROR_EDITS.items()),
+]
 CONFIGS = {  # chip configs for `bench chip --config`, written by relative name like EXPORT_NAME
     "small.json": {"cores": 2, "neurons_per_core": 16, "synapses_per_neuron": 8},
     "spiking.json": {"cores": 16, "neurons_per_core": 128, "synapses_per_neuron": 64, "spiking": True, "activity": 0.5},
@@ -160,8 +232,8 @@ def derived_commands(registry) -> list[list[str]]:
     """Rows, nominal chips and default workloads on the dataset in DERIVED_DIR, rows on the one in
     CIRCUITS_DIR, rows and default workloads on the one in VALUES_DIR, the tops-down figures of
     each edited chip, with and without its back-fill, on the one in BACKFILL_DIR, rows on the
-    one in OVERFLOW_DIR, and chips, lenet and the tops-down workloads of each edited chip on the
-    one in FIGURES_DIR, at 17 digits."""
+    one in OVERFLOW_DIR, chips, lenet and the tops-down workloads of each edited chip on the
+    one in FIGURES_DIR, and QUOTED_COMMANDS, at 17 digits."""
     argv = []
     for label in registry.technologies:
         row, chip = ["bench", "element", "--tech", label], ["bench", "chip", "--nominal", "--tech", label]
@@ -180,7 +252,7 @@ def derived_commands(registry) -> list[list[str]]:
         for backfill in ([], ["--backfill"]):
             for name in sorted(registry.workloads):
                 argv.append(["--data-dir", FIGURES_DIR, "topsdown", "--chip", chip, *backfill, "--workload", name])
-    return [["--precision", "17", *a] for a in argv]
+    return [["--precision", "17", *a] for a in argv + QUOTED_COMMANDS]
 
 
 def leaves(node, path=()):
@@ -192,29 +264,53 @@ def leaves(node, path=()):
         yield path
 
 
+def edited(data: bytes, edits: dict) -> bytes:
+    """The JSON file `data` with the value at each path of `edits` set to its
+    value, or deleted for DELETED; a path is one as `derive` takes."""
+    doc = json.loads(data)
+    for path, value in edits.items():
+        *steps, last = path
+        node = functools.reduce(lambda node, step: node[_json_key(node, step)], steps, doc)
+        if value is DELETED:
+            del node[_json_key(node, last)]
+        else:
+            node[_json_key(node, last)] = value
+    return json.dumps(doc).encode()
+
+
 def loader_results(registry) -> dict:
     """`devices list` on the files of `registry` in LOADER_DIR, once for each
     leaf of each file deleted or set to each of LEAF_VALUES."""
-    directory = Path(LOADER_DIR)
-    directory.mkdir()
-    for name, data in registry.files.items():
-        (directory / name).write_bytes(data)
-    results = {}
+    write_dataset(LOADER_DIR, registry.files)
+    directory, results = Path(LOADER_DIR), {}
     for name, data in registry.files.items():
         for path in leaves(json.loads(data)):
             for label, value in LEAF_VALUES.items():
-                doc = json.loads(data)
-                *steps, last = path
-                node = functools.reduce(operator.getitem, steps, doc)
-                if value is DELETED:
-                    del node[last]
-                else:
-                    node[last] = value
-                (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+                (directory / name).write_bytes(edited(data, {path: value}))
                 key = f"loader {name} {'.'.join(map(str, path))} {label}"
                 results[key] = run(["--data-dir", LOADER_DIR, "devices", "list"])
         (directory / name).write_bytes(data)
     return results
+
+
+def error_results(registry) -> dict:
+    """ERROR_COMMANDS, and `devices list` with NEUROBENCH_DATA_DIR naming MISSING_DIR, on the
+    files and configs they name, written from `registry`."""
+    for name, config in ERROR_CONFIGS.items():
+        Path(name).write_text(json.dumps(config), encoding="utf-8")
+    for directory, (file, edits, _) in ERROR_EDITS.items():
+        write_dataset(directory, {**registry.files, file: edited(registry.files[file], edits)})
+    write_dataset(MISSING_DIR, {name: data for name, data in registry.files.items() if name != "workloads.json"})
+    results = {" ".join(command): run(command) for command in ERROR_COMMANDS}
+    with mock.patch.dict(os.environ, {"NEUROBENCH_DATA_DIR": MISSING_DIR}):  # set for this one run
+        results[f"NEUROBENCH_DATA_DIR={MISSING_DIR} devices list"] = run(DEVICES)
+    return results
+
+
+def write_dataset(directory: str, files: dict) -> None:
+    Path(directory).mkdir()
+    for name, data in files.items():
+        (Path(directory) / name).write_bytes(data)
 
 
 def run(argv: list[str]) -> list:
@@ -259,19 +355,17 @@ def main() -> int:
                 (BACKFILL_DIR, BACKFILL_EDITS),
                 (OVERFLOW_DIR, {"constants.json": OVERFLOW_EDITS}),
                 (FIGURES_DIR, FIGURES_EDITS),
+                (QUOTED_DIR, QUOTED_EDITS),
             )
             for directory, edits in derived:
-                Path(directory).mkdir()
-                for name, data in derive(registry, edits).files.items():
-                    (Path(directory) / name).write_bytes(data)
+                write_dataset(directory, derive(registry, edits).files)
             deep = b'{"deep": ' + b"[" * DEEP_LISTS + b"]" * DEEP_LISTS + b", "
             Path(DEEP_CONFIG).write_bytes(deep + b'"cores": 2, "neurons_per_core": 2, "synapses_per_neuron": 3}')
-            Path(DEEP_DIR).mkdir()
-            for name, data in registry.files.items():
-                (Path(DEEP_DIR) / name).write_bytes(deep + data[1:] if name == "constants.json" else data)
+            write_dataset(DEEP_DIR, {**registry.files, "constants.json": deep + registry.files["constants.json"][1:]})
             for command in commands(registry) + derived_commands(registry) + DEEP_COMMANDS:
                 results[" ".join(command)] = run(command)
             results.update(loader_results(registry))
+            results.update(error_results(registry))
         finally:
             os.chdir(cwd)
     out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")

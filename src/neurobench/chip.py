@@ -45,10 +45,6 @@ class ChipConfig(_ChipConfig):
     def _make(cls, iterable) -> "ChipConfig":
         return cls(*iterable)
 
-    @property
-    def total_synapses(self) -> int:
-        return self.cores * self.neurons_per_core * self.synapses_per_neuron
-
 
 class ChipBench(NamedTuple):
     total_synapses: int
@@ -106,7 +102,7 @@ def chip_bench(cfg: ChipConfig, elem: ElementBench, constants: GlobalConstants) 
     f_fire = firing_rate(cfg, elem)
     tau_step = 1.0 / f_fire + (t_neu + t_chip)
     e_event = (e_syn + e_core) + (e_neu + e_chip) / (activity * synapses_per_neuron)
-    synapses = cores * neurons_per_core * synapses_per_neuron  # `cfg.total_synapses`
+    synapses = cores * neurons_per_core * synapses_per_neuron
     throughput = f_fire * activity * synapses
     power = throughput * e_event
     area = chip_area(area_terms(cfg, constants), a_neu, a_syn)

@@ -945,7 +945,6 @@ def derive(registry: Registry, edits: Mapping[str, Mapping[tuple, object]]) -> R
                 raise UnknownNameError(f"{name}: no value at path {path!r}") from None
         try:
             files[name] = json.dumps(doc).encode()
-        # an integer over `sys.get_int_max_str_digits()` digits, or a value nested past the recursion limit
-        except (ValueError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:  # an integer of too many digits, or a value nested too deep
             raise DatasetError(f"{name}: cannot be written as JSON: {e}") from None
     return _build(files.__getitem__)

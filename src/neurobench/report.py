@@ -125,9 +125,9 @@ def _workload_bench(workload_name: str, tech: Technology, registry: Registry, sc
 
 def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
     """`ElementBench.columns` with the four areas in um^2, matching the reference matrix."""
-    (a_syn, t_syn, e_syn), (a_neu, t_neu, e_neu), (a_lic, t_lic, e_lic), (a_gic, t_gic, e_gic) = bench
+    columns = bench.columns()
     um2 = units.AREA_TO_NM2["um^2"]
-    return a_syn / um2, a_lic / um2, a_neu / um2, a_gic / um2, t_syn, t_lic, t_neu, t_gic, e_syn, e_lic, e_neu, e_gic
+    return (columns[0] / um2, columns[1] / um2, columns[2] / um2, columns[3] / um2) + columns[4:]
 
 
 def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> list[ElementBench]:
@@ -286,20 +286,17 @@ def speech_comparison(registry: Registry) -> dict[str, dict[str, float]]:
     model is optimistic by construction and no tolerance applies. A chip or
     the `speech_mlp` workload that the registry lacks is skipped, and so is
     a chip whose figures are incomputable (as `emit_matrix` blanks its row)."""
-    from .topsdown import IncomputableError, run_workload_on_chip
+    from .topsdown import run_workload_on_chip
 
     published = {
         "Loihi": {"inferences_per_s": 89.8, "energy_per_inference_uJ": 770.0},
         "Myriad 2": {"inferences_per_s": 300.0, "energy_per_inference_uJ": 1500.0},
     }
-    spec = registry.workloads.get("speech_mlp")
     out = {}
     for name, measured in published.items():
-        if spec is None or name not in registry.chips:
-            continue
         try:
-            bench = run_workload_on_chip(registry.chips[name], spec, registry)
-        except IncomputableError:
+            bench = run_workload_on_chip(registry.chip(name), registry.workload("speech_mlp"), registry)
+        except UnknownNameError:  # a name the registry lacks, or an `IncomputableError`
             continue
         computed_rate = bench.inferences_per_s
         computed_energy_uj = bench.energy * units.UJ_PER_AJ

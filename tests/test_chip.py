@@ -150,7 +150,8 @@ def test_every_route_to_a_config_checks_it(changes):
     for build in (lambda: ChipConfig(**bad), lambda: ChipConfig._make(bad.values()), lambda: good._replace(**changes)):
         with pytest.raises(ValueError):
             build()
-    assert type(good._replace(cores=5)) is ChipConfig and good._replace(cores=5).total_synapses == 60
+    replaced = good._replace(cores=5)
+    assert type(replaced) is ChipConfig and replaced == (5, 3, 4, 0.5, False)
     assert ChipConfig._make(good) == good
 
 
@@ -164,7 +165,7 @@ def chip_bench_by_name(cfg, elem, constants):
     f_fire = 1.0 / (cfg.activity * cfg.synapses_per_neuron * tau_syn) if cfg.spiking else 1.0 / tau_syn
     tau_step = 1.0 / f_fire + neu.delay
     e_event = syn.energy + neu.energy / (cfg.activity * cfg.synapses_per_neuron)
-    synapses = cfg.total_synapses
+    synapses = cfg.cores * cfg.neurons_per_core * cfg.synapses_per_neuron
     throughput = f_fire * cfg.activity * synapses
     power = throughput * e_event
     area = chip_area(area_terms(cfg, constants), elem.neuron.area, elem.synapse.area)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import derived_constants, json_leaves, rewrite_json
+from conftest import derived_constants, json_leaves, load_new, rewrite_json
 from neurobench import FigureError, cli, derive, load_datasets, report
 from neurobench.topsdown import IncomputableError, topsdown_element
 from neurobench.registry import (
@@ -853,8 +853,8 @@ def test_derive_names_an_unknown_file_or_path(registry, edits, message):
     assert str(exc.value) == message
 
 
-def test_derive_edits_only_the_named_files():
-    registry = load_datasets()
+def test_derive_edits_only_the_named_files(tmp_path):
+    registry = load_new(tmp_path)  # its files' builder entries are the latest, whatever ran before
     me = next(row for row in json.loads(registry.files["devices.json"])["devices"] if row["name"] == "ME")
     derived = derive(registry, {"devices.json": {("devices", "ME", "energy"): 2 * me["energy"]}})
     assert derived.device("ME").energy_int == 2 * registry.device("ME").energy_int
@@ -939,28 +939,42 @@ def _shares_technologies(registry, data_copy, file, path, value):
 
 def test_a_change_to_constants_alone_shares_technologies(data_copy):
     # technologies read only the transistor family names of the constants
-    registry = load_datasets(data_copy)
+    registry = load_new(data_copy)
     other, derived = _shares_technologies(registry, data_copy, "constants.json", ("supply_voltage",), 0.9)
     assert other.constants.supply_voltage == 0.9
     assert derived.constants == other.constants
 
 
-@pytest.mark.parametrize(
-    "file, path, value",
-    [
-        pytest.param("devices.json", ("devices", "ME", "energy"), 90.0, id="devices.json:devices.ME.energy"),
-        pytest.param("devices.json", ("devices", "OxideR", "r_on"), 150, id="devices.json:devices.OxideR.r_on"),
-        pytest.param(
-            "circuit_primitives.json", ("families", "digital_cmos", "add", "energy"), 1500.0,
-            id="circuit_primitives.json:families.digital_cmos.add.energy",
-        ),
-    ],
-)
+_VALUE_CHANGES = [
+    pytest.param("devices.json", ("devices", "ME", "energy"), 90.0, id="devices.json:devices.ME.energy"),
+    pytest.param("devices.json", ("devices", "OxideR", "r_on"), 150, id="devices.json:devices.OxideR.r_on"),
+    pytest.param(
+        "circuit_primitives.json", ("families", "digital_cmos", "add", "energy"), 1500.0,
+        id="circuit_primitives.json:families.digital_cmos.add.energy",
+    ),
+]
+
+
+@pytest.mark.parametrize("file, path, value", _VALUE_CHANGES)
 def test_a_value_change_to_devices_or_primitives_shares_technologies(data_copy, file, path, value):
     # technologies read only the names of the devices and primitive families, and which devices have r_on
-    registry = load_datasets(data_copy)
+    registry = load_new(data_copy)
     other, derived = _shares_technologies(registry, data_copy, file, path, value)
     assert (other.devices, other.primitives) == (derived.devices, derived.primitives)
+
+
+def test_the_sharing_checks_hold_after_33_newer_constants(registry, tmp_path):
+    # a warm load refreshes no builder entry, so 33 newer constants.json contents, each
+    # followed by a warm load of the shipped files, evict the shipped constants' entry
+    for i in range(1, 34):
+        derive(registry, {"constants.json": {("supply_voltage",): 0.8 + i / 1000}})
+        load_datasets()
+    (tmp_path / "derive").mkdir()
+    test_derive_edits_only_the_named_files(tmp_path / "derive")
+    test_a_change_to_constants_alone_shares_technologies(shutil.copytree(default_data_dir(), tmp_path / "constants"))
+    for i, change in enumerate(_VALUE_CHANGES):
+        copy = shutil.copytree(default_data_dir(), tmp_path / f"values{i}")
+        test_a_value_change_to_devices_or_primitives_shares_technologies(copy, *change.values)
 
 
 def test_a_constants_file_without_a_used_transistor_family_fails_on_technologies(registry, data_copy):
