@@ -3,12 +3,14 @@
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_N.json \\
         --workload perturbed_sweep:12 --workload surface:6 --workload cli_oneshot:8 \\
-        [--seconds 10] [--seed 1101] [--claim perturbed_sweep:op_p50_ms] \\
+        [--seed 1101] [--claim perturbed_sweep:op_p50_ms] \\
         [--trace perturbed_sweep] [--trace-seconds 15] [--change "what changed"]
 
 Run it from the repository root. It extracts `git archive REV` into a
 temporary directory and runs `perfbench/run.py --trace 0` there (the parent)
-and in the working tree (the change), one run per side per seed. Seeds count
+and in the working tree (the change), one run per side per seed, each as
+long as BENCHMARK.json's `run_seconds`, the length the benchmark itself
+runs, so a pair reads what the benchmark would. Seeds count
 up from `--seed`; the parent runs first on odd seeds and the change first on
 even ones. `--workload W:N` asks for N pairs of W (10 without `:N`).
 
@@ -142,7 +144,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True, metavar="W:N")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--claim", default=None, metavar="W:METRIC")
     parser.add_argument("--trace", action="append", default=[], metavar="W")
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    metrics, seconds = {m["name"]: m for m in bench["end_to_end"]}, bench["run_seconds"]
     plan = []
     for item in args.workload:
         name, _, pairs = item.partition(":")
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
             lines = {side: [] for side in SIDES}
             for s in seeds:
                 for side in run_order(s):
-                    line = run(checkouts[side], name, s, args.seconds, 0)
+                    line = run(checkouts[side], name, s, seconds, 0)
                     lines[side].append(line)
                     p50 = line["metrics"]["op_p50_ms"]["value"]
                     print(f"{name} seed {s} {side}: op_p50_ms {p50:.4f}, failed {line['failed']}", file=sys.stderr)
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
             traces[name] = {m: {side: medians[side][m] for side in SIDES} for m in medians["parent"]}
 
     result["method"] = (
-        f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0 in an archive of the "
+        f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0 in an archive of the "
         "parent commit and in the working tree with this change, one run per side per seed, parent first on odd "
         f"seeds and change first on even seeds (scripts/bench_pairs.py). {'; '.join(seeds_text)}. "
         + (f"Per-layer figures are the medians of {TRACED_PAIRS} --trace 1 runs of {args.trace_seconds:g} s per side "

@@ -137,7 +137,7 @@ DEEP_COMMANDS = [
     ["bench", "chip", "--config", DEEP_CONFIG, "--tech", "ANNDCSRAM"],
 ]
 QUOTED_DIR = "derived_quoted"
-QUOTED_EDITS = {"technologies.json": {("oscillators", 0, "label"): 'Osc,"STT"'}}  # a CSV cell that needs quotes
+QUOTED_EDITS = {"technologies.json": {("oscillators", "OscSTT", "label"): 'Osc,"STT"'}}  # a CSV cell that needs quotes
 QUOTED_COMMANDS = [
     ["--data-dir", QUOTED_DIR, "export", "--what", "matrix", "--out", EXPORT_NAME + ".csv"],
     ["--data-dir", QUOTED_DIR, "export", "--what", "scatter", "--out", EXPORT_NAME + ".csv"],

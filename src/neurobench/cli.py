@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 from . import units
 from .ade import FigureError
-from .registry import _KINDS, DatasetError, Registry, _value, load_datasets
+from .registry import _KINDS, NETWORK_KINDS, DatasetError, Registry, _value, load_datasets
 
 
 # A double's exact decimal expansion has at most 767 significant digits, so
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b_elem.add_argument("--tech", required=True)
 
     b_net = bench_sub.add_parser("network", help="element benches of every technology of one kind")
-    b_net.add_argument("--kind", required=True, choices=["ANN", "CNN", "SNN", "ONN"])
+    b_net.add_argument("--kind", required=True, choices=NETWORK_KINDS)
 
     b_chip = bench_sub.add_parser("chip", help="chip-level figures for one technology")
     group = b_chip.add_mutually_exclusive_group(required=True)

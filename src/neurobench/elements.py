@@ -9,6 +9,8 @@ resistive. Per-bit reading circuits contribute area and energy once per
 stored bit; their delay is the word-parallel read latency and is added once
 (the enable terms already scale with the bit count). Every builder returns
 an `ElementBench` whose interconnect triples are still zero.
+`build_raw_element` calls each family's builder with the registry's records
+named by the raw inputs after the family (`raw_inputs`), and nothing else.
 """
 
 from __future__ import annotations
@@ -144,29 +146,6 @@ def resistive_synapse(
     return ElementBench(synapse=synapse, neuron=neuron)
 
 
-# Each builder gets the registry and the raw inputs after the family, and reads nothing else.
-_BUILDERS = {
-    "digital_sram": lambda reg, primitive, transistor, device: digital_sram_element(
-        reg.constants, reg.primitives[primitive]
-    ),
-    "digital_mac": lambda reg, primitive, transistor, device: digital_mac_element(
-        reg.constants, reg.primitives[primitive]
-    ),
-    "analog_transistor": lambda reg, primitive, transistor, device: analog_transistor_element(
-        reg.constants, reg.primitives[primitive], transistor
-    ),
-    "analog_single_device": lambda reg, primitive, transistor, device: analog_single_device_element(
-        reg.device(device), reg.constants
-    ),
-    "resistive_digital": lambda reg, primitive, transistor, device: resistive_synapse(
-        reg.device(device), reg.constants, "digital", reg.primitives["digital_cmos"]
-    ),
-    "resistive_analog": lambda reg, primitive, transistor, device: resistive_synapse(
-        reg.device(device), reg.constants, "analog", reg.primitives["digital_cmos"]
-    ),
-}
-
-
 def raw_inputs(tech: Technology) -> tuple[str, str, str, str]:
     """(family, primitive_family, transistor_family, synapse_device): every
     field of `tech` that its raw element is built from, so technologies that
@@ -176,8 +155,18 @@ def raw_inputs(tech: Technology) -> tuple[str, str, str, str]:
 
 def build_raw_element(tech: Technology, registry: Registry) -> ElementBench:
     """Family dispatch: every technology label maps to exactly one builder."""
-    family, *inputs = raw_inputs(tech)
-    return _BUILDERS[family](registry, *inputs)
+    family, primitive, transistor, device = raw_inputs(tech)
+    c = registry.constants
+    if family == "digital_sram":
+        return digital_sram_element(c, registry.primitives[primitive])
+    if family == "digital_mac":
+        return digital_mac_element(c, registry.primitives[primitive])
+    if family == "analog_transistor":
+        return analog_transistor_element(c, registry.primitives[primitive], transistor)
+    if family == "analog_single_device":
+        return analog_single_device_element(registry.device(device), c)
+    mode = {"resistive_digital": "digital", "resistive_analog": "analog"}[family]
+    return resistive_synapse(registry.device(device), c, mode, registry.primitives["digital_cmos"])
 
 
 def cmos_drive(constants: GlobalConstants) -> float:

@@ -10,7 +10,7 @@ in each rejection.
 
 Each file is validated once per distinct content: each builder is a pure
 function of one file's bytes and the names that file may reference,
-memoized by them, so loads of identical bytes share the same validated,
+cached by them, so loads of identical bytes share the same validated,
 read-only records. One more entry, keyed by the bytes of all seven files,
 holds their validated records and mappings and the memo, so a warm load is
 seven reads and one lookup and calls no builder. A hit does not refresh the
@@ -25,7 +25,7 @@ largest shipped file (7.1 KB), so each takes one read, and no more, as
 A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
 read-only and safe to share between concurrent evaluators. Results derived
-from it are memoized in the memo of its content: registries built from
+from it are kept in the memo of its content: registries built from
 byte-identical files share one memo, held by that entry of all seven files
 and so bounded at 32 contents. A technology, chip or workload spec reaches
 the model only as the registry's record of its name, or one equal to it,
@@ -364,7 +364,12 @@ class Registry:
     """The validated datasets, by kind, and the bytes of the seven files they
     were built from, by file name (`files`). Only `load_datasets` and `derive`
     build one, and it cannot be changed. Registries built from byte-identical
-    files share their records and one memo, `_memo`, bounded at 32 contents."""
+    files share their records and one memo, `_memo`, bounded at 32 contents.
+    An entry point reads it in place, always in one shape: `memo.get(key) or
+    memo.setdefault(key, compute(*args))`. The `or` keeps the compute off the
+    hit path, and a compute that raises stores nothing. A key is a tuple of a
+    constant tag for its kind of result (never a function object, which a
+    tracer may rebind) and names; no key holds a record."""
 
     __slots__ = (
         "files", "constants", "primitives", "devices", "technologies", "chips", "workloads", "fan_in",
@@ -389,21 +394,6 @@ class Registry:
         raise AttributeError("a Registry cannot be changed; derive a new one with neurobench.derive")
 
     __delattr__ = __setattr__
-
-    def memoized(self, key, compute: Callable[..., T], *args) -> T:
-        """compute(*args) once per key for this registry's content; later calls,
-        on it or on any registry of the same bytes, return the same object.
-
-        A hit calls nothing, so callers pass the function and its arguments
-        rather than a closure. A key is a tuple whose first item is a constant
-        tag for its kind of result, so no two kinds collide; a tag is never a
-        function object, which a tracer may rebind. A compute that raises
-        stores nothing.
-        """
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo.setdefault(key, compute(*args))
-        return value
 
     def device(self, name: str) -> DeviceRecord:
         return _lookup(self.devices, name, "device")
@@ -631,7 +621,7 @@ def _parsed(data: bytes, name: str) -> dict:
 
 
 # Each builder below is a pure function of the bytes of one file, and of the
-# names that file may reference, memoized by them: never by path or mtime, so
+# names that file may reference, cached by them: never by path or mtime, so
 # a file rewritten in place is read again. No builder calls another; `_checked`
 # passes the names on and checks what spans files. lru_cache stores no exception.
 _CACHE_ENTRIES = 32  # per builder, and the contents of all seven files that `_dataset` keeps
@@ -793,7 +783,7 @@ def _chip_file(data: bytes, name: str) -> tuple[dict[str, ChipRecord], dict]:
 
 
 # one builder per chip file, each with its own cache
-_CHIP_BUILDERS = {name: _by_content(functools.partial(_chip_file, name=name)) for name in _CHIP_KINDS}
+_CHIP_BUILDER = {name: _by_content(functools.partial(_chip_file, name=name)) for name in _CHIP_KINDS}
 
 
 @_by_content
@@ -853,7 +843,7 @@ def _checked(data: Callable[[str], bytes]) -> tuple:
     technologies, limits = _technologies(
         data("technologies.json"), tuple(constants.transistors), tuple(primitives), tuple(devices), resistive
     )
-    (neuromorphic, params), (accelerators, _) = (_CHIP_BUILDERS[name](data(name)) for name in _CHIP_KINDS)
+    (neuromorphic, params), (accelerators, _) = (_CHIP_BUILDER[name](data(name)) for name in _CHIP_KINDS)
     chips = dict(neuromorphic)
     for cname, record in accelerators.items():
         _insert(chips, cname, record, _ACCELERATORS, "chip")
@@ -879,7 +869,7 @@ def _dataset(contents: _Contents) -> tuple:
     """The validated datasets of the seven files whose bytes are `contents`,
     and the memo of every registry built from those bytes: one mutable
     dict, handed to each of them on purpose. Sharing is sound because each
-    memoized result is a pure function of the bytes and its key, and every
+    result in it is a pure function of the bytes and its key, and every
     such registry holds these very records, which a name key stands for. A
     miss runs the per-file builders, so a file whose bytes were built
     before, beside others that were not, shares its records."""
@@ -917,9 +907,11 @@ def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
 
 def _json_key(node, step):
     """`step` as a key of the JSON `node`: a string step into a list is the
-    index of the row whose `name` it is."""
+    index of the row it names, by the key that names a row in its file:
+    `name` (devices, chips, workloads), `code` (combos) or `label` (oscillators)."""
     if isinstance(node, list) and isinstance(step, str):
-        return next(i for i, row in enumerate(node) if isinstance(row, dict) and row.get("name") == step)
+        named = (row.get("name", row.get("code", row.get("label"))) if isinstance(row, dict) else None for row in node)
+        return next(i for i, name in enumerate(named) if name == step)
     return step
 
 

@@ -55,9 +55,10 @@ def bench_technology(tech: Technology, registry: Registry, cfg: Optional[ChipCon
     registry's record of its label, or equal to it.
     """
     label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
-    if cfg is None:
-        return registry._memo.get(("row", label)) or registry.memoized(("row", label), _build_row, tech, registry)
-    return _build_row(tech, registry, cfg)
+    if cfg is not None:
+        return _build_row(tech, registry, cfg)
+    key = "row", label
+    return registry._memo.get(key) or registry._memo.setdefault(key, _build_row(tech, registry))
 
 
 def _row_terms(constants: GlobalConstants) -> tuple:
@@ -68,11 +69,14 @@ def _row_terms(constants: GlobalConstants) -> tuple:
 
 def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ElementBench:
     """A technology's row; a `FigureError` while building it, such as an overflow, names the technology."""
-    config, area, wire, transform, i_cmos = registry.memoized(("row terms",), _row_terms, registry.constants)
+    memo = registry._memo
+    terms = memo.get(("row terms",)) or memo.setdefault(("row terms",), _row_terms(registry.constants))
+    config, area, wire, transform, i_cmos = terms
     if cfg is not None:  # an explicit config has its own area terms
         config, area = cfg, area_terms(cfg, registry.constants)
     try:
-        raw = registry.memoized(("raw element", *raw_inputs(tech)), build_raw_element, tech, registry)
+        key = "raw element", *raw_inputs(tech)
+        raw = memo.get(key) or memo.setdefault(key, build_raw_element(tech, registry))
         net = network_transform(raw, tech, registry, transform)
         a_syn = net.synapse.area
         return assemble_row(
@@ -88,7 +92,7 @@ def _build_row(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] =
 
 def bench_chip(tech: Technology, registry: Registry, cfg: Optional[ChipConfig] = None) -> ChipBench:
     """`chip_bench` of a technology's chip `cfg`, by default its nominal chip
-    (spiking for an SNN) from its memoized row; a figure that overflows names
+    (spiking for an SNN) from its row in the memo; a figure that overflows names
     the technology."""
     row = bench_technology(tech, registry, cfg)  # first, as it checks that `tech` is the registry's
     if cfg is None:
@@ -109,8 +113,8 @@ def bench_workload(
     (`Registry.fan_in`), which also picks the default schedule. The result
     is built once per registry content."""
     label = tech.label if registry.technologies.get(tech.label) is tech else own_name(registry, tech)
-    key = ("workload", workload_name, label, schedule)
-    return registry._memo.get(key) or registry.memoized(key, _workload_bench, workload_name, tech, registry, schedule)
+    key, memo = ("workload", workload_name, label, schedule), registry._memo
+    return memo.get(key) or memo.setdefault(key, _workload_bench(workload_name, tech, registry, schedule))
 
 
 def _workload_bench(workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]) -> WorkloadBench:

@@ -77,7 +77,7 @@ def topsdown_element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
     an incomputable chip, or a figure that overflows, raises on every call.
     """
     key = "chip element", chip.name if registry.chips.get(chip.name) is chip else _chip_key(chip, registry)
-    return registry._memo.get(key) or registry.memoized(key, _element, chip, registry)
+    return registry._memo.get(key) or registry._memo.setdefault(key, _element(chip, registry))
 
 
 def _chip_key(chip: ChipRecord, registry: Registry):
@@ -221,7 +221,7 @@ def run_workload_on_chip(chip: ChipRecord, spec: WorkloadSpec, registry: Registr
     chip_key = chip.name if registry.chips.get(chip.name) is chip else _chip_key(chip, registry)
     spec_key = spec.name if registry.workloads.get(spec.name) is spec else own_name(registry, spec)
     key = "chip workload", chip_key, spec_key
-    return registry._memo.get(key) or registry.memoized(key, _chip_workload, chip, spec, registry)
+    return registry._memo.get(key) or registry._memo.setdefault(key, _chip_workload(chip, spec, registry))
 
 
 def _chip_workload(chip: ChipRecord, spec: WorkloadSpec, registry: Registry) -> WorkloadBench:

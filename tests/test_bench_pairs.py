@@ -1,7 +1,10 @@
 """scripts/bench_pairs.py: the rule that decides whether a claimed gain holds."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -61,3 +64,28 @@ def test_per_layer_figures_are_medians_of_the_traced_runs():
     assert bench_pairs.TRACED_PAIRS == len(runs)
     assert bench_pairs.median_figures(runs) == {"report.emit_matrix.self_ms": 1.62, "cli.main.calls": 1.0}
     assert bench_pairs.median_figures(runs[1:2]) == {"report.emit_matrix.self_ms": 1.4531, "cli.main.calls": 1.0}
+
+
+def test_each_pair_runs_as_long_as_the_benchmark_says(monkeypatch, tmp_path):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    lengths = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        lengths.append((seconds, trace))
+        metrics = {m["name"]: {"value": 1.0} for m in bench["end_to_end"]}
+        return {"metrics": metrics, "failed": 0, "attempted": 1, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: rev)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--out", str(out), "--workload", "surface:2", "--trace", "surface"]
+    assert bench_pairs.main([*argv, "--trace-seconds", "3"]) == 0
+    assert lengths == [(bench["run_seconds"], 0)] * 4 + [(3.0, 1)] * 2 * bench_pairs.TRACED_PAIRS
+    assert f"--seconds {bench['run_seconds']:g} --trace 0" in json.loads(out.read_text(encoding="utf-8"))["method"]
+
+
+def test_run_length_is_no_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--out", "x.json", "--workload", "surface", "--seconds", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seconds 10" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from neurobench import FigureError, derive, load_datasets, report, topsdown
 from neurobench.ade import ZERO, AdeTriple
 from neurobench.chip import ChipBench, ChipConfig, chip_bench, firing_rate, nominal_config
 from neurobench.circuits import AnalogReadBench, OtaCellBench, SenseAmpBench, VoltageSenseAmpBench
+from neurobench.elements import raw_inputs
 from neurobench.interconnect import ElementBench, chip_ic_delay, wiring
 from neurobench.report import ScatterPoint
 from neurobench.topsdown import BackfillResult, TopsDownElement
@@ -177,14 +178,24 @@ def test_element_row_totals_that_overflow_raise_where_they_are_read(registry):
         chip_bench(nominal_config(constants), slow, constants)
 
 
-def test_an_element_row_that_overflows_names_its_technology(registry):
-    derived = derive(registry, {"constants.json": {("supply_voltage",): 1e200}})
+@pytest.mark.parametrize(
+    "file, edits, field",
+    [
+        ("constants.json", {("supply_voltage",): 1e200}, "energy"),
+        # the digital neuron and its sense amps, each 8 adder delays (1.2e308 ps), sum to inf
+        ("circuit_primitives.json", {("families", "digital_cmos", "add1", "delay"): 1.5e307}, "delay"),
+    ],
+    ids=["supply", "adder delay"],
+)
+def test_an_element_row_that_overflows_names_its_technology(registry, file, edits, field):
+    derived = derive(registry, {file: edits})
     tech = derived.technology("ANNDCSRAM")
-    message = r"^technology ANNDCSRAM: AdeTriple\.energy must be finite and >= 0, got inf$"
+    message = rf"^technology ANNDCSRAM: AdeTriple\.{field} must be finite and >= 0, got inf$"
     for cfg in (None, None, nominal_config(derived.constants)):  # the nominal row twice, then an explicit config
         with pytest.raises(ValueError, match=message):
             report.bench_technology(tech, derived, cfg)
-    assert ("row", "ANNDCSRAM") not in derived._memo
+    assert ("row", "ANNDCSRAM") not in derived._memo  # the raw element raised, so neither key is stored
+    assert ("raw element", *raw_inputs(tech)) not in derived._memo
 
 
 def test_topsdown_figures_that_overflow_raise():

@@ -16,7 +16,7 @@ from neurobench.elements import (
     synapse_effective_resistance,
     wire_drive,
 )
-from neurobench.registry import CircuitPrimitiveTable
+from neurobench.registry import ELEMENT_FAMILIES, CircuitPrimitiveTable
 
 FAMILIES = {
     "digital_sram",
@@ -176,11 +176,13 @@ def test_resistive_modes_pick_different_neurons(registry, constants, cmos):
 
 
 def test_family_dispatch_is_total(registry):
-    assert {tech.family for tech in registry.technologies.values()} == FAMILIES
+    assert {tech.family for tech in registry.technologies.values()} == FAMILIES == set(ELEMENT_FAMILIES)
     for tech in registry.technologies.values():
         bench = build_raw_element(tech, registry)
         assert bench.synapse.area > 0 and bench.synapse.delay > 0 and bench.synapse.energy > 0
         assert bench.neuron.area > 0 and bench.neuron.delay > 0 and bench.neuron.energy > 0
+        with pytest.raises(KeyError):  # an unknown family is built as no family's row
+            build_raw_element(tech._replace(family="bogus"), registry)
 
 
 def test_builders_read_only_the_raw_inputs(registry):

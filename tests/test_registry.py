@@ -25,7 +25,7 @@ from neurobench.registry import (
     UnknownNameError,
     ValidationError,
     _BY_HAND,
-    _CHIP_BUILDERS,
+    _CHIP_BUILDER,
     _READ_SIZE,
     _WALKS,
     _constants,
@@ -763,7 +763,7 @@ def test_loads_of_the_same_bytes_share_records_and_the_memo(data_copy):
     assert report.bench_technology(tech, second) is report.bench_technology(tech, first)
 
 
-_BUILDERS = (_constants, _primitives, _devices, _technologies, *_CHIP_BUILDERS.values(), _workloads)
+_BUILDERS = (_constants, _primitives, _devices, _technologies, *_CHIP_BUILDER.values(), _workloads)
 
 
 def test_a_warm_load_calls_no_builder(data_copy):
@@ -841,9 +841,9 @@ def test_derive_rejects_what_the_loader_rejects(registry):
             {"devices.json": {("devices", "Vapourware", "area"): 1.0}},
             "devices.json: no value at path ('devices', 'Vapourware', 'area')",
         ),
-        (  # a combo row has a code, not a name
-            {"technologies.json": {("combos", "DCSRAM", "family"): "digital_mac"}},
-            "technologies.json: no value at path ('combos', 'DCSRAM', 'family')",
+        (  # a combo row is named by its code
+            {"technologies.json": {("combos", "NOPE", "family"): "digital_mac"}},
+            "technologies.json: no value at path ('combos', 'NOPE', 'family')",
         ),
     ],
 )
@@ -887,14 +887,24 @@ def test_derive_leaves_a_value_of_no_json_type_a_type_error(registry):
         derive(registry, {"constants.json": {("nominal_chip", "cores"): {1, 2}}})
 
 
-def test_derive_picks_a_list_row_by_its_name(registry):
-    doc = json.loads(registry.files["chips_neuromorphic.json"])
-    row = next(i for i, row in enumerate(doc["chips"]) if row["name"] == "Loihi")
-    by_name, by_index = (
-        derive(registry, {"chips_neuromorphic.json": {("chips", step, "activity"): 0.5}}) for step in ("Loihi", row)
-    )
-    assert by_name.files == by_index.files
-    assert by_name.chip("Loihi").activity == 0.5 and by_name.chip("Loihi") != registry.chip("Loihi")
+@pytest.mark.parametrize(
+    "file, rows, key, name, field, value, changed",
+    [
+        ("chips_neuromorphic.json", "chips", "name", "Loihi", "activity", 0.5,
+         lambda reg: reg.chip("Loihi").activity == 0.5),
+        ("technologies.json", "combos", "code", "DCSRAM", "family", "digital_mac",
+         lambda reg: reg.technology("ANNDCSRAM").family == "digital_mac"),
+        ("technologies.json", "oscillators", "label", "OscSTT", "ic_voltage", 0.2,
+         lambda reg: reg.technology("OscSTT").ic_voltage == 0.2),
+    ],
+    ids=["a chip by name", "a combo by code", "an oscillator by label"],
+)
+def test_derive_picks_a_list_row_by_its_name(registry, file, rows, key, name, field, value, changed):
+    doc = json.loads(registry.files[file])
+    index = next(i for i, row in enumerate(doc[rows]) if row[key] == name)
+    by_name, by_index = (derive(registry, {file: {(rows, step, field): value}}) for step in (name, index))
+    assert by_name.files == by_index.files != registry.files
+    assert changed(by_name) and not changed(registry)
 
 
 def test_derived_feature_size_moves_every_feature_size_multiple(registry):
