@@ -26,13 +26,14 @@ and `bench chip --nominal`, `bench chip --config nominal.json` and `bench
 workload --name lenet` for every technology, and `topsdown --workload`, with
 and without `--backfill`, for each edited chip, on a sixth one where chip,
 workload and tops-down workload figures overflow, so the error names the
-technology or chip and the workload (`FIGURES_EDITS`); and the element
-matrix and the neuron scatter as CSV on a seventh one whose oscillator
-label holds a comma and double quotes, so the CSV cell is quoted
-(`QUOTED_EDITS`). It runs `devices list` on a dataset whose constants.json,
-and `bench chip --config` on a config whose object, holds a key of
-`DEEP_LISTS` nested lists, which the JSON decoder cannot parse within the
-recursion limit (`DEEP_COMMANDS`). It also runs `devices list` once for
+technology or chip and the workload (`FIGURES_EDITS`); and `devices list`,
+the element matrix and the neuron scatter as CSV on a seventh one whose
+oscillator label and the name of a device no technology references each
+hold a comma and double quotes, so each CSV cell is quoted (`QUOTED_EDITS`).
+It runs `devices list` on a dataset whose constants.json, and `bench chip
+--config` on a config whose object, holds a key of `DEEP_LISTS` nested
+lists, which the JSON decoder cannot parse within the recursion limit
+(`DEEP_COMMANDS`). It also runs `devices list` once for
 every leaf of each of the seven shipped files deleted or set to each of
 `LEAF_VALUES`, with that one file changed (`loader_results`), so every
 loader message shows. Last, it runs `ERROR_COMMANDS`, one for each
@@ -54,7 +55,6 @@ byte-identical.
 """
 
 import contextlib
-import functools
 import io
 import json
 import os
@@ -137,8 +137,12 @@ DEEP_COMMANDS = [
     ["bench", "chip", "--config", DEEP_CONFIG, "--tech", "ANNDCSRAM"],
 ]
 QUOTED_DIR = "derived_quoted"
-QUOTED_EDITS = {"technologies.json": {("oscillators", "OscSTT", "label"): 'Osc,"STT"'}}  # a CSV cell that needs quotes
+QUOTED_EDITS = {  # CSV cells that need quotes: CMOSdig is a device no technology references
+    "technologies.json": {("oscillators", "OscSTT", "label"): 'Osc,"STT"'},
+    "devices.json": {("devices", "CMOSdig", "name"): 'CMOSdig,"x"'},
+}
 QUOTED_COMMANDS = [
+    ["--data-dir", QUOTED_DIR, "devices", "list"],
     ["--data-dir", QUOTED_DIR, "export", "--what", "matrix", "--out", EXPORT_NAME + ".csv"],
     ["--data-dir", QUOTED_DIR, "export", "--what", "scatter", "--out", EXPORT_NAME + ".csv"],
 ]
@@ -270,11 +274,13 @@ def edited(data: bytes, edits: dict) -> bytes:
     doc = json.loads(data)
     for path, value in edits.items():
         *steps, last = path
-        node = functools.reduce(lambda node, step: node[_json_key(node, step)], steps, doc)
+        node, within = doc, None
+        for step in steps:
+            node, within = node[_json_key(node, step, within)], step
         if value is DELETED:
-            del node[_json_key(node, last)]
+            del node[_json_key(node, last, within)]
         else:
-            node[_json_key(node, last)] = value
+            node[_json_key(node, last, within)] = value
     return json.dumps(doc).encode()
 
 

@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 from . import units
 from .ade import FigureError
-from .registry import _KINDS, NETWORK_KINDS, DatasetError, Registry, _value, load_datasets
+from .registry import _KINDS, NETWORK_KINDS, DatasetError, Registry, _text, _value, load_datasets
 
 
 # A double's exact decimal expansion has at most 767 significant digits, so
@@ -137,7 +137,7 @@ def _cmd_devices(args, registry: Registry) -> None:
         d = registry.devices[name]
         r_on = "" if d.r_on is None else f"{d.r_on:g}"
         r_off = "" if d.r_off is None else f"{d.r_off:g}"
-        print(f"{name},{d.area_int:g},{d.delay_int:g},{d.energy_int:g},{r_on},{r_off}")
+        print(f"{_text(name)},{d.area_int:g},{d.delay_int:g},{d.energy_int:g},{r_on},{r_off}")
 
 
 def _cmd_bench(args, registry: Registry) -> None:

@@ -11,9 +11,9 @@ in each rejection.
 Each file is validated once per distinct content: each builder is a pure
 function of one file's bytes and the names that file may reference,
 cached by them, so loads of identical bytes share the same validated,
-read-only records. One more entry, keyed by the bytes of all seven files,
-holds their validated records and mappings and the memo, so a warm load is
-seven reads and one lookup and calls no builder. A hit does not refresh the
+read-only records. The registry itself is cached by the bytes of all seven
+files, so a warm load is seven reads and one lookup, calls no builder and
+returns the registry of that content. A hit does not refresh the
 builders' entries: once 32 newer contents of one file have been built, a
 `derive` that edits another file rebuilds records equal to that file's, not
 the identical ones, and `own_name` accepts them. A file rewritten in place
@@ -25,12 +25,11 @@ largest shipped file (7.1 KB), so each takes one read, and no more, as
 A Registry is built only here, from file bytes that `load_datasets` reads
 or `derive` edits, so every registry passes the same checks. It is
 read-only and safe to share between concurrent evaluators. Results derived
-from it are kept in the memo of its content: registries built from
-byte-identical files share one memo, held by that entry of all seven files
-and so bounded at 32 contents. A technology, chip or workload spec reaches
-the model only as the registry's record of its name, or one equal to it,
-and the memo keys it by that name (`own_name`); any other raises, so a
-changed record comes from `derive`. No memo key holds a record.
+from it are kept in its memo, the memo of its content. A technology, chip
+or workload spec reaches the model only as the registry's record of its
+name, or one equal to it, and the memo keys it by that name (`own_name`);
+any other raises, so a changed record comes from `derive`. No memo key
+holds a record.
 """
 
 import functools
@@ -341,6 +340,13 @@ def _lookup(mapping: Mapping[str, T], name: str, what: str) -> T:
         raise UnknownNameError(f"unknown {what} {name!r}") from None
 
 
+def _text(cell: str) -> str:
+    """A dataset text cell as a CSV field (RFC 4180), as every output writes it."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 _OWNERS = {  # record class -> what it is, its Registry mapping
     Technology: ("technology", "technologies"), ChipRecord: ("chip", "chips"), WorkloadSpec: ("workload", "workloads")
 }
@@ -362,10 +368,10 @@ def own_name(registry: "Registry", record) -> str:
 
 class Registry:
     """The validated datasets, by kind, and the bytes of the seven files they
-    were built from, by file name (`files`). Only `load_datasets` and `derive`
-    build one, and it cannot be changed. Registries built from byte-identical
-    files share their records and one memo, `_memo`, bounded at 32 contents.
-    An entry point reads it in place, always in one shape: `memo.get(key) or
+    were built from, by file name (`files`). Only `_dataset` builds one, the
+    registry of that content, which every load and derive of those bytes
+    returns; it cannot be changed, and it starts its own memo, `_memo`. An
+    entry point reads it in place, always in one shape: `memo.get(key) or
     memo.setdefault(key, compute(*args))`. The `or` keeps the compute off the
     hit path, and a compute that raises stores nothing. A key is a tuple of a
     constant tag for its kind of result (never a function object, which a
@@ -385,8 +391,8 @@ class Registry:
     fan_in: Mapping[str, Optional[int]]  # fan-in class -> parallel fan-in; None = unlimited, 1 = sequential
     topsdown_params: Mapping[str, float]
 
-    def __init__(self, files: dict, constants: GlobalConstants, *mappings: dict, memo: dict) -> None:
-        values = MappingProxyType(files), constants, *map(MappingProxyType, mappings), memo
+    def __init__(self, files: dict, constants: GlobalConstants, *mappings: dict) -> None:
+        values = MappingProxyType(files), constants, *map(MappingProxyType, mappings), {}
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -624,7 +630,7 @@ def _parsed(data: bytes, name: str) -> dict:
 # names that file may reference, cached by them: never by path or mtime, so
 # a file rewritten in place is read again. No builder calls another; `_checked`
 # passes the names on and checks what spans files. lru_cache stores no exception.
-_CACHE_ENTRIES = 32  # per builder, and the contents of all seven files that `_dataset` keeps
+_CACHE_ENTRIES = 32  # per builder, and the registries that `_dataset` keeps, one per content
 _by_content = functools.lru_cache(maxsize=_CACHE_ENTRIES)
 
 
@@ -865,24 +871,19 @@ class _Contents(tuple):
 
 
 @_by_content
-def _dataset(contents: _Contents) -> tuple:
-    """The validated datasets of the seven files whose bytes are `contents`,
-    and the memo of every registry built from those bytes: one mutable
-    dict, handed to each of them on purpose. Sharing is sound because each
-    result in it is a pure function of the bytes and its key, and every
-    such registry holds these very records, which a name key stands for. A
-    miss runs the per-file builders, so a file whose bytes were built
-    before, beside others that were not, shares its records."""
-    return _checked(dict(zip(_FILES, contents)).__getitem__), {}
+def _dataset(contents: _Contents) -> Registry:
+    """The registry of the seven files whose bytes are `contents`, one per
+    content among the 32 latest. A miss runs the per-file builders, so a file
+    whose bytes were built before, beside others that were not, shares its records."""
+    files = dict(zip(_FILES, contents))
+    return Registry(files, *_checked(files.__getitem__))
 
 
 def _build(read: Callable[[str], bytes]) -> Registry:
     """The registry of the files whose bytes `read(name)` returns: seven reads
     in `_FILES` order, then one lookup of their bytes. If a read fails, the
     files before it are checked first, in that order, and then it is read
-    again, so the first fault in file order is the one reported. Records and
-    the memo are shared by builds from the same bytes; each build has its
-    own mapping views."""
+    again, so the first fault in file order is the one reported."""
     files: dict[str, bytes] = {}
     for name in _FILES:
         try:
@@ -893,46 +894,45 @@ def _build(read: Callable[[str], bytes]) -> Registry:
         # a read failed: check the files before it, then read it again to raise its error;
         # should that read succeed, it and the reads after it fill `files` in order
         _checked(lambda name: files[name] if name in files else files.setdefault(name, read(name)))
-    records, memo = _dataset(_Contents(files.values()))
-    return Registry(files, *records, memo=memo)
+    return _dataset(_Contents(files.values()))
 
 
 def load_datasets(data_dir: Optional[os.PathLike] = None) -> Registry:
-    """Load and cross-validate all dataset files, returning a new read-only
-    Registry. A warm load, of bytes seen before, is seven reads and one
-    lookup: it calls no builder and shares the records and memo of the
-    first registry built from those bytes."""
+    """Load and cross-validate all dataset files, returning the read-only
+    registry of their content. A warm load, of bytes among the 32 latest
+    contents, from any path, is seven reads and one lookup: it calls no
+    builder and returns the registry first built from those bytes."""
     return _build(functools.partial(_file_bytes, os.fspath(default_data_dir() if data_dir is None else data_dir)))
 
 
-def _json_key(node, step):
-    """`step` as a key of the JSON `node`: a string step into a list is the
-    index of the row it names, by the key that names a row in its file:
-    `name` (devices, chips, workloads), `code` (combos) or `label` (oscillators)."""
+def _json_key(node, step, within):
+    """`step` as a key of the JSON `node`, the value at key `within` of its
+    parent: a string step into a list is the index of the row it names, by
+    `code` in `combos`, `label` in `oscillators` and `name` in every other list."""
     if isinstance(node, list) and isinstance(step, str):
-        named = (row.get("name", row.get("code", row.get("label"))) if isinstance(row, dict) else None for row in node)
-        return next(i for i, name in enumerate(named) if name == step)
+        key = {"combos": "code", "oscillators": "label"}.get(within, "name")
+        return next(i for i, row in enumerate(node) if isinstance(row, dict) and row.get(key) == step)
     return step
 
 
 def derive(registry: Registry, edits: Mapping[str, Mapping[tuple, object]]) -> Registry:
-    """A registry from `registry.files` with `edits` applied, through every
+    """The registry of `registry.files` with `edits` applied, through every
     check of `load_datasets`. `edits` maps a file name to `{path: value}`,
     where a path is a tuple of JSON keys, list indices and, into a list, row
     names, and a value is in the file's units:
     `{"constants.json": {("supply_voltage",): 0.9}, "devices.json": {("devices", "ME", "area"): 6100}}`.
-    A file without edits keeps its bytes, and so shares its records with
-    `registry`; with none at all, the derived registry shares its memo too."""
+    A file without edits keeps its bytes and records; with none at all, the
+    result is `registry` itself while its content is among the 32 latest."""
     files = dict(registry.files)
     for name, changes in edits.items():
         doc = json.loads(_lookup(files, name, "dataset file"))
         for path, value in changes.items():
             try:
                 *steps, last = path
-                node = doc
+                node, within = doc, None
                 for step in steps:
-                    node = node[_json_key(node, step)]
-                node[_json_key(node, last)] = value
+                    node, within = node[_json_key(node, step, within)], step
+                node[_json_key(node, last, within)] = value
             except (KeyError, IndexError, TypeError, ValueError, StopIteration):
                 raise UnknownNameError(f"{name}: no value at path {path!r}") from None
         try:

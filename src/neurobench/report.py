@@ -21,7 +21,7 @@ from .chip import ChipBench, ChipConfig, area_terms, chip_area, chip_bench, nomi
 from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row, wiring
 from .networks import network_transform, transform_terms
-from .registry import GlobalConstants, Registry, Technology, UnknownNameError, own_name
+from .registry import GlobalConstants, Registry, Technology, UnknownNameError, _text, own_name
 from .workload import WorkloadBench, run_workload
 
 MATRIX_HEADER = (
@@ -136,13 +136,6 @@ def matrix_columns(bench: ElementBench) -> tuple[float, ...]:
 
 def element_matrix(registry: Registry, network_kind: Optional[str] = None) -> list[ElementBench]:
     return [bench_technology(t, registry) for t in registry.enumerate_technologies(network_kind)]
-
-
-def _text(cell: str) -> str:
-    """A dataset text cell as a CSV field."""
-    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
 
 
 def _csv_lines(header: tuple, template: str, cells: list) -> str:

@@ -63,11 +63,11 @@ _tails = itertools.count(1)
 
 
 def load_new(directory: Path, files=None):
-    """A registry of the values of `files` (default: the shipped dataset)
-    whose memo is new. `files` is written to `directory`, one file with a
+    """A new registry, and so a new memo, of the values of `files` (default:
+    the shipped dataset). `files` is written to `directory`, one file with a
     whitespace tail that no earlier call gave, so the bytes differ from every
-    other load's in this process. The tails rotate over the seven files, so
-    no builder's cache fills with them."""
+    other load's in this process and make a content of their own. The tails
+    rotate over the seven files, so no builder's cache fills with them."""
     if files is None:
         files = {path.name: path.read_bytes() for path in default_data_dir().glob("*.json")}
     n = next(_tails)

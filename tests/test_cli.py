@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -26,6 +28,17 @@ def test_devices_list(capsys):
     code, out, _ = run(capsys, "devices", "list")
     assert code == 0
     assert "ME," in out and "OxideR," in out
+
+
+def test_devices_list_quotes_a_name_as_the_emitters_do(capsys, monkeypatch):
+    # no technology references CMOSdig, so the rename loads
+    name = 'CMOSdig,"x"'
+    derived = derive(neurobench.load_datasets(), {"devices.json": {("devices", "CMOSdig", "name"): name}})
+    monkeypatch.setattr(cli, "load_datasets", lambda directory: derived)
+    code, out, _ = run(capsys, "devices", "list")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert code == 0 and len(header) == 6 and all(len(row) == 6 for row in rows)
+    assert [row[0] for row in rows] == sorted(derived.devices) and name in derived.devices
 
 
 def test_bench_element(capsys):
