@@ -45,11 +45,17 @@ UNREACHED = "unreached"  # no in-process run reaches the line
 REVIEWED = (  # (file under src/neurobench, its first line stripped, how many lines, what reaches them, why)
     ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", 2, UNREACHED,
      "the broken-pipe branch; a subprocess test (tests/test_cli.py) and CI's shell pipe reach it"),
-    ("cli.py", "raise SystemExit(main())", 1, UNREACHED, "the `__main__` line; only `python -m neurobench.cli` runs it"),
+    ("cli.py", "raise SystemExit(run())", 1, UNREACHED, "the `__main__` line; only `python -m neurobench.cli` runs it"),
+    ("cli.py", "try:  # every way out freezes: a return, a usage error's SystemExit, a bug's exception", 2, TESTS_ONLY,
+     "`run`, the process entry; every script calls `main`, which must not freeze a process that goes on running"),
+    ("cli.py", "gc.freeze()", 1, TESTS_ONLY,
+     "`run`, the process entry; every script calls `main`, which must not freeze a process that goes on running"),
     ("interconnect.py", "from .registry import GlobalConstants", 1, UNREACHED,
      "a `TYPE_CHECKING` import, which only a type checker reads"),
     ("workload.py", "from .interconnect import ElementBench", 2, UNREACHED,
      "`TYPE_CHECKING` imports, which only a type checker reads"),
+    ("report.py", "from .workload import WorkloadBench", 1, UNREACHED,
+     "a `TYPE_CHECKING` import, which only a type checker reads"),
     # library API: what a caller of the package, not of the CLI, can reach
     ("__init__.py", "return sorted(globals().keys() | _EXPORTS.keys())", 1, TESTS_ONLY,
      "`dir(neurobench)`, the PEP 562 partner of `__getattr__`: it lists the names imported on first access"),

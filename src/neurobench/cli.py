@@ -7,13 +7,17 @@ error is a `DatasetError`, a `FigureError`, an `OSError` or a name stdout
 cannot encode; any other exception is a bug and prints its traceback.
 NEUROBENCH_DATA_DIR or --data-dir overrides the packaged datasets. Only the
 dataset layer is imported up front; each subcommand imports the model layers
-it runs.
+it runs. `run` is the process entry (`python -m neurobench.cli` and the
+`neurobench` script): it freezes the collector on its way out, so the
+interpreter's final collections have nothing to walk. `main` is the
+in-process API and never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -253,5 +257,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """`main` for a process that ends when it returns. `gc.freeze()` moves every
+    object into the permanent generation, which no collection walks, so exit
+    skips collecting objects that die with the process anyway. A caller that
+    goes on running calls `main`."""
+    try:  # every way out freezes: a return, a usage error's SystemExit, a bug's exception
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -13,7 +13,7 @@ import json
 import math
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import units
 from .ade import FigureError
@@ -22,7 +22,9 @@ from .elements import build_raw_element, cmos_drive, raw_inputs, wire_drive
 from .interconnect import ElementBench, assemble_row, wiring
 from .networks import network_transform, transform_terms
 from .registry import GlobalConstants, Registry, Technology, UnknownNameError, _text, own_name
-from .workload import WorkloadBench, run_workload
+
+if TYPE_CHECKING:  # used in annotations only
+    from .workload import WorkloadBench
 
 MATRIX_HEADER = (
     "technology",
@@ -119,6 +121,8 @@ def bench_workload(
 
 def _workload_bench(workload_name: str, tech: Technology, registry: Registry, schedule: Optional[str]) -> WorkloadBench:
     """The workload on the technology's row; a `FigureError`, such as an overflow, names both."""
+    from .workload import run_workload  # only a workload bench loads the workload layer
+
     spec, row = registry.workload(workload_name), bench_technology(tech, registry)
     fan_in = registry.fan_in[tech.fan_in_class]
     try:

@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -346,6 +348,63 @@ def test_closed_stdout_exits_quietly(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# a success, a data error and a usage error, each with its exit status
+WAYS_OUT = [(["devices", "list"], 0), (["bench", "element", "--tech", "NOLABEL"], 1), (["frobnicate"], 2)]
+
+
+def _status(entry, *args):
+    try:
+        return entry(*args)
+    except SystemExit as e:  # a usage error
+        return e.code
+
+
+@pytest.mark.parametrize("argv, status", WAYS_OUT)
+def test_main_never_freezes_the_collector(capsys, argv, status):
+    # tests and scripts call `main` in a process that goes on running and collecting
+    before = gc.get_freeze_count()
+    assert _status(main, argv) == status
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_freezes_the_collector_on_every_way_out(capsys, monkeypatch):
+    frozen = []
+    monkeypatch.setattr(cli, "gc", types.SimpleNamespace(freeze=lambda: frozen.append(True)))
+    for argv, status in WAYS_OUT:
+        monkeypatch.setattr(sys, "argv", ["neurobench", *argv])
+        assert (_status(cli.run), len(frozen)) == (status, 1)
+        frozen.clear()
+
+    def bug(args, registry):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_devices", bug)
+    monkeypatch.setattr(sys, "argv", ["neurobench", "devices", "list"])
+    with pytest.raises(RuntimeError):
+        cli.run()
+    assert len(frozen) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["bench", "element", "--tech", "ANNDCSRAM"], *(argv for argv, _ in WAYS_OUT), ["export", "--what", "matrix"]]
+)
+def test_the_process_entry_answers_as_main_does(capsys, tmp_path, argv):
+    out = tmp_path / "matrix.csv"
+    if argv[0] == "export":
+        argv = [*argv, "--out", str(out)]
+
+    def written():
+        return out.read_bytes() if out.exists() else None
+
+    in_process = (_status(main, argv), *capsys.readouterr(), written())
+    out.unlink(missing_ok=True)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "neurobench.cli", *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr, written()) == in_process
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))

@@ -61,9 +61,9 @@ def _loaded(argv: list[str]) -> tuple[set[str], list[str]]:
             ["topsdown", "--chip", "Loihi", "--workload", "speech_mlp"],
             DATASET | {"cli", "interconnect", "topsdown", "workload"},
         ),
-        (["bench", "element", "--tech", "ANNDCSRAM"], DATASET | MODEL | {"cli"}),
-        (["bench", "network", "--kind", "ONN"], DATASET | MODEL | {"cli"}),
-        (["bench", "chip", "--nominal", "--tech", "ANNDCSRAM"], DATASET | MODEL | {"cli"}),
+        (["bench", "element", "--tech", "ANNDCSRAM"], DATASET | (MODEL - {"workload"}) | {"cli"}),
+        (["bench", "network", "--kind", "ONN"], DATASET | (MODEL - {"workload"}) | {"cli"}),
+        (["bench", "chip", "--nominal", "--tech", "ANNDCSRAM"], DATASET | (MODEL - {"workload"}) | {"cli"}),
         (["bench", "workload", "--name", "mnist_mlp", "--tech", "ANNDCSRAM"], DATASET | MODEL | {"cli"}),
     ],
     ids=[
