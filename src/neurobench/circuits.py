@@ -66,8 +66,8 @@ def sense_amp(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -> 
     g_m = constants.linear_transconductance * (w.p + w.n) / w_dt
     c_load = constants.transistor_cap_per_width * (w.p + w.n) * units.M_PER_NM
     resolve = math.log(constants.supply_voltage / constants.sense_voltage) * c_load / g_m
-    delay = units.seconds_to_ps(resolve) + constants.synapse_bits * primitives.add1.delay
-    energy = units.cap_voltage_energy_aj(c_load, constants.supply_voltage)
+    delay = resolve * units.PS_PER_S + constants.synapse_bits * primitives.add1.delay
+    energy = c_load * constants.supply_voltage * constants.supply_voltage * units.AJ_PER_J
     return SenseAmpBench(area=area, transconductance=g_m, load_cap=c_load, delay=delay, energy=energy)
 
 
@@ -87,8 +87,8 @@ def voltage_sense_amp(
     c_li = s_neu * constants.ic_cap_per_length * constants.min_ic_length * units.M_PER_NM
     drive = constants.vsa_read_voltage / r_on - constants.vsa_read_voltage / r_off  # A
     settle = 2.3 * r_pch * c_si + constants.vsa_sense_voltage * (c_si + c_li) / drive
-    delay = units.seconds_to_ps(settle) + 2.0 * constants.synapse_bits * primitives.add1.delay
-    energy = units.cap_voltage_energy_aj(c_si, constants.supply_voltage)
+    delay = settle * units.PS_PER_S + 2.0 * constants.synapse_bits * primitives.add1.delay
+    energy = c_si * constants.supply_voltage * constants.supply_voltage * units.AJ_PER_J
     return VoltageSenseAmpBench(area=area, sense_cap=c_si, bitline_cap=c_li, delay=delay, energy=energy)
 
 
@@ -99,7 +99,7 @@ def analog_read(constants: GlobalConstants, primitives: CircuitPrimitiveTable) -
     v_col = constants.analog_row_voltage - constants.vsa_read_voltage
     delay = constants.analog_read_pulse + 2.0 * constants.synapse_bits * primitives.add1.delay
     power = 25.0 * v_col * v_col / constants.transistor_on_resistance  # W
-    energy = units.watts_to_aj_per_ps(power) * delay
+    energy = power * units.AJ_PER_PS_PER_W * delay
     return AnalogReadBench(area=area, column_voltage=v_col, delay=delay, power=power, energy=energy)
 
 

@@ -86,10 +86,10 @@ def analog_transistor_element(
     cell = ota_cell(constants, constants.transistors[transistor_family])
     w = constants.ota_widths
     width_ratio = (w.input + w.pullup + w.output) / constants.digital_transistor_width
-    settle = 8.4 * units.rc_to_ps(cell.effective_resistance, cell.cell_cap)  # ps
+    settle = 8.4 * (cell.effective_resistance * cell.cell_cap * units.PS_PER_S)  # ps
     v_cc = constants.supply_voltage
-    p_syn = units.watts_to_aj_per_ps(v_cc * cell.ota_current)  # aJ/ps
-    p_neu = units.watts_to_aj_per_ps(v_cc * (cell.opamp_current + cell.ota_current))
+    p_syn = v_cc * cell.ota_current * units.AJ_PER_PS_PER_W  # aJ/ps
+    p_neu = v_cc * (cell.opamp_current + cell.ota_current) * units.AJ_PER_PS_PER_W
     synapse = AdeTriple(area=2.0 * primitives.inv4.area * width_ratio, delay=settle, energy=p_syn * settle)
     neuron = AdeTriple(area=3.0 * primitives.inv4.area * width_ratio, delay=settle, energy=p_neu * settle)
     return ElementBench(synapse=synapse, neuron=neuron)
@@ -127,11 +127,11 @@ def resistive_synapse(
     v_cc = constants.supply_voltage
     i_on = v_cc / device.r_on  # A
     r_eff = synapse_effective_resistance(device, constants)
-    settle = 2.3 * units.rc_to_ps(r_eff, constants.min_ic_capacitance)  # ps
+    settle = 2.3 * (r_eff * constants.min_ic_capacitance * units.PS_PER_S)  # ps
     synapse = AdeTriple(
         area=device.area_int,
         delay=settle,
-        energy=units.watts_to_aj_per_ps(i_on * v_cc) * settle,
+        energy=i_on * v_cc * units.AJ_PER_PS_PER_W * settle,
     )
     n_b = constants.synapse_bits
     if mode == "digital":

@@ -73,7 +73,7 @@ def wiring(c: GlobalConstants) -> Wiring:
 
 def ic_energy(length: float, voltage: float, wire: Wiring) -> float:
     """Energy to charge `length` nm of interconnect to `voltage`, aJ."""
-    return units.joules_to_aj(wire.ic_cap_per_length * length * units.M_PER_NM * voltage * voltage)
+    return wire.ic_cap_per_length * length * units.M_PER_NM * voltage * voltage * units.AJ_PER_J
 
 
 def ic_lengths(synapse_block_area: float, chip_area: float) -> tuple[float, float]:
@@ -89,7 +89,7 @@ def core_ic_delay(length: float, r_eff: float, wire: Wiring) -> float:
     synapse technologies.
     """
     per_segment = wire.rc_wire + r_eff * wire.c_seg + wire.rc_load  # s
-    return units.seconds_to_ps(per_segment) * (length / wire.min_ic_length)
+    return per_segment * units.PS_PER_S * (length / wire.min_ic_length)
 
 
 def chip_ic_delay(length: float, i_neu: float, voltage: float, wire: Wiring) -> float:
@@ -97,7 +97,7 @@ def chip_ic_delay(length: float, i_neu: float, voltage: float, wire: Wiring) -> 
     if i_neu <= 0:
         raise FigureError("chip interconnect needs a positive neuron drive current")
     t = wire.ic_cap_per_length * length * units.M_PER_NM * voltage / i_neu  # s
-    return units.seconds_to_ps(t)
+    return t * units.PS_PER_S
 
 
 def assemble_row(

@@ -101,11 +101,11 @@ def _element(chip: ChipRecord, registry: Registry) -> TopsDownElement:
         fire_rate = _require(chip, "fire_rate")
         activity = _require(chip, "activity")
         # spiking rate inverted: one synaptic event every 1/(f * r_a * s_neu)
-        tau_syn = units.seconds_to_ps(1.0 / (fire_rate * activity * chip.synapses_per_neuron))
+        tau_syn = 1.0 / (fire_rate * activity * chip.synapses_per_neuron) * units.PS_PER_S
     else:
         clock = _require(chip, "clock")
         budget = p["accelerator_compute_fraction"] * _require(chip, "area")
-        tau_syn = units.seconds_to_ps(1.0 / clock)  # one MAC per clock
+        tau_syn = 1.0 / clock * units.PS_PER_S  # one MAC per clock
         activity = chip.activity if chip.activity is not None else 1.0
     e_syn = _require(chip, "energy_per_event")
     per_neuron = chip.cores * chip.neurons_per_core
@@ -146,7 +146,7 @@ _IDENTITIES = (
     (POWER_IDENTITY, {
         "power": lambda c: c.syn_throughput * c.energy_per_event * units.J_PER_AJ,
         "syn_throughput": lambda c: c.power / (c.energy_per_event * units.J_PER_AJ),
-        "energy_per_event": lambda c: units.joules_to_aj(c.power / c.syn_throughput),
+        "energy_per_event": lambda c: c.power / c.syn_throughput * units.AJ_PER_J,
     }),
 )
 

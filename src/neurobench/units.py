@@ -6,9 +6,10 @@ Canonical internal units, used everywhere past the loaders:
 
 Derived conventions: power is carried as aJ/ps (1 aJ/ps = 1e-6 W),
 throughput of events as 1/ps. Loaders convert dataset units exactly once,
-by the factors in the tables here. Every unit factor is one of the tables
-or constants here, used directly or through the helpers; no other module
-writes a factor as a literal.
+by the factors in the tables here. Every unit factor is a number or a
+table here, none is a function, and no other module writes a factor as a
+literal. A conversion is written one way: the expression, in its written
+grouping, times the named constant, as `8.4 * (r * c * PS_PER_S)`.
 """
 
 from __future__ import annotations
@@ -50,25 +51,3 @@ HEADER_UNITS = {
     "voltage": {"V": 1.0}, "current": {"A": 1.0}, "capacitance": {"F": 1.0}, "conductance": {"S": 1.0},
     "cap_per_width": {"F/m": 1.0}, "current_per_width": {"A/m": 1.0},
 }
-
-
-def rc_to_ps(resistance_ohm: float, capacitance_f: float) -> float:
-    """RC time constant in canonical ps."""
-    return resistance_ohm * capacitance_f * PS_PER_S
-
-
-def seconds_to_ps(t: float) -> float:
-    return t * PS_PER_S
-
-
-def joules_to_aj(e: float) -> float:
-    return e * AJ_PER_J
-
-
-def cap_voltage_energy_aj(capacitance_f: float, voltage_v: float) -> float:
-    """C*V^2 charging energy in aJ."""
-    return capacitance_f * voltage_v * voltage_v * AJ_PER_J
-
-
-def watts_to_aj_per_ps(p: float) -> float:
-    return p * AJ_PER_PS_PER_W

@@ -55,12 +55,12 @@ def oracle_row(tech, registry, cfg):
     per_segment = 0.38 * r_seg * c_seg + r_eff * c_seg + r_seg * c.load_capacitance
 
     def energy(length):
-        return units.joules_to_aj(c.ic_cap_per_length * length * units.M_PER_NM * voltage * voltage)
+        return c.ic_cap_per_length * length * units.M_PER_NM * voltage * voltage * units.AJ_PER_J
 
     core = AdeTriple(
-        core_len * c.wire_pitch, units.seconds_to_ps(per_segment) * (core_len / c.min_ic_length), energy(core_len)
+        core_len * c.wire_pitch, per_segment * units.PS_PER_S * (core_len / c.min_ic_length), energy(core_len)
     )
-    chip_delay = units.seconds_to_ps(c.ic_cap_per_length * chip_len * units.M_PER_NM * voltage / i_neu)
+    chip_delay = c.ic_cap_per_length * chip_len * units.M_PER_NM * voltage / i_neu * units.PS_PER_S
     chip = AdeTriple(chip_len * c.wire_pitch, chip_delay, energy(chip_len))
     return ElementBench(net.synapse, net.neuron, core, chip), chip_area
 

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import BACKFILL_BREAKS
 from neurobench import derive
-from neurobench.registry import ChipRecord
+from neurobench.registry import DERIVABLE, ChipRecord
 from neurobench.topsdown import (
+    _IDENTITIES,
     POWER_IDENTITY,
+    THROUGHPUT_IDENTITY,
     IncomputableError,
     backfill_derived,
     run_workload_on_chip,
@@ -168,6 +170,13 @@ def test_a_residual_over_a_product_that_underflows_to_zero_is_rejected(registry)
     with pytest.raises(IncomputableError) as err:
         backfill_derived(chip)
     assert str(err.value) == "chip TrueNorth: residual inf of power = throughput * event_energy is not finite"
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVABLE))
+def test_a_kind_may_flag_as_derived_exactly_what_its_identities_solve(kind):
+    """`registry.DERIVABLE` and the identities `backfill_derived` applies state one policy."""
+    applied = [solvers for name, solvers in _IDENTITIES if kind != "accelerator" or name != THROUGHPUT_IDENTITY]
+    assert set(DERIVABLE[kind]) == {field for solvers in applied for field in solvers}
 
 
 # -- the back-fill cache -----------------------------------------------------------
